@@ -18,16 +18,18 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
 from . import __version__
 from .bath import build_rate_trajectory
-from .cycle import (build_config, ift_reference, population_onset, run_cycle,
-                    sweep_cutoff, sweep_population)
+from .cycle import (CycleConfig, build_config, ift_reference,
+                    population_onset, run_cycle, sweep_cutoff,
+                    sweep_population)
 from .measures import nonmarkov_report
 from .model import (SystemParams, beta_from_population, hamiltonian_cold,
                     hamiltonian_hot, transition_energy)
@@ -37,41 +39,28 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_NO_ENGINE = 4
 
-# every knob with its baseline default; None marks "inherit from the
-# hot side" for the cold-reservoir overrides
+# cycle knobs and their defaults come from the library: the scalar
+# parameters of build_config (None marks "inherit from the hot side" for
+# the cold-reservoir overrides) and the defaulted CycleConfig fields
+_CYCLE_DEFAULTS = {
+    **{name: par.default for name, par in
+       inspect.signature(build_config).parameters.items()
+       if par.kind is par.POSITIONAL_OR_KEYWORD},
+    **{f.name: f.default for f in fields(CycleConfig)
+       if f.default is not MISSING},
+}
+
 _DEFAULTS = {
-    "nu_cold": 2.0,
-    "nu_hot": 3.6,
-    "tau": 0.1,
-    "g": 0.2,
-    "p_plus_cold": 0.261,
-    "p_plus_hot": 0.99,
-    "alpha": 0.6,
-    "omega_c": 30.0,
-    "mu": 0.0,
-    "cold_alpha": None,
-    "cold_omega_c": None,
-    "cold_mu": None,
-    "heat_dt": 0.25e-3,
-    "heat_t_dense": 1.0,
-    "tail_dt": 0.01,
-    "heat_t_max": 10.0,
-    "t_f": 1.0,
-    "n_steps": 20000,
-    "quad_tol": 1e-8,
-    "ode_rtol": 1e-9,
-    "ode_atol": 1e-12,
+    **_CYCLE_DEFAULTS,
     "omega_c_list": "5,15,25,30",
     "p_hot_min": 0.5,
     "p_hot_max": 0.99,
     "p_hot_step": 0.01,
     "t_tilde": "auto",
-    "workers": 0,
 }
 
-_INT_KEYS = {"n_steps", "workers"}
-_STR_KEYS = {"omega_c_list", "t_tilde"}
-_OPTIONAL_KEYS = {"cold_alpha", "cold_omega_c", "cold_mu"}
+# population grids are built on an integer lattice of this resolution
+_P_QUANTUM = 10 ** 12
 
 
 class ConfigError(Exception):
@@ -79,17 +68,18 @@ class ConfigError(Exception):
 
 
 def _convert(key: str, raw: str, where: str):
+    # a key takes the type of its default
     raw = raw.strip()
-    if key in _STR_KEYS:
+    default = _DEFAULTS[key]
+    if isinstance(default, str):
         return raw
-    if key in _OPTIONAL_KEYS and raw.lower() in ("none", "inherit"):
+    if default is None and raw.lower() in ("none", "inherit"):
         return None
+    is_int = isinstance(default, int)
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw)
+        return int(raw) if is_int else float(raw)
     except ValueError:
-        kind = "integer" if key in _INT_KEYS else "number"
+        kind = "integer" if is_int else "number"
         raise ConfigError(f"{where}: value for '{key}' is not a {kind}: {raw!r}")
 
 
@@ -125,13 +115,8 @@ def parse_config(path: str | None, sets) -> dict:
 
 
 def _cycle_config(cfg: dict):
-    kwargs = {k: cfg[k] for k in
-              ("nu_cold", "nu_hot", "tau", "g", "p_plus_cold", "p_plus_hot",
-               "alpha", "omega_c", "mu", "cold_alpha", "cold_omega_c",
-               "cold_mu", "heat_dt", "heat_t_dense", "tail_dt", "heat_t_max",
-               "t_f", "n_steps", "quad_tol", "ode_rtol", "ode_atol")}
     try:
-        return build_config(**kwargs)
+        return build_config(**{k: cfg[k] for k in _CYCLE_DEFAULTS})
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -162,18 +147,13 @@ def _p_hot_points(cfg: dict) -> list[float]:
     lo, hi, step = cfg["p_hot_min"], cfg["p_hot_max"], cfg["p_hot_step"]
     if not (0.0 < lo <= hi < 1.0):
         raise ConfigError("need 0 < p_hot_min <= p_hot_max < 1")
-    if step <= 0.0:
-        raise ConfigError("p_hot_step must be positive")
-    n = int(round((hi - lo) / step))
-    points = [lo + k * step for k in range(n + 1)]
-    return [p for p in points if p < 1.0]
-
-
-def _workers(cfg: dict) -> int | None:
-    w = cfg["workers"]
-    if w < 0:
-        raise ConfigError("workers must be >= 0")
-    return None if w == 0 else w
+    lo_q, hi_q, step_q = (round(x * _P_QUANTUM) for x in (lo, hi, step))
+    if step_q < 1:
+        raise ConfigError(f"p_hot_step must be at least {1 / _P_QUANTUM:g}")
+    # integer lattice points, never past p_hot_max; dividing the exact
+    # integer by the quantum lands on the float nearest the decimal value
+    return [(lo_q + k * step_q) / _P_QUANTUM
+            for k in range((hi_q - lo_q) // step_q + 1)]
 
 
 def _g9(x) -> str:
@@ -308,8 +288,7 @@ def cmd_simulate(cfg: dict, outdir: str) -> int:
 
 def cmd_sweep_cutoff(cfg: dict, outdir: str) -> int:
     _require_inversion(cfg)
-    rows = sweep_cutoff(_cycle_config(cfg), _omega_c_points(cfg),
-                        workers=_workers(cfg))
+    rows = sweep_cutoff(_cycle_config(cfg), _omega_c_points(cfg))
     csv_rows = []
     for r in rows:
         status = ("error:" + _safe(r.error)) if r.error else \
@@ -343,8 +322,7 @@ def _resolve_t_tilde(cfg: dict):
 
 def cmd_sweep_population(cfg: dict, outdir: str) -> int:
     t_tilde, was_auto = _resolve_t_tilde(cfg)
-    rows = sweep_population(_cycle_config(cfg), _p_hot_points(cfg), t_tilde,
-                            workers=_workers(cfg))
+    rows = sweep_population(_cycle_config(cfg), _p_hot_points(cfg), t_tilde)
     onset = population_onset(rows)
     extra = [f"t_tilde_ms = {_g9(t_tilde)}",
              f"t_tilde_source = {'auto' if was_auto else 'config'}",

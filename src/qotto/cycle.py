@@ -8,21 +8,20 @@ comes out of a single dissipative trajectory because the closing stroke
 is unitary: measuring the ramped-back state under the cold Hamiltonian
 equals measuring the untouched state under the pulled-back operator.
 
-Sweeps fan the independent parameter points over a process pool and
-reassemble rows in input order, so output is deterministic for a fixed
-configuration.
+The stroke-independent pieces (Hamiltonians, input state, ramp unitary
+and its pulled-back operator) are set up once per run, sweep or reference
+scan.  Sweeps run their points serially in input order; a point that
+fails becomes a row carrying the error instead of ending the sweep.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bath import BathSpec, RateTrajectory, Statistics, build_rate_trajectory
-from .dynamics import (DEFAULT_N_STEPS, Trajectory, adiabaticity, evolve_open,
-                       propagate_unitary)
+from .bath import BathSpec, Statistics, build_rate_trajectory
+from .dynamics import (DEFAULT_N_STEPS, Trajectory, _branch_crossing,
+                       evolve_open, propagate_unitary)
 from .matcore import DensityMatrix, dag, expect
 from .measures import (NonMarkovReport, cycle_energetics, nonmarkov_report,
                        overall_performance)
@@ -85,12 +84,10 @@ class CycleConfig:
     t_f: float = 1.0
     n_steps: int = DEFAULT_N_STEPS
     quad_tol: float = 1e-8
-    ode_rtol: float = 1e-9
-    ode_atol: float = 1e-12
 
     def __post_init__(self):
-        if not 0.0 <= self.p_plus_cold < 0.5:
-            raise ValueError("p_plus_cold must lie in [0, 0.5): the cold "
+        if not 0.0 < self.p_plus_cold < 0.5:
+            raise ValueError("p_plus_cold must lie in (0, 0.5): the cold "
                              "stage is a positive-temperature reservoir")
         if not 0.0 < self.p_plus_hot < 1.0:
             raise ValueError("p_plus_hot must lie in (0, 1)")
@@ -134,10 +131,6 @@ def build_config(nu_cold: float = 2.0, nu_hot: float = 3.6,
     Remaining keyword arguments pass through to CycleConfig.
     """
     system = SystemParams(nu_cold=nu_cold, nu_hot=nu_hot, tau=tau, g=g)
-    if not 0.0 < p_plus_cold < 0.5:
-        raise ValueError("p_plus_cold must lie in (0, 0.5)")
-    if not 0.0 < p_plus_hot < 1.0:
-        raise ValueError("p_plus_hot must lie in (0, 1)")
     beta_hot = beta_from_population(hamiltonian_hot(system), p_plus_hot)
     beta_cold = beta_from_population(hamiltonian_cold(system), p_plus_cold)
     hot = BathSpec(alpha=alpha, omega_c=omega_c, beta=beta_hot, mu=mu)
@@ -225,29 +218,57 @@ def _band_edges(times: np.ndarray, eta: np.ndarray, k: int,
     return float(t_lo), float(t_hi)
 
 
-def run_cycle(cfg: CycleConfig) -> CycleResult:
-    """Run one engine cycle over every truncation time on the grid."""
+@dataclass(frozen=True)
+class _Setup:
+    """The stroke-independent pieces of one cycle."""
+
+    h_cold: np.ndarray
+    h_hot: np.ndarray
+    eps_hot: float
+    rho_in: np.ndarray
+    u_exp: np.ndarray
+    rho_exp: DensityMatrix
+    jump: np.ndarray
+    # u_exp h_cold u_exp^dag: undoing the ramp and measuring h_cold equals
+    # measuring this on the contact-stroke state, so nothing is propagated
+    h_back: np.ndarray
+
+
+def _setup(cfg: CycleConfig) -> _Setup:
     sp = cfg.system
     h_cold = hamiltonian_cold(sp)
     h_hot = hamiltonian_hot(sp)
     eps_hot, _ = transition_energy(h_hot)
-    rho_in = state_from_population(h_cold, cfg.p_plus_cold)
+    rho_in = state_from_population(h_cold, cfg.p_plus_cold).mat
     u_exp = propagate_unitary(sp, Stroke.EXPANSION, cfg.n_steps)
-    rho_exp = u_exp @ rho_in.mat @ dag(u_exp)
-    jump = jump_operator(h_hot)
+    rho_exp = u_exp @ rho_in @ dag(u_exp)
+    return _Setup(h_cold=h_cold, h_hot=h_hot, eps_hot=eps_hot, rho_in=rho_in,
+                  u_exp=u_exp, rho_exp=DensityMatrix.from_matrix(rho_exp),
+                  jump=jump_operator(h_hot),
+                  h_back=u_exp @ h_cold @ dag(u_exp))
+
+
+def _energetics(su: _Setup, rho_heat: np.ndarray):
+    """Cycle energetics for one contact-stroke endpoint."""
+    return cycle_energetics(su.rho_in, su.rho_exp, rho_heat,
+                            dag(su.u_exp) @ rho_heat @ su.u_exp,
+                            su.h_cold, su.h_hot)
+
+
+def run_cycle(cfg: CycleConfig) -> CycleResult:
+    """Run one engine cycle over every truncation time on the grid."""
+    su = _setup(cfg)
+    h_cold, h_hot, eps_hot = su.h_cold, su.h_hot, su.eps_hot
+    rho_exp = su.rho_exp.mat
 
     grid = cfg.heating_grid()
     rates = build_rate_trajectory(cfg.hot_bath, eps_hot,
                                   grid[-1] + _TABLE_MARGIN,
                                   quad_tol=cfg.quad_tol)
-    traj = evolve_open(DensityMatrix.from_matrix(rho_exp), h_hot, rates,
-                       jump, grid, rtol=cfg.ode_rtol, atol=cfg.ode_atol)
+    traj = evolve_open(su.rho_exp, h_hot, rates, su.jump, grid)
 
-    w1 = expect(h_hot, rho_exp) - expect(h_cold, rho_in.mat)
-    # the closing stroke never needs to be propagated: undoing the ramp
-    # and measuring under h_cold equals measuring the pulled-back
-    # operator on the contact-stroke state directly
-    m2 = u_exp @ h_cold @ dag(u_exp) - h_hot
+    w1 = expect(h_hot, rho_exp) - expect(h_cold, su.rho_in)
+    m2 = su.h_back - h_hot
     e_exp = expect(h_hot, rho_exp)
     w2 = np.einsum("tij,ji->t", traj.states, m2).real.astype(float)
     q_hot = np.einsum("tij,ji->t", traj.states, h_hot).real - e_exp
@@ -301,17 +322,15 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
     o_p = overall_performance(grid, eta, cfg.t_f)
     nm = nonmarkov_report(rates, 0.0, cfg.heat_t_max)
 
-    rho_heat_ideal = state_from_population(h_hot, cfg.p_plus_hot).mat
-    ideal = cycle_energetics(rho_in.mat, rho_exp, rho_heat_ideal,
-                             dag(u_exp) @ rho_heat_ideal @ u_exp,
-                             h_cold, h_hot)
+    ideal = _energetics(su, state_from_population(h_hot,
+                                                  cfg.p_plus_hot).mat)
 
     diagnostics = {
         "quad_error": float(rates.quad_error),
         "weak_coupling_ok": bool(rates.weak_coupling_ok),
         "max_trace_dev": float(np.max(traj.trace_dev)),
         "min_eig": float(np.min(traj.min_eig)),
-        "xi": float(adiabaticity(sp, cfg.n_steps)),
+        "xi": _branch_crossing(cfg.system, su.u_exp),
         "eps_hot": float(eps_hot),
         "final_population_gap": float(
             abs(traj.populations(transition_energy(h_hot)[1].v_plus)[-1]
@@ -347,8 +366,7 @@ def run_cooling(cfg: CycleConfig, rho_comp, t_max: float = 40.0,
                                   t_max + _TABLE_MARGIN,
                                   quad_tol=cfg.quad_tol)
     grid = np.linspace(0.0, t_max, int(round(t_max / dt)) + 1)
-    return evolve_open(rho0, h_cold, rates, jump, grid,
-                       rtol=cfg.ode_rtol, atol=cfg.ode_atol)
+    return evolve_open(rho0, h_cold, rates, jump, grid)
 
 
 @dataclass(frozen=True)
@@ -363,8 +381,7 @@ class SweepRow:
     error: str = ""
 
 
-def _cutoff_point(args) -> SweepRow:
-    cfg, omega_c = args
+def _cutoff_point(cfg: CycleConfig, omega_c: float) -> SweepRow:
     try:
         sub = replace(cfg, hot_bath=replace(cfg.hot_bath, omega_c=omega_c))
         res = run_cycle(sub)
@@ -380,23 +397,12 @@ def _cutoff_point(args) -> SweepRow:
                         error=f"{type(exc).__name__}: {exc}")
 
 
-def _run_pool(fn, jobs, workers: int | None):
-    if workers is None:
-        workers = min(len(jobs), os.cpu_count() or 1)
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # executor.map keeps submission order, so rows stay deterministic
-        return list(pool.map(fn, jobs))
-
-
-def sweep_cutoff(cfg: CycleConfig, omega_c_list,
-                 workers: int | None = None) -> list[SweepRow]:
+def sweep_cutoff(cfg: CycleConfig, omega_c_list) -> list[SweepRow]:
     """One full run per reservoir cutoff, rows in input order."""
     points = [float(w) for w in omega_c_list]
     if not points:
         raise ValueError("cutoff list must not be empty")
-    return _run_pool(_cutoff_point, [(cfg, w) for w in points], workers)
+    return [_cutoff_point(cfg, w) for w in points]
 
 
 @dataclass(frozen=True)
@@ -409,29 +415,19 @@ class PopulationRow:
     error: str = ""
 
 
-def _population_point(args) -> PopulationRow:
-    cfg, p_hot, t_tilde = args
+def _population_point(cfg: CycleConfig, su: _Setup, p_hot: float,
+                      t_tilde: float) -> PopulationRow:
     try:
-        sp = cfg.system
-        h_cold = hamiltonian_cold(sp)
-        h_hot = hamiltonian_hot(sp)
-        eps_hot, _ = transition_energy(h_hot)
         # each target population sets its own reservoir temperature
         hot = replace(cfg.hot_bath,
-                      beta=beta_from_population(h_hot, p_hot))
-        rho_in = state_from_population(h_cold, cfg.p_plus_cold)
-        u_exp = propagate_unitary(sp, Stroke.EXPANSION, cfg.n_steps)
-        rho_exp = u_exp @ rho_in.mat @ dag(u_exp)
-        rates = build_rate_trajectory(hot, eps_hot, t_tilde + _TABLE_MARGIN,
+                      beta=beta_from_population(su.h_hot, p_hot))
+        rates = build_rate_trajectory(hot, su.eps_hot,
+                                      t_tilde + _TABLE_MARGIN,
                                       quad_tol=cfg.quad_tol)
-        n = max(1, int(round(t_tilde / cfg.heat_dt)))
-        grid = np.linspace(0.0, t_tilde, n + 1)
-        traj = evolve_open(DensityMatrix.from_matrix(rho_exp), h_hot, rates,
-                           jump_operator(h_hot), grid,
-                           rtol=cfg.ode_rtol, atol=cfg.ode_atol)
-        rho_heat = traj.states[-1]
-        en = cycle_energetics(rho_in.mat, rho_exp, rho_heat,
-                              dag(u_exp) @ rho_heat @ u_exp, h_cold, h_hot)
+        # the exact stroke needs no intermediate samples, only the endpoint
+        traj = evolve_open(su.rho_exp, su.h_hot, rates, su.jump,
+                           np.array([0.0, t_tilde]))
+        en = _energetics(su, traj.final_state)
         return PopulationRow(p_plus_hot=p_hot, eta=en.eta,
                              valid_engine=en.valid_engine,
                              w=en.w, q_hot=en.q_hot)
@@ -442,40 +438,34 @@ def _population_point(args) -> PopulationRow:
                              error=f"{type(exc).__name__}: {exc}")
 
 
-def sweep_population(cfg: CycleConfig, p_hot_grid, t_tilde: float,
-                     workers: int | None = None) -> list[PopulationRow]:
-    """Truncated-contact efficiency at fixed stroke duration t_tilde,
-    one row per target population, rows in input order."""
+def _checked_populations(p_hot_grid) -> list[float]:
     points = [float(p) for p in p_hot_grid]
     if not points:
         raise ValueError("population grid must not be empty")
     if any(not 0.0 < p < 1.0 for p in points):
         raise ValueError("populations must lie in (0, 1)")
+    return points
+
+
+def sweep_population(cfg: CycleConfig, p_hot_grid,
+                     t_tilde: float) -> list[PopulationRow]:
+    """Truncated-contact efficiency at fixed stroke duration t_tilde,
+    one row per target population, rows in input order."""
+    points = _checked_populations(p_hot_grid)
     if not 0.0 < t_tilde <= cfg.heat_t_max:
         raise ValueError("t_tilde must lie inside the heating window")
-    return _run_pool(_population_point,
-                     [(cfg, p, float(t_tilde)) for p in points], workers)
+    su = _setup(cfg)
+    return [_population_point(cfg, su, p, float(t_tilde)) for p in points]
 
 
 def ift_reference(cfg: CycleConfig, p_hot_grid) -> list[PopulationRow]:
     """Perfect-thermalization reference: the contact stroke is replaced
     by its infinite-time endpoint, no reservoir dynamics involved."""
-    points = [float(p) for p in p_hot_grid]
-    if not points:
-        raise ValueError("population grid must not be empty")
-    if any(not 0.0 < p < 1.0 for p in points):
-        raise ValueError("populations must lie in (0, 1)")
-    sp = cfg.system
-    h_cold = hamiltonian_cold(sp)
-    h_hot = hamiltonian_hot(sp)
-    rho_in = state_from_population(h_cold, cfg.p_plus_cold)
-    u_exp = propagate_unitary(sp, Stroke.EXPANSION, cfg.n_steps)
-    rho_exp = u_exp @ rho_in.mat @ dag(u_exp)
+    points = _checked_populations(p_hot_grid)
+    su = _setup(cfg)
     rows = []
     for p in points:
-        rho_heat = state_from_population(h_hot, p).mat
-        en = cycle_energetics(rho_in.mat, rho_exp, rho_heat,
-                              dag(u_exp) @ rho_heat @ u_exp, h_cold, h_hot)
+        en = _energetics(su, state_from_population(su.h_hot, p).mat)
         rows.append(PopulationRow(p_plus_hot=p, eta=en.eta,
                                   valid_engine=en.valid_engine,
                                   w=en.w, q_hot=en.q_hot))

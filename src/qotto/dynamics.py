@@ -1,31 +1,40 @@
-"""Propagation: unitary work strokes and the dissipative heating stroke.
+"""Propagation: unitary work strokes and the dissipative contact strokes.
 
 The ramp unitaries use a midpoint product of closed-form 2x2 exponentials
 (second order in the step, exactly unitary at every step).  The compression
 propagator is the exact adjoint of the expansion one; the sign-flipped,
 time-reversed drive makes the two products coincide factor by factor.
 
-The heating stroke integrates a time-local master equation
+A contact stroke obeys the time-local master equation
     drho/dt = -i[H, rho] + G(t) D[A] rho + gt(t) D[A^dag] rho ,
-with D[X] rho = X rho X^dag - {X^dag X, rho}/2 and both coefficients read
-from a precomputed rate table.  The state rides as a real 4-vector
-(trace, Bloch components), which keeps Hermiticity exact by construction.
+with D[X] rho = X rho X^dag - {X^dag X, rho}/2, a constant H and the single
+jump channel A = a |-><+| of H.  In the eigenbasis of H it decouples into the
+damped two-level atom with time-dependent rates (Breuer & Petruccione, The
+Theory of Open Quantum Systems, OUP 2002): with k = |a|^2 and
+Lambda = int (G + gt), the coherence is c0 exp(-i e t - k Lambda(t)/2) and the
+excited population obeys dp/dt = -k Lambda'(t) p + k gt(t).  Both rates are
+read from a cubic spline of the rate table, so Lambda is that spline's exact
+antiderivative, and the population is stepped interval by interval.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from .bath import RateTrajectory
-from .matcore import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix,
-                      dag, expm_aherm)
-from .model import Stroke, SystemParams, hamiltonian_cold, hamiltonian_hot, herm_eig2
+from .matcore import DensityMatrix, dag
+from .model import (Stroke, SystemParams, hamiltonian_cold, hamiltonian_hot,
+                    herm_eig2, transition_energy)
 
 DEFAULT_N_STEPS = 20_000
+
+# 6-point Gauss-Legendre rule mapped onto [0, 1]: nodes and weights for the
+# source integral of one population step
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
+_GL_NODES = 0.5 * (_GL_NODES + 1.0)
+_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
 def _expansion_step_unitaries(p: SystemParams, n_steps: int) -> np.ndarray:
@@ -73,26 +82,10 @@ def propagate_unitary(p: SystemParams, stroke: Stroke,
     raise ValueError(f"no propagator for stroke {stroke.value}")
 
 
-def product_propagator(h_of_t: Callable[[float], np.ndarray], tau: float,
-                       n_steps: int) -> np.ndarray:
-    """Generic midpoint-product propagator for an arbitrary H(t).
-
-    Slow scalar loop; used for cross-checks of the vectorized ramp path.
-    """
-    dt = tau / n_steps
-    u = IDENTITY.copy()
-    for k in range(n_steps):
-        u = expm_aherm(h_of_t((k + 0.5) * dt), dt) @ u
-    return u
-
-
-def adiabaticity(p: SystemParams, n_steps: int = DEFAULT_N_STEPS) -> float:
-    """Probability of crossing between eigenstate branches during the ramp.
-
-    Zero for a perfectly adiabatic ramp; both matrix elements that define it
-    agree by unitarity and are checked against each other.
-    """
-    u = propagate_unitary(p, Stroke.EXPANSION, n_steps)
+def _branch_crossing(p: SystemParams, u: np.ndarray) -> float:
+    """Probability that the expansion propagator u crosses between
+    eigenstate branches; both matrix elements that define it agree by
+    unitarity and are checked against each other."""
     cold = herm_eig2(hamiltonian_cold(p))
     hot = herm_eig2(hamiltonian_hot(p))
     xi_a = abs(np.vdot(hot.v_plus, u @ cold.v_minus)) ** 2
@@ -101,6 +94,14 @@ def adiabaticity(p: SystemParams, n_steps: int = DEFAULT_N_STEPS) -> float:
         raise RuntimeError(
             f"branch-crossing probabilities disagree: {xi_a} vs {xi_b}")
     return float(xi_a)
+
+
+def adiabaticity(p: SystemParams, n_steps: int = DEFAULT_N_STEPS) -> float:
+    """Probability of crossing between eigenstate branches during the ramp.
+
+    Zero for a perfectly adiabatic ramp.
+    """
+    return _branch_crossing(p, propagate_unitary(p, Stroke.EXPANSION, n_steps))
 
 
 @dataclass(frozen=True)
@@ -131,26 +132,13 @@ class Trajectory:
         return self.states[-1]
 
 
-def apply_generator(rho: np.ndarray, h_sys: np.ndarray, jump: np.ndarray,
-                    big_gamma: float, gamma_tilde: float) -> np.ndarray:
-    """One application of the master-equation right-hand side."""
-    a = jump
-    ad = dag(a)
-    ada = ad @ a
-    aad = a @ ad
-    comm = -1j * (h_sys @ rho - rho @ h_sys)
-    diss = (big_gamma * (a @ rho @ ad - 0.5 * (ada @ rho + rho @ ada))
-            + gamma_tilde * (ad @ rho @ a - 0.5 * (aad @ rho + rho @ aad)))
-    return comm + diss
-
-
 def evolve_open(rho0: DensityMatrix, h_sys: np.ndarray, rates: RateTrajectory,
-                jump: np.ndarray, grid: np.ndarray, rtol: float = 1e-9,
-                atol: float = 1e-12, pos_tol: float = 1e-8) -> Trajectory:
-    """Integrate the heating-stroke master equation over the given grid.
+                jump: np.ndarray, grid: np.ndarray) -> Trajectory:
+    """Exact contact-stroke evolution sampled on the given grid.
 
     grid must start at 0 (bath switch-on) and stay inside the domain of the
-    rate table.  Sampled states are returned at exactly the grid times.
+    rate table; jump must be the single |-><+| channel of h_sys.  Sampled
+    states are returned at exactly the grid times.
     """
     grid = np.asarray(grid, dtype=float)
     if grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0):
@@ -159,47 +147,50 @@ def evolve_open(rho0: DensityMatrix, h_sys: np.ndarray, rates: RateTrajectory,
         raise ValueError(
             f"grid end {grid[-1]} exceeds rate table end {rates.times[-1]}")
 
-    rate_spline = CubicSpline(rates.times,
-                              np.column_stack([rates.big_gamma,
-                                               rates.gamma_tilde]))
+    eps, eig = transition_energy(h_sys)
+    vp, vm = eig.v_plus, eig.v_minus
     a = np.asarray(jump, dtype=complex)
-    ad = dag(a)
-    ada = ad @ a
-    aad = a @ ad
-    h = np.asarray(h_sys, dtype=complex)
-    paulis = np.stack([IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z])
+    amp = np.vdot(vm, a @ vp)
+    if np.max(np.abs(a - amp * np.outer(vm, vp.conj()))) > 1e-10:
+        raise ValueError("jump is not the single |-><+| channel of h_sys")
+    k = abs(amp) ** 2
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        rho = 0.5 * (y[0] * paulis[0] + y[1] * paulis[1]
-                     + y[2] * paulis[2] + y[3] * paulis[3])
-        bg, gt = rate_spline(t)
-        drho = (-1j * (h @ rho - rho @ h)
-                + bg * (a @ rho @ ad - 0.5 * (ada @ rho + rho @ ada))
-                + gt * (ad @ rho @ a - 0.5 * (aad @ rho + rho @ aad)))
-        return np.array([np.trace(drho).real,
-                         np.trace(drho @ SIGMA_X).real,
-                         np.trace(drho @ SIGMA_Y).real,
-                         np.trace(drho @ SIGMA_Z).real])
+    big_lam = CubicSpline(rates.times,
+                          rates.big_gamma + rates.gamma_tilde).antiderivative()
+    gamma_tilde = CubicSpline(rates.times, rates.gamma_tilde)
 
-    m0 = rho0.mat
-    y0 = np.array([np.trace(m0).real,
-                   np.trace(m0 @ SIGMA_X).real,
-                   np.trace(m0 @ SIGMA_Y).real,
-                   np.trace(m0 @ SIGMA_Z).real])
-    sol = solve_ivp(rhs, (grid[0], grid[-1]), y0, method="RK45",
-                    t_eval=grid, rtol=rtol, atol=atol,
-                    max_step=min(0.05, max(grid[-1] / 10.0, 1e-6)))
-    if not sol.success:
-        raise RuntimeError(
-            f"open-system integration failed near t={sol.t[-1]:.6g} ms: "
-            f"{sol.message}")
+    # step over sample times and spline knots alike, so every step lies
+    # inside one spline piece and its quadrature sees a smooth integrand;
+    # each step decays by its own factor: one global integrating factor
+    # exp(+k Lambda) loses about 1e-5 at the sharpest cutoffs
+    t = np.union1d(grid, rates.times[rates.times < grid[-1]])
+    k_lam = k * big_lam(t)
+    dt = np.diff(t)
+    nodes = t[:-1, None] + dt[:, None] * _GL_NODES
+    decay = np.exp(k_lam[:-1] - k_lam[1:])
+    source = k * dt * np.sum(
+        _GL_WEIGHTS * gamma_tilde(nodes)
+        * np.exp(k * big_lam(nodes) - k_lam[1:, None]), axis=1)
+    p0 = float(np.vdot(vp, rho0.mat @ vp).real)
+    pop = [p0]
+    for d, s in zip(decay.tolist(), source.tolist()):
+        pop.append(d * pop[-1] + s)
 
-    y = sol.y                        # (4, T)
-    states = 0.5 * np.einsum("kt,kij->tij", y, paulis)
-    trace_dev = np.abs(y[0] - 1.0)
-    if np.max(trace_dev) > 1e-8:
+    at = np.searchsorted(t, grid)
+    p = np.asarray(pop)[at]
+    c0 = np.vdot(vp, rho0.mat @ vm)
+    c = c0 * np.exp(-1j * eps * grid - 0.5 * k_lam[at])
+    # add the change to rho0 rather than rebuilding the state from the
+    # eigenbasis, so the t = 0 sample is rho0 itself
+    dp = (p - p0)[:, None, None]
+    dc = (c - c0)[:, None, None]
+    up = np.outer(vp, vm.conj())
+    flip = np.outer(vp, vp.conj()) - np.outer(vm, vm.conj())
+    states = rho0.mat + dp * flip + dc * up + dc.conj() * dag(up)
+
+    trace_dev = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
+    if not np.max(trace_dev) <= 1e-8:
         raise RuntimeError(
             f"trace drift {np.max(trace_dev):.3e} exceeds tolerance 1e-8")
-    bloch_norm = np.sqrt(y[1] ** 2 + y[2] ** 2 + y[3] ** 2)
-    min_eig = 0.5 * (y[0] - bloch_norm)
+    min_eig = 0.5 - np.hypot(p - 0.5, np.abs(c))
     return Trajectory(grid, states, trace_dev, min_eig)

@@ -110,20 +110,6 @@ def herm_eig2(m: np.ndarray, herm_tol: float = 1e-9) -> Eig2:
     return Eig2(float(e_minus), float(e_plus), v_minus, v_plus, False)
 
 
-def expm_aherm(m: np.ndarray, s: float, herm_tol: float = 1e-9) -> np.ndarray:
-    """exp(-i*s*M) for Hermitian M, via the Bloch axis-angle formula."""
-    if not np.isfinite(s):
-        raise ValueError(f"scale must be finite, got {s}")
-    m = _require_hermitian(m, herm_tol)
-    c0, cx, cy, cz = bloch_parts(m)
-    r = float(np.sqrt(cx * cx + cy * cy + cz * cz))
-    phase = np.exp(-1j * s * c0)
-    if r == 0.0:
-        return phase * IDENTITY
-    n_sigma = (cx * SIGMA_X + cy * SIGMA_Y + cz * SIGMA_Z) / r
-    return phase * (np.cos(s * r) * IDENTITY - 1j * np.sin(s * r) * n_sigma)
-
-
 def expect(op: np.ndarray, rho) -> float:
     """Real expectation value Tr[rho * op] for Hermitian op and rho.
 

@@ -7,7 +7,6 @@ because they dominate the run time.
 """
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -20,10 +19,6 @@ from qotto.model import Stroke
 
 CUTOFFS = (5.0, 15.0, 25.0, 30.0)
 P_GRID = [round(0.5 + 0.01 * k, 2) for k in range(50)]
-
-
-def _workers():
-    return max(1, min(4, os.cpu_count() or 1))
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +42,7 @@ def ft_rows(full_results):
     for wc in (5.0, 15.0, 25.0):
         cfg = cycle.build_config(omega_c=wc)
         out[wc] = cycle.sweep_population(
-            cfg, P_GRID, full_results[wc].t_tilde_max, workers=_workers())
+            cfg, P_GRID, full_results[wc].t_tilde_max)
     return out
 
 

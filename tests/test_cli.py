@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from qotto import cli
+from qotto import cli, cycle
 
 FAST = ["--set", "heat_dt=0.0005", "--set", "heat_t_dense=0.6",
         "--set", "heat_t_max=2.0", "--set", "t_f=0.5",
@@ -81,6 +81,22 @@ def test_config_optional_keys():
     cfg = cli.parse_config(None, ["cold_omega_c=12", "cold_alpha=none"])
     assert cfg["cold_omega_c"] == 12.0
     assert cfg["cold_alpha"] is None
+
+
+def test_default_config_is_the_library_default():
+    """The CLI resolves to exactly the config build_config() gives."""
+    assert cli._cycle_config(cli.parse_config(None, [])) \
+        == cycle.build_config()
+
+
+def test_population_grid_is_exact():
+    # the acceptance grid: hundredth steps from 0.50 to 0.99
+    p_grid = [round(0.5 + 0.01 * k, 2) for k in range(50)]
+    assert cli._p_hot_points(cli.parse_config(None, [])) == p_grid
+    # a step that does not divide the range stops short of p_hot_max
+    cfg = cli.parse_config(None, ["p_hot_min=0.5", "p_hot_max=0.85",
+                                  "p_hot_step=0.2"])
+    assert cli._p_hot_points(cfg) == [0.5, 0.7]
 
 
 def test_missing_config_file_is_config_error(tmp_path, capsys):
@@ -187,7 +203,7 @@ def test_ift_scan(tmp_path):
 
 def test_sweep_cutoff_table(tmp_path):
     code = cli.main(["sweep-cutoff", "--set", "omega_c_list=25,30",
-                     "--set", "workers=1", "--out", str(tmp_path)] + FAST)
+                     "--out", str(tmp_path)] + FAST)
     assert code == cli.EXIT_OK
     _, columns, data = read_csv(tmp_path / "cutoff_sweep.csv")
     assert columns == ["omega_c", "eta_max", "t_tilde_max_us", "o_p",
@@ -200,7 +216,7 @@ def test_sweep_cutoff_table(tmp_path):
 def test_sweep_population_fixed_duration(tmp_path):
     code = cli.main(["sweep-population", "--set", "t_tilde=0.272",
                      "--set", "p_hot_min=0.55", "--set", "p_hot_max=0.95",
-                     "--set", "p_hot_step=0.1", "--set", "workers=1",
+                     "--set", "p_hot_step=0.1",
                      "--out", str(tmp_path)] + FAST)
     assert code == cli.EXIT_OK
     header, columns, data = read_csv(tmp_path / "population_sweep.csv")
@@ -214,7 +230,7 @@ def test_sweep_population_fixed_duration(tmp_path):
 def test_sweep_population_auto_duration(tmp_path):
     code = cli.main(["sweep-population", "--set", "p_hot_min=0.9",
                      "--set", "p_hot_max=0.99", "--set", "p_hot_step=0.09",
-                     "--set", "workers=1", "--out", str(tmp_path)] + FAST)
+                     "--out", str(tmp_path)] + FAST)
     assert code == cli.EXIT_OK
     header, _, data = read_csv(tmp_path / "population_sweep.csv")
     assert any(line == "# t_tilde_source = auto" for line in header)

@@ -6,9 +6,12 @@ live in the acceptance suite.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import conftest
@@ -69,6 +72,14 @@ def test_config_validation(kwargs):
         build_config(**merged)
 
 
+@pytest.mark.parametrize("p_plus_cold", [0.0, 0.5])
+def test_cycle_config_rejects_cold_population_edges(fast_cfg, p_plus_cold):
+    """The cold lead needs a finite positive temperature: the library
+    object rejects the same populations build_config does."""
+    with pytest.raises(ValueError, match="p_plus_cold"):
+        replace(fast_cfg, p_plus_cold=p_plus_cold)
+
+
 def test_heating_grid_structure(fast_cfg):
     grid = fast_cfg.heating_grid()
     assert grid[0] == 0.0
@@ -126,8 +137,7 @@ def test_energetics_match_stroke_bookkeeping(fast_cfg, fast_result):
                                     grid[-1] + cycle._TABLE_MARGIN,
                                     quad_tol=cfg.quad_tol)
     traj = dynamics.evolve_open(matcore.DensityMatrix.from_matrix(rho_exp),
-                                h_hot, rt, a_hot, grid,
-                                rtol=cfg.ode_rtol, atol=cfg.ode_atol)
+                                h_hot, rt, a_hot, grid)
     for k in (0, 57, 313, 800, 1201, 1340):
         rho_heat = traj.states[k]
         out = measures.cycle_energetics(rho_in.mat, rho_exp, rho_heat,
@@ -180,6 +190,21 @@ def test_cooling_returns_to_cold_thermal_state(fast_cfg):
     assert np.max(traj.trace_dev) < 1e-8
 
 
+@pytest.mark.filterwarnings(conftest.MARGINAL_COUPLING)
+@settings(max_examples=4, deadline=None)
+@given(p_plus_cold=st.floats(0.05, 0.45),
+       bloch=st.tuples(st.floats(-0.57, 0.57), st.floats(-0.57, 0.57),
+                       st.floats(-0.57, 0.57)))
+def test_cooling_relaxes_to_configured_cold_state(p_plus_cold, bloch):
+    """Any input state ends at the configured cold thermal state."""
+    cfg = build_config(p_plus_cold=p_plus_cold, **FAST)
+    rho0 = matcore.DensityMatrix.from_bloch(*bloch)
+    traj = run_cooling(cfg, rho0, t_max=40.0, dt=0.5)
+    target = model.state_from_population(
+        model.hamiltonian_cold(cfg.system), p_plus_cold).mat
+    assert np.max(np.abs(traj.final_state - target)) < 1e-3
+
+
 def test_cooling_zero_duration_is_identity(fast_cfg):
     rho = model.state_from_population(
         model.hamiltonian_cold(fast_cfg.system), 0.3)
@@ -189,7 +214,7 @@ def test_cooling_zero_duration_is_identity(fast_cfg):
 
 
 def test_sweep_cutoff_rows(fast_cfg):
-    rows = sweep_cutoff(fast_cfg, [25.0, 30.0], workers=2)
+    rows = sweep_cutoff(fast_cfg, [25.0, 30.0])
     assert [r.omega_c for r in rows] == [25.0, 30.0]
     assert all(r.error == "" for r in rows)
     assert rows[0].eta_max > rows[1].eta_max
@@ -198,22 +223,22 @@ def test_sweep_cutoff_rows(fast_cfg):
 
 
 def test_sweep_cutoff_isolates_failures(fast_cfg):
-    rows = sweep_cutoff(fast_cfg, [-1.0, 30.0], workers=1)
+    rows = sweep_cutoff(fast_cfg, [-1.0, 30.0])
     assert rows[0].error != ""
     assert rows[1].error == ""
     assert not rows[1].no_engine
 
 
 def test_sweep_cutoff_deterministic(fast_cfg):
-    a = sweep_cutoff(fast_cfg, [30.0], workers=1)[0]
-    b = sweep_cutoff(fast_cfg, [30.0], workers=1)[0]
+    a = sweep_cutoff(fast_cfg, [30.0])[0]
+    b = sweep_cutoff(fast_cfg, [30.0])[0]
     assert (a.eta_max, a.t_tilde_max, a.o_p, a.eta_sat) \
         == (b.eta_max, b.t_tilde_max, b.o_p, b.eta_sat)
 
 
 def test_sweep_population_rows(fast_cfg):
     grid = [0.55, 0.65, 0.75, 0.85, 0.95]
-    rows = sweep_population(fast_cfg, grid, 0.272, workers=2)
+    rows = sweep_population(fast_cfg, grid, 0.272)
     assert [r.p_plus_hot for r in rows] == grid
     assert all(r.error == "" for r in rows)
     # engine functioning switches on between the first two grid points here

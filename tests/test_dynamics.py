@@ -10,17 +10,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 import conftest
-from qotto import bath, dynamics, matcore, model
+import oracles
+from oracles import apply_generator, expm_aherm, product_propagator
+from qotto import bath, cycle, dynamics, matcore, model
 from qotto.bath import BathSpec, RateTrajectory, build_rate_trajectory
-from qotto.dynamics import (Trajectory, adiabaticity, apply_generator,
-                            evolve_open, product_propagator,
+from qotto.dynamics import (Trajectory, adiabaticity, evolve_open,
                             propagate_unitary)
-from qotto.matcore import IDENTITY, dag, expm_aherm
+from qotto.matcore import IDENTITY, dag
 from qotto.model import Stroke
 
 
@@ -261,3 +264,121 @@ def test_positivity_along_baseline_heating(system, rate_table):
     assert np.min(traj.min_eig) > -1e-6
     state = traj.state_at(traj.times.size - 1)
     assert state.pos_ok or state.min_eig > -1e-6
+
+
+# the RK45 oracle run tight enough that its own error sits far below the
+# comparison bound
+ORACLE_TOL = dict(rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("omega_c", [5.0, 15.0, 25.0, 30.0])
+def test_evolve_open_matches_rk45_oracle(omega_c):
+    """Closed-form heating stroke vs the RK45 integrator on the default
+    truncation grid of each studied cutoff."""
+    cfg = cycle.build_config(omega_c=omega_c)
+    su = cycle._setup(cfg)
+    grid = cfg.heating_grid()
+    rt = build_rate_trajectory(cfg.hot_bath, su.eps_hot,
+                               grid[-1] + cycle._TABLE_MARGIN)
+    exact = evolve_open(su.rho_exp, su.h_hot, rt, su.jump, grid)
+    ref = oracles.evolve_open(su.rho_exp, su.h_hot, rt, su.jump, grid,
+                              **ORACLE_TOL)
+    assert np.max(np.abs(exact.states - ref.states)) <= 1e-10
+
+
+@pytest.mark.filterwarnings(conftest.MARGINAL_COUPLING)
+def test_cooling_stroke_matches_rk45_oracle(system):
+    cfg = cycle.build_config()
+    h_cold = model.hamiltonian_cold(system)
+    u = propagate_unitary(system, Stroke.EXPANSION)
+    rho_comp = matcore.DensityMatrix.from_matrix(
+        dag(u) @ model.state_from_population(model.hamiltonian_hot(system),
+                                             0.99).mat @ u)
+    exact = cycle.run_cooling(cfg, rho_comp, t_max=10.0, dt=0.01)
+    rt = build_rate_trajectory(cfg.cold_bath, conftest.EPS_COLD,
+                               10.0 + cycle._TABLE_MARGIN)
+    ref = oracles.evolve_open(rho_comp, h_cold, rt,
+                              model.jump_operator(h_cold), exact.times,
+                              **ORACLE_TOL)
+    assert np.max(np.abs(exact.states - ref.states)) <= 1e-10
+
+
+def test_evolve_open_rejects_foreign_jump(system, hot_bath):
+    h = model.hamiltonian_hot(system)
+    a = model.jump_operator(h)
+    rt = build_rate_trajectory(hot_bath, conftest.EPS_HOT, 0.5)
+    rho0 = model.state_from_population(h, 0.3)
+    grid = np.linspace(0.0, 0.4, 5)
+    for jump in (dag(a), matcore.SIGMA_X, a + 0.1 * dag(a)):
+        with pytest.raises(ValueError, match="channel"):
+            evolve_open(rho0, h, rt, jump, grid)
+
+
+def _quadratic(t, c0, c2, t0):
+    # c0 + c2 (t - t0)^2 >= 0 for c0, c2 >= 0; a cubic spline through its
+    # samples reproduces it, so the interpolated rate stays >= 0 too
+    return c0 + c2 * (t - t0) ** 2
+
+
+_rate = st.floats(0.0, 5.0)
+_unit = st.floats(-1.0, 1.0)
+_bloch = st.tuples(_unit, _unit, _unit).filter(
+    lambda v: math.hypot(*v) > 1e-3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bg=st.tuples(_rate, _rate, st.floats(0.0, 2.0)),
+       gt=st.tuples(_rate, _rate, st.floats(0.0, 2.0)),
+       direction=_bloch, radius=st.floats(0.0, 1.0))
+def test_closed_form_stroke_is_a_state_path(system, bg, gt, direction,
+                                            radius):
+    """Unit trace, Hermiticity and positivity along the exact stroke.
+
+    Both channel rates stay non-negative, so Lambda' = big_gamma +
+    gamma_tilde does too.  The decay rate must be non-negative as well:
+    with big_gamma < 0 the excited population can pass 1 even while
+    Lambda' and gamma_tilde stay non-negative.
+    """
+    h = model.hamiltonian_hot(system)
+    times = np.linspace(0.0, 2.0, 81)
+    big_gamma = _quadratic(times, *bg)
+    gamma_tilde = _quadratic(times, *gt)
+    spec = bath.BathSpec(alpha=0.6, omega_c=30.0, beta=conftest.BETA_HOT)
+    rt = RateTrajectory(times, 0.5 * (big_gamma + gamma_tilde), gamma_tilde,
+                        big_gamma, spec, conftest.EPS_HOT, 0.0, True)
+    n = radius * np.asarray(direction) / math.hypot(*direction)
+    rho0 = matcore.DensityMatrix.from_bloch(*n)
+    traj = evolve_open(rho0, h, rt, model.jump_operator(h),
+                       np.linspace(0.0, 2.0, 57))
+    traces = np.trace(traj.states, axis1=1, axis2=2)
+    assert np.max(np.abs(traces - 1.0)) < 1e-12
+    assert np.max(np.abs(traj.states - np.conj(
+        np.swapaxes(traj.states, 1, 2)))) <= 1e-15
+    assert np.min(traj.min_eig) >= -1e-12
+    eigs = np.linalg.eigvalsh(traj.states)
+    assert_allclose(eigs[:, 0], traj.min_eig, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(omega_c=st.floats(2.0, 40.0), p_target=st.floats(0.02, 0.98),
+       alpha=st.floats(0.1, 1.0), p_start=st.floats(0.0, 1.0))
+def test_constant_rates_relax_to_bath_occupation(system, omega_c, p_target,
+                                                 alpha, p_start):
+    """Golden-rule rates held fixed drive the population to nbar(eps)."""
+    h = model.hamiltonian_hot(system)
+    a = model.jump_operator(h)
+    eig = model.transition_energy(h)[1]
+    spec = bath.BathSpec(alpha=alpha, omega_c=omega_c,
+                         beta=model.beta_from_population(h, p_target))
+    g_inf, gt_inf = bath.markov_limits(spec, conftest.EPS_HOT)
+    k = abs(np.vdot(eig.v_minus, a @ eig.v_plus)) ** 2
+    # forty relaxation times 1/(k Lambda'), Lambda' = 2 gamma
+    times = np.linspace(0.0, 40.0 / (2.0 * k * g_inf), 101)
+    ones = np.ones(times.size)
+    rt = RateTrajectory(times, g_inf * ones, gt_inf * ones,
+                        (2 * g_inf - gt_inf) * ones, spec,
+                        conftest.EPS_HOT, 0.0, True)
+    traj = evolve_open(model.state_from_population(h, p_start), h, rt, a,
+                       times)
+    nbar = bath.occupation(spec, conftest.EPS_HOT)
+    assert traj.populations(eig.v_plus)[-1] == pytest.approx(nbar, abs=1e-12)

@@ -8,9 +8,10 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+from oracles import expm_aherm
 from qotto import matcore
 from qotto.matcore import (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY, DensityMatrix,
-                           dag, expect, expm_aherm, herm_eig2)
+                           dag, expect, herm_eig2)
 
 
 def random_hermitian(rng, scale=1.0):
