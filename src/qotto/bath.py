@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -36,27 +35,21 @@ from scipy.special import expit, sici, spherical_jn
 TWO_PI = 2.0 * np.pi
 
 
-class Statistics(Enum):
-    FERMIONIC = "fermionic"
-    BOSONIC = "bosonic"
-
-
 @dataclass(frozen=True)
 class BathSpec:
-    """Environment definition.
+    """Fermionic two-level environment.
 
     alpha   : dimensionless coupling strength (>= 0; 0 decouples the bath)
     omega_c : spectral cutoff, rad/ms
-    beta    : inverse temperature, ms/rad; either sign for fermions,
-              strictly positive for bosons
-    mu      : chemical potential, rad/ms (>= 0 fermions, <= 0 bosons)
+    beta    : inverse temperature, ms/rad, finite and of either sign
+              (beta < 0 is the population-inverted reservoir)
+    mu      : chemical potential, rad/ms (>= 0)
     """
 
     alpha: float
     omega_c: float
     beta: float
     mu: float = 0.0
-    statistics: Statistics = Statistics.FERMIONIC
 
     def __post_init__(self):
         if self.alpha < 0.0:
@@ -65,15 +58,8 @@ class BathSpec:
             raise ValueError(f"omega_c must be positive, got {self.omega_c}")
         if not np.isfinite(self.beta):
             raise ValueError("beta must be finite")
-        if self.statistics is Statistics.FERMIONIC:
-            if self.mu < 0.0:
-                raise ValueError(f"fermionic bath needs mu >= 0, got {self.mu}")
-        else:
-            if self.beta <= 0.0:
-                raise ValueError(
-                    f"bosonic bath needs beta > 0, got {self.beta}")
-            if self.mu > 0.0:
-                raise ValueError(f"bosonic bath needs mu <= 0, got {self.mu}")
+        if self.mu < 0.0:
+            raise ValueError(f"fermionic bath needs mu >= 0, got {self.mu}")
 
 
 def spectral_density(bath: BathSpec, w):
@@ -87,20 +73,9 @@ def spectral_density(bath: BathSpec, w):
 
 
 def occupation(bath: BathSpec, w):
-    """Mean occupation of the bath mode at frequency w.
-
-    Fermi-Dirac or Bose-Einstein with chemical potential; the bosonic branch
-    rejects arguments at or below the divergence beta*(w-mu) <= 0.
-    """
+    """Fermi-Dirac occupation of the bath mode at frequency w."""
     w = np.asarray(w, dtype=float)
-    x = bath.beta * (w - bath.mu)
-    if bath.statistics is Statistics.FERMIONIC:
-        out = expit(-x)
-        return out if out.ndim else float(out)
-    if np.any(x <= 0.0):
-        raise ValueError("bosonic occupation requires beta*(w - mu) > 0")
-    with np.errstate(over="ignore"):
-        out = 1.0 / np.expm1(np.minimum(x, 700.0))
+    out = expit(-bath.beta * (w - bath.mu))
     return out if out.ndim else float(out)
 
 
@@ -114,17 +89,6 @@ def markov_limits(bath: BathSpec, eps: float) -> tuple[float, float]:
     return 0.5 * j, j * occupation(bath, eps)
 
 
-def _x_over_expm1(x: np.ndarray) -> np.ndarray:
-    """x / (e^x - 1), smooth through x = 0."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-5
-    safe = np.where(small, 1.0, x)
-    with np.errstate(over="ignore"):
-        out = np.where(small, 1.0 - 0.5 * x + x * x / 12.0,
-                       safe / np.expm1(np.minimum(safe, 700.0)))
-    return out
-
-
 class _Envelopes:
     """Smooth envelopes g(w) = J/(2pi) and gt(w) = J*nbar/pi plus derivatives."""
 
@@ -132,9 +96,7 @@ class _Envelopes:
         self.bath = bath
 
     def gamma_env(self, w: np.ndarray) -> np.ndarray:
-        b = self.bath
-        wc2 = b.omega_c ** 2
-        return b.alpha * w * wc2 / (wc2 + w * w) / TWO_PI
+        return spectral_density(self.bath, w) / TWO_PI
 
     def gamma_env_deriv(self, w: float) -> float:
         b = self.bath
@@ -142,38 +104,18 @@ class _Envelopes:
         return b.alpha * wc2 * (wc2 - w * w) / (wc2 + w * w) ** 2 / TWO_PI
 
     def tilde_env(self, w: np.ndarray) -> np.ndarray:
-        b = self.bath
-        wc2 = b.omega_c ** 2
-        if b.statistics is Statistics.FERMIONIC:
-            nbar = expit(-b.beta * (w - b.mu))
-            return 2.0 * self.gamma_env(w) * nbar
-        # bosonic: write J*nbar = alpha*wc^2/(wc^2+w^2) * (w-mu)/expm1(..) * w/(w-mu)
-        # for mu = 0 this is the smooth product; mu < 0 has no singularity
-        x = b.beta * (w - b.mu)
-        core = b.alpha * wc2 / (wc2 + w * w) / np.pi
-        if b.mu == 0.0:
-            return core * _x_over_expm1(x) / b.beta
-        with np.errstate(over="ignore"):
-            nbar = 1.0 / np.expm1(np.minimum(x, 700.0))
-        return 2.0 * self.gamma_env(w) * nbar
+        return 2.0 * self.gamma_env(w) * occupation(self.bath, w)
 
     def tilde_env_deriv(self, w: float) -> float:
         b = self.bath
-        jp = self.gamma_env_deriv(w)
-        if b.statistics is Statistics.FERMIONIC:
-            nbar = float(expit(-b.beta * (w - b.mu)))
-            nder = -b.beta * nbar * (1.0 - nbar)
-        else:
-            nbar = float(occupation(b, w))
-            nder = -b.beta * nbar * (1.0 + nbar)
-        g = float(self.gamma_env(np.asarray(w)))
-        return 2.0 * (jp * nbar + g * nder)
+        nbar = occupation(b, w)
+        nder = -b.beta * nbar * (1.0 - nbar)
+        g = self.gamma_env(w)
+        return 2.0 * (self.gamma_env_deriv(w) * nbar + g * nder)
 
     def tilde_tail_weight(self) -> float:
-        """Limit of 2*nbar at large frequency (0, 1, or 2 for fermions)."""
+        """Limit of 2*nbar at large frequency: 0, 1 or 2."""
         b = self.bath
-        if b.statistics is Statistics.BOSONIC:
-            return 0.0
         if b.beta > 0.0:
             return 0.0
         if b.beta == 0.0:
@@ -343,13 +285,11 @@ def quadrature_error_estimate(bath: BathSpec, eps: float, ts) -> float:
 def rate_coefficients(bath: BathSpec, eps: float, t):
     """(gamma, gamma_tilde, big_gamma) at time(s) t since bath switch-on.
 
-    big_gamma is the canonical decay-channel coefficient 2*gamma -+ gamma_tilde
-    (minus for fermions, plus for bosons).
+    big_gamma is the canonical decay-channel coefficient 2*gamma - gamma_tilde.
     """
     engine = _engine(bath, eps, 14, 3.0, 1.0)
     g, gt = engine.rates(t)
-    sign = -1.0 if bath.statistics is Statistics.FERMIONIC else 1.0
-    bg = 2.0 * g + sign * gt
+    bg = 2.0 * g - gt
     if np.ndim(t) == 0:
         return float(g[0]), float(gt[0]), float(bg[0])
     return g, gt, bg

@@ -10,7 +10,10 @@ Configuration is a flat `key = value` file plus `--set` overrides;
 unknown keys are rejected.  Times inside the config are milliseconds,
 CSV time columns are microseconds.  Floats print with 9 significant
 digits and files carry the fully resolved config in `#` header lines,
-so identical inputs give bytewise identical outputs.
+so identical inputs give bytewise identical outputs.  A header config
+value that 9 digits would not read back exactly prints as its shortest
+exact repr, so the `# key = value` lines, stripped of `# `, are a
+config file that rebuilds the run.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 no engine operation.
@@ -172,6 +175,12 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
+def _config_value(v) -> str:
+    # a header line must read back as the very value that was run
+    text = _fmt_value(v)
+    return repr(v) if isinstance(v, float) and float(text) != v else text
+
+
 def _derived_lines(cfg: dict) -> list[str]:
     sp = SystemParams(nu_cold=cfg["nu_cold"], nu_hot=cfg["nu_hot"],
                       tau=cfg["tau"], g=cfg["g"])
@@ -194,7 +203,7 @@ def _header(command: str, cfg: dict, extra=()) -> list[str]:
     lines = [f"# qotto {__version__}", f"# command = {command}",
              "# config times are ms, csv time columns are us"]
     for key in sorted(cfg):
-        lines.append(f"# {key} = {_fmt_value(cfg[key])}")
+        lines.append(f"# {key} = {_config_value(cfg[key])}")
     lines.extend(_derived_lines(cfg))
     for item in extra:
         lines.append(f"# {item}")

@@ -5,13 +5,13 @@ ramp, evolves it in contact with the inverted-population reservoir while
 sampling every truncation time on a grid, and closes the cycle at each
 sample with the exact inverse ramp.  Efficiency versus truncation time
 comes out of a single dissipative trajectory because the closing stroke
-is unitary: measuring the ramped-back state under the cold Hamiltonian
-equals measuring the untouched state under the pulled-back operator.
+is unitary: the stack of contact states is driven back at once and
+scored by one `measures.cycle_energetics` call.
 
-The stroke-independent pieces (Hamiltonians, input state, ramp unitary
-and its pulled-back operator) are set up once per run, sweep or reference
-scan.  Sweeps run their points serially in input order; a point that
-fails becomes a row carrying the error instead of ending the sweep.
+The stroke-independent pieces (Hamiltonians, input state, ramp unitary)
+are set up once per run, sweep or reference scan.  Sweeps run their
+points serially in input order; a point that fails becomes a row
+carrying the error instead of ending the sweep.
 """
 from __future__ import annotations
 
@@ -19,11 +19,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bath import BathSpec, Statistics, build_rate_trajectory
+from .bath import BathSpec, build_rate_trajectory
 from .dynamics import (DEFAULT_N_STEPS, Trajectory, _branch_crossing,
                        evolve_open, propagate_unitary)
-from .matcore import DensityMatrix, dag, expect
-from .measures import (NonMarkovReport, cycle_energetics, nonmarkov_report,
+from .matcore import DensityMatrix, dag
+from .measures import (Q_HOT_FLOOR_SCALE, NonMarkovReport,  # noqa: F401
+                       cycle_energetics, nonmarkov_report,
                        overall_performance)
 from .model import (Stroke, SystemParams, beta_from_population,
                     hamiltonian_cold, hamiltonian_hot, jump_operator,
@@ -42,11 +43,6 @@ __all__ = [
     "sweep_cutoff",
     "sweep_population",
 ]
-
-# samples with |q_hot| below this multiple of the transition energy are
-# treated as "no heat exchanged yet": eta is NaN there and scores zero
-# in the time average
-Q_HOT_FLOOR_SCALE = 1e-9
 
 # half-depth defining the reported window around the efficiency maximum
 PEAK_BAND = 5e-4
@@ -91,9 +87,6 @@ class CycleConfig:
                              "stage is a positive-temperature reservoir")
         if not 0.0 < self.p_plus_hot < 1.0:
             raise ValueError("p_plus_hot must lie in (0, 1)")
-        if self.hot_bath.statistics is not Statistics.FERMIONIC:
-            raise ValueError("hot reservoir must be fermionic: population "
-                             "inversion needs a bounded single-mode spectrum")
         if self.heat_dt <= 0.0 or self.tail_dt <= 0.0:
             raise ValueError("grid spacings must be positive")
         if not 0.0 < self.heat_t_dense <= self.heat_t_max:
@@ -147,11 +140,11 @@ def build_config(nu_cold: float = 2.0, nu_hot: float = 3.6,
 class CycleResult:
     """Sampled energetics plus the derived summary numbers.
 
-    `eta` is NaN wherever the heat floor applies.  `peaks` holds the
-    refined local efficiency maxima (time, value) in time order over
-    operating samples; `window` brackets the global maximum at depth
-    PEAK_BAND.  On `no_engine` runs every summary scalar is NaN and
-    `peaks` is empty.
+    `eta` is NaN wherever the heat floor applies; `valid` marks the
+    operating samples.  `peaks` holds the refined local efficiency
+    maxima (time, value) in time order over operating samples; `window`
+    brackets the global maximum at depth PEAK_BAND.  On `no_engine` runs
+    every summary scalar is NaN and `peaks` is empty.
     """
 
     config: CycleConfig
@@ -229,9 +222,6 @@ class _Setup:
     u_exp: np.ndarray
     rho_exp: DensityMatrix
     jump: np.ndarray
-    # u_exp h_cold u_exp^dag: undoing the ramp and measuring h_cold equals
-    # measuring this on the contact-stroke state, so nothing is propagated
-    h_back: np.ndarray
 
 
 def _setup(cfg: CycleConfig) -> _Setup:
@@ -244,12 +234,11 @@ def _setup(cfg: CycleConfig) -> _Setup:
     rho_exp = u_exp @ rho_in @ dag(u_exp)
     return _Setup(h_cold=h_cold, h_hot=h_hot, eps_hot=eps_hot, rho_in=rho_in,
                   u_exp=u_exp, rho_exp=DensityMatrix.from_matrix(rho_exp),
-                  jump=jump_operator(h_hot),
-                  h_back=u_exp @ h_cold @ dag(u_exp))
+                  jump=jump_operator(h_hot))
 
 
 def _energetics(su: _Setup, rho_heat: np.ndarray):
-    """Cycle energetics for one contact-stroke endpoint."""
+    """Cycle energetics for one contact endpoint or a (T, 2, 2) stack."""
     return cycle_energetics(su.rho_in, su.rho_exp, rho_heat,
                             dag(su.u_exp) @ rho_heat @ su.u_exp,
                             su.h_cold, su.h_hot)
@@ -258,30 +247,15 @@ def _energetics(su: _Setup, rho_heat: np.ndarray):
 def run_cycle(cfg: CycleConfig) -> CycleResult:
     """Run one engine cycle over every truncation time on the grid."""
     su = _setup(cfg)
-    h_cold, h_hot, eps_hot = su.h_cold, su.h_hot, su.eps_hot
-    rho_exp = su.rho_exp.mat
-
     grid = cfg.heating_grid()
-    rates = build_rate_trajectory(cfg.hot_bath, eps_hot,
+    rates = build_rate_trajectory(cfg.hot_bath, su.eps_hot,
                                   grid[-1] + _TABLE_MARGIN,
                                   quad_tol=cfg.quad_tol)
-    traj = evolve_open(su.rho_exp, h_hot, rates, su.jump, grid)
+    traj = evolve_open(su.rho_exp, su.h_hot, rates, su.jump, grid)
 
-    w1 = expect(h_hot, rho_exp) - expect(h_cold, su.rho_in)
-    m2 = su.h_back - h_hot
-    e_exp = expect(h_hot, rho_exp)
-    w2 = np.einsum("tij,ji->t", traj.states, m2).real.astype(float)
-    q_hot = np.einsum("tij,ji->t", traj.states, h_hot).real - e_exp
-    w = w1 + w2
-    floor = Q_HOT_FLOOR_SCALE * eps_hot
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eta = np.where(np.abs(q_hot) > floor, -w / q_hot, np.nan)
-    valid = (w < 0.0) & (q_hot > 0.0)
-
-    # operating = delivering work against heat actually taken in;
-    # float dust around a zero-coupling run must not count
-    operating = valid & (q_hot > floor) & np.isfinite(eta)
-    no_engine = not bool(operating.any())
+    en = _energetics(su, traj.states)
+    eta, valid = en.eta, en.valid_engine
+    no_engine = not bool(valid.any())
 
     tail = eta[grid >= grid[-1] - SAT_WINDOW + 1e-12]
     tail = tail[np.isfinite(tail)]
@@ -291,7 +265,7 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
     eta_max = t_tilde_max = float("nan")
     window = (float("nan"), float("nan"))
     if not no_engine:
-        score = np.where(operating & (eta < 1.0), eta, -np.inf)
+        score = np.where(valid & (eta < 1.0), eta, -np.inf)
         fin = np.isfinite(score)
         is_pk = np.zeros(grid.size, dtype=bool)
         # both neighbors must be operating samples too, else a curve
@@ -322,7 +296,7 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
     o_p = overall_performance(grid, eta, cfg.t_f)
     nm = nonmarkov_report(rates, 0.0, cfg.heat_t_max)
 
-    ideal = _energetics(su, state_from_population(h_hot,
+    ideal = _energetics(su, state_from_population(su.h_hot,
                                                   cfg.p_plus_hot).mat)
 
     diagnostics = {
@@ -331,13 +305,13 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
         "max_trace_dev": float(np.max(traj.trace_dev)),
         "min_eig": float(np.min(traj.min_eig)),
         "xi": _branch_crossing(cfg.system, su.u_exp),
-        "eps_hot": float(eps_hot),
+        "eps_hot": float(su.eps_hot),
         "final_population_gap": float(
-            abs(traj.populations(transition_energy(h_hot)[1].v_plus)[-1]
+            abs(traj.populations(transition_energy(su.h_hot)[1].v_plus)[-1]
                 - cfg.p_plus_hot)),
     }
-    return CycleResult(config=cfg, w1=float(w1), times=grid,
-                       w2=w2, q_hot=q_hot, eta=eta, valid=valid,
+    return CycleResult(config=cfg, w1=en.w1, times=grid,
+                       w2=en.w2, q_hot=en.q_hot, eta=eta, valid=valid,
                        eta_max=eta_max, t_tilde_max=t_tilde_max,
                        window=window, peaks=tuple(peaks),
                        eta_sat=eta_sat, t_eq=t_eq, o_p=float(o_p),
@@ -463,13 +437,12 @@ def ift_reference(cfg: CycleConfig, p_hot_grid) -> list[PopulationRow]:
     by its infinite-time endpoint, no reservoir dynamics involved."""
     points = _checked_populations(p_hot_grid)
     su = _setup(cfg)
-    rows = []
-    for p in points:
-        en = _energetics(su, state_from_population(su.h_hot, p).mat)
-        rows.append(PopulationRow(p_plus_hot=p, eta=en.eta,
-                                  valid_engine=en.valid_engine,
-                                  w=en.w, q_hot=en.q_hot))
-    return rows
+    en = _energetics(su, np.stack([state_from_population(su.h_hot, p).mat
+                                   for p in points]))
+    return [PopulationRow(p_plus_hot=p, eta=float(e), valid_engine=bool(v),
+                          w=float(w), q_hot=float(q))
+            for p, e, v, w, q in zip(points, en.eta, en.valid_engine,
+                                     en.w, en.q_hot)]
 
 
 def population_onset(rows) -> float:

@@ -75,11 +75,8 @@ def propagate_unitary(p: SystemParams, stroke: Stroke,
     """Time-ordered propagator of a work stroke (expansion or compression)."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if stroke is Stroke.EXPANSION:
-        return _ordered_product(_expansion_step_unitaries(p, n_steps))
-    if stroke is Stroke.COMPRESSION:
-        return dag(propagate_unitary(p, Stroke.EXPANSION, n_steps))
-    raise ValueError(f"no propagator for stroke {stroke.value}")
+    u = _ordered_product(_expansion_step_unitaries(p, n_steps))
+    return dag(u) if stroke is Stroke.COMPRESSION else u
 
 
 def _branch_crossing(p: SystemParams, u: np.ndarray) -> float:

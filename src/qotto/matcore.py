@@ -110,13 +110,15 @@ def herm_eig2(m: np.ndarray, herm_tol: float = 1e-9) -> Eig2:
     return Eig2(float(e_minus), float(e_plus), v_minus, v_plus, False)
 
 
-def expect(op: np.ndarray, rho) -> float:
+def expect(op: np.ndarray, rho) -> float | np.ndarray:
     """Real expectation value Tr[rho * op] for Hermitian op and rho.
 
-    rho may be a plain matrix or anything carrying one in a `mat` attribute.
+    rho may be a plain matrix, a (T, 2, 2) stack (one value per state) or
+    anything carrying one in a `mat` attribute.
     """
-    mat = getattr(rho, "mat", rho)
-    return float(np.trace(np.asarray(mat) @ np.asarray(op)).real)
+    mat = np.asarray(getattr(rho, "mat", rho))
+    out = np.einsum("...ij,ji->...", mat, np.asarray(op)).real
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)

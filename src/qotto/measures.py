@@ -3,8 +3,11 @@
 Work and heat are endpoint trace differences over one cycle: the two
 driven strokes exchange only work, the truncated contact stroke only
 heat.  The sign convention makes useful output negative, so the
-efficiency carries a leading minus sign.  Reservoir memory is scored
-by integrating the negative excursions of the decay rates.
+efficiency carries a leading minus sign.  One function scores one
+contact endpoint or a stack of them, with the one operating rule: work
+out while heat above a floor of Q_HOT_FLOOR_SCALE hot transition
+energies flows in.  Reservoir memory is scored by integrating the
+negative excursions of the decay rates.
 """
 from __future__ import annotations
 
@@ -13,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import RateTrajectory
-from .matcore import expect
+from .matcore import expect, herm_eig2
 
 __all__ = [
+    "Q_HOT_FLOOR_SCALE",
     "Energetics",
     "NonMarkovReport",
     "cycle_energetics",
@@ -26,8 +30,13 @@ __all__ = [
 ]
 
 
+# heat at or below this multiple of the hot transition energy counts as
+# "no heat exchanged": eta is NaN there and the cycle is no engine
+Q_HOT_FLOOR_SCALE = 1e-9
+
+
 def _mat(state) -> np.ndarray:
-    # accept a DensityMatrix wrapper or a bare 2x2 array
+    # accept a DensityMatrix wrapper, a bare 2x2 array or a (T, 2, 2) stack
     return np.asarray(getattr(state, "mat", state), dtype=complex)
 
 
@@ -35,20 +44,22 @@ def _mat(state) -> np.ndarray:
 class Energetics:
     """Energy ledger for one cycle, entries in rad/ms (hbar = 1).
 
-    `w` is the sum of the two driven-stroke contributions by
-    construction, never stored separately.  `eta` is NaN when no heat
-    was exchanged with the hot reservoir.  `valid_engine` is the
-    operating test: net work extracted while heat flowed in.
+    For a stack of contact endpoints every entry but `w1` is an array
+    over the stack.  `w` is the sum of the two driven-stroke
+    contributions by construction, never stored separately.  `eta` is
+    NaN when no heat above the floor was exchanged with the hot
+    reservoir.  `valid_engine` is the operating test: net work
+    extracted while heat above the floor flowed in.
     """
 
     w1: float
-    w2: float
-    q_hot: float
-    eta: float
-    valid_engine: bool
+    w2: float | np.ndarray
+    q_hot: float | np.ndarray
+    eta: float | np.ndarray
+    valid_engine: bool | np.ndarray
 
     @property
-    def w(self) -> float:
+    def w(self):
         return self.w1 + self.w2
 
 
@@ -59,9 +70,12 @@ def cycle_energetics(rho_in, rho_exp, rho_heat, rho_comp,
     `rho_in` enters the first driven stroke under `h_cold`, `rho_exp`
     leaves it under `h_hot`, `rho_heat` is the (possibly truncated)
     contact endpoint, and `rho_comp` is that state driven back under
-    `h_cold`.  The driven strokes contribute work only; heat is the
-    contact-stroke energy change.  Division by `q_hot` is guarded: a
-    zero-heat cycle gets eta = NaN rather than an exception.
+    `h_cold`; `rho_heat` and `rho_comp` are one 2x2 state each or
+    matching (T, 2, 2) stacks.  The driven strokes contribute work only;
+    heat is the contact-stroke energy change, one contraction at both
+    ends, so no contact stroke is exactly zero heat.  Where |q_hot| does
+    not clear Q_HOT_FLOOR_SCALE * (hot transition energy), eta is NaN
+    and the cycle is no engine.
     """
     ri, re, rh, rc = (_mat(x) for x in (rho_in, rho_exp, rho_heat, rho_comp))
     e_exp = expect(h_hot, re)
@@ -70,9 +84,13 @@ def cycle_energetics(rho_in, rho_exp, rho_heat, rho_comp,
     w2 = expect(h_cold, rc) - e_heat
     q_hot = e_heat - e_exp
     w = w1 + w2
-    eta = float("nan") if q_hot == 0.0 else -w / q_hot
-    return Energetics(w1=w1, w2=w2, q_hot=q_hot, eta=eta,
-                      valid_engine=bool(w < 0.0 and q_hot > 0.0))
+    floor = Q_HOT_FLOOR_SCALE * herm_eig2(h_hot).gap
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = np.where(np.abs(q_hot) > floor, np.divide(-w, q_hot), np.nan)
+    valid = (w < 0.0) & (q_hot > floor)
+    if rh.ndim == 2:  # one endpoint: plain Python scalars
+        eta, valid = float(eta), bool(valid)
+    return Energetics(w1=w1, w2=w2, q_hot=q_hot, eta=eta, valid_engine=valid)
 
 
 def witness_f(rates: RateTrajectory) -> np.ndarray:

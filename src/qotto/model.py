@@ -24,8 +24,6 @@ from .matcore import (SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, Eig2, dag,
 
 
 class Stroke(Enum):
-    COLD = "cold"
-    HOT = "hot"
     EXPANSION = "expansion"
     COMPRESSION = "compression"
 
@@ -89,19 +87,6 @@ def hamiltonian_compression(p: SystemParams, t: float) -> np.ndarray:
     if not 0.0 <= t <= p.tau:
         raise ValueError(f"stroke time {t} outside [0, {p.tau}]")
     return -hamiltonian_expansion(p, p.tau - t)
-
-
-def hamiltonian_at(p: SystemParams, stroke: Stroke, t: float | None = None) -> np.ndarray:
-    """Hamiltonian of the requested stroke; ramp strokes need a time."""
-    if stroke is Stroke.COLD:
-        return hamiltonian_cold(p)
-    if stroke is Stroke.HOT:
-        return hamiltonian_hot(p)
-    if t is None:
-        raise ValueError(f"stroke {stroke.value} requires a time argument")
-    if stroke is Stroke.EXPANSION:
-        return hamiltonian_expansion(p, t)
-    return hamiltonian_compression(p, t)
 
 
 def transition_energy(h: np.ndarray) -> tuple[float, Eig2]:

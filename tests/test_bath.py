@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 import conftest
 from qotto import bath
-from qotto.bath import (BathSpec, Statistics, build_rate_trajectory,
+from qotto.bath import (BathSpec, build_rate_trajectory,
                         markov_limits, occupation, rate_coefficients,
                         spectral_density, quadrature_error_estimate)
 from qotto.bath import _engine
@@ -20,7 +20,7 @@ from qotto.bath import _engine
     dict(alpha=-0.1, omega_c=30.0, beta=0.1),
     dict(alpha=0.6, omega_c=0.0, beta=0.1),
     dict(alpha=0.6, omega_c=30.0, beta=math.inf),
-    dict(alpha=0.6, omega_c=30.0, beta=-0.1, statistics=Statistics.BOSONIC),
+    dict(alpha=0.6, omega_c=30.0, beta=math.nan),
     dict(alpha=0.6, omega_c=30.0, beta=0.1, mu=-1.0),
 ])
 def test_spec_validation(kwargs):
@@ -60,16 +60,6 @@ def test_occupation_fermionic():
     cold = BathSpec(alpha=0.6, omega_c=30.0, beta=conftest.BETA_COLD)
     assert occupation(cold, conftest.EPS_COLD) == pytest.approx(0.261,
                                                                abs=1e-12)
-
-
-def test_occupation_bosonic():
-    b = BathSpec(alpha=0.6, omega_c=30.0, beta=0.05,
-                 statistics=Statistics.BOSONIC)
-    w = 22.0
-    assert occupation(b, w) == pytest.approx(1.0 / math.expm1(0.05 * w),
-                                             rel=1e-13)
-    with pytest.raises(ValueError):
-        occupation(b, 0.0)       # distribution pole
 
 
 def test_rates_vanish_at_switch_on(hot_bath):
@@ -207,18 +197,3 @@ def test_trajectory_weak_coupling_at_baseline(rate_table):
 def test_trajectory_rejects_bad_horizon(hot_bath):
     with pytest.raises(ValueError):
         build_rate_trajectory(hot_bath, conftest.EPS_HOT, 0.0)
-
-
-def test_bosonic_channel_combination():
-    b = BathSpec(alpha=0.05, omega_c=30.0, beta=0.05,
-                 statistics=Statistics.BOSONIC)
-    ts = np.linspace(0.0, 2.0, 11)
-    g, gt, bg = rate_coefficients(b, conftest.EPS_HOT, ts)
-    assert_allclose(bg, 2.0 * g + gt, atol=0)
-    # long-time check against the golden-rule pair with Bose occupation
-    g1, gt1, _ = rate_coefficients(b, conftest.EPS_HOT, 1e3)
-    g_inf, gt_inf = markov_limits(b, conftest.EPS_HOT)
-    assert g1 == pytest.approx(g_inf, rel=1e-2)
-    assert gt1 == pytest.approx(gt_inf, rel=1e-2)
-    assert gt_inf / (2.0 * g_inf) == pytest.approx(
-        occupation(b, conftest.EPS_HOT), rel=1e-12)

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qotto import cli, cycle
 
@@ -28,6 +30,17 @@ def read_csv(path):
         else:
             data.append(line.split(","))
     return header, columns, data
+
+
+def config_file_from_header(header, path) -> str:
+    """The `# key = value` config lines of a header, as a config file."""
+    lines = []
+    for line in header:
+        key, sep, value = line[2:].partition(" = ")
+        if sep and key in cli._DEFAULTS:
+            lines.append(f"{key} = {value}\n")
+    path.write_text("".join(lines))
+    return str(path)
 
 
 def summary_dict(captured: str) -> dict:
@@ -244,3 +257,53 @@ def test_out_directory_is_created(tmp_path):
     nested = tmp_path / "deep" / "er"
     assert cli.main(["rates", "--out", str(nested)] + TINY) == 0
     assert (nested / "rates.csv").exists()
+
+
+def test_header_rebuilds_its_config(tmp_path):
+    sets = ["p_plus_hot=0.991234567891"] + TINY[1::2]
+    code = cli.main(["rates", "--out", str(tmp_path)]
+                    + [a for item in sets for a in ("--set", item)])
+    assert code == cli.EXIT_OK
+    header, _, _ = read_csv(tmp_path / "rates.csv")
+    assert "# p_plus_hot = 0.991234567891" in header
+    # values that survive 9 significant digits keep that form
+    assert "# heat_t_max = 0.5" in header and "# quad_tol = 1e-08" in header
+    rebuilt = cli.parse_config(
+        config_file_from_header(header, tmp_path / "run.cfg"), [])
+    assert rebuilt == cli.parse_config(None, sets)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POPULATION = st.floats(1e-6, 1.0 - 1e-6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nu_cold=st.floats(0.1, 10.0), nu_gap=st.floats(0.1, 10.0),
+       tau=st.floats(1e-3, 10.0), g=st.floats(0.0, 5.0),
+       p_cold=_POPULATION, p_hot=_POPULATION,
+       others=st.fixed_dictionaries({
+           k: _FINITE for k in ("alpha", "omega_c", "mu", "heat_dt",
+                                "heat_t_dense", "tail_dt", "heat_t_max",
+                                "t_f", "quad_tol", "p_hot_min",
+                                "p_hot_max", "p_hot_step")}),
+       cold=st.fixed_dictionaries({
+           k: st.none() | _FINITE
+           for k in ("cold_alpha", "cold_omega_c", "cold_mu")}),
+       n_steps=st.integers(1, 10 ** 9),
+       omega_c_list=st.lists(_FINITE, min_size=1, max_size=4),
+       t_tilde=st.none() | _FINITE)
+def test_header_round_trip_property(tmp_path_factory, nu_cold, nu_gap, tau,
+                                    g, p_cold, p_hot, others, cold, n_steps,
+                                    omega_c_list, t_tilde):
+    """header -> config file -> parse_config gives the same dict."""
+    values = {"nu_cold": nu_cold, "nu_hot": nu_cold + nu_gap, "tau": tau,
+              "g": g, "p_plus_cold": p_cold, "p_plus_hot": p_hot,
+              **others, **cold, "n_steps": n_steps,
+              "omega_c_list": ",".join(map(repr, omega_c_list)),
+              "t_tilde": "auto" if t_tilde is None else repr(t_tilde)}
+    text = {k: v if isinstance(v, str) else "none" if v is None else repr(v)
+            for k, v in values.items()}
+    cfg = cli.parse_config(None, [f"{k}={v}" for k, v in text.items()])
+    path = tmp_path_factory.mktemp("header") / "run.cfg"
+    header = cli._header("simulate", cfg)
+    assert cli.parse_config(config_file_from_header(header, path), []) == cfg

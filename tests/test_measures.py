@@ -128,6 +128,58 @@ def test_energetics_identity_heating_is_not_an_engine(system):
     assert out.w == pytest.approx(0.0, abs=1e-12)
 
 
+def heat_shifted_states(system, q):
+    """Cycle states whose contact stroke adds exactly heat q to rho_exp:
+    rho_heat = rho_exp + s (|+><+| - |-><-|) in the h_hot eigenbasis,
+    with s * eps_hot = q."""
+    rho_in, rho_exp, _, _, h_cold, h_hot = thermal_cycle_states(system)
+    u = dynamics.propagate_unitary(system, Stroke.EXPANSION)
+    eps, eig = model.transition_energy(h_hot)
+    flip = (np.outer(eig.v_plus, eig.v_plus.conj())
+            - np.outer(eig.v_minus, eig.v_minus.conj()))
+    rho_heat = rho_exp + (q / eps) * flip
+    return rho_in, rho_exp, rho_heat, dag(u) @ rho_heat @ u, h_cold, h_hot
+
+
+def test_energetics_heat_floor_decides_operation(system):
+    """Heat below the floor is no heat: no efficiency, no engine."""
+    floor = measures.Q_HOT_FLOOR_SCALE * conftest.EPS_HOT
+    below = cycle_energetics(*heat_shifted_states(system, 1e-12))
+    assert 0.0 < below.q_hot < floor
+    assert below.w < 0.0
+    assert math.isnan(below.eta)
+    assert not below.valid_engine
+    above = cycle_energetics(*heat_shifted_states(system, 1e-6))
+    assert above.q_hot > floor
+    assert above.valid_engine
+    assert above.eta == pytest.approx(0.8948329611, abs=1e-8)
+
+
+def test_energetics_stacked_rows_match_scalar_calls(system):
+    rho_in, rho_exp, _, _, h_cold, h_hot = thermal_cycle_states(system)
+    cases = ([thermal_cycle_states(system, 0.261, p)
+              for p in (0.3, 0.65, 0.99)]
+             + [heat_shifted_states(system, q) for q in (0.0, 1e-12, 1e-6)])
+    stacked = cycle_energetics(rho_in, rho_exp,
+                               np.stack([c[2] for c in cases]),
+                               np.stack([c[3] for c in cases]),
+                               h_cold, h_hot)
+    assert stacked.eta.shape == stacked.valid_engine.shape == (len(cases),)
+    for k, case in enumerate(cases):
+        one = cycle_energetics(*case)
+        assert stacked.w1 == one.w1
+        assert stacked.w2[k] == pytest.approx(one.w2, abs=1e-14)
+        assert stacked.q_hot[k] == pytest.approx(one.q_hot, abs=1e-14)
+        assert bool(stacked.valid_engine[k]) == one.valid_engine
+        if math.isnan(one.eta):
+            assert math.isnan(stacked.eta[k])
+        else:
+            assert stacked.eta[k] == pytest.approx(one.eta, rel=1e-12)
+    assert stacked.q_hot[3] == 0.0
+    assert [bool(v) for v in stacked.valid_engine] == [False, True, True,
+                                                        False, False, True]
+
+
 def test_energetics_perfect_thermalization(system):
     states = thermal_cycle_states(system)
     out = cycle_energetics(*states)

@@ -10,11 +10,11 @@ from numpy.testing import assert_allclose
 import conftest
 from qotto import matcore, model
 from qotto.matcore import SIGMA_X, SIGMA_Z, dag
-from qotto.model import (SystemParams, beta_from_population, hamiltonian_at,
+from qotto.model import (SystemParams, beta_from_population,
                          hamiltonian_cold, hamiltonian_compression,
                          hamiltonian_expansion, hamiltonian_hot,
                          jump_operator, population_from_beta,
-                         state_from_population, transition_energy, Stroke)
+                         state_from_population, transition_energy)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -42,14 +42,6 @@ def test_ramp_endpoints_match_static_hamiltonians(system):
                     -hamiltonian_cold(system), atol=1e-13)
     assert_allclose(hamiltonian_compression(system, 0.0),
                     -hamiltonian_hot(system), atol=1e-13)
-
-
-def test_hamiltonian_at_dispatch(system):
-    t = 0.037
-    assert_allclose(hamiltonian_at(system, Stroke.EXPANSION, t),
-                    hamiltonian_expansion(system, t), atol=0)
-    assert_allclose(hamiltonian_at(system, Stroke.COMPRESSION, t),
-                    hamiltonian_compression(system, t), atol=0)
 
 
 @pytest.mark.parametrize("t", [-0.01, 0.11])
