@@ -314,8 +314,7 @@ class RateTrajectory:
 
 
 def build_rate_trajectory(bath: BathSpec, eps: float, t_max: float,
-                          quad_tol: float = 1e-8,
-                          check: bool = True) -> RateTrajectory:
+                          quad_tol: float = 1e-8) -> RateTrajectory:
     """Tabulate rates on [0, t_max] at the resolution the dynamics needs.
 
     Grid spacing stays below min(0.2/eps, 0.05/omega_c) ms so that cubic
@@ -329,14 +328,12 @@ def build_rate_trajectory(bath: BathSpec, eps: float, t_max: float,
     times = np.linspace(0.0, t_max, n)
     g, gt, bg = rate_coefficients(bath, eps, times)
 
-    quad_err = np.nan
-    if check:
-        probes = np.geomspace(times[1], t_max, 9)
-        quad_err = quadrature_error_estimate(bath, eps, probes)
-        if quad_err > quad_tol:
-            warnings.warn(
-                f"rate quadrature convergence estimate {quad_err:.2e} exceeds "
-                f"tolerance {quad_tol:.1e}", RuntimeWarning, stacklevel=2)
+    probes = np.geomspace(times[1], t_max, 9)
+    quad_err = quadrature_error_estimate(bath, eps, probes)
+    if quad_err > quad_tol:
+        warnings.warn(
+            f"rate quadrature convergence estimate {quad_err:.2e} exceeds "
+            f"tolerance {quad_tol:.1e}", RuntimeWarning, stacklevel=2)
 
     if np.min(gt) < -1e-12:
         warnings.warn(

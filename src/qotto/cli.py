@@ -43,8 +43,7 @@ EXIT_NUMERIC = 3
 EXIT_NO_ENGINE = 4
 
 # cycle knobs and their defaults come from the library: the scalar
-# parameters of build_config (None marks "inherit from the hot side" for
-# the cold-reservoir overrides) and the defaulted CycleConfig fields
+# parameters of build_config and the defaulted CycleConfig fields
 _CYCLE_DEFAULTS = {
     **{name: par.default for name, par in
        inspect.signature(build_config).parameters.items()
@@ -76,8 +75,6 @@ def _convert(key: str, raw: str, where: str):
     default = _DEFAULTS[key]
     if isinstance(default, str):
         return raw
-    if default is None and raw.lower() in ("none", "inherit"):
-        return None
     is_int = isinstance(default, int)
     try:
         return int(raw) if is_int else float(raw)
@@ -164,8 +161,6 @@ def _g9(x) -> str:
 
 
 def _fmt_value(v) -> str:
-    if v is None:
-        return "none"
     if isinstance(v, bool):
         return "1" if v else "0"
     if isinstance(v, int):
@@ -257,7 +252,7 @@ def cmd_nonmarkov(cfg: dict, outdir: str) -> int:
 
     q_rows = []
     for w in _omega_c_points(cfg):
-        spec = replace(ccfg.hot_bath, omega_c=w)
+        spec = replace(ccfg, omega_c=w).hot_bath
         rt = build_rate_trajectory(spec, eps_hot, cfg["heat_t_max"],
                                    quad_tol=cfg["quad_tol"])
         q_rows.append([_g9(w), _g9(nonmarkov_report(rt).q_total)])
@@ -398,10 +393,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
+    except (RuntimeError, FloatingPointError, ValueError) as exc:
+        # ValueError covers np.linalg.LinAlgError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

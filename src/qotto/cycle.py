@@ -26,9 +26,9 @@ from .matcore import DensityMatrix, dag
 from .measures import (Q_HOT_FLOOR_SCALE, NonMarkovReport,  # noqa: F401
                        cycle_energetics, nonmarkov_report,
                        overall_performance)
-from .model import (Stroke, SystemParams, beta_from_population,
-                    hamiltonian_cold, hamiltonian_hot, jump_operator,
-                    state_from_population, transition_energy)
+from .model import (SystemParams, beta_from_population, hamiltonian_cold,
+                    hamiltonian_hot, state_from_population,
+                    transition_energy)
 
 __all__ = [
     "CycleConfig",
@@ -61,18 +61,25 @@ _TABLE_MARGIN = 0.05
 class CycleConfig:
     """Everything one engine run needs.
 
+    Both reservoirs share one spectrum (`alpha`, `omega_c`, `mu`); each
+    one's inverse temperature is derived, never stored: `hot_bath` and
+    `cold_bath` are built on demand at the beta whose Gibbs state of the
+    hot or cold stroke Hamiltonian has excited weight `p_plus_hot` or
+    `p_plus_cold`.  `cold_bath` only enters the optional restoring
+    stroke, never the first-cycle efficiency.
+
     The contact-stroke grid is dense (spacing `heat_dt`) up to
     `heat_t_dense` and sparse (spacing `tail_dt`) out to `heat_t_max`;
     the dense part resolves the efficiency oscillations, the tail pins
-    the saturation value.  `cold_bath` only enters the optional
-    restoring stroke, never the first-cycle efficiency.
+    the saturation value.
     """
 
     system: SystemParams
-    hot_bath: BathSpec
-    cold_bath: BathSpec
     p_plus_cold: float
     p_plus_hot: float
+    alpha: float
+    omega_c: float
+    mu: float
     heat_dt: float = 0.25e-3
     heat_t_dense: float = 1.0
     tail_dt: float = 0.01
@@ -87,6 +94,8 @@ class CycleConfig:
                              "stage is a positive-temperature reservoir")
         if not 0.0 < self.p_plus_hot < 1.0:
             raise ValueError("p_plus_hot must lie in (0, 1)")
+        # building a reservoir checks the shared spectrum
+        _ = self.hot_bath
         if self.heat_dt <= 0.0 or self.tail_dt <= 0.0:
             raise ValueError("grid spacings must be positive")
         if not 0.0 < self.heat_t_dense <= self.heat_t_max:
@@ -95,6 +104,19 @@ class CycleConfig:
             raise ValueError("t_f must lie in (0, heat_t_max]")
         if self.n_steps < 1:
             raise ValueError("n_steps must be positive")
+
+    def _reservoir(self, h: np.ndarray, p_plus: float) -> BathSpec:
+        return BathSpec(alpha=self.alpha, omega_c=self.omega_c,
+                        beta=beta_from_population(h, p_plus), mu=self.mu)
+
+    @property
+    def hot_bath(self) -> BathSpec:
+        return self._reservoir(hamiltonian_hot(self.system), self.p_plus_hot)
+
+    @property
+    def cold_bath(self) -> BathSpec:
+        return self._reservoir(hamiltonian_cold(self.system),
+                               self.p_plus_cold)
 
     def heating_grid(self) -> np.ndarray:
         n_dense = int(round(self.heat_t_dense / self.heat_dt))
@@ -111,29 +133,18 @@ def build_config(nu_cold: float = 2.0, nu_hot: float = 3.6,
                  tau: float = 0.1, g: float = 0.2,
                  p_plus_cold: float = 0.261, p_plus_hot: float = 0.99,
                  alpha: float = 0.6, omega_c: float = 30.0, mu: float = 0.0,
-                 cold_alpha: float | None = None,
-                 cold_omega_c: float | None = None,
-                 cold_mu: float | None = None,
                  **kwargs) -> CycleConfig:
     """Assemble a config from scalar knobs.
 
-    Both reservoir temperatures are derived from the stroke target
+    Both reservoir temperatures follow from the stroke target
     populations, so the two-point state the contact stroke relaxes
-    toward is exactly the configured one.  Cold-side spectral
-    parameters default to the hot-side values unless overridden.
-    Remaining keyword arguments pass through to CycleConfig.
+    toward is exactly the configured one.  Remaining keyword arguments
+    pass through to CycleConfig.
     """
     system = SystemParams(nu_cold=nu_cold, nu_hot=nu_hot, tau=tau, g=g)
-    beta_hot = beta_from_population(hamiltonian_hot(system), p_plus_hot)
-    beta_cold = beta_from_population(hamiltonian_cold(system), p_plus_cold)
-    hot = BathSpec(alpha=alpha, omega_c=omega_c, beta=beta_hot, mu=mu)
-    cold = BathSpec(alpha=alpha if cold_alpha is None else cold_alpha,
-                    omega_c=omega_c if cold_omega_c is None else cold_omega_c,
-                    beta=beta_cold,
-                    mu=mu if cold_mu is None else cold_mu)
-    return CycleConfig(system=system, hot_bath=hot, cold_bath=cold,
-                       p_plus_cold=p_plus_cold, p_plus_hot=p_plus_hot,
-                       **kwargs)
+    return CycleConfig(system=system, p_plus_cold=p_plus_cold,
+                       p_plus_hot=p_plus_hot, alpha=alpha, omega_c=omega_c,
+                       mu=mu, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -221,7 +232,6 @@ class _Setup:
     rho_in: np.ndarray
     u_exp: np.ndarray
     rho_exp: DensityMatrix
-    jump: np.ndarray
 
 
 def _setup(cfg: CycleConfig) -> _Setup:
@@ -230,11 +240,10 @@ def _setup(cfg: CycleConfig) -> _Setup:
     h_hot = hamiltonian_hot(sp)
     eps_hot, _ = transition_energy(h_hot)
     rho_in = state_from_population(h_cold, cfg.p_plus_cold).mat
-    u_exp = propagate_unitary(sp, Stroke.EXPANSION, cfg.n_steps)
+    u_exp = propagate_unitary(sp, cfg.n_steps)
     rho_exp = u_exp @ rho_in @ dag(u_exp)
     return _Setup(h_cold=h_cold, h_hot=h_hot, eps_hot=eps_hot, rho_in=rho_in,
-                  u_exp=u_exp, rho_exp=DensityMatrix.from_matrix(rho_exp),
-                  jump=jump_operator(h_hot))
+                  u_exp=u_exp, rho_exp=DensityMatrix.from_matrix(rho_exp))
 
 
 def _energetics(su: _Setup, rho_heat: np.ndarray):
@@ -251,7 +260,7 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
     rates = build_rate_trajectory(cfg.hot_bath, su.eps_hot,
                                   grid[-1] + _TABLE_MARGIN,
                                   quad_tol=cfg.quad_tol)
-    traj = evolve_open(su.rho_exp, su.h_hot, rates, su.jump, grid)
+    traj = evolve_open(su.rho_exp, su.h_hot, rates, grid)
 
     en = _energetics(su, traj.states)
     eta, valid = en.eta, en.valid_engine
@@ -335,12 +344,11 @@ def run_cooling(cfg: CycleConfig, rho_comp, t_max: float = 40.0,
         return Trajectory(times=times, states=states,
                           trace_dev=np.zeros(1),
                           min_eig=np.full(1, rho0.min_eig))
-    jump = jump_operator(h_cold)
     rates = build_rate_trajectory(cfg.cold_bath, eps_cold,
                                   t_max + _TABLE_MARGIN,
                                   quad_tol=cfg.quad_tol)
     grid = np.linspace(0.0, t_max, int(round(t_max / dt)) + 1)
-    return evolve_open(rho0, h_cold, rates, jump, grid)
+    return evolve_open(rho0, h_cold, rates, grid)
 
 
 @dataclass(frozen=True)
@@ -357,8 +365,7 @@ class SweepRow:
 
 def _cutoff_point(cfg: CycleConfig, omega_c: float) -> SweepRow:
     try:
-        sub = replace(cfg, hot_bath=replace(cfg.hot_bath, omega_c=omega_c))
-        res = run_cycle(sub)
+        res = run_cycle(replace(cfg, omega_c=omega_c))
         return SweepRow(omega_c=omega_c, eta_max=res.eta_max,
                         t_tilde_max=res.t_tilde_max, o_p=res.o_p,
                         q_nonmarkov=res.nonmarkov.q_total,
@@ -393,13 +400,12 @@ def _population_point(cfg: CycleConfig, su: _Setup, p_hot: float,
                       t_tilde: float) -> PopulationRow:
     try:
         # each target population sets its own reservoir temperature
-        hot = replace(cfg.hot_bath,
-                      beta=beta_from_population(su.h_hot, p_hot))
+        hot = replace(cfg, p_plus_hot=p_hot).hot_bath
         rates = build_rate_trajectory(hot, su.eps_hot,
                                       t_tilde + _TABLE_MARGIN,
                                       quad_tol=cfg.quad_tol)
         # the exact stroke needs no intermediate samples, only the endpoint
-        traj = evolve_open(su.rho_exp, su.h_hot, rates, su.jump,
+        traj = evolve_open(su.rho_exp, su.h_hot, rates,
                            np.array([0.0, t_tilde]))
         en = _energetics(su, traj.final_state)
         return PopulationRow(p_plus_hot=p_hot, eta=en.eta,

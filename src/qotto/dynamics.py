@@ -25,8 +25,8 @@ from scipy.interpolate import CubicSpline
 
 from .bath import RateTrajectory
 from .matcore import DensityMatrix, dag
-from .model import (Stroke, SystemParams, hamiltonian_cold, hamiltonian_hot,
-                    herm_eig2, transition_energy)
+from .model import (SystemParams, hamiltonian_cold, hamiltonian_hot,
+                    herm_eig2, jump_operator, transition_energy)
 
 DEFAULT_N_STEPS = 20_000
 
@@ -70,13 +70,13 @@ def _ordered_product(factors: np.ndarray) -> np.ndarray:
     return seq[0]
 
 
-def propagate_unitary(p: SystemParams, stroke: Stroke,
+def propagate_unitary(p: SystemParams,
                       n_steps: int = DEFAULT_N_STEPS) -> np.ndarray:
-    """Time-ordered propagator of a work stroke (expansion or compression)."""
+    """Time-ordered propagator of the expansion stroke; the compression
+    propagator is its adjoint."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    u = _ordered_product(_expansion_step_unitaries(p, n_steps))
-    return dag(u) if stroke is Stroke.COMPRESSION else u
+    return _ordered_product(_expansion_step_unitaries(p, n_steps))
 
 
 def _branch_crossing(p: SystemParams, u: np.ndarray) -> float:
@@ -98,7 +98,7 @@ def adiabaticity(p: SystemParams, n_steps: int = DEFAULT_N_STEPS) -> float:
 
     Zero for a perfectly adiabatic ramp.
     """
-    return _branch_crossing(p, propagate_unitary(p, Stroke.EXPANSION, n_steps))
+    return _branch_crossing(p, propagate_unitary(p, n_steps))
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,8 @@ class Trajectory:
         if self.states.shape != (self.times.size, 2, 2):
             raise ValueError("states shape does not match grid")
 
-    def state_at(self, i: int, pos_tol: float = 1e-8) -> DensityMatrix:
-        return DensityMatrix.from_matrix(self.states[i], pos_tol=pos_tol)
+    def state_at(self, i: int) -> DensityMatrix:
+        return DensityMatrix.from_matrix(self.states[i])
 
     def populations(self, v_plus: np.ndarray) -> np.ndarray:
         """Excited-state weight <v+|rho(t)|v+> along the trajectory."""
@@ -130,11 +130,11 @@ class Trajectory:
 
 
 def evolve_open(rho0: DensityMatrix, h_sys: np.ndarray, rates: RateTrajectory,
-                jump: np.ndarray, grid: np.ndarray) -> Trajectory:
+                grid: np.ndarray) -> Trajectory:
     """Exact contact-stroke evolution sampled on the given grid.
 
     grid must start at 0 (bath switch-on) and stay inside the domain of the
-    rate table; jump must be the single |-><+| channel of h_sys.  Sampled
+    rate table; the jump channel is `model.jump_operator(h_sys)`.  Sampled
     states are returned at exactly the grid times.
     """
     grid = np.asarray(grid, dtype=float)
@@ -146,11 +146,7 @@ def evolve_open(rho0: DensityMatrix, h_sys: np.ndarray, rates: RateTrajectory,
 
     eps, eig = transition_energy(h_sys)
     vp, vm = eig.v_plus, eig.v_minus
-    a = np.asarray(jump, dtype=complex)
-    amp = np.vdot(vm, a @ vp)
-    if np.max(np.abs(a - amp * np.outer(vm, vp.conj()))) > 1e-10:
-        raise ValueError("jump is not the single |-><+| channel of h_sys")
-    k = abs(amp) ** 2
+    k = abs(np.vdot(vm, jump_operator(h_sys) @ vp)) ** 2
 
     big_lam = CubicSpline(rates.times,
                           rates.big_gamma + rates.gamma_tilde).antiderivative()

@@ -21,6 +21,9 @@ IDENTITY = np.eye(2, dtype=complex)
 # relative scale below which the two eigenvalues count as degenerate
 DEGENERACY_RTOL = 1e-12
 
+# relative Hermiticity deviation herm_eig2 accepts before symmetrizing
+EIG_HERM_TOL = 1e-9
+
 
 def dag(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
@@ -80,14 +83,14 @@ class Eig2:
         return self.e_plus - self.e_minus
 
 
-def herm_eig2(m: np.ndarray, herm_tol: float = 1e-9) -> Eig2:
+def herm_eig2(m: np.ndarray) -> Eig2:
     """Eigendecomposition of a 2x2 Hermitian matrix in closed form.
 
     Returns eigenvalues ordered e_minus <= e_plus with orthonormal
     eigenvectors.  When the spectrum is degenerate (relative to
     DEGENERACY_RTOL) the flag is set and the computational basis is returned.
     """
-    m = _require_hermitian(m, herm_tol)
+    m = _require_hermitian(m, EIG_HERM_TOL)
     c0, cx, cy, cz = bloch_parts(m)
     r_xy = np.hypot(cx, cy)
     r = np.hypot(r_xy, cz)
@@ -126,7 +129,7 @@ class DensityMatrix:
     """A validated 2x2 density matrix.
 
     Unit trace and Hermiticity are enforced at construction; negativity
-    beyond pos_tol is reported through a warning and kept (transient
+    beyond POS_TOL is reported through a warning and kept (transient
     non-positivity is physical information here, not an error to clip).
     """
 
@@ -138,9 +141,10 @@ class DensityMatrix:
 
     TRACE_TOL = 1e-10
     HERM_TOL = 1e-12
+    POS_TOL = 1e-8
 
     @classmethod
-    def from_matrix(cls, m: np.ndarray, pos_tol: float = 1e-8) -> "DensityMatrix":
+    def from_matrix(cls, m: np.ndarray) -> "DensityMatrix":
         m = _require_2x2(m)
         tr_dev = abs(float(np.trace(m).real) - 1.0) + abs(float(np.trace(m).imag))
         if tr_dev > cls.TRACE_TOL:
@@ -151,19 +155,18 @@ class DensityMatrix:
         h = 0.5 * (m + dag(m))
         c0, cx, cy, cz = bloch_parts(h)
         lo = c0 - float(np.sqrt(cx * cx + cy * cy + cz * cz))
-        pos_ok = lo >= -pos_tol
+        pos_ok = lo >= -cls.POS_TOL
         if not pos_ok:
             warnings.warn(
                 f"density matrix has negative eigenvalue {lo:.3e} "
-                f"(pos_tol={pos_tol:.1e})", RuntimeWarning, stacklevel=2)
+                f"(pos_tol={cls.POS_TOL:.1e})", RuntimeWarning, stacklevel=2)
         h.setflags(write=False)
         return cls(h, float(lo), float(tr_dev), float(h_dev), pos_ok)
 
     @classmethod
-    def from_bloch(cls, nx: float, ny: float, nz: float,
-                   pos_tol: float = 1e-8) -> "DensityMatrix":
+    def from_bloch(cls, nx: float, ny: float, nz: float) -> "DensityMatrix":
         m = 0.5 * (IDENTITY + nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z)
-        return cls.from_matrix(m, pos_tol=pos_tol)
+        return cls.from_matrix(m)
 
     def purity(self) -> float:
         return float(np.trace(self.mat @ self.mat).real)

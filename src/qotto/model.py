@@ -15,17 +15,11 @@ Stroke layout over one cycle:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .matcore import (SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, Eig2, dag,
+from .matcore import (SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, Eig2,
                       herm_eig2)
-
-
-class Stroke(Enum):
-    EXPANSION = "expansion"
-    COMPRESSION = "compression"
 
 
 @dataclass(frozen=True)
@@ -112,15 +106,14 @@ def jump_operator(h: np.ndarray) -> np.ndarray:
     return amp * np.outer(eig.v_minus, eig.v_plus.conj())
 
 
-def state_from_population(h: np.ndarray, p_plus: float,
-                          pos_tol: float = 1e-8) -> DensityMatrix:
+def state_from_population(h: np.ndarray, p_plus: float) -> DensityMatrix:
     """Diagonal state in the eigenbasis of h with excited population p_plus."""
     if not 0.0 <= p_plus <= 1.0:
         raise ValueError(f"population must lie in [0, 1], got {p_plus}")
     _, eig = transition_energy(h)
     m = (p_plus * np.outer(eig.v_plus, eig.v_plus.conj())
          + (1.0 - p_plus) * np.outer(eig.v_minus, eig.v_minus.conj()))
-    return DensityMatrix.from_matrix(m, pos_tol=pos_tol)
+    return DensityMatrix.from_matrix(m)
 
 
 def beta_from_population(h: np.ndarray, p_plus: float) -> float:

@@ -15,7 +15,6 @@ import scipy.linalg
 import conftest
 from qotto import bath, cycle, dynamics, matcore, measures, model
 from qotto.matcore import IDENTITY, dag
-from qotto.model import Stroke
 
 CUTOFFS = (5.0, 15.0, 25.0, 30.0)
 P_GRID = [round(0.5 + 0.01 * k, 2) for k in range(50)]
@@ -144,7 +143,7 @@ def test_criterion_9_oracle_suite(full_results, system, hot_bath, rng):
     unitarity 1e-9, trace retention 1e-8, long-time rates within 1% of the
     golden-rule pair, dynamic detailed balance 1e-6, thermal-state
     equivalence 1e-10, quantifier additivity 1e-12."""
-    u = dynamics.propagate_unitary(system, Stroke.EXPANSION)
+    u = dynamics.propagate_unitary(system)
     assert np.max(np.abs(u @ dag(u) - IDENTITY)) < 1e-9
 
     assert full_results[30.0].diagnostics["max_trace_dev"] < 1e-8
@@ -157,7 +156,6 @@ def test_criterion_9_oracle_suite(full_results, system, hot_bath, rng):
         assert gt == pytest.approx(gt_inf, rel=1e-2)
 
     h_hot = model.hamiltonian_hot(system)
-    a = model.jump_operator(h_hot)
     eig = model.transition_energy(h_hot)[1]
     g_inf, gt_inf = bath.markov_limits(hot_bath, conftest.EPS_HOT)
     times = np.linspace(0.0, 3.0, 301)
@@ -166,7 +164,7 @@ def test_criterion_9_oracle_suite(full_results, system, hot_bath, rng):
                                (2 * g_inf - gt_inf) * ones, hot_bath,
                                conftest.EPS_HOT, 0.0, True)
     traj = dynamics.evolve_open(model.state_from_population(h_hot, 0.3),
-                                h_hot, flat, a, times)
+                                h_hot, flat, times)
     nbar = bath.occupation(hot_bath, conftest.EPS_HOT)
     assert traj.populations(eig.v_plus)[-1] == pytest.approx(nbar, abs=1e-6)
 

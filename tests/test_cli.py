@@ -56,7 +56,6 @@ def test_defaults_without_config_file():
     assert cfg["nu_cold"] == 2.0
     assert cfg["omega_c"] == 30.0
     assert cfg["p_plus_hot"] == 0.99
-    assert cfg["cold_omega_c"] is None
     assert cfg["t_tilde"] == "auto"
     assert isinstance(cfg["n_steps"], int)
 
@@ -90,10 +89,19 @@ def test_config_rejects_bad_number():
         cli.parse_config(None, ["omega_c=strong"])
 
 
-def test_config_optional_keys():
-    cfg = cli.parse_config(None, ["cold_omega_c=12", "cold_alpha=none"])
-    assert cfg["cold_omega_c"] == 12.0
-    assert cfg["cold_alpha"] is None
+def test_removed_cold_keys_are_unknown(tmp_path, capsys):
+    """Both reservoirs share one spectrum: no cold-side spectral keys."""
+    code = cli.main(["rates", "--set", "cold_alpha=0.3",
+                     "--out", str(tmp_path)] + TINY)
+    assert code == cli.EXIT_CONFIG
+    assert "unknown key 'cold_alpha'" in capsys.readouterr().err
+
+
+def test_bad_spectrum_is_config_error(tmp_path, capsys):
+    code = cli.main(["rates", "--set", "alpha=-1",
+                     "--out", str(tmp_path)] + TINY)
+    assert code == cli.EXIT_CONFIG
+    assert "alpha must be >= 0" in capsys.readouterr().err
 
 
 def test_default_config_is_the_library_default():
@@ -286,22 +294,19 @@ _POPULATION = st.floats(1e-6, 1.0 - 1e-6)
                                 "heat_t_dense", "tail_dt", "heat_t_max",
                                 "t_f", "quad_tol", "p_hot_min",
                                 "p_hot_max", "p_hot_step")}),
-       cold=st.fixed_dictionaries({
-           k: st.none() | _FINITE
-           for k in ("cold_alpha", "cold_omega_c", "cold_mu")}),
        n_steps=st.integers(1, 10 ** 9),
        omega_c_list=st.lists(_FINITE, min_size=1, max_size=4),
        t_tilde=st.none() | _FINITE)
 def test_header_round_trip_property(tmp_path_factory, nu_cold, nu_gap, tau,
-                                    g, p_cold, p_hot, others, cold, n_steps,
+                                    g, p_cold, p_hot, others, n_steps,
                                     omega_c_list, t_tilde):
     """header -> config file -> parse_config gives the same dict."""
     values = {"nu_cold": nu_cold, "nu_hot": nu_cold + nu_gap, "tau": tau,
               "g": g, "p_plus_cold": p_cold, "p_plus_hot": p_hot,
-              **others, **cold, "n_steps": n_steps,
+              **others, "n_steps": n_steps,
               "omega_c_list": ",".join(map(repr, omega_c_list)),
               "t_tilde": "auto" if t_tilde is None else repr(t_tilde)}
-    text = {k: v if isinstance(v, str) else "none" if v is None else repr(v)
+    text = {k: v if isinstance(v, str) else repr(v)
             for k, v in values.items()}
     cfg = cli.parse_config(None, [f"{k}={v}" for k, v in text.items()])
     path = tmp_path_factory.mktemp("header") / "run.cfg"

@@ -6,13 +6,13 @@ live in the acceptance suite.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import conftest
 from qotto import bath, cycle, dynamics, matcore, measures, model
@@ -20,7 +20,6 @@ from qotto.cycle import (CycleConfig, build_config, ift_reference,
                          population_onset, run_cooling, run_cycle,
                          sweep_cutoff, sweep_population)
 from qotto.matcore import dag
-from qotto.model import Stroke
 
 FAST = dict(heat_dt=0.5e-3, heat_t_dense=0.6, heat_t_max=2.0, t_f=0.5,
             n_steps=4000)
@@ -40,7 +39,7 @@ def test_build_config_defaults(fast_cfg):
     assert fast_cfg.system.nu_cold == 2.0
     assert fast_cfg.system.nu_hot == 3.6
     assert fast_cfg.hot_bath.omega_c == 30.0
-    # cold bath inherits the hot spectral parameters unless overridden
+    # both reservoirs share one spectrum
     assert fast_cfg.cold_bath.omega_c == fast_cfg.hot_bath.omega_c
     assert fast_cfg.cold_bath.alpha == fast_cfg.hot_bath.alpha
     assert fast_cfg.hot_bath.beta < 0.0      # inverted target population
@@ -51,11 +50,50 @@ def test_build_config_defaults(fast_cfg):
                                                     rel=1e-12)
 
 
-def test_build_config_cold_overrides():
-    cfg = build_config(cold_omega_c=12.0, cold_alpha=0.3, **FAST)
-    assert cfg.cold_bath.omega_c == 12.0
-    assert cfg.cold_bath.alpha == 0.3
-    assert cfg.hot_bath.omega_c == 30.0
+def test_config_stores_no_temperature(fast_cfg):
+    """Each reservoir's beta is derived from its target population."""
+    for f in fields(CycleConfig):
+        assert "beta" not in f.name
+        assert not isinstance(getattr(fast_cfg, f.name), bath.BathSpec)
+
+
+def test_replaced_hot_population_moves_the_reservoir(fast_cfg):
+    """A replaced target population relaxes toward itself, exactly as a
+    config built with it from scratch does."""
+    moved = run_cycle(replace(fast_cfg, p_plus_hot=0.8))
+    fresh = run_cycle(build_config(p_plus_hot=0.8, **FAST))
+    assert_array_equal(moved.eta, fresh.eta)
+    assert_array_equal(moved.q_hot, fresh.q_hot)
+    assert moved.eta_sat == fresh.eta_sat
+    assert moved.diagnostics == fresh.diagnostics
+    assert moved.diagnostics["final_population_gap"] < 1e-4
+
+
+def test_replaced_cold_population_moves_the_reservoir(fast_cfg):
+    moved = replace(fast_cfg, p_plus_cold=0.1).cold_bath
+    assert moved == build_config(p_plus_cold=0.1, **FAST).cold_bath
+    assert moved.beta == model.beta_from_population(
+        model.hamiltonian_cold(fast_cfg.system), 0.1)
+
+
+def test_replaced_cutoff_equals_a_fresh_config(fast_cfg):
+    moved = replace(fast_cfg, omega_c=15.0)
+    fresh = build_config(omega_c=15.0, **FAST)
+    assert moved == fresh
+    assert moved.hot_bath == fresh.hot_bath
+    assert moved.cold_bath == fresh.cold_bath
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(alpha=-1.0), "alpha must be >= 0"),
+    (dict(omega_c=0.0), "omega_c must be positive"),
+    (dict(mu=-1.0), "mu >= 0"),
+])
+def test_config_rejects_bad_spectrum(fast_cfg, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        build_config(**kwargs, **FAST)
+    with pytest.raises(ValueError, match=message):
+        replace(fast_cfg, **kwargs)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -127,17 +165,16 @@ def test_energetics_match_stroke_bookkeeping(fast_cfg, fast_result):
     cfg, r = fast_cfg, fast_result
     h_cold = model.hamiltonian_cold(cfg.system)
     h_hot = model.hamiltonian_hot(cfg.system)
-    u = dynamics.propagate_unitary(cfg.system, Stroke.EXPANSION, cfg.n_steps)
+    u = dynamics.propagate_unitary(cfg.system, cfg.n_steps)
     rho_in = model.state_from_population(h_cold, cfg.p_plus_cold)
     rho_exp = u @ rho_in.mat @ dag(u)
     eps_hot = model.transition_energy(h_hot)[0]
-    a_hot = model.jump_operator(h_hot)
     grid = cfg.heating_grid()
     rt = bath.build_rate_trajectory(cfg.hot_bath, eps_hot,
                                     grid[-1] + cycle._TABLE_MARGIN,
                                     quad_tol=cfg.quad_tol)
     traj = dynamics.evolve_open(matcore.DensityMatrix.from_matrix(rho_exp),
-                                h_hot, rt, a_hot, grid)
+                                h_hot, rt, grid)
     for k in (0, 57, 313, 800, 1201, 1340):
         rho_heat = traj.states[k]
         out = measures.cycle_energetics(rho_in.mat, rho_exp, rho_heat,
@@ -181,7 +218,7 @@ def test_cooling_returns_to_cold_thermal_state(fast_cfg):
     cfg = fast_cfg
     h_cold = model.hamiltonian_cold(cfg.system)
     h_hot = model.hamiltonian_hot(cfg.system)
-    u = dynamics.propagate_unitary(cfg.system, Stroke.EXPANSION, cfg.n_steps)
+    u = dynamics.propagate_unitary(cfg.system, cfg.n_steps)
     rho_comp = matcore.DensityMatrix.from_matrix(
         dag(u) @ model.state_from_population(h_hot, 0.99).mat @ u)
     traj = run_cooling(cfg, rho_comp, t_max=40.0, dt=0.02)

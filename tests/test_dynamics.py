@@ -24,7 +24,6 @@ from qotto.bath import BathSpec, RateTrajectory, build_rate_trajectory
 from qotto.dynamics import (Trajectory, adiabaticity, evolve_open,
                             propagate_unitary)
 from qotto.matcore import IDENTITY, dag
-from qotto.model import Stroke
 
 
 def test_time_independent_generator_is_exact():
@@ -39,7 +38,7 @@ def test_time_independent_generator_is_exact():
 
 def test_propagator_rejects_bad_step_count(system):
     with pytest.raises(ValueError):
-        propagate_unitary(system, Stroke.EXPANSION, 0)
+        propagate_unitary(system, 0)
 
 
 def test_propagator_unitarity(system, rng):
@@ -50,27 +49,21 @@ def test_propagator_unitarity(system, rng):
                                          rng.uniform(0.02, 0.5),
                                          rng.uniform(0.0, 0.5)))
     for p in params:
-        u = propagate_unitary(p, Stroke.EXPANSION, 2000)
+        u = propagate_unitary(p, 2000)
         assert_allclose(u @ dag(u), IDENTITY, atol=1e-10)
-
-
-def test_compression_inverts_expansion(system):
-    u_exp = propagate_unitary(system, Stroke.EXPANSION)
-    u_cmp = propagate_unitary(system, Stroke.COMPRESSION)
-    assert_allclose(u_cmp @ u_exp, IDENTITY, atol=1e-9)
 
 
 def test_compression_matches_literal_reversed_ramp(system):
     """The adjoint shortcut equals integrating the reversed ramp directly."""
-    u_exp = propagate_unitary(system, Stroke.EXPANSION, 20000)
+    u_exp = propagate_unitary(system, 20000)
     u_lit = product_propagator(
         lambda t: model.hamiltonian_compression(system, t), system.tau, 20000)
     assert_allclose(u_lit, dag(u_exp), atol=1e-11)
 
 
 def test_step_convergence_is_second_order(system):
-    ref = propagate_unitary(system, Stroke.EXPANSION, 1_000_000)
-    errs = [np.max(np.abs(propagate_unitary(system, Stroke.EXPANSION, n) - ref))
+    ref = propagate_unitary(system, 1_000_000)
+    errs = [np.max(np.abs(propagate_unitary(system, n) - ref))
             for n in (250, 500, 1000)]
     assert errs[2] < 5e-7
     # halving the step must cut the error by four
@@ -154,26 +147,24 @@ def test_generator_decouples_in_eigenbasis(system):
 
 def test_evolve_open_grid_contract(system, hot_bath):
     h = model.hamiltonian_hot(system)
-    a = model.jump_operator(h)
     rt = build_rate_trajectory(hot_bath, conftest.EPS_HOT, 0.5)
     rho0 = model.state_from_population(h, 0.3)
     with pytest.raises(ValueError):
-        evolve_open(rho0, h, rt, a, np.array([0.1, 0.2]))
+        evolve_open(rho0, h, rt, np.array([0.1, 0.2]))
     with pytest.raises(ValueError):
-        evolve_open(rho0, h, rt, a, np.array([0.0, 0.3, 0.6]))  # past table
+        evolve_open(rho0, h, rt, np.array([0.0, 0.3, 0.6]))  # past table
 
 
 def test_evolve_open_closed_system_limit(system):
     """Zero coupling must reproduce the unitary conjugation orbit."""
     h = model.hamiltonian_hot(system)
-    a = model.jump_operator(h)
     off = BathSpec(alpha=0.0, omega_c=30.0, beta=0.1)
     rt = build_rate_trajectory(off, conftest.EPS_HOT, 2.0)
     v = np.array([1.0, 0.5 + 0.5j])
     v /= np.linalg.norm(v)
     rho0 = matcore.DensityMatrix.from_matrix(np.outer(v, v.conj()))
     grid = np.linspace(0.0, 2.0, 201)
-    traj = evolve_open(rho0, h, rt, a, grid)
+    traj = evolve_open(rho0, h, rt, grid)
     for i, t in enumerate(grid):
         u = expm_aherm(h, t)
         assert_allclose(traj.states[i], u @ rho0.mat @ dag(u), atol=1e-8)
@@ -183,7 +174,6 @@ def test_evolve_open_closed_system_limit(system):
 def test_evolve_open_detailed_balance_fixed_point(system, hot_bath):
     """Constant golden-rule rates drive any state to the bath occupation."""
     h = model.hamiltonian_hot(system)
-    a = model.jump_operator(h)
     eig = model.transition_energy(h)[1]
     g_inf, gt_inf = bath.markov_limits(hot_bath, conftest.EPS_HOT)
     times = np.linspace(0.0, 3.0, 301)
@@ -194,7 +184,7 @@ def test_evolve_open_detailed_balance_fixed_point(system, hot_bath):
     nbar = bath.occupation(hot_bath, conftest.EPS_HOT)
     for rho0 in (model.state_from_population(h, 0.3),
                  matcore.DensityMatrix.from_bloch(1.0, 0.0, 0.0)):
-        traj = evolve_open(rho0, h, rt, a, times)
+        traj = evolve_open(rho0, h, rt, times)
         assert traj.populations(eig.v_plus)[-1] == pytest.approx(nbar,
                                                                  abs=1e-6)
         coh = abs(np.vdot(eig.v_plus, traj.final_state @ eig.v_minus))
@@ -219,7 +209,7 @@ def test_evolve_open_against_decoupled_closed_form(system, hot_bath):
     v = np.array([1.0, 1.0j]) / math.sqrt(2)
     rho0 = matcore.DensityMatrix.from_matrix(
         0.7 * mix + 0.3 * np.outer(v, v.conj()))
-    traj = evolve_open(rho0, h, rt, a, grid)
+    traj = evolve_open(rho0, h, rt, grid)
 
     cs_big = CubicSpline(rt.times, rt.big_gamma)
     cs_til = CubicSpline(rt.times, rt.gamma_tilde)
@@ -242,11 +232,10 @@ def test_truncated_equilibration_endpoint(system, hot_bath, rate_table):
     target within a part in a thousand."""
     h_cold = model.hamiltonian_cold(system)
     h_hot = model.hamiltonian_hot(system)
-    a = model.jump_operator(h_hot)
     rho_in = model.state_from_population(h_cold, 0.261)
-    u = propagate_unitary(system, Stroke.EXPANSION)
+    u = propagate_unitary(system)
     rho_exp = matcore.DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))
-    traj = evolve_open(rho_exp, h_hot, rate_table(30.0), a,
+    traj = evolve_open(rho_exp, h_hot, rate_table(30.0),
                        np.linspace(0.0, 10.0, 1001))
     target = model.state_from_population(h_hot, 0.99).mat
     assert np.max(np.abs(traj.final_state - target)) < 1e-3
@@ -255,11 +244,10 @@ def test_truncated_equilibration_endpoint(system, hot_bath, rate_table):
 
 def test_positivity_along_baseline_heating(system, rate_table):
     h = model.hamiltonian_hot(system)
-    a = model.jump_operator(h)
     rho_in = model.state_from_population(model.hamiltonian_cold(system), 0.261)
-    u = propagate_unitary(system, Stroke.EXPANSION)
+    u = propagate_unitary(system)
     rho_exp = matcore.DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))
-    traj = evolve_open(rho_exp, h, rate_table(25.0), a,
+    traj = evolve_open(rho_exp, h, rate_table(25.0),
                        np.linspace(0.0, 2.0, 401))
     assert np.min(traj.min_eig) > -1e-6
     state = traj.state_at(traj.times.size - 1)
@@ -280,8 +268,9 @@ def test_evolve_open_matches_rk45_oracle(omega_c):
     grid = cfg.heating_grid()
     rt = build_rate_trajectory(cfg.hot_bath, su.eps_hot,
                                grid[-1] + cycle._TABLE_MARGIN)
-    exact = evolve_open(su.rho_exp, su.h_hot, rt, su.jump, grid)
-    ref = oracles.evolve_open(su.rho_exp, su.h_hot, rt, su.jump, grid,
+    exact = evolve_open(su.rho_exp, su.h_hot, rt, grid)
+    ref = oracles.evolve_open(su.rho_exp, su.h_hot, rt,
+                              model.jump_operator(su.h_hot), grid,
                               **ORACLE_TOL)
     assert np.max(np.abs(exact.states - ref.states)) <= 1e-10
 
@@ -290,7 +279,7 @@ def test_evolve_open_matches_rk45_oracle(omega_c):
 def test_cooling_stroke_matches_rk45_oracle(system):
     cfg = cycle.build_config()
     h_cold = model.hamiltonian_cold(system)
-    u = propagate_unitary(system, Stroke.EXPANSION)
+    u = propagate_unitary(system)
     rho_comp = matcore.DensityMatrix.from_matrix(
         dag(u) @ model.state_from_population(model.hamiltonian_hot(system),
                                              0.99).mat @ u)
@@ -301,17 +290,6 @@ def test_cooling_stroke_matches_rk45_oracle(system):
                               model.jump_operator(h_cold), exact.times,
                               **ORACLE_TOL)
     assert np.max(np.abs(exact.states - ref.states)) <= 1e-10
-
-
-def test_evolve_open_rejects_foreign_jump(system, hot_bath):
-    h = model.hamiltonian_hot(system)
-    a = model.jump_operator(h)
-    rt = build_rate_trajectory(hot_bath, conftest.EPS_HOT, 0.5)
-    rho0 = model.state_from_population(h, 0.3)
-    grid = np.linspace(0.0, 0.4, 5)
-    for jump in (dag(a), matcore.SIGMA_X, a + 0.1 * dag(a)):
-        with pytest.raises(ValueError, match="channel"):
-            evolve_open(rho0, h, rt, jump, grid)
 
 
 def _quadratic(t, c0, c2, t0):
@@ -348,8 +326,7 @@ def test_closed_form_stroke_is_a_state_path(system, bg, gt, direction,
                         big_gamma, spec, conftest.EPS_HOT, 0.0, True)
     n = radius * np.asarray(direction) / math.hypot(*direction)
     rho0 = matcore.DensityMatrix.from_bloch(*n)
-    traj = evolve_open(rho0, h, rt, model.jump_operator(h),
-                       np.linspace(0.0, 2.0, 57))
+    traj = evolve_open(rho0, h, rt, np.linspace(0.0, 2.0, 57))
     traces = np.trace(traj.states, axis1=1, axis2=2)
     assert np.max(np.abs(traces - 1.0)) < 1e-12
     assert np.max(np.abs(traj.states - np.conj(
@@ -378,7 +355,6 @@ def test_constant_rates_relax_to_bath_occupation(system, omega_c, p_target,
     rt = RateTrajectory(times, g_inf * ones, gt_inf * ones,
                         (2 * g_inf - gt_inf) * ones, spec,
                         conftest.EPS_HOT, 0.0, True)
-    traj = evolve_open(model.state_from_population(h, p_start), h, rt, a,
-                       times)
+    traj = evolve_open(model.state_from_population(h, p_start), h, rt, times)
     nbar = bath.occupation(spec, conftest.EPS_HOT)
     assert traj.populations(eig.v_plus)[-1] == pytest.approx(nbar, abs=1e-12)

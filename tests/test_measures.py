@@ -13,7 +13,6 @@ from qotto.matcore import dag
 from qotto.measures import (Energetics, NonMarkovReport, cycle_energetics,
                             nonmarkov_report, overall_performance,
                             quantifier_Q, witness_f)
-from qotto.model import Stroke
 
 
 def make_table(hot_bath, gamma, gamma_tilde):
@@ -28,7 +27,7 @@ def make_table(hot_bath, gamma, gamma_tilde):
 def thermal_cycle_states(system, p_cold=0.261, p_hot=0.99):
     h_cold = model.hamiltonian_cold(system)
     h_hot = model.hamiltonian_hot(system)
-    u = dynamics.propagate_unitary(system, Stroke.EXPANSION)
+    u = dynamics.propagate_unitary(system)
     rho_in = model.state_from_population(h_cold, p_cold)
     rho_exp = u @ rho_in.mat @ dag(u)
     rho_heat = model.state_from_population(h_hot, p_hot).mat
@@ -133,7 +132,7 @@ def heat_shifted_states(system, q):
     rho_heat = rho_exp + s (|+><+| - |-><-|) in the h_hot eigenbasis,
     with s * eps_hot = q."""
     rho_in, rho_exp, _, _, h_cold, h_hot = thermal_cycle_states(system)
-    u = dynamics.propagate_unitary(system, Stroke.EXPANSION)
+    u = dynamics.propagate_unitary(system)
     eps, eig = model.transition_energy(h_hot)
     flip = (np.outer(eig.v_plus, eig.v_plus.conj())
             - np.outer(eig.v_minus, eig.v_minus.conj()))
@@ -234,23 +233,21 @@ def test_first_law_telescopes_through_cooling(system, cold_bath):
     """Stroke energies and the two heats add up to the total energy change."""
     h_cold = model.hamiltonian_cold(system)
     h_hot = model.hamiltonian_hot(system)
-    u = dynamics.propagate_unitary(system, Stroke.EXPANSION)
-    a_hot = model.jump_operator(h_hot)
+    u = dynamics.propagate_unitary(system)
     rho_in = model.state_from_population(h_cold, 0.261)
     rho_exp = matcore.DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))
 
     hot = bath.BathSpec(alpha=0.6, omega_c=30.0, beta=conftest.BETA_HOT)
     rt = bath.build_rate_trajectory(hot, conftest.EPS_HOT, 0.3)
-    heat = dynamics.evolve_open(rho_exp, h_hot, rt, a_hot,
+    heat = dynamics.evolve_open(rho_exp, h_hot, rt,
                                 np.linspace(0.0, 0.272, 273))
     rho_heat = heat.final_state
     rho_comp = dag(u) @ rho_heat @ u
 
-    a_cold = model.jump_operator(h_cold)
     with pytest.warns(RuntimeWarning, match="weak-coupling"):
         rt_cold = bath.build_rate_trajectory(cold_bath, conftest.EPS_COLD, 5.0)
     cool = dynamics.evolve_open(matcore.DensityMatrix.from_matrix(rho_comp),
-                                h_cold, rt_cold, a_cold,
+                                h_cold, rt_cold,
                                 np.linspace(0.0, 5.0, 501))
     rho_fin = cool.final_state
 
