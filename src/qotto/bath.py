@@ -34,6 +34,14 @@ from scipy.special import expit, sici, spherical_jn
 
 TWO_PI = 2.0 * np.pi
 
+# (Legendre order, panel divisor, range scale) of the rate engine and of
+# the doubled-resolution, doubled-range engine that checks it
+_BASE_RESOLUTION = (14, 3.0, 1.0)
+_FINE_RESOLUTION = (16, 5.0, 2.0)
+
+# largest accepted base-versus-fine rate discrepancy, rad/ms
+QUAD_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class BathSpec:
@@ -79,18 +87,8 @@ def occupation(bath: BathSpec, w):
     return out if out.ndim else float(out)
 
 
-def markov_limits(bath: BathSpec, eps: float) -> tuple[float, float]:
-    """Long-time (Markov) rate pair (gamma_inf, gamma_tilde_inf)."""
-    if eps <= 0.0:
-        raise ValueError(f"transition energy must be positive, got {eps}")
-    j = spectral_density(bath, eps)
-    if j == 0.0:
-        return 0.0, 0.0
-    return 0.5 * j, j * occupation(bath, eps)
-
-
 class _Envelopes:
-    """Smooth envelopes g(w) = J/(2pi) and gt(w) = J*nbar/pi plus derivatives."""
+    """Smooth envelopes g(w) = J/(2pi) and gt(w) = J*nbar/pi."""
 
     def __init__(self, bath: BathSpec):
         self.bath = bath
@@ -98,20 +96,8 @@ class _Envelopes:
     def gamma_env(self, w: np.ndarray) -> np.ndarray:
         return spectral_density(self.bath, w) / TWO_PI
 
-    def gamma_env_deriv(self, w: float) -> float:
-        b = self.bath
-        wc2 = b.omega_c ** 2
-        return b.alpha * wc2 * (wc2 - w * w) / (wc2 + w * w) ** 2 / TWO_PI
-
     def tilde_env(self, w: np.ndarray) -> np.ndarray:
         return 2.0 * self.gamma_env(w) * occupation(self.bath, w)
-
-    def tilde_env_deriv(self, w: float) -> float:
-        b = self.bath
-        nbar = occupation(b, w)
-        nder = -b.beta * nbar * (1.0 - nbar)
-        g = self.gamma_env(w)
-        return 2.0 * (self.gamma_env_deriv(w) * nbar + g * nder)
 
     def tilde_tail_weight(self) -> float:
         """Limit of 2*nbar at large frequency: 0, 1 or 2."""
@@ -126,8 +112,8 @@ class _Envelopes:
 class _RateQuadrature:
     """Filon-Legendre evaluation of the sinc-kernel rate integrals."""
 
-    def __init__(self, bath: BathSpec, eps: float, order: int = 14,
-                 panel_div: float = 3.0, omega_scale: float = 1.0):
+    def __init__(self, bath: BathSpec, eps: float, order: int,
+                 panel_div: float, omega_scale: float):
         if eps <= 0.0:
             raise ValueError(f"transition energy must be positive, got {eps}")
         self.bath = bath
@@ -144,8 +130,6 @@ class _RateQuadrature:
 
         self.g_eps = float(env.gamma_env(np.asarray(eps)))
         self.gt_eps = float(env.tilde_env(np.asarray(eps)))
-        dg_eps = env.gamma_env_deriv(eps)
-        dgt_eps = env.tilde_env_deriv(eps)
 
         edges = self._build_edges()
         nodes_x, weights = np.polynomial.legendre.leggauss(order)
@@ -157,15 +141,10 @@ class _RateQuadrature:
         halfs = 0.5 * (edges[1:] - edges[:-1])
         pts = mids[:, None] + halfs[:, None] * nodes_x[None, :]   # (P, n)
 
-        def psi(vals_env, val_at_eps, deriv_at_eps):
-            delta = pts - eps
-            tinyd = np.abs(delta) < 1e-9 * max(1.0, eps)
-            safe = np.where(tinyd, 1.0, delta)
-            return np.where(tinyd, deriv_at_eps,
-                            (vals_env - val_at_eps) / safe)
-
-        psi_g = psi(env.gamma_env(pts), self.g_eps, dg_eps)
-        psi_t = psi(env.tilde_env(pts), self.gt_eps, dgt_eps)
+        # eps is a panel edge and Gauss nodes are interior, so no node
+        # meets the removable singularity
+        psi_g = (env.gamma_env(pts) - self.g_eps) / (pts - eps)
+        psi_t = (env.tilde_env(pts) - self.gt_eps) / (pts - eps)
         self.coef_g = psi_g @ proj.T            # (P, K)
         self.coef_t = psi_t @ proj.T
         self.mids = mids
@@ -275,8 +254,8 @@ def _engine(bath: BathSpec, eps: float, order: int, panel_div: float,
 
 def quadrature_error_estimate(bath: BathSpec, eps: float, ts) -> float:
     """Max rate discrepancy against a doubled-resolution, doubled-range engine."""
-    base = _engine(bath, eps, 14, 3.0, 1.0)
-    fine = _engine(bath, eps, 16, 5.0, 2.0)
+    base = _engine(bath, eps, *_BASE_RESOLUTION)
+    fine = _engine(bath, eps, *_FINE_RESOLUTION)
     g0, t0 = base.rates(ts)
     g1, t1 = fine.rates(ts)
     return float(max(np.max(np.abs(g0 - g1)), np.max(np.abs(t0 - t1))))
@@ -287,7 +266,7 @@ def rate_coefficients(bath: BathSpec, eps: float, t):
 
     big_gamma is the canonical decay-channel coefficient 2*gamma - gamma_tilde.
     """
-    engine = _engine(bath, eps, 14, 3.0, 1.0)
+    engine = _engine(bath, eps, *_BASE_RESOLUTION)
     g, gt = engine.rates(t)
     bg = 2.0 * g - gt
     if np.ndim(t) == 0:
@@ -313,8 +292,8 @@ class RateTrajectory:
             raise ValueError("rate grid must start at 0 and increase strictly")
 
 
-def build_rate_trajectory(bath: BathSpec, eps: float, t_max: float,
-                          quad_tol: float = 1e-8) -> RateTrajectory:
+def build_rate_trajectory(bath: BathSpec, eps: float,
+                          t_max: float) -> RateTrajectory:
     """Tabulate rates on [0, t_max] at the resolution the dynamics needs.
 
     Grid spacing stays below min(0.2/eps, 0.05/omega_c) ms so that cubic
@@ -330,10 +309,10 @@ def build_rate_trajectory(bath: BathSpec, eps: float, t_max: float,
 
     probes = np.geomspace(times[1], t_max, 9)
     quad_err = quadrature_error_estimate(bath, eps, probes)
-    if quad_err > quad_tol:
+    if quad_err > QUAD_TOL:
         warnings.warn(
             f"rate quadrature convergence estimate {quad_err:.2e} exceeds "
-            f"tolerance {quad_tol:.1e}", RuntimeWarning, stacklevel=2)
+            f"tolerance {QUAD_TOL:.1e}", RuntimeWarning, stacklevel=2)
 
     if np.min(gt) < -1e-12:
         warnings.warn(

@@ -7,13 +7,15 @@ truncation time plus a summary block), `sweep-cutoff`, and the
 fixed-duration population scans `sweep-population` and `ift`.
 
 Configuration is a flat `key = value` file plus `--set` overrides;
-unknown keys are rejected.  Times inside the config are milliseconds,
-CSV time columns are microseconds.  Floats print with 9 significant
-digits and files carry the fully resolved config in `#` header lines,
-so identical inputs give bytewise identical outputs.  A header config
-value that 9 digits would not read back exactly prints as its shortest
-exact repr, so the `# key = value` lines, stripped of `# `, are a
-config file that rebuilds the run.
+unknown keys are rejected.  The cycle keys and their defaults are the
+fields of `cycle.CycleConfig`; only the five sweep keys live here.
+Times inside the config are milliseconds, CSV time columns are
+microseconds.  Floats print with 9 significant digits and files carry
+the fully resolved config in `#` header lines, so identical inputs give
+bytewise identical outputs.  A header config value that 9 digits would
+not read back exactly prints as its shortest exact repr, so the
+`# key = value` lines, stripped of `# `, are a config file that rebuilds
+the run.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 no engine operation.
@@ -21,36 +23,25 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import inspect
 import os
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import __version__
 from .bath import build_rate_trajectory
-from .cycle import (CycleConfig, build_config, ift_reference,
-                    population_onset, run_cycle, sweep_cutoff,
-                    sweep_population)
+from .cycle import (CycleConfig, ift_reference, population_onset, run_cycle,
+                    sweep_cutoff, sweep_population)
 from .measures import nonmarkov_report
-from .model import (SystemParams, beta_from_population, hamiltonian_cold,
-                    hamiltonian_hot, transition_energy)
+from .model import hamiltonian_cold, hamiltonian_hot, transition_energy
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_NO_ENGINE = 4
 
-# cycle knobs and their defaults come from the library: the scalar
-# parameters of build_config and the defaulted CycleConfig fields
-_CYCLE_DEFAULTS = {
-    **{name: par.default for name, par in
-       inspect.signature(build_config).parameters.items()
-       if par.kind is par.POSITIONAL_OR_KEYWORD},
-    **{f.name: f.default for f in fields(CycleConfig)
-       if f.default is not MISSING},
-}
+_CYCLE_DEFAULTS = {f.name: f.default for f in fields(CycleConfig)}
 
 _DEFAULTS = {
     **_CYCLE_DEFAULTS,
@@ -114,9 +105,9 @@ def parse_config(path: str | None, sets) -> dict:
     return cfg
 
 
-def _cycle_config(cfg: dict):
+def _cycle_config(cfg: dict) -> CycleConfig:
     try:
-        return build_config(**{k: cfg[k] for k in _CYCLE_DEFAULTS})
+        return CycleConfig(**{k: cfg[k] for k in _CYCLE_DEFAULTS})
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -176,30 +167,28 @@ def _config_value(v) -> str:
     return repr(v) if isinstance(v, float) and float(text) != v else text
 
 
-def _derived_lines(cfg: dict) -> list[str]:
-    sp = SystemParams(nu_cold=cfg["nu_cold"], nu_hot=cfg["nu_hot"],
-                      tau=cfg["tau"], g=cfg["g"])
-    h_cold = hamiltonian_cold(sp)
-    h_hot = hamiltonian_hot(sp)
-    eps_cold, _ = transition_energy(h_cold)
-    eps_hot, _ = transition_energy(h_hot)
+def _derived_lines(ccfg: CycleConfig) -> list[str]:
+    sp = ccfg.system
+    eps_cold, _ = transition_energy(hamiltonian_cold(sp))
+    eps_hot, _ = transition_energy(hamiltonian_hot(sp))
     out = [
         ("omega", sp.omega),
         ("omega_tilde", sp.omega_tilde),
         ("eps_cold", eps_cold),
         ("eps_hot", eps_hot),
-        ("beta_cold", beta_from_population(h_cold, cfg["p_plus_cold"])),
-        ("beta_hot", beta_from_population(h_hot, cfg["p_plus_hot"])),
+        ("beta_cold", ccfg.cold_bath.beta),
+        ("beta_hot", ccfg.hot_bath.beta),
     ]
     return [f"# derived {k} = {_g9(v)}" for k, v in out]
 
 
-def _header(command: str, cfg: dict, extra=()) -> list[str]:
+def _header(command: str, cfg: dict, ccfg: CycleConfig,
+            extra=()) -> list[str]:
     lines = [f"# qotto {__version__}", f"# command = {command}",
              "# config times are ms, csv time columns are us"]
     for key in sorted(cfg):
         lines.append(f"# {key} = {_config_value(cfg[key])}")
-    lines.extend(_derived_lines(cfg))
+    lines.extend(_derived_lines(ccfg))
     for item in extra:
         lines.append(f"# {item}")
     return lines
@@ -227,13 +216,12 @@ def _safe(text: str) -> str:
 def cmd_rates(cfg: dict, outdir: str) -> int:
     ccfg = _cycle_config(cfg)
     eps_hot, _ = transition_energy(hamiltonian_hot(ccfg.system))
-    rates = build_rate_trajectory(ccfg.hot_bath, eps_hot,
-                                  cfg["heat_t_max"], quad_tol=cfg["quad_tol"])
+    rates = build_rate_trajectory(ccfg.hot_bath, eps_hot, ccfg.heat_t_max)
     rows = ([_g9(t * 1e3), _g9(a), _g9(b), _g9(c)]
             for t, a, b, c in zip(rates.times, rates.gamma,
                                   rates.gamma_tilde, rates.big_gamma))
     _write_csv(_out_path(outdir, "rates.csv"),
-               _header("rates", cfg, ["rates in rad/ms"]),
+               _header("rates", cfg, ccfg, ["rates in rad/ms"]),
                ["t_us", "gamma", "gamma_tilde", "big_gamma"], rows)
     return EXIT_OK
 
@@ -241,11 +229,10 @@ def cmd_rates(cfg: dict, outdir: str) -> int:
 def cmd_nonmarkov(cfg: dict, outdir: str) -> int:
     ccfg = _cycle_config(cfg)
     eps_hot, _ = transition_energy(hamiltonian_hot(ccfg.system))
-    rates = build_rate_trajectory(ccfg.hot_bath, eps_hot,
-                                  cfg["heat_t_max"], quad_tol=cfg["quad_tol"])
+    rates = build_rate_trajectory(ccfg.hot_bath, eps_hot, ccfg.heat_t_max)
     report = nonmarkov_report(rates)
     _write_csv(_out_path(outdir, "witness.csv"),
-               _header("nonmarkov", cfg, ["witness f in rad/ms"]),
+               _header("nonmarkov", cfg, ccfg, ["witness f in rad/ms"]),
                ["t_us", "f"],
                ([_g9(t * 1e3), _g9(f)]
                 for t, f in zip(report.times, report.f)))
@@ -253,11 +240,10 @@ def cmd_nonmarkov(cfg: dict, outdir: str) -> int:
     q_rows = []
     for w in _omega_c_points(cfg):
         spec = replace(ccfg, omega_c=w).hot_bath
-        rt = build_rate_trajectory(spec, eps_hot, cfg["heat_t_max"],
-                                   quad_tol=cfg["quad_tol"])
+        rt = build_rate_trajectory(spec, eps_hot, ccfg.heat_t_max)
         q_rows.append([_g9(w), _g9(nonmarkov_report(rt).q_total)])
     _write_csv(_out_path(outdir, "nonmarkov_q.csv"),
-               _header("nonmarkov", cfg),
+               _header("nonmarkov", cfg, ccfg),
                ["omega_c", "Q"], q_rows)
     return EXIT_OK
 
@@ -270,7 +256,7 @@ def cmd_simulate(cfg: dict, outdir: str) -> int:
             for t, e, w2, q, v in zip(res.times, res.eta, res.w2,
                                       res.q_hot, res.valid))
     _write_csv(_out_path(outdir, "efficiency.csv"),
-               _header("simulate", cfg, ["energies in rad/ms"]),
+               _header("simulate", cfg, res.config, ["energies in rad/ms"]),
                ["t_us", "eta", "w1", "w2", "q_hot", "valid"], rows)
 
     summary = [
@@ -292,7 +278,8 @@ def cmd_simulate(cfg: dict, outdir: str) -> int:
 
 def cmd_sweep_cutoff(cfg: dict, outdir: str) -> int:
     _require_inversion(cfg)
-    rows = sweep_cutoff(_cycle_config(cfg), _omega_c_points(cfg))
+    ccfg = _cycle_config(cfg)
+    rows = sweep_cutoff(ccfg, _omega_c_points(cfg))
     csv_rows = []
     for r in rows:
         status = ("error:" + _safe(r.error)) if r.error else \
@@ -301,16 +288,16 @@ def cmd_sweep_cutoff(cfg: dict, outdir: str) -> int:
                          _g9(r.t_tilde_max * 1e3), _g9(r.o_p),
                          _g9(r.q_nonmarkov), _g9(r.eta_sat), status])
     _write_csv(_out_path(outdir, "cutoff_sweep.csv"),
-               _header("sweep-cutoff", cfg),
+               _header("sweep-cutoff", cfg, ccfg),
                ["omega_c", "eta_max", "t_tilde_max_us", "o_p",
                 "q_nonmarkov", "eta_sat", "status"], csv_rows)
     return EXIT_OK if any(not r.error for r in rows) else EXIT_NUMERIC
 
 
-def _resolve_t_tilde(cfg: dict):
+def _resolve_t_tilde(cfg: dict, ccfg: CycleConfig):
     raw = cfg["t_tilde"]
     if isinstance(raw, str) and raw.strip().lower() == "auto":
-        res = run_cycle(_cycle_config(cfg))
+        res = run_cycle(ccfg)
         if res.no_engine or not np.isfinite(res.t_tilde_max):
             raise RuntimeError("cannot auto-locate t_tilde: baseline run "
                                "shows no engine operation")
@@ -319,14 +306,15 @@ def _resolve_t_tilde(cfg: dict):
         value = float(raw)
     except ValueError:
         raise ConfigError(f"t_tilde must be 'auto' or a time in ms: {raw!r}")
-    if not 0.0 < value <= cfg["heat_t_max"]:
+    if not 0.0 < value <= ccfg.heat_t_max:
         raise ConfigError("t_tilde must lie in (0, heat_t_max] ms")
     return value, False
 
 
 def cmd_sweep_population(cfg: dict, outdir: str) -> int:
-    t_tilde, was_auto = _resolve_t_tilde(cfg)
-    rows = sweep_population(_cycle_config(cfg), _p_hot_points(cfg), t_tilde)
+    ccfg = _cycle_config(cfg)
+    t_tilde, was_auto = _resolve_t_tilde(cfg, ccfg)
+    rows = sweep_population(ccfg, _p_hot_points(cfg), t_tilde)
     onset = population_onset(rows)
     extra = [f"t_tilde_ms = {_g9(t_tilde)}",
              f"t_tilde_source = {'auto' if was_auto else 'config'}",
@@ -336,20 +324,22 @@ def cmd_sweep_population(cfg: dict, outdir: str) -> int:
                  ("error:" + _safe(r.error)) if r.error else "ok"]
                 for r in rows]
     _write_csv(_out_path(outdir, "population_sweep.csv"),
-               _header("sweep-population", cfg, extra),
+               _header("sweep-population", cfg, ccfg, extra),
                ["p_plus_hot", "eta", "valid", "w", "q_hot", "status"],
                csv_rows)
     return EXIT_OK if any(not r.error for r in rows) else EXIT_NUMERIC
 
 
 def cmd_ift(cfg: dict, outdir: str) -> int:
-    rows = ift_reference(_cycle_config(cfg), _p_hot_points(cfg))
+    ccfg = _cycle_config(cfg)
+    rows = ift_reference(ccfg, _p_hot_points(cfg))
     onset = population_onset(rows)
     csv_rows = [[_g9(r.p_plus_hot), _g9(r.eta),
                  "1" if r.valid_engine else "0", _g9(r.w), _g9(r.q_hot)]
                 for r in rows]
     _write_csv(_out_path(outdir, "ift_reference.csv"),
-               _header("ift", cfg, [f"onset_p_plus_hot = {_g9(onset)}"]),
+               _header("ift", cfg, ccfg,
+                       [f"onset_p_plus_hot = {_g9(onset)}"]),
                ["p_plus_hot", "eta", "valid", "w", "q_hot"], csv_rows)
     return EXIT_OK
 

@@ -23,8 +23,7 @@ from .bath import BathSpec, build_rate_trajectory
 from .dynamics import (DEFAULT_N_STEPS, Trajectory, _branch_crossing,
                        evolve_open, propagate_unitary)
 from .matcore import DensityMatrix, dag
-from .measures import (Q_HOT_FLOOR_SCALE, NonMarkovReport,  # noqa: F401
-                       cycle_energetics, nonmarkov_report,
+from .measures import (NonMarkovReport, cycle_energetics, nonmarkov_report,
                        overall_performance)
 from .model import (SystemParams, beta_from_population, hamiltonian_cold,
                     hamiltonian_hot, state_from_population,
@@ -59,14 +58,17 @@ _TABLE_MARGIN = 0.05
 
 @dataclass(frozen=True)
 class CycleConfig:
-    """Everything one engine run needs.
+    """Everything one engine run needs; every field carries its default,
+    so `CycleConfig()` is the studied system and `dataclasses.replace`
+    works for every key.
 
-    Both reservoirs share one spectrum (`alpha`, `omega_c`, `mu`); each
-    one's inverse temperature is derived, never stored: `hot_bath` and
-    `cold_bath` are built on demand at the beta whose Gibbs state of the
-    hot or cold stroke Hamiltonian has excited weight `p_plus_hot` or
-    `p_plus_cold`.  `cold_bath` only enters the optional restoring
-    stroke, never the first-cycle efficiency.
+    The drive (`nu_cold`, `nu_hot`, `tau`, `g`) is stored flat; `system`
+    bundles it on access.  Both reservoirs share one spectrum (`alpha`,
+    `omega_c`, `mu`); each one's inverse temperature is derived, never
+    stored: `hot_bath` and `cold_bath` are built on demand at the beta
+    whose Gibbs state of the hot or cold stroke Hamiltonian has excited
+    weight `p_plus_hot` or `p_plus_cold`.  `cold_bath` only enters the
+    optional restoring stroke, never the first-cycle efficiency.
 
     The contact-stroke grid is dense (spacing `heat_dt`) up to
     `heat_t_dense` and sparse (spacing `tail_dt`) out to `heat_t_max`;
@@ -74,21 +76,25 @@ class CycleConfig:
     the saturation value.
     """
 
-    system: SystemParams
-    p_plus_cold: float
-    p_plus_hot: float
-    alpha: float
-    omega_c: float
-    mu: float
+    nu_cold: float = 2.0
+    nu_hot: float = 3.6
+    tau: float = 0.1
+    g: float = 0.2
+    p_plus_cold: float = 0.261
+    p_plus_hot: float = 0.99
+    alpha: float = 0.6
+    omega_c: float = 30.0
+    mu: float = 0.0
     heat_dt: float = 0.25e-3
     heat_t_dense: float = 1.0
     tail_dt: float = 0.01
     heat_t_max: float = 10.0
     t_f: float = 1.0
     n_steps: int = DEFAULT_N_STEPS
-    quad_tol: float = 1e-8
 
     def __post_init__(self):
+        # building the drive checks it
+        _ = self.system
         if not 0.0 < self.p_plus_cold < 0.5:
             raise ValueError("p_plus_cold must lie in (0, 0.5): the cold "
                              "stage is a positive-temperature reservoir")
@@ -104,6 +110,11 @@ class CycleConfig:
             raise ValueError("t_f must lie in (0, heat_t_max]")
         if self.n_steps < 1:
             raise ValueError("n_steps must be positive")
+
+    @property
+    def system(self) -> SystemParams:
+        return SystemParams(nu_cold=self.nu_cold, nu_hot=self.nu_hot,
+                            tau=self.tau, g=self.g)
 
     def _reservoir(self, h: np.ndarray, p_plus: float) -> BathSpec:
         return BathSpec(alpha=self.alpha, omega_c=self.omega_c,
@@ -129,22 +140,8 @@ class CycleConfig:
         return np.concatenate([dense, tail])
 
 
-def build_config(nu_cold: float = 2.0, nu_hot: float = 3.6,
-                 tau: float = 0.1, g: float = 0.2,
-                 p_plus_cold: float = 0.261, p_plus_hot: float = 0.99,
-                 alpha: float = 0.6, omega_c: float = 30.0, mu: float = 0.0,
-                 **kwargs) -> CycleConfig:
-    """Assemble a config from scalar knobs.
-
-    Both reservoir temperatures follow from the stroke target
-    populations, so the two-point state the contact stroke relaxes
-    toward is exactly the configured one.  Remaining keyword arguments
-    pass through to CycleConfig.
-    """
-    system = SystemParams(nu_cold=nu_cold, nu_hot=nu_hot, tau=tau, g=g)
-    return CycleConfig(system=system, p_plus_cold=p_plus_cold,
-                       p_plus_hot=p_plus_hot, alpha=alpha, omega_c=omega_c,
-                       mu=mu, **kwargs)
+# another name for the constructor: it takes the same keywords
+build_config = CycleConfig
 
 
 @dataclass(frozen=True)
@@ -258,8 +255,7 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
     su = _setup(cfg)
     grid = cfg.heating_grid()
     rates = build_rate_trajectory(cfg.hot_bath, su.eps_hot,
-                                  grid[-1] + _TABLE_MARGIN,
-                                  quad_tol=cfg.quad_tol)
+                                  grid[-1] + _TABLE_MARGIN)
     traj = evolve_open(su.rho_exp, su.h_hot, rates, grid)
 
     en = _energetics(su, traj.states)
@@ -345,8 +341,7 @@ def run_cooling(cfg: CycleConfig, rho_comp, t_max: float = 40.0,
                           trace_dev=np.zeros(1),
                           min_eig=np.full(1, rho0.min_eig))
     rates = build_rate_trajectory(cfg.cold_bath, eps_cold,
-                                  t_max + _TABLE_MARGIN,
-                                  quad_tol=cfg.quad_tol)
+                                  t_max + _TABLE_MARGIN)
     grid = np.linspace(0.0, t_max, int(round(t_max / dt)) + 1)
     return evolve_open(rho0, h_cold, rates, grid)
 
@@ -402,8 +397,7 @@ def _population_point(cfg: CycleConfig, su: _Setup, p_hot: float,
         # each target population sets its own reservoir temperature
         hot = replace(cfg, p_plus_hot=p_hot).hot_bath
         rates = build_rate_trajectory(hot, su.eps_hot,
-                                      t_tilde + _TABLE_MARGIN,
-                                      quad_tol=cfg.quad_tol)
+                                      t_tilde + _TABLE_MARGIN)
         # the exact stroke needs no intermediate samples, only the endpoint
         traj = evolve_open(su.rho_exp, su.h_hot, rates,
                            np.array([0.0, t_tilde]))

@@ -81,8 +81,9 @@ def propagate_unitary(p: SystemParams,
 
 def _branch_crossing(p: SystemParams, u: np.ndarray) -> float:
     """Probability that the expansion propagator u crosses between
-    eigenstate branches; both matrix elements that define it agree by
-    unitarity and are checked against each other."""
+    eigenstate branches (zero for a perfectly adiabatic ramp); both
+    matrix elements that define it agree by unitarity and are checked
+    against each other."""
     cold = herm_eig2(hamiltonian_cold(p))
     hot = herm_eig2(hamiltonian_hot(p))
     xi_a = abs(np.vdot(hot.v_plus, u @ cold.v_minus)) ** 2
@@ -91,14 +92,6 @@ def _branch_crossing(p: SystemParams, u: np.ndarray) -> float:
         raise RuntimeError(
             f"branch-crossing probabilities disagree: {xi_a} vs {xi_b}")
     return float(xi_a)
-
-
-def adiabaticity(p: SystemParams, n_steps: int = DEFAULT_N_STEPS) -> float:
-    """Probability of crossing between eigenstate branches during the ramp.
-
-    Zero for a perfectly adiabatic ramp.
-    """
-    return _branch_crossing(p, propagate_unitary(p, n_steps))
 
 
 @dataclass(frozen=True)

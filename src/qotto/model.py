@@ -55,11 +55,6 @@ class SystemParams:
         """Longitudinal field strength, rad/ms."""
         return self.g * self.omega
 
-    def nu_ramp(self, t: float) -> float:
-        """Linear drive interpolation nu(t) over the expansion stroke, kHz."""
-        x = t / self.tau
-        return self.nu_cold * (1.0 - x) + self.nu_hot * x
-
 
 def hamiltonian_cold(p: SystemParams) -> np.ndarray:
     return -np.pi * p.nu_cold * SIGMA_X + 0.5 * p.omega_tilde * SIGMA_Z
@@ -67,20 +62,6 @@ def hamiltonian_cold(p: SystemParams) -> np.ndarray:
 
 def hamiltonian_hot(p: SystemParams) -> np.ndarray:
     return -np.pi * p.nu_hot * SIGMA_Y + 0.5 * p.omega_tilde * SIGMA_Z
-
-
-def hamiltonian_expansion(p: SystemParams, t: float) -> np.ndarray:
-    if not 0.0 <= t <= p.tau:
-        raise ValueError(f"stroke time {t} outside [0, {p.tau}]")
-    phase = p.omega * t
-    transverse = SIGMA_X * np.cos(phase) + SIGMA_Y * np.sin(phase)
-    return -np.pi * p.nu_ramp(t) * transverse + 0.5 * p.omega_tilde * SIGMA_Z
-
-
-def hamiltonian_compression(p: SystemParams, t: float) -> np.ndarray:
-    if not 0.0 <= t <= p.tau:
-        raise ValueError(f"stroke time {t} outside [0, {p.tau}]")
-    return -hamiltonian_expansion(p, p.tau - t)
 
 
 def transition_energy(h: np.ndarray) -> tuple[float, Eig2]:
@@ -127,9 +108,3 @@ def beta_from_population(h: np.ndarray, p_plus: float) -> float:
         raise ValueError(f"population must lie strictly in (0, 1), got {p_plus}")
     gap, _ = transition_energy(h)
     return float(np.log((1.0 - p_plus) / p_plus) / gap)
-
-
-def population_from_beta(h: np.ndarray, beta: float) -> float:
-    """Excited-state weight of the Gibbs state exp(-beta*h)/Z."""
-    gap, _ = transition_energy(h)
-    return float(1.0 / (1.0 + np.exp(beta * gap)))

@@ -5,7 +5,12 @@ against.
 RK45 solver, riding the state as a real 4-vector (trace, Bloch components);
 `apply_generator` is one application of its right-hand side.
 `product_propagator` is a scalar-loop midpoint product for an arbitrary
-H(t), built from the closed-form 2x2 exponential `expm_aherm`.
+H(t), built from the closed-form 2x2 exponential `expm_aherm`; the
+literal ramp Hamiltonians `hamiltonian_expansion` and
+`hamiltonian_compression` feed it.  `adiabaticity` rebuilds the ramp to
+score its branch crossing, `population_from_beta` inverts the library's
+population-to-temperature map, and `markov_limits` is the golden-rule
+rate pair the time-local rates settle to.
 """
 from __future__ import annotations
 
@@ -15,10 +20,56 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
-from qotto.bath import RateTrajectory
-from qotto.dynamics import Trajectory
+from qotto.bath import BathSpec, RateTrajectory, occupation, spectral_density
+from qotto.dynamics import (DEFAULT_N_STEPS, Trajectory, _branch_crossing,
+                            propagate_unitary)
 from qotto.matcore import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix,
                            _require_hermitian, bloch_parts, dag)
+from qotto.model import SystemParams, transition_energy
+
+
+def nu_ramp(p: SystemParams, t: float) -> float:
+    """Linear drive interpolation nu(t) over the expansion stroke, kHz."""
+    x = t / p.tau
+    return p.nu_cold * (1.0 - x) + p.nu_hot * x
+
+
+def hamiltonian_expansion(p: SystemParams, t: float) -> np.ndarray:
+    if not 0.0 <= t <= p.tau:
+        raise ValueError(f"stroke time {t} outside [0, {p.tau}]")
+    phase = p.omega * t
+    transverse = SIGMA_X * np.cos(phase) + SIGMA_Y * np.sin(phase)
+    return -np.pi * nu_ramp(p, t) * transverse + 0.5 * p.omega_tilde * SIGMA_Z
+
+
+def hamiltonian_compression(p: SystemParams, t: float) -> np.ndarray:
+    if not 0.0 <= t <= p.tau:
+        raise ValueError(f"stroke time {t} outside [0, {p.tau}]")
+    return -hamiltonian_expansion(p, p.tau - t)
+
+
+def adiabaticity(p: SystemParams, n_steps: int = DEFAULT_N_STEPS) -> float:
+    """Probability of crossing between eigenstate branches during the ramp.
+
+    Zero for a perfectly adiabatic ramp.
+    """
+    return _branch_crossing(p, propagate_unitary(p, n_steps))
+
+
+def population_from_beta(h: np.ndarray, beta: float) -> float:
+    """Excited-state weight of the Gibbs state exp(-beta*h)/Z."""
+    gap, _ = transition_energy(h)
+    return float(1.0 / (1.0 + np.exp(beta * gap)))
+
+
+def markov_limits(bath: BathSpec, eps: float) -> tuple[float, float]:
+    """Long-time (Markov) rate pair (gamma_inf, gamma_tilde_inf)."""
+    if eps <= 0.0:
+        raise ValueError(f"transition energy must be positive, got {eps}")
+    j = spectral_density(bath, eps)
+    if j == 0.0:
+        return 0.0, 0.0
+    return 0.5 * j, j * occupation(bath, eps)
 
 
 def expm_aherm(m: np.ndarray, s: float, herm_tol: float = 1e-9) -> np.ndarray:

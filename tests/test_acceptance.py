@@ -13,6 +13,7 @@ import pytest
 import scipy.linalg
 
 import conftest
+import oracles
 from qotto import bath, cycle, dynamics, matcore, measures, model
 from qotto.matcore import IDENTITY, dag
 
@@ -151,13 +152,13 @@ def test_criterion_9_oracle_suite(full_results, system, hot_bath, rng):
     for wc in (15.0, 25.0, 30.0):
         spec = bath.BathSpec(alpha=0.6, omega_c=wc, beta=conftest.BETA_HOT)
         g, gt, _ = bath.rate_coefficients(spec, conftest.EPS_HOT, 1e3)
-        g_inf, gt_inf = bath.markov_limits(spec, conftest.EPS_HOT)
+        g_inf, gt_inf = oracles.markov_limits(spec, conftest.EPS_HOT)
         assert g == pytest.approx(g_inf, rel=1e-2)
         assert gt == pytest.approx(gt_inf, rel=1e-2)
 
     h_hot = model.hamiltonian_hot(system)
     eig = model.transition_energy(h_hot)[1]
-    g_inf, gt_inf = bath.markov_limits(hot_bath, conftest.EPS_HOT)
+    g_inf, gt_inf = oracles.markov_limits(hot_bath, conftest.EPS_HOT)
     times = np.linspace(0.0, 3.0, 301)
     ones = np.ones(times.size)
     flat = bath.RateTrajectory(times, g_inf * ones, gt_inf * ones,

@@ -10,9 +10,10 @@ from scipy.integrate import quad
 
 import conftest
 from qotto import bath
-from qotto.bath import (BathSpec, build_rate_trajectory,
-                        markov_limits, occupation, rate_coefficients,
-                        spectral_density, quadrature_error_estimate)
+from oracles import markov_limits
+from qotto.bath import (BathSpec, build_rate_trajectory, occupation,
+                        rate_coefficients, spectral_density,
+                        quadrature_error_estimate)
 from qotto.bath import _engine
 
 
@@ -125,6 +126,16 @@ def test_inner_time_integral_reduction(rng):
         assert numeric == pytest.approx(closed, abs=1e-8)
 
 
+def envelope_slopes(b: BathSpec, w: float) -> tuple[float, float]:
+    """d/dw of the engine's envelopes J/(2pi) and J*nbar/pi at w."""
+    wc2 = b.omega_c ** 2
+    dg = b.alpha * wc2 * (wc2 - w * w) / (wc2 + w * w) ** 2 / (2 * math.pi)
+    g = spectral_density(b, w) / (2 * math.pi)
+    nbar = occupation(b, w)
+    dgt = 2.0 * (dg * nbar - g * b.beta * nbar * (1.0 - nbar))
+    return dg, dgt
+
+
 @pytest.mark.parametrize("omega_c", [5.0, 30.0])
 def test_panel_quadrature_against_qawo(omega_c):
     """Independent oscillatory quadrature of the regularised integrand.
@@ -138,9 +149,10 @@ def test_panel_quadrature_against_qawo(omega_c):
     b = BathSpec(alpha=0.6, omega_c=omega_c, beta=conftest.BETA_HOT)
     eng = _engine(b, eps, 14, 3.0, 1.0)
     env = eng.env
+    dg_eps, dgt_eps = envelope_slopes(b, eps)
     cases = (
-        (env.gamma_env, eng.g_eps, env.gamma_env_deriv(eps), 0),
-        (env.tilde_env, eng.gt_eps, env.tilde_env_deriv(eps), 1),
+        (env.gamma_env, eng.g_eps, dg_eps, 0),
+        (env.tilde_env, eng.gt_eps, dgt_eps, 1),
     )
     for env_fn, v_eps, d_eps, which in cases:
         def psi(w):
@@ -175,9 +187,10 @@ def test_trajectory_grid_contract(rate_table):
     assert rt.quad_error < 1e-8
 
 
-def test_trajectory_warns_when_tolerance_unreachable(hot_bath):
+def test_trajectory_warns_when_tolerance_unreachable(hot_bath, monkeypatch):
+    monkeypatch.setattr(bath, "QUAD_TOL", 1e-16)
     with pytest.warns(RuntimeWarning, match="convergence estimate"):
-        build_rate_trajectory(hot_bath, conftest.EPS_HOT, 0.5, quad_tol=1e-16)
+        build_rate_trajectory(hot_bath, conftest.EPS_HOT, 0.5)
 
 
 def test_trajectory_flags_marginal_coupling():

@@ -5,6 +5,7 @@ asserted directly; every invocation shrinks the grids to keep this fast.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -95,6 +96,20 @@ def test_removed_cold_keys_are_unknown(tmp_path, capsys):
                      "--out", str(tmp_path)] + TINY)
     assert code == cli.EXIT_CONFIG
     assert "unknown key 'cold_alpha'" in capsys.readouterr().err
+
+
+def test_removed_quad_tol_is_unknown(tmp_path, capsys):
+    """The quadrature tolerance is a library constant, not a key."""
+    code = cli.main(["rates", "--set", "quad_tol=1e-9",
+                     "--out", str(tmp_path)] + TINY)
+    assert code == cli.EXIT_CONFIG
+    assert "unknown key 'quad_tol'" in capsys.readouterr().err
+
+
+def test_cycle_keys_are_the_config_fields():
+    """CycleConfig is the one table of cycle defaults."""
+    assert cli._CYCLE_DEFAULTS == {f.name: f.default
+                                   for f in fields(cycle.CycleConfig)}
 
 
 def test_bad_spectrum_is_config_error(tmp_path, capsys):
@@ -275,7 +290,7 @@ def test_header_rebuilds_its_config(tmp_path):
     header, _, _ = read_csv(tmp_path / "rates.csv")
     assert "# p_plus_hot = 0.991234567891" in header
     # values that survive 9 significant digits keep that form
-    assert "# heat_t_max = 0.5" in header and "# quad_tol = 1e-08" in header
+    assert "# heat_t_max = 0.5" in header and "# heat_dt = 0.00025" in header
     rebuilt = cli.parse_config(
         config_file_from_header(header, tmp_path / "run.cfg"), [])
     assert rebuilt == cli.parse_config(None, sets)
@@ -292,7 +307,7 @@ _POPULATION = st.floats(1e-6, 1.0 - 1e-6)
        others=st.fixed_dictionaries({
            k: _FINITE for k in ("alpha", "omega_c", "mu", "heat_dt",
                                 "heat_t_dense", "tail_dt", "heat_t_max",
-                                "t_f", "quad_tol", "p_hot_min",
+                                "t_f", "p_hot_min",
                                 "p_hot_max", "p_hot_step")}),
        n_steps=st.integers(1, 10 ** 9),
        omega_c_list=st.lists(_FINITE, min_size=1, max_size=4),
@@ -310,5 +325,6 @@ def test_header_round_trip_property(tmp_path_factory, nu_cold, nu_gap, tau,
             for k, v in values.items()}
     cfg = cli.parse_config(None, [f"{k}={v}" for k, v in text.items()])
     path = tmp_path_factory.mktemp("header") / "run.cfg"
-    header = cli._header("simulate", cfg)
+    # the derived lines are not config keys and take no part here
+    header = cli._header("simulate", cfg, cycle.CycleConfig())
     assert cli.parse_config(config_file_from_header(header, path), []) == cfg

@@ -6,7 +6,7 @@ live in the acceptance suite.
 """
 
 import math
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import conftest
+import oracles
 from qotto import bath, cycle, dynamics, matcore, measures, model
 from qotto.cycle import (CycleConfig, build_config, ift_reference,
                          population_onset, run_cooling, run_cycle,
@@ -23,6 +24,12 @@ from qotto.matcore import dag
 
 FAST = dict(heat_dt=0.5e-3, heat_t_dense=0.6, heat_t_max=2.0, t_f=0.5,
             n_steps=4000)
+
+# one valid value per CycleConfig field, each off its FAST/default value
+NEW_VALUES = dict(nu_cold=2.5, nu_hot=4.0, tau=0.2, g=0.3, p_plus_cold=0.1,
+                  p_plus_hot=0.8, alpha=0.3, omega_c=15.0, mu=0.5,
+                  heat_dt=1e-3, heat_t_dense=0.5, tail_dt=0.02,
+                  heat_t_max=1.5, t_f=0.4, n_steps=2000)
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +55,25 @@ def test_build_config_defaults(fast_cfg):
                                                    rel=1e-12)
     assert fast_cfg.cold_bath.beta == pytest.approx(conftest.BETA_COLD,
                                                     rel=1e-12)
+
+
+def test_cycle_config_is_the_default_table():
+    """Every setting is a defaulted field; no other table holds defaults."""
+    assert CycleConfig() == build_config()
+    assert all(f.default is not MISSING for f in fields(CycleConfig))
+    assert set(NEW_VALUES) == {f.name for f in fields(CycleConfig)}
+
+
+@pytest.mark.parametrize("key", sorted(NEW_VALUES))
+def test_replaced_value_equals_a_fresh_config(fast_cfg, key):
+    """`replace` works for every key and agrees with a fresh config,
+    derived drive and reservoirs included."""
+    moved = replace(fast_cfg, **{key: NEW_VALUES[key]})
+    fresh = build_config(**{**FAST, key: NEW_VALUES[key]})
+    assert moved == fresh
+    assert moved.system == fresh.system
+    assert moved.hot_bath == fresh.hot_bath
+    assert moved.cold_bath == fresh.cold_bath
 
 
 def test_config_stores_no_temperature(fast_cfg):
@@ -153,7 +179,7 @@ def test_scan_samples_are_self_consistent(fast_result):
     finite = np.isfinite(r.eta)
     assert np.all(r.eta[finite] <= r.eta_max + 5e-4)
     # eta is defined exactly where the heat floor is cleared
-    floor = cycle.Q_HOT_FLOOR_SCALE * conftest.EPS_HOT
+    floor = measures.Q_HOT_FLOOR_SCALE * conftest.EPS_HOT
     assert np.all(np.abs(r.q_hot[~finite]) <= floor)
     assert r.valid.dtype == bool
     assert r.o_p == pytest.approx(
@@ -171,8 +197,7 @@ def test_energetics_match_stroke_bookkeeping(fast_cfg, fast_result):
     eps_hot = model.transition_energy(h_hot)[0]
     grid = cfg.heating_grid()
     rt = bath.build_rate_trajectory(cfg.hot_bath, eps_hot,
-                                    grid[-1] + cycle._TABLE_MARGIN,
-                                    quad_tol=cfg.quad_tol)
+                                    grid[-1] + cycle._TABLE_MARGIN)
     traj = dynamics.evolve_open(matcore.DensityMatrix.from_matrix(rho_exp),
                                 h_hot, rt, grid)
     for k in (0, 57, 313, 800, 1201, 1340):
@@ -309,7 +334,7 @@ def test_ift_reference_curve(fast_cfg):
 
 def test_ift_boundary_population_exchanges_no_heat(fast_cfg):
     """Heating toward the expansion state's own population moves no energy."""
-    xi = dynamics.adiabaticity(fast_cfg.system, fast_cfg.n_steps)
+    xi = oracles.adiabaticity(fast_cfg.system, fast_cfg.n_steps)
     p_c = fast_cfg.p_plus_cold
     p_star = p_c * (1 - xi) + (1 - p_c) * xi
     row = ift_reference(fast_cfg, [p_star])[0]

@@ -18,11 +18,11 @@ from scipy.interpolate import CubicSpline
 
 import conftest
 import oracles
-from oracles import apply_generator, expm_aherm, product_propagator
+from oracles import (adiabaticity, apply_generator, expm_aherm,
+                     product_propagator)
 from qotto import bath, cycle, dynamics, matcore, model
 from qotto.bath import BathSpec, RateTrajectory, build_rate_trajectory
-from qotto.dynamics import (Trajectory, adiabaticity, evolve_open,
-                            propagate_unitary)
+from qotto.dynamics import Trajectory, evolve_open, propagate_unitary
 from qotto.matcore import IDENTITY, dag
 
 
@@ -57,7 +57,7 @@ def test_compression_matches_literal_reversed_ramp(system):
     """The adjoint shortcut equals integrating the reversed ramp directly."""
     u_exp = propagate_unitary(system, 20000)
     u_lit = product_propagator(
-        lambda t: model.hamiltonian_compression(system, t), system.tau, 20000)
+        lambda t: oracles.hamiltonian_compression(system, t), system.tau, 20000)
     assert_allclose(u_lit, dag(u_exp), atol=1e-11)
 
 
@@ -78,7 +78,7 @@ def test_adiabaticity_baseline(system):
 def test_adiabaticity_brute_force_oracle(system):
     """Same matrix element from the generic scalar product propagator."""
     u = product_propagator(
-        lambda t: model.hamiltonian_expansion(system, t), system.tau, 20000)
+        lambda t: oracles.hamiltonian_expansion(system, t), system.tau, 20000)
     cold = model.transition_energy(model.hamiltonian_cold(system))[1]
     hot = model.transition_energy(model.hamiltonian_hot(system))[1]
     xi = abs(np.vdot(hot.v_plus, u @ cold.v_minus)) ** 2
@@ -175,7 +175,7 @@ def test_evolve_open_detailed_balance_fixed_point(system, hot_bath):
     """Constant golden-rule rates drive any state to the bath occupation."""
     h = model.hamiltonian_hot(system)
     eig = model.transition_energy(h)[1]
-    g_inf, gt_inf = bath.markov_limits(hot_bath, conftest.EPS_HOT)
+    g_inf, gt_inf = oracles.markov_limits(hot_bath, conftest.EPS_HOT)
     times = np.linspace(0.0, 3.0, 301)
     ones = np.ones(times.size)
     rt = RateTrajectory(times, g_inf * ones, gt_inf * ones,
@@ -347,7 +347,7 @@ def test_constant_rates_relax_to_bath_occupation(system, omega_c, p_target,
     eig = model.transition_energy(h)[1]
     spec = bath.BathSpec(alpha=alpha, omega_c=omega_c,
                          beta=model.beta_from_population(h, p_target))
-    g_inf, gt_inf = bath.markov_limits(spec, conftest.EPS_HOT)
+    g_inf, gt_inf = oracles.markov_limits(spec, conftest.EPS_HOT)
     k = abs(np.vdot(eig.v_minus, a @ eig.v_plus)) ** 2
     # forty relaxation times 1/(k Lambda'), Lambda' = 2 gamma
     times = np.linspace(0.0, 40.0 / (2.0 * k * g_inf), 101)

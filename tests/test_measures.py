@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import conftest
+import oracles
 from qotto import bath, dynamics, matcore, measures, model
 from qotto.bath import RateTrajectory
 from qotto.matcore import dag
@@ -196,7 +197,7 @@ def test_energetics_population_closed_form(system):
     efficiency follows from populations and the adiabaticity alone.
     """
     p_c, p_h = 0.261, 0.99
-    xi = dynamics.adiabaticity(system)
+    xi = oracles.adiabaticity(system)
     e_c, e_h = conftest.EPS_COLD, conftest.EPS_HOT
     p_after_exp = p_c * (1 - xi) + (1 - p_c) * xi
     p_after_cmp = p_h * (1 - xi) + (1 - p_h) * xi

@@ -8,12 +8,12 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 import conftest
+from oracles import (hamiltonian_compression, hamiltonian_expansion,
+                     population_from_beta)
 from qotto import matcore, model
 from qotto.matcore import SIGMA_X, SIGMA_Z, dag
-from qotto.model import (SystemParams, beta_from_population,
-                         hamiltonian_cold, hamiltonian_compression,
-                         hamiltonian_expansion, hamiltonian_hot,
-                         jump_operator, population_from_beta,
+from qotto.model import (SystemParams, beta_from_population, hamiltonian_cold,
+                         hamiltonian_hot, jump_operator,
                          state_from_population, transition_energy)
 
 
