@@ -1,27 +1,31 @@
 """Structured two-level environment: spectrum, occupation, time-local rates.
 
-The dissipation (gamma) and fluctuation (gamma_tilde) coefficients of the
-heating stroke are frequency integrals with a sinc kernel,
+The dissipation (gamma) and fluctuation (gamma_tilde) coefficients of a
+contact stroke are frequency integrals with a sinc kernel,
 
-    gamma(t)  =      int_0^inf dw/(2pi) J(w)        sin((w-e)t)/(w-e)
-    gt(t)     =  2 * int_0^inf dw/(2pi) J(w) nbar(w) sin((w-e)t)/(w-e)
+    gamma(t)  =      int_0^inf dw g(w)         sin((w-e)t)/(w-e)
+    gt(t)     =  2 * int_0^inf dw g(w) nbar(w) sin((w-e)t)/(w-e)
 
-where e is the transition energy of the system Hamiltonian.  Direct panel
-quadrature of the oscillation costs O(w_max * t) nodes per evaluation and
-still truncates with an O(1/(t*w_max^2)) tail, so the kernel is handled
-semi-analytically instead:
+with g = J/(2pi) and e the transition energy of the system Hamiltonian.
 
-  * the removable singularity is split off exactly,
-        g(w) sinc = (g(w)-g(e)) sinc_smooth + g(e) sinc,
-    and the second piece integrates to sine-integral functions;
-  * the smooth remainder is expanded in Legendre polynomials on panels sized
-    by the envelope alone, and int P_k(x) e^{izx} dx = 2 i^k j_k(z) turns
-    each panel into spherical Bessel moments, uniformly valid in t;
-  * the truncated tail beyond w_max follows from a four-term 1/w expansion
-    integrated in closed form (Si/Ci recurrences).
+  * gamma has a closed form.  g(w)/(w-e) splits into simple poles at
+    w = e and w = +-i*wc; the first integrates to a sine integral, the
+    other two to the exponential integrals E1 and Ei of the real argument
+    wc*t (DLMF 6.2, 6.7).
+  * nbar and 1 - nbar are Fermi functions; whichever of them vanishes at
+    large w does so like exp(-|beta| w).  The sinc integral of
+    2 g(w) expit(-|beta|(w - mu)), the confined remainder C(t), therefore
+    needs no tail beyond w_max = mu + 40/|beta|.  C is gt for a
+    positive-temperature reservoir (beta > 0) and the decay rate
+    2*gamma - gt for an inverted one (beta < 0); at beta = 0, gt = gamma.
+  * C is a Filon-Legendre quadrature: the removable singularity is split
+    off exactly, (h(w)-h(e))/(w-e) is expanded in Legendre polynomials on
+    panels sized by the envelope h alone, and int P_k(x) e^{izx} dx =
+    2 i^k j_k(z) turns each panel into spherical Bessel moments, uniformly
+    valid in t.
 
-A doubled-resolution engine provides the convergence estimate that is
-reported with every rate table.
+A doubled-resolution, doubled-range remainder gives the convergence
+estimate reported with every rate table; gamma has no quadrature to check.
 """
 from __future__ import annotations
 
@@ -30,17 +34,26 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit, sici, spherical_jn
+from numpy.polynomial.legendre import legvander
+from scipy.special import expi, exp1, expit, sici, spherical_jn
 
 TWO_PI = 2.0 * np.pi
 
-# (Legendre order, panel divisor, range scale) of the rate engine and of
-# the doubled-resolution, doubled-range engine that checks it
+# (Legendre order, panel divisor, range scale) of the remainder quadrature
+# and of the doubled-resolution, doubled-range one that checks it
 _BASE_RESOLUTION = (14, 3.0, 1.0)
 _FINE_RESOLUTION = (16, 5.0, 2.0)
 
-# largest accepted base-versus-fine rate discrepancy, rad/ms
+# the remainder's envelope has fallen by exp(-_REACH) at its range end
+_REACH = 40.0
+
+# largest accepted base-versus-fine remainder discrepancy, rad/ms
 QUAD_TOL = 1e-8
+
+# past this wc*t the scaled exponential integrals come from their
+# asymptotic series (DLMF 6.12.1-2), whose terms are below 1e-25 there
+_ASYMPTOTIC_X = 500.0
+_ASYMPTOTIC_TERMS = 12
 
 
 @dataclass(frozen=True)
@@ -87,178 +100,139 @@ def occupation(bath: BathSpec, w):
     return out if out.ndim else float(out)
 
 
-class _Envelopes:
-    """Smooth envelopes g(w) = J/(2pi) and gt(w) = J*nbar/pi."""
-
-    def __init__(self, bath: BathSpec):
-        self.bath = bath
-
-    def gamma_env(self, w: np.ndarray) -> np.ndarray:
-        return spectral_density(self.bath, w) / TWO_PI
-
-    def tilde_env(self, w: np.ndarray) -> np.ndarray:
-        return 2.0 * self.gamma_env(w) * occupation(self.bath, w)
-
-    def tilde_tail_weight(self) -> float:
-        """Limit of 2*nbar at large frequency: 0, 1 or 2."""
-        b = self.bath
-        if b.beta > 0.0:
-            return 0.0
-        if b.beta == 0.0:
-            return 1.0
-        return 2.0
+def _scaled_exp_integrals(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e^x E1(x), e^-x Ei(x)) for x > 0, finite where e^x overflows."""
+    e1 = np.empty_like(x)
+    ei = np.empty_like(x)
+    near = x <= _ASYMPTOTIC_X
+    xn = x[near]
+    e1[near] = np.exp(xn) * exp1(xn)
+    ei[near] = np.exp(-xn) * expi(xn)
+    # (1/x) sum_n n! (-+1/x)^n, summed from the innermost term out
+    u = 1.0 / x[~near]
+    s1 = s2 = np.ones_like(u)
+    for n in range(_ASYMPTOTIC_TERMS, 0, -1):
+        s1 = 1.0 - n * u * s1
+        s2 = 1.0 + n * u * s2
+    e1[~near] = u * s1
+    ei[~near] = u * s2
+    return e1, ei
 
 
-class _RateQuadrature:
-    """Filon-Legendre evaluation of the sinc-kernel rate integrals."""
+def _gamma(bath: BathSpec, eps: float, t: np.ndarray) -> np.ndarray:
+    """Closed-form dissipation rate gamma(t) for t > 0.
+
+    With A = e/(e^2+wc^2) and B = 1/(2(i wc - e)) the residues of
+    w/((w^2+wc^2)(w-e)), gamma = (a wc^2/2pi) [A (pi/2 + Si(e t))
+    + 2 Re(B K)], where K = int_0^inf sin((w-e)t)/(w - i wc) dw follows
+    from rotating e^{+-iwt}/(w - i wc) onto the imaginary axis.
+    """
+    wc = bath.omega_c
+    x = wc * t
+    e1, ei = _scaled_exp_integrals(x)
+    phase = np.exp(1j * eps * t)
+    k = (np.conj(phase) * (1j * np.pi * np.exp(-x) - ei)
+         - phase * e1) / 2j
+    a = eps / (eps * eps + wc * wc)
+    b = 1.0 / (2.0 * (1j * wc - eps))
+    return (bath.alpha * wc * wc / TWO_PI) * (
+        a * (0.5 * np.pi + sici(eps * t)[0]) + 2.0 * (b * k).real)
+
+
+def _panel_edges(bath: BathSpec, eps: float, panel_div: float,
+                 omega_max: float) -> np.ndarray:
+    """Panel edges on [0, omega_max], with eps and mu as edges inside it.
+
+    Panels grow with the frequency and shrink near mu, where the
+    occupation turns over on the scale 1/|beta|.
+    """
+    beta_scale = 1.0 / abs(bath.beta)
+    marks = sorted({0.0, omega_max}
+                   | {m for m in (eps, bath.mu) if 0.0 < m < omega_max})
+
+    def width(x: float) -> float:
+        s = min(bath.omega_c + 0.6 * x, abs(x - bath.mu) + beta_scale)
+        return max(s / panel_div, 1e-6 * omega_max)
+
+    edges = [0.0]
+    for a, c in zip(marks[:-1], marks[1:]):
+        x = a
+        while x < c:
+            w = width(x)
+            # a step leaving under half a width would end on a sliver panel
+            x = c if c - x < 1.5 * w else x + w
+            edges.append(x)
+    return np.asarray(edges)
+
+
+class _Remainder:
+    """Filon-Legendre evaluation of the confined remainder
+    C(t) = int_0^omega_max h(w) sin((w-e)t)/(w-e) dw,
+    h(w) = 2 g(w) expit(-|beta|(w - mu)); needs beta != 0."""
 
     def __init__(self, bath: BathSpec, eps: float, order: int,
-                 panel_div: float, omega_scale: float):
-        if eps <= 0.0:
-            raise ValueError(f"transition energy must be positive, got {eps}")
+                 panel_div: float, range_scale: float):
         self.bath = bath
         self.eps = eps
         self.order = order
-        self.panel_div = panel_div
-        env = _Envelopes(bath)
-        self.env = env
-        # the tail expansion treats the occupation as saturated, which needs
-        # exp(beta*(w - mu)) to be dead at the truncation point
-        thermal_reach = (bath.mu + 35.0 / abs(bath.beta)) if bath.beta else 0.0
-        self.omega_max = omega_scale * max(50.0 * bath.omega_c, 20.0 * eps,
-                                           thermal_reach)
+        self.omega_max = range_scale * (bath.mu + _REACH / abs(bath.beta))
+        self.h_eps = float(self.envelope(np.asarray(eps)))
 
-        self.g_eps = float(env.gamma_env(np.asarray(eps)))
-        self.gt_eps = float(env.tilde_env(np.asarray(eps)))
-
-        edges = self._build_edges()
+        edges = _panel_edges(bath, eps, panel_div, self.omega_max)
         nodes_x, weights = np.polynomial.legendre.leggauss(order)
-        legvals = np.stack([np.polynomial.legendre.Legendre.basis(k)(nodes_x)
-                            for k in range(order)])        # (K, n)
-        proj = legvals * weights * (2.0 * np.arange(order)[:, None] + 1.0) / 2.0
+        # Gauss projection onto P_0 .. P_{K-1}, shape (K, n)
+        proj = (legvander(nodes_x, order - 1) * weights[:, None]).T \
+            * (np.arange(order)[:, None] + 0.5)
 
         mids = 0.5 * (edges[1:] + edges[:-1])
         halfs = 0.5 * (edges[1:] - edges[:-1])
         pts = mids[:, None] + halfs[:, None] * nodes_x[None, :]   # (P, n)
 
-        # eps is a panel edge and Gauss nodes are interior, so no node
-        # meets the removable singularity
-        psi_g = (env.gamma_env(pts) - self.g_eps) / (pts - eps)
-        psi_t = (env.tilde_env(pts) - self.gt_eps) / (pts - eps)
-        self.coef_g = psi_g @ proj.T            # (P, K)
-        self.coef_t = psi_t @ proj.T
+        # eps is a panel edge or outside the range, and Gauss nodes are
+        # interior, so no node meets the removable singularity
+        psi = (self.envelope(pts) - self.h_eps) / (pts - eps)
+        self.coef = (psi @ proj.T) * 1j ** np.arange(order)    # (P, K)
         self.mids = mids
         self.halfs = halfs
-        self.i_pow = 1j ** np.arange(order)
 
-        # tail expansion g(w)/(w-e) = C * sum_n a_n / w^n beyond omega_max
-        wc2 = bath.omega_c ** 2
-        c_gamma = bath.alpha * wc2 / TWO_PI
-        powers = np.array([1.0, eps, eps * eps - wc2, eps ** 3 - eps * wc2,
-                           eps ** 4 - eps * eps * wc2 + wc2 * wc2])
-        self.tail_coeffs_g = c_gamma * powers
-        self.tail_coeffs_t = (c_gamma * env.tilde_tail_weight()) * powers
-
-    def _build_edges(self) -> np.ndarray:
+    def envelope(self, w: np.ndarray) -> np.ndarray:
         b = self.bath
-        beta_scale = 1.0 / max(abs(b.beta), 1e-12)
-        marks = sorted({0.0, self.eps, self.omega_max}
-                       | ({b.mu} if 0.0 < b.mu < self.omega_max else set()))
+        return (2.0 * spectral_density(b, w) / TWO_PI
+                * expit(-abs(b.beta) * (w - b.mu)))
 
-        def width(x: float) -> float:
-            s = min(b.omega_c + 0.6 * x, abs(x - b.mu) + beta_scale)
-            return max(s / self.panel_div, 1e-6 * self.omega_max)
-
-        edges = [0.0]
-        for a, c in zip(marks[:-1], marks[1:]):
-            x = a
-            while x < c:
-                x = min(x + width(x), c)
-                edges.append(x)
-        return np.asarray(edges)
-
-    def _panel_sums(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Oscillatory panel contributions for both envelopes, shape (T,)."""
-        acc_g = np.zeros(t.shape, dtype=float)
-        acc_t = np.zeros(t.shape, dtype=float)
+    def _panel_sums(self, t: np.ndarray) -> np.ndarray:
+        """Oscillatory panel contributions, shape (T,)."""
+        acc = np.zeros(t.shape, dtype=float)
+        k = np.arange(self.order)[:, None]
         for p in range(self.mids.size):
-            z = self.halfs[p] * t
-            jn = spherical_jn(np.arange(self.order)[:, None], z[None, :])
-            s_g = (self.coef_g[p] * self.i_pow) @ jn
-            s_t = (self.coef_t[p] * self.i_pow) @ jn
+            jn = spherical_jn(k, self.halfs[p] * t[None, :])
+            s = np.einsum("k,kt->t", self.coef[p], jn)
             osc = np.exp(1j * (self.mids[p] - self.eps) * t)
-            acc_g += 2.0 * self.halfs[p] * (osc * s_g).imag
-            acc_t += 2.0 * self.halfs[p] * (osc * s_t).imag
-        return acc_g, acc_t
+            acc += 2.0 * self.halfs[p] * (osc * s).imag
+        return acc
 
-    def _tails(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Moments T_n = int_Om^inf sin((w-e)t)/w^n dw for n = 2..5.
-
-        Small Om*t: upward recurrence seeded by Si/Ci.  Large Om*t: that
-        recurrence multiplies rounding error by t at every order, so switch
-        to the integration-by-parts asymptotic series, whose terms fall off
-        as 1/(Om*t) and stay stable exactly where the recurrence fails.
-        """
-        om = self.omega_max
-        x = om * t
-        moments = np.empty((5, t.size))
-
-        low = x < 300.0
-        if np.any(low):
-            tl = t[low]
-            si, ci = sici(x[low])
-            phase = np.exp(1j * om * tl)
-            i_n = -ci + 1j * (0.5 * np.pi - si)
-            for n in range(1, 6):
-                i_n = (phase / om ** n + 1j * tl * i_n) / n
-                moments[n - 1, low] = (np.exp(-1j * self.eps * tl) * i_n).imag
-
-        high = ~low
-        if np.any(high):
-            th = t[high]
-            theta = (om - self.eps) * th
-            c, s = np.cos(theta), np.sin(theta)
-            for n in range(2, 7):
-                moments[n - 2, high] = (
-                    c / (th * om ** n)
-                    + n * s / (th ** 2 * om ** (n + 1))
-                    - n * (n + 1) * c / (th ** 3 * om ** (n + 2))
-                    - n * (n + 1) * (n + 2) * s / (th ** 4 * om ** (n + 3)))
-
-        return (self.tail_coeffs_g @ moments,
-                self.tail_coeffs_t @ moments)
-
-    def rates(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """gamma(t), gamma_tilde(t) for t >= 0 (scalar or array)."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t < 0.0):
-            raise ValueError("rates defined for t >= 0 only")
-        positive = t > 0.0
-        tp = t[positive]
-        out_g = np.zeros(t.shape)
-        out_t = np.zeros(t.shape)
-        if tp.size:
-            pg, pt = self._panel_sums(tp)
-            sing = sici((self.omega_max - self.eps) * tp)[0] + sici(self.eps * tp)[0]
-            tg, tt = self._tails(tp)
-            out_g[positive] = pg + self.g_eps * sing + tg
-            out_t[positive] = pt + self.gt_eps * sing + tt
-        return out_g, out_t
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        """C(t) for t >= 0; C(0) = 0."""
+        sing = sici((self.omega_max - self.eps) * t)[0] + sici(self.eps * t)[0]
+        return self._panel_sums(t) + self.h_eps * sing
 
 
 @lru_cache(maxsize=64)
 def _engine(bath: BathSpec, eps: float, order: int, panel_div: float,
-            omega_scale: float) -> _RateQuadrature:
-    return _RateQuadrature(bath, eps, order, panel_div, omega_scale)
+            range_scale: float) -> _Remainder:
+    return _Remainder(bath, eps, order, panel_div, range_scale)
 
 
 def quadrature_error_estimate(bath: BathSpec, eps: float, ts) -> float:
-    """Max rate discrepancy against a doubled-resolution, doubled-range engine."""
-    base = _engine(bath, eps, *_BASE_RESOLUTION)
-    fine = _engine(bath, eps, *_FINE_RESOLUTION)
-    g0, t0 = base.rates(ts)
-    g1, t1 = fine.rates(ts)
-    return float(max(np.max(np.abs(g0 - g1)), np.max(np.abs(t0 - t1))))
+    """Max discrepancy of the confined remainder against a
+    doubled-resolution, doubled-range quadrature; 0 at beta = 0, where
+    both rates are the closed-form gamma."""
+    if bath.beta == 0.0:
+        return 0.0
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    base = _engine(bath, eps, *_BASE_RESOLUTION)(ts)
+    fine = _engine(bath, eps, *_FINE_RESOLUTION)(ts)
+    return float(np.max(np.abs(base - fine)))
 
 
 def rate_coefficients(bath: BathSpec, eps: float, t):
@@ -266,9 +240,21 @@ def rate_coefficients(bath: BathSpec, eps: float, t):
 
     big_gamma is the canonical decay-channel coefficient 2*gamma - gamma_tilde.
     """
-    engine = _engine(bath, eps, *_BASE_RESOLUTION)
-    g, gt = engine.rates(t)
-    bg = 2.0 * g - gt
+    if eps <= 0.0:
+        raise ValueError(f"transition energy must be positive, got {eps}")
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(ts < 0.0):
+        raise ValueError("rates defined for t >= 0 only")
+    positive = ts > 0.0
+    g = np.zeros(ts.shape)
+    g[positive] = _gamma(bath, eps, ts[positive])
+    if bath.beta == 0.0:
+        # nbar = 1/2 everywhere: both channels run at gamma
+        gt, bg = g.copy(), g.copy()
+    else:
+        c = _engine(bath, eps, *_BASE_RESOLUTION)(ts)
+        rest = 2.0 * g - c
+        gt, bg = (rest, c) if bath.beta < 0.0 else (c, rest)
     if np.ndim(t) == 0:
         return float(g[0]), float(gt[0]), float(bg[0])
     return g, gt, bg
@@ -276,7 +262,11 @@ def rate_coefficients(bath: BathSpec, eps: float, t):
 
 @dataclass(frozen=True)
 class RateTrajectory:
-    """Precomputed rate table on a uniform grid, with health diagnostics."""
+    """Precomputed rate table on a uniform grid, with health diagnostics.
+
+    `quad_error` is the convergence estimate of the confined remainder,
+    the only rate piece computed by quadrature.
+    """
 
     times: np.ndarray
     gamma: np.ndarray

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bath import BathSpec, build_rate_trajectory
-from .dynamics import (DEFAULT_N_STEPS, Trajectory, _branch_crossing,
-                       evolve_open, propagate_unitary)
+from .dynamics import (DEFAULT_N_STEPS, _branch_crossing, evolve_open,
+                       propagate_unitary)
 from .matcore import DensityMatrix, dag
 from .measures import (NonMarkovReport, cycle_energetics, nonmarkov_report,
                        overall_performance)
@@ -37,7 +37,6 @@ __all__ = [
     "build_config",
     "ift_reference",
     "population_onset",
-    "run_cooling",
     "run_cycle",
     "sweep_cutoff",
     "sweep_population",
@@ -67,8 +66,8 @@ class CycleConfig:
     `omega_c`, `mu`); each one's inverse temperature is derived, never
     stored: `hot_bath` and `cold_bath` are built on demand at the beta
     whose Gibbs state of the hot or cold stroke Hamiltonian has excited
-    weight `p_plus_hot` or `p_plus_cold`.  `cold_bath` only enters the
-    optional restoring stroke, never the first-cycle efficiency.
+    weight `p_plus_hot` or `p_plus_cold`.  `cold_bath` never enters the
+    first-cycle efficiency; the CLI headers report its beta.
 
     The contact-stroke grid is dense (spacing `heat_dt`) up to
     `heat_t_dense` and sparse (spacing `tail_dt`) out to `heat_t_max`;
@@ -252,7 +251,10 @@ def _energetics(su: _Setup, rho_heat: np.ndarray):
 
 def run_cycle(cfg: CycleConfig) -> CycleResult:
     """Run one engine cycle over every truncation time on the grid."""
-    su = _setup(cfg)
+    return _cycle(cfg, _setup(cfg))
+
+
+def _cycle(cfg: CycleConfig, su: _Setup) -> CycleResult:
     grid = cfg.heating_grid()
     rates = build_rate_trajectory(cfg.hot_bath, su.eps_hot,
                                   grid[-1] + _TABLE_MARGIN)
@@ -324,28 +326,6 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
                        no_engine=no_engine, diagnostics=diagnostics)
 
 
-def run_cooling(cfg: CycleConfig, rho_comp, t_max: float = 40.0,
-                dt: float = 0.01) -> Trajectory:
-    """Restoring stroke: contact with the cold reservoir under the cold
-    Hamiltonian.  Long runs approach the configured cold thermal state;
-    this stroke never enters the first-cycle efficiency."""
-    sp = cfg.system
-    h_cold = hamiltonian_cold(sp)
-    eps_cold, _ = transition_energy(h_cold)
-    rho0 = rho_comp if isinstance(rho_comp, DensityMatrix) \
-        else DensityMatrix.from_matrix(np.asarray(rho_comp, dtype=complex))
-    if t_max == 0.0:
-        times = np.zeros(1)
-        states = rho0.mat[None, :, :]
-        return Trajectory(times=times, states=states,
-                          trace_dev=np.zeros(1),
-                          min_eig=np.full(1, rho0.min_eig))
-    rates = build_rate_trajectory(cfg.cold_bath, eps_cold,
-                                  t_max + _TABLE_MARGIN)
-    grid = np.linspace(0.0, t_max, int(round(t_max / dt)) + 1)
-    return evolve_open(rho0, h_cold, rates, grid)
-
-
 @dataclass(frozen=True)
 class SweepRow:
     omega_c: float
@@ -358,9 +338,9 @@ class SweepRow:
     error: str = ""
 
 
-def _cutoff_point(cfg: CycleConfig, omega_c: float) -> SweepRow:
+def _cutoff_point(cfg: CycleConfig, su: _Setup, omega_c: float) -> SweepRow:
     try:
-        res = run_cycle(replace(cfg, omega_c=omega_c))
+        res = _cycle(replace(cfg, omega_c=omega_c), su)
         return SweepRow(omega_c=omega_c, eta_max=res.eta_max,
                         t_tilde_max=res.t_tilde_max, o_p=res.o_p,
                         q_nonmarkov=res.nonmarkov.q_total,
@@ -374,11 +354,13 @@ def _cutoff_point(cfg: CycleConfig, omega_c: float) -> SweepRow:
 
 
 def sweep_cutoff(cfg: CycleConfig, omega_c_list) -> list[SweepRow]:
-    """One full run per reservoir cutoff, rows in input order."""
+    """One full run per reservoir cutoff, rows in input order; the ramp
+    does not depend on the cutoff, so all runs share one setup."""
     points = [float(w) for w in omega_c_list]
     if not points:
         raise ValueError("cutoff list must not be empty")
-    return [_cutoff_point(cfg, w) for w in points]
+    su = _setup(cfg)
+    return [_cutoff_point(cfg, su, w) for w in points]
 
 
 @dataclass(frozen=True)

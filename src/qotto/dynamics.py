@@ -109,9 +109,6 @@ class Trajectory:
         if self.states.shape != (self.times.size, 2, 2):
             raise ValueError("states shape does not match grid")
 
-    def state_at(self, i: int) -> DensityMatrix:
-        return DensityMatrix.from_matrix(self.states[i])
-
     def populations(self, v_plus: np.ndarray) -> np.ndarray:
         """Excited-state weight <v+|rho(t)|v+> along the trajectory."""
         return np.einsum("i,tij,j->t", v_plus.conj(), self.states,

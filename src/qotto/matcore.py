@@ -9,14 +9,13 @@ eigenvalue ordering convention (lower state first) explicit.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY = np.eye(2, dtype=complex)
 
 # relative scale below which the two eigenvalues count as degenerate
 DEGENERACY_RTOL = 1e-12
@@ -137,7 +136,6 @@ class DensityMatrix:
     min_eig: float
     trace_dev: float
     herm_dev: float
-    pos_ok: bool = field(default=True)
 
     TRACE_TOL = 1e-10
     HERM_TOL = 1e-12
@@ -155,18 +153,9 @@ class DensityMatrix:
         h = 0.5 * (m + dag(m))
         c0, cx, cy, cz = bloch_parts(h)
         lo = c0 - float(np.sqrt(cx * cx + cy * cy + cz * cz))
-        pos_ok = lo >= -cls.POS_TOL
-        if not pos_ok:
+        if lo < -cls.POS_TOL:
             warnings.warn(
                 f"density matrix has negative eigenvalue {lo:.3e} "
                 f"(pos_tol={cls.POS_TOL:.1e})", RuntimeWarning, stacklevel=2)
         h.setflags(write=False)
-        return cls(h, float(lo), float(tr_dev), float(h_dev), pos_ok)
-
-    @classmethod
-    def from_bloch(cls, nx: float, ny: float, nz: float) -> "DensityMatrix":
-        m = 0.5 * (IDENTITY + nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z)
-        return cls.from_matrix(m)
-
-    def purity(self) -> float:
-        return float(np.trace(self.mat @ self.mat).real)
+        return cls(h, float(lo), float(tr_dev), float(h_dev))

@@ -1,16 +1,20 @@
 """Slow reference implementations that the library's fast paths are checked
-against.
+against, and helpers only the tests need.
 
-`evolve_open` integrates the heating-stroke master equation with a general
-RK45 solver, riding the state as a real 4-vector (trace, Bloch components);
-`apply_generator` is one application of its right-hand side.
-`product_propagator` is a scalar-loop midpoint product for an arbitrary
-H(t), built from the closed-form 2x2 exponential `expm_aherm`; the
-literal ramp Hamiltonians `hamiltonian_expansion` and
+`evolve_open` integrates the contact-stroke master equation with a general
+RK45 solver, riding the state as a real 4-vector (trace, Bloch components)
+under the real 4x4 matrix `bloch_generator` builds from `apply_generator`,
+one application of the master-equation right-hand side.
+`filon_rates` is the two-envelope rate quadrature with its 1/w tail
+expansion that the library's closed-form gamma and confined remainder
+replaced.  `product_propagator` is a scalar-loop midpoint product for an
+arbitrary H(t), built from the closed-form 2x2 exponential `expm_aherm`;
+the literal ramp Hamiltonians `hamiltonian_expansion` and
 `hamiltonian_compression` feed it.  `adiabaticity` rebuilds the ramp to
 score its branch crossing, `population_from_beta` inverts the library's
-population-to-temperature map, and `markov_limits` is the golden-rule
-rate pair the time-local rates settle to.
+population-to-temperature map, `markov_limits` is the golden-rule rate
+pair the time-local rates settle to, and `run_cooling` is the restoring
+contact stroke with the cold reservoir, which no first-cycle figure uses.
 """
 from __future__ import annotations
 
@@ -19,13 +23,30 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
+from scipy.special import sici, spherical_jn
 
-from qotto.bath import BathSpec, RateTrajectory, occupation, spectral_density
+from qotto import dynamics
+from qotto.bath import (TWO_PI, BathSpec, RateTrajectory,
+                        build_rate_trajectory, occupation, spectral_density)
+from qotto.cycle import _TABLE_MARGIN, CycleConfig
 from qotto.dynamics import (DEFAULT_N_STEPS, Trajectory, _branch_crossing,
                             propagate_unitary)
-from qotto.matcore import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix,
+from qotto.matcore import (SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix,
                            _require_hermitian, bloch_parts, dag)
-from qotto.model import SystemParams, transition_energy
+from qotto.model import SystemParams, hamiltonian_cold, transition_energy
+
+IDENTITY = np.eye(2, dtype=complex)
+PAULIS = (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z)
+
+
+def density_from_bloch(nx: float, ny: float, nz: float) -> DensityMatrix:
+    """Validated state (I + n.sigma)/2 for the Bloch vector n."""
+    return DensityMatrix.from_matrix(
+        0.5 * (IDENTITY + nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z))
+
+
+def purity(rho: DensityMatrix) -> float:
+    return float(np.trace(rho.mat @ rho.mat).real)
 
 
 def nu_ramp(p: SystemParams, t: float) -> float:
@@ -109,6 +130,17 @@ def apply_generator(rho: np.ndarray, h_sys: np.ndarray, jump: np.ndarray,
     return comm + diss
 
 
+def bloch_generator(h_sys: np.ndarray, jump: np.ndarray, big_gamma: float,
+                    gamma_tilde: float) -> np.ndarray:
+    """Real 4x4 matrix of `apply_generator` acting on the coordinates
+    y_k = Tr(rho sigma_k) of rho = sum_k y_k sigma_k / 2, sigma_0 = I."""
+    h = np.asarray(h_sys, dtype=complex)
+    a = np.asarray(jump, dtype=complex)
+    return np.array([[0.5 * np.trace(
+        s_j @ apply_generator(s_k, h, a, big_gamma, gamma_tilde)).real
+        for s_k in PAULIS] for s_j in PAULIS])
+
+
 def evolve_open(rho0: DensityMatrix, h_sys: np.ndarray, rates: RateTrajectory,
                 jump: np.ndarray, grid: np.ndarray, rtol: float = 1e-9,
                 atol: float = 1e-12) -> Trajectory:
@@ -127,30 +159,16 @@ def evolve_open(rho0: DensityMatrix, h_sys: np.ndarray, rates: RateTrajectory,
     rate_spline = CubicSpline(rates.times,
                               np.column_stack([rates.big_gamma,
                                                rates.gamma_tilde]))
-    a = np.asarray(jump, dtype=complex)
-    ad = dag(a)
-    ada = ad @ a
-    aad = a @ ad
-    h = np.asarray(h_sys, dtype=complex)
-    paulis = np.stack([IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z])
+    # the generator is affine in the two rates
+    m0 = bloch_generator(h_sys, jump, 0.0, 0.0)
+    m_big = bloch_generator(h_sys, jump, 1.0, 0.0) - m0
+    m_tilde = bloch_generator(h_sys, jump, 0.0, 1.0) - m0
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        rho = 0.5 * (y[0] * paulis[0] + y[1] * paulis[1]
-                     + y[2] * paulis[2] + y[3] * paulis[3])
         bg, gt = rate_spline(t)
-        drho = (-1j * (h @ rho - rho @ h)
-                + bg * (a @ rho @ ad - 0.5 * (ada @ rho + rho @ ada))
-                + gt * (ad @ rho @ a - 0.5 * (aad @ rho + rho @ aad)))
-        return np.array([np.trace(drho).real,
-                         np.trace(drho @ SIGMA_X).real,
-                         np.trace(drho @ SIGMA_Y).real,
-                         np.trace(drho @ SIGMA_Z).real])
+        return (m0 + bg * m_big + gt * m_tilde) @ y
 
-    m0 = rho0.mat
-    y0 = np.array([np.trace(m0).real,
-                   np.trace(m0 @ SIGMA_X).real,
-                   np.trace(m0 @ SIGMA_Y).real,
-                   np.trace(m0 @ SIGMA_Z).real])
+    y0 = np.array([np.trace(rho0.mat @ s).real for s in PAULIS])
     sol = solve_ivp(rhs, (grid[0], grid[-1]), y0, method="RK45",
                     t_eval=grid, rtol=rtol, atol=atol,
                     max_step=min(0.05, max(grid[-1] / 10.0, 1e-6)))
@@ -160,7 +178,7 @@ def evolve_open(rho0: DensityMatrix, h_sys: np.ndarray, rates: RateTrajectory,
             f"{sol.message}")
 
     y = sol.y                        # (4, T)
-    states = 0.5 * np.einsum("kt,kij->tij", y, paulis)
+    states = 0.5 * np.einsum("kt,kij->tij", y, np.stack(PAULIS))
     trace_dev = np.abs(y[0] - 1.0)
     if np.max(trace_dev) > 1e-8:
         raise RuntimeError(
@@ -168,3 +186,189 @@ def evolve_open(rho0: DensityMatrix, h_sys: np.ndarray, rates: RateTrajectory,
     bloch_norm = np.sqrt(y[1] ** 2 + y[2] ** 2 + y[3] ** 2)
     min_eig = 0.5 * (y[0] - bloch_norm)
     return Trajectory(grid, states, trace_dev, min_eig)
+
+
+class _Envelopes:
+    """Smooth envelopes g(w) = J/(2pi) and gt(w) = J*nbar/pi."""
+
+    def __init__(self, bath: BathSpec):
+        self.bath = bath
+
+    def gamma_env(self, w: np.ndarray) -> np.ndarray:
+        return spectral_density(self.bath, w) / TWO_PI
+
+    def tilde_env(self, w: np.ndarray) -> np.ndarray:
+        return 2.0 * self.gamma_env(w) * occupation(self.bath, w)
+
+    def tilde_tail_weight(self) -> float:
+        """Limit of 2*nbar at large frequency: 0, 1 or 2."""
+        b = self.bath
+        if b.beta > 0.0:
+            return 0.0
+        if b.beta == 0.0:
+            return 1.0
+        return 2.0
+
+
+class _RateQuadrature:
+    """Filon-Legendre evaluation of the sinc-kernel rate integrals."""
+
+    def __init__(self, bath: BathSpec, eps: float, order: int,
+                 panel_div: float, omega_scale: float):
+        if eps <= 0.0:
+            raise ValueError(f"transition energy must be positive, got {eps}")
+        self.bath = bath
+        self.eps = eps
+        self.order = order
+        self.panel_div = panel_div
+        env = _Envelopes(bath)
+        self.env = env
+        # the tail expansion treats the occupation as saturated, which needs
+        # exp(beta*(w - mu)) to be dead at the truncation point
+        thermal_reach = (bath.mu + 35.0 / abs(bath.beta)) if bath.beta else 0.0
+        self.omega_max = omega_scale * max(50.0 * bath.omega_c, 20.0 * eps,
+                                           thermal_reach)
+
+        self.g_eps = float(env.gamma_env(np.asarray(eps)))
+        self.gt_eps = float(env.tilde_env(np.asarray(eps)))
+
+        edges = self._build_edges()
+        nodes_x, weights = np.polynomial.legendre.leggauss(order)
+        legvals = np.stack([np.polynomial.legendre.Legendre.basis(k)(nodes_x)
+                            for k in range(order)])        # (K, n)
+        proj = legvals * weights * (2.0 * np.arange(order)[:, None] + 1.0) / 2.0
+
+        mids = 0.5 * (edges[1:] + edges[:-1])
+        halfs = 0.5 * (edges[1:] - edges[:-1])
+        pts = mids[:, None] + halfs[:, None] * nodes_x[None, :]   # (P, n)
+
+        # eps is a panel edge and Gauss nodes are interior, so no node
+        # meets the removable singularity
+        psi_g = (env.gamma_env(pts) - self.g_eps) / (pts - eps)
+        psi_t = (env.tilde_env(pts) - self.gt_eps) / (pts - eps)
+        self.coef_g = psi_g @ proj.T            # (P, K)
+        self.coef_t = psi_t @ proj.T
+        self.mids = mids
+        self.halfs = halfs
+        self.i_pow = 1j ** np.arange(order)
+
+        # tail expansion g(w)/(w-e) = C * sum_n a_n / w^n beyond omega_max
+        wc2 = bath.omega_c ** 2
+        c_gamma = bath.alpha * wc2 / TWO_PI
+        powers = np.array([1.0, eps, eps * eps - wc2, eps ** 3 - eps * wc2,
+                           eps ** 4 - eps * eps * wc2 + wc2 * wc2])
+        self.tail_coeffs_g = c_gamma * powers
+        self.tail_coeffs_t = (c_gamma * env.tilde_tail_weight()) * powers
+
+    def _build_edges(self) -> np.ndarray:
+        b = self.bath
+        beta_scale = 1.0 / max(abs(b.beta), 1e-12)
+        marks = sorted({0.0, self.eps, self.omega_max}
+                       | ({b.mu} if 0.0 < b.mu < self.omega_max else set()))
+
+        def width(x: float) -> float:
+            s = min(b.omega_c + 0.6 * x, abs(x - b.mu) + beta_scale)
+            return max(s / self.panel_div, 1e-6 * self.omega_max)
+
+        edges = [0.0]
+        for a, c in zip(marks[:-1], marks[1:]):
+            x = a
+            while x < c:
+                x = min(x + width(x), c)
+                edges.append(x)
+        return np.asarray(edges)
+
+    def _panel_sums(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Oscillatory panel contributions for both envelopes, shape (T,)."""
+        acc_g = np.zeros(t.shape, dtype=float)
+        acc_t = np.zeros(t.shape, dtype=float)
+        for p in range(self.mids.size):
+            z = self.halfs[p] * t
+            jn = spherical_jn(np.arange(self.order)[:, None], z[None, :])
+            s_g = (self.coef_g[p] * self.i_pow) @ jn
+            s_t = (self.coef_t[p] * self.i_pow) @ jn
+            osc = np.exp(1j * (self.mids[p] - self.eps) * t)
+            acc_g += 2.0 * self.halfs[p] * (osc * s_g).imag
+            acc_t += 2.0 * self.halfs[p] * (osc * s_t).imag
+        return acc_g, acc_t
+
+    def _tails(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Moments T_n = int_Om^inf sin((w-e)t)/w^n dw for n = 2..5.
+
+        Small Om*t: upward recurrence seeded by Si/Ci.  Large Om*t: that
+        recurrence multiplies rounding error by t at every order, so switch
+        to the integration-by-parts asymptotic series, whose terms fall off
+        as 1/(Om*t) and stay stable exactly where the recurrence fails.
+        """
+        om = self.omega_max
+        x = om * t
+        moments = np.empty((5, t.size))
+
+        low = x < 300.0
+        if np.any(low):
+            tl = t[low]
+            si, ci = sici(x[low])
+            phase = np.exp(1j * om * tl)
+            i_n = -ci + 1j * (0.5 * np.pi - si)
+            for n in range(1, 6):
+                i_n = (phase / om ** n + 1j * tl * i_n) / n
+                moments[n - 1, low] = (np.exp(-1j * self.eps * tl) * i_n).imag
+
+        high = ~low
+        if np.any(high):
+            th = t[high]
+            theta = (om - self.eps) * th
+            c, s = np.cos(theta), np.sin(theta)
+            for n in range(2, 7):
+                moments[n - 2, high] = (
+                    c / (th * om ** n)
+                    + n * s / (th ** 2 * om ** (n + 1))
+                    - n * (n + 1) * c / (th ** 3 * om ** (n + 2))
+                    - n * (n + 1) * (n + 2) * s / (th ** 4 * om ** (n + 3)))
+
+        return (self.tail_coeffs_g @ moments,
+                self.tail_coeffs_t @ moments)
+
+    def rates(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """gamma(t), gamma_tilde(t) for t >= 0 (scalar or array)."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        if np.any(t < 0.0):
+            raise ValueError("rates defined for t >= 0 only")
+        positive = t > 0.0
+        tp = t[positive]
+        out_g = np.zeros(t.shape)
+        out_t = np.zeros(t.shape)
+        if tp.size:
+            pg, pt = self._panel_sums(tp)
+            sing = sici((self.omega_max - self.eps) * tp)[0] + sici(self.eps * tp)[0]
+            tg, tt = self._tails(tp)
+            out_g[positive] = pg + self.g_eps * sing + tg
+            out_t[positive] = pt + self.gt_eps * sing + tt
+        return out_g, out_t
+
+
+def filon_rates(bath: BathSpec, eps: float, t) -> tuple:
+    """(gamma, gamma_tilde, big_gamma) from quadrature of both envelopes."""
+    engine = _RateQuadrature(bath, eps, 14, 3.0, 1.0)
+    g, gt = engine.rates(t)
+    return g, gt, 2.0 * g - gt
+
+
+def run_cooling(cfg: CycleConfig, rho_comp, t_max: float = 40.0,
+                dt: float = 0.01) -> Trajectory:
+    """Restoring stroke: contact with the cold reservoir under the cold
+    Hamiltonian, by the library's closed-form contact evolution.  Long
+    runs approach the configured cold thermal state; this stroke never
+    enters the first-cycle efficiency."""
+    h_cold = hamiltonian_cold(cfg.system)
+    eps_cold, _ = transition_energy(h_cold)
+    rho0 = rho_comp if isinstance(rho_comp, DensityMatrix) \
+        else DensityMatrix.from_matrix(np.asarray(rho_comp, dtype=complex))
+    if t_max == 0.0:
+        return Trajectory(times=np.zeros(1), states=rho0.mat[None, :, :],
+                          trace_dev=np.zeros(1),
+                          min_eig=np.full(1, rho0.min_eig))
+    rates = build_rate_trajectory(cfg.cold_bath, eps_cold,
+                                  t_max + _TABLE_MARGIN)
+    grid = np.linspace(0.0, t_max, int(round(t_max / dt)) + 1)
+    return dynamics.evolve_open(rho0, h_cold, rates, grid)

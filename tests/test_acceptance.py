@@ -15,7 +15,7 @@ import scipy.linalg
 import conftest
 import oracles
 from qotto import bath, cycle, dynamics, matcore, measures, model
-from qotto.matcore import IDENTITY, dag
+from qotto.matcore import dag
 
 CUTOFFS = (5.0, 15.0, 25.0, 30.0)
 P_GRID = [round(0.5 + 0.01 * k, 2) for k in range(50)]
@@ -145,7 +145,7 @@ def test_criterion_9_oracle_suite(full_results, system, hot_bath, rng):
     golden-rule pair, dynamic detailed balance 1e-6, thermal-state
     equivalence 1e-10, quantifier additivity 1e-12."""
     u = dynamics.propagate_unitary(system)
-    assert np.max(np.abs(u @ dag(u) - IDENTITY)) < 1e-9
+    assert np.max(np.abs(u @ dag(u) - oracles.IDENTITY)) < 1e-9
 
     assert full_results[30.0].diagnostics["max_trace_dev"] < 1e-8
 

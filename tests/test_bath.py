@@ -2,19 +2,22 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
 import conftest
+from conftest import EPS_COLD, EPS_HOT
+from oracles import filon_rates, markov_limits
 from qotto import bath
-from oracles import markov_limits
 from qotto.bath import (BathSpec, build_rate_trajectory, occupation,
                         rate_coefficients, spectral_density,
                         quadrature_error_estimate)
 from qotto.bath import _engine
+from qotto.cycle import CycleConfig
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -126,49 +129,137 @@ def test_inner_time_integral_reduction(rng):
         assert numeric == pytest.approx(closed, abs=1e-8)
 
 
-def envelope_slopes(b: BathSpec, w: float) -> tuple[float, float]:
-    """d/dw of the engine's envelopes J/(2pi) and J*nbar/pi at w."""
+def confined_slope(b: BathSpec, w: float) -> float:
+    """d/dw of the remainder envelope 2 J/(2pi) expit(-|beta|(w - mu))."""
     wc2 = b.omega_c ** 2
     dg = b.alpha * wc2 * (wc2 - w * w) / (wc2 + w * w) ** 2 / (2 * math.pi)
     g = spectral_density(b, w) / (2 * math.pi)
-    nbar = occupation(b, w)
-    dgt = 2.0 * (dg * nbar - g * b.beta * nbar * (1.0 - nbar))
-    return dg, dgt
+    r = 1.0 / (1.0 + math.exp(abs(b.beta) * (w - b.mu)))
+    return 2.0 * (dg * r - g * abs(b.beta) * r * (1.0 - r))
 
 
 @pytest.mark.parametrize("omega_c", [5.0, 30.0])
 def test_panel_quadrature_against_qawo(omega_c):
     """Independent oscillatory quadrature of the regularised integrand.
 
-    The engine splits each rate into smooth-envelope panels, a logarithmic
-    singularity term, and a far tail.  The panel piece equals
+    The confined remainder splits into smooth-envelope panels and a
+    sine-integral singularity term.  The panel piece equals
     int_0^W psi(w) sin((w - e)t) dw with psi smooth, which scipy's
     Clenshaw-Curtis oscillatory rule can evaluate without any shared code.
     """
     eps = conftest.EPS_HOT
     b = BathSpec(alpha=0.6, omega_c=omega_c, beta=conftest.BETA_HOT)
-    eng = _engine(b, eps, 14, 3.0, 1.0)
-    env = eng.env
-    dg_eps, dgt_eps = envelope_slopes(b, eps)
-    cases = (
-        (env.gamma_env, eng.g_eps, dg_eps, 0),
-        (env.tilde_env, eng.gt_eps, dgt_eps, 1),
-    )
-    for env_fn, v_eps, d_eps, which in cases:
-        def psi(w):
-            d = w - eps
-            if abs(d) < 1e-7:
-                return d_eps
-            return float((env_fn(np.asarray([w])) - v_eps)[0] / d)
+    eng = _engine(b, eps, *bath._BASE_RESOLUTION)
+    d_eps = confined_slope(b, eps)
 
-        for t in (0.013, 0.37, 2.1):
-            s_part = quad(psi, 0.0, eng.omega_max, weight="sin", wvar=t,
-                          limit=2000, epsabs=1e-12, epsrel=1e-12)[0]
-            c_part = quad(psi, 0.0, eng.omega_max, weight="cos", wvar=t,
-                          limit=2000, epsabs=1e-12, epsrel=1e-12)[0]
-            oracle = math.cos(eps * t) * s_part - math.sin(eps * t) * c_part
-            mine = eng._panel_sums(np.array([t]))[which][0]
-            assert mine == pytest.approx(oracle, abs=1e-10)
+    def psi(w):
+        d = w - eps
+        if abs(d) < 1e-7:
+            return d_eps
+        return float((eng.envelope(np.asarray([w])) - eng.h_eps)[0] / d)
+
+    for t in (0.013, 0.37, 2.1):
+        s_part = quad(psi, 0.0, eng.omega_max, weight="sin", wvar=t,
+                      limit=2000, epsabs=1e-12, epsrel=1e-12)[0]
+        c_part = quad(psi, 0.0, eng.omega_max, weight="cos", wvar=t,
+                      limit=2000, epsabs=1e-12, epsrel=1e-12)[0]
+        oracle = math.cos(eps * t) * s_part - math.sin(eps * t) * c_part
+        mine = eng._panel_sums(np.array([t]))[0]
+        assert mine == pytest.approx(oracle, abs=1e-10)
+
+
+def qawf_gamma(b: BathSpec, eps: float, t: float) -> float:
+    """gamma(t) by adaptive quadrature: a smooth sinc piece on [0, 2e],
+    scipy's QAWO rule on [2e, W] past the cutoff scale, and its QAWF
+    Fourier rule for the 1/w^2 tail beyond W."""
+    def g(w):
+        return spectral_density(b, w) / (2 * math.pi)
+
+    def tail(w):
+        return g(w) / (w - eps)
+
+    def fourier(lo, hi, **kw):
+        # int tail(w) sin((w - e)t) dw from its sin(wt) and cos(wt) parts
+        s_part = quad(tail, lo, hi, weight="sin", wvar=t, **kw)[0]
+        c_part = quad(tail, lo, hi, weight="cos", wvar=t, **kw)[0]
+        return math.cos(eps * t) * s_part - math.sin(eps * t) * c_part
+
+    split = 20.0 * b.omega_c + 2.0 * eps
+    near = quad(lambda w: g(w) * t * np.sinc((w - eps) * t / math.pi),
+                0.0, 2.0 * eps, limit=400, epsabs=1e-14, epsrel=1e-13)[0]
+    return (near
+            + fourier(2.0 * eps, split, limit=2000, epsabs=1e-14,
+                      epsrel=1e-13)
+            + fourier(split, np.inf, epsabs=1e-14))
+
+
+@pytest.mark.parametrize("omega_c", [5.0, 30.0, 100.0])
+def test_closed_form_gamma_against_qawf(omega_c):
+    """The exponential-integral gamma against direct quadrature; at
+    omega_c = 100, t = 10 ms the asymptotic series is the branch taken."""
+    b = BathSpec(alpha=0.6, omega_c=omega_c, beta=conftest.BETA_HOT)
+    ts = np.array([0.013, 0.37, 2.1, 10.0])
+    g, _, _ = rate_coefficients(b, conftest.EPS_HOT, ts)
+    for t, mine in zip(ts, g):
+        assert mine == pytest.approx(qawf_gamma(b, conftest.EPS_HOT, t),
+                                     abs=1e-12)
+
+
+def test_scaled_exp_integrals_continuous_at_series_switch():
+    x = bath._ASYMPTOTIC_X * np.array([1.0 - 1e-12, 1.0 + 1e-12])
+    e1, ei = bath._scaled_exp_integrals(x)
+    assert e1[0] == pytest.approx(e1[1], rel=1e-14)
+    assert ei[0] == pytest.approx(ei[1], rel=1e-14)
+
+
+def _rate_cases():
+    for omega_c in (2.0, 5.0, 11.0, 15.0, 25.0, 30.0, 60.0, 100.0):
+        for mu in (0.0, 10.0):
+            cfg = CycleConfig(omega_c=omega_c, mu=mu)
+            yield f"cold-wc{omega_c:g}-mu{mu:g}", cfg.cold_bath, EPS_COLD
+            for p in (0.5, 0.5001, 0.6, 0.8, 0.99):
+                yield (f"p{p:g}-wc{omega_c:g}-mu{mu:g}",
+                       replace(cfg, p_plus_hot=p).hot_bath, EPS_HOT)
+
+
+def test_rates_match_two_envelope_engine():
+    """Closed-form gamma plus the confined remainder reproduce the
+    two-envelope quadrature with its tail expansion, for both reservoir
+    signs and beta = 0 (p = 0.5)."""
+    ts = np.concatenate(([0.0], np.geomspace(1e-4, 10.0, 40)))
+    for label, spec, eps in _rate_cases():
+        mine = rate_coefficients(spec, eps, ts)
+        ref = filon_rates(spec, eps, ts)
+        for name, a, b in zip(("gamma", "gamma_tilde", "big_gamma"),
+                              mine, ref):
+            assert np.max(np.abs(a - b)) < 1e-9, (label, name)
+
+
+def test_flat_occupation_has_equal_channels():
+    flat = BathSpec(alpha=0.6, omega_c=30.0, beta=0.0)
+    ts = np.geomspace(1e-3, 10.0, 7)
+    g, gt, bg = rate_coefficients(flat, conftest.EPS_HOT, ts)
+    assert_array_equal(gt, g)
+    assert_array_equal(bg, g)
+    assert quadrature_error_estimate(flat, conftest.EPS_HOT, ts) == 0.0
+
+
+def test_no_sliver_panel_at_transition_energy():
+    """A walk between panel marks never ends on a sliver: the panel that
+    ends at eps keeps at least 1 % of the width of the one after it, so
+    no Gauss node crowds the removable singularity."""
+    worst = math.inf
+    for omega_c in np.linspace(0.5, 100.0, 200):
+        for p in (0.51, 0.6, 0.8, 0.99):
+            spec = CycleConfig(omega_c=float(omega_c), p_plus_hot=p).hot_bath
+            for _, div, scale in (bath._BASE_RESOLUTION,
+                                  bath._FINE_RESOLUTION):
+                w_max = scale * (spec.mu + bath._REACH / abs(spec.beta))
+                edges = bath._panel_edges(spec, EPS_HOT, div, w_max)
+                i = int(np.flatnonzero(edges == EPS_HOT)[0])
+                worst = min(worst, (edges[i] - edges[i - 1])
+                            / (edges[i + 1] - edges[i]))
+    assert worst >= 0.01
 
 
 def test_quadrature_error_estimate_small(hot_bath):
@@ -188,7 +279,9 @@ def test_trajectory_grid_contract(rate_table):
 
 
 def test_trajectory_warns_when_tolerance_unreachable(hot_bath, monkeypatch):
-    monkeypatch.setattr(bath, "QUAD_TOL", 1e-16)
+    """An unconverged remainder quadrature (4 Legendre terms on panels
+    three times too wide, estimate ~1e-4) is caught by the check."""
+    monkeypatch.setattr(bath, "_BASE_RESOLUTION", (4, 1.0, 1.0))
     with pytest.warns(RuntimeWarning, match="convergence estimate"):
         build_rate_trajectory(hot_bath, conftest.EPS_HOT, 0.5)
 

@@ -17,9 +17,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 import conftest
 import oracles
 from qotto import bath, cycle, dynamics, matcore, measures, model
-from qotto.cycle import (CycleConfig, build_config, ift_reference,
-                         population_onset, run_cooling, run_cycle,
-                         sweep_cutoff, sweep_population)
+from oracles import density_from_bloch, run_cooling
+from qotto.cycle import (CycleConfig, SweepRow, build_config, ift_reference,
+                         population_onset, run_cycle, sweep_cutoff,
+                         sweep_population)
 from qotto.matcore import dag
 
 FAST = dict(heat_dt=0.5e-3, heat_t_dense=0.6, heat_t_max=2.0, t_f=0.5,
@@ -260,7 +261,7 @@ def test_cooling_returns_to_cold_thermal_state(fast_cfg):
 def test_cooling_relaxes_to_configured_cold_state(p_plus_cold, bloch):
     """Any input state ends at the configured cold thermal state."""
     cfg = build_config(p_plus_cold=p_plus_cold, **FAST)
-    rho0 = matcore.DensityMatrix.from_bloch(*bloch)
+    rho0 = density_from_bloch(*bloch)
     traj = run_cooling(cfg, rho0, t_max=40.0, dt=0.5)
     target = model.state_from_population(
         model.hamiltonian_cold(cfg.system), p_plus_cold).mat
@@ -282,6 +283,29 @@ def test_sweep_cutoff_rows(fast_cfg):
     assert rows[0].eta_max > rows[1].eta_max
     assert rows[0].o_p < rows[1].o_p
     assert rows[0].q_nonmarkov == 0.0 and rows[1].q_nonmarkov == 0.0
+
+
+def test_sweep_cutoff_sets_the_cycle_up_once(fast_cfg, monkeypatch):
+    """The ramp does not depend on the cutoff: a sweep builds it once,
+    and each row equals a separate run at its cutoff."""
+    calls = []
+    real = cycle.propagate_unitary
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    cutoffs = [5.0, 15.0, 30.0]
+    monkeypatch.setattr(cycle, "propagate_unitary", counted)
+    rows = sweep_cutoff(fast_cfg, cutoffs)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    for row, omega_c in zip(rows, cutoffs):
+        res = run_cycle(replace(fast_cfg, omega_c=omega_c))
+        assert row == SweepRow(omega_c=omega_c, eta_max=res.eta_max,
+                               t_tilde_max=res.t_tilde_max, o_p=res.o_p,
+                               q_nonmarkov=res.nonmarkov.q_total,
+                               eta_sat=res.eta_sat, no_engine=res.no_engine)
 
 
 def test_sweep_cutoff_isolates_failures(fast_cfg):

@@ -8,10 +8,10 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from oracles import expm_aherm
+from oracles import IDENTITY, density_from_bloch, expm_aherm, purity
 from qotto import matcore
-from qotto.matcore import (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY, DensityMatrix,
-                           dag, expect, herm_eig2)
+from qotto.matcore import (SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, dag,
+                           expect, herm_eig2)
 
 
 def random_hermitian(rng, scale=1.0):
@@ -104,14 +104,14 @@ def test_expm_inverse_large_angles(rng):
 
 def test_trace_preserved_under_conjugation(rng):
     for _ in range(20):
-        rho = DensityMatrix.from_bloch(*rng.uniform(-0.57, 0.57, size=3))
+        rho = density_from_bloch(*rng.uniform(-0.57, 0.57, size=3))
         u = expm_aherm(random_hermitian(rng, scale=4.0), rng.uniform(0, 100.0))
         out = u @ rho.mat @ dag(u)
         assert abs(np.trace(out) - 1.0) < 1e-11
 
 
 def test_expect_real():
-    rho = DensityMatrix.from_bloch(0.3, -0.1, 0.2)
+    rho = density_from_bloch(0.3, -0.1, 0.2)
     val = expect(SIGMA_Z, rho)
     assert isinstance(val, float)
     assert val == pytest.approx(0.2, abs=1e-14)
@@ -120,9 +120,9 @@ def test_expect_real():
 def test_density_matrix_accepts_valid():
     rho = DensityMatrix.from_matrix(np.array([[0.7, 0.1], [0.1, 0.3]],
                                              dtype=complex))
-    assert rho.pos_ok
+    assert rho.min_eig >= -DensityMatrix.POS_TOL
     assert rho.trace_dev < 1e-14
-    assert rho.purity() <= 1.0 + 1e-12
+    assert purity(rho) <= 1.0 + 1e-12
 
 
 def test_density_matrix_rejects_bad_trace():
@@ -141,13 +141,13 @@ def test_density_matrix_warns_on_negativity():
     m = np.array([[1.001, 0.0], [0.0, -0.001]], dtype=complex)
     with pytest.warns(RuntimeWarning):
         rho = DensityMatrix.from_matrix(m)
-    assert not rho.pos_ok
+    assert rho.min_eig < -DensityMatrix.POS_TOL
     assert rho.min_eig == pytest.approx(-0.001, abs=1e-12)
 
 
 def test_bloch_ball_boundary():
-    pure = DensityMatrix.from_bloch(0.0, 0.0, 1.0)
-    assert pure.purity() == pytest.approx(1.0, abs=1e-14)
+    pure = density_from_bloch(0.0, 0.0, 1.0)
+    assert purity(pure) == pytest.approx(1.0, abs=1e-14)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        DensityMatrix.from_bloch(0.6, 0.0, 0.0)  # inside the ball, no warning
+        density_from_bloch(0.6, 0.0, 0.0)  # inside the ball, no warning

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import conftest
 import oracles
-from qotto import bath, dynamics, matcore, measures, model
+from qotto import bath, cycle, dynamics, matcore, measures, model
 from qotto.bath import RateTrajectory
 from qotto.matcore import dag
 from qotto.measures import (Energetics, NonMarkovReport, cycle_energetics,
@@ -77,6 +79,26 @@ def test_quantifier_additivity(rate_table, rng):
         split = (quantifier_Q(rt.times, f, a, c)
                  + quantifier_Q(rt.times, f, c, b))
         assert split == pytest.approx(total, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=30),
+       values=st.lists(st.floats(0.0, 10.0), min_size=31, max_size=31),
+       cuts=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6),
+       on_node=st.booleans())
+def test_quantifier_additive_over_random_splits(steps, values, cuts,
+                                                on_node):
+    """Q over a window equals the sum of Q over any partition of it, with
+    cut points between grid nodes or on them."""
+    times = np.concatenate(([0.0], np.cumsum(steps)))
+    f = np.asarray(values[:times.size])
+    points = np.sort(np.asarray(cuts)) * times[-1]
+    if on_node:
+        points = times[np.searchsorted(times, points).clip(0, times.size - 1)]
+    total = quantifier_Q(times, f, points[0], points[-1])
+    pieces = sum(quantifier_Q(times, f, a, b)
+                 for a, b in zip(points[:-1], points[1:]))
+    assert pieces == pytest.approx(total, rel=1e-12, abs=1e-12)
 
 
 def test_quantifier_window_validation(hot_bath):
@@ -256,6 +278,46 @@ def test_first_law_telescopes_through_cooling(system, cold_bath):
                            h_cold, h_hot)
     q_cold = np.trace(rho_fin @ h_cold).real - np.trace(rho_comp @ h_cold).real
     total = np.trace(rho_fin @ h_cold).real - np.trace(rho_in.mat @ h_cold).real
+    assert out.w1 + out.w2 + out.q_hot + q_cold == pytest.approx(total,
+                                                                 abs=1e-10)
+
+
+def _energy(h: np.ndarray, rho) -> float:
+    return float(np.trace(np.asarray(getattr(rho, "mat", rho)) @ h).real)
+
+
+@pytest.mark.filterwarnings(conftest.MARGINAL_COUPLING)
+@settings(max_examples=10, deadline=None)
+@given(nu_cold=st.floats(1.0, 3.0), nu_gap=st.floats(0.5, 2.0),
+       tau=st.floats(0.02, 0.3), p_cold=st.floats(0.05, 0.45),
+       p_hot=st.floats(0.55, 0.99), omega_c=st.floats(3.0, 40.0),
+       t_heat=st.floats(0.01, 0.5), t_cool=st.floats(0.05, 2.0))
+def test_first_law_across_four_strokes(nu_cold, nu_gap, tau, p_cold, p_hot,
+                                       omega_c, t_heat, t_cool):
+    """Ramp, truncated hot contact, ramp back, truncated cold contact:
+    the two works and the two heats add up to the energy change of the
+    whole cycle, for any drive, reservoirs and contact durations."""
+    cfg = cycle.CycleConfig(nu_cold=nu_cold, nu_hot=nu_cold + nu_gap,
+                            tau=tau, p_plus_cold=p_cold, p_plus_hot=p_hot,
+                            omega_c=omega_c, n_steps=2000)
+    h_cold = model.hamiltonian_cold(cfg.system)
+    h_hot = model.hamiltonian_hot(cfg.system)
+    u = dynamics.propagate_unitary(cfg.system, cfg.n_steps)
+    rho_in = model.state_from_population(h_cold, p_cold)
+    rho_exp = matcore.DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))
+
+    eps_hot = model.transition_energy(h_hot)[0]
+    rt = bath.build_rate_trajectory(cfg.hot_bath, eps_hot, t_heat)
+    rho_heat = dynamics.evolve_open(rho_exp, h_hot, rt,
+                                    np.array([0.0, t_heat])).final_state
+    rho_comp = dag(u) @ rho_heat @ u
+    rho_fin = oracles.run_cooling(cfg, rho_comp, t_max=t_cool,
+                                  dt=t_cool).final_state
+
+    out = cycle_energetics(rho_in, rho_exp, rho_heat, rho_comp,
+                           h_cold, h_hot)
+    q_cold = _energy(h_cold, rho_fin) - _energy(h_cold, rho_comp)
+    total = _energy(h_cold, rho_fin) - _energy(h_cold, rho_in)
     assert out.w1 + out.w2 + out.q_hot + q_cold == pytest.approx(total,
                                                                  abs=1e-10)
 

@@ -201,5 +201,5 @@ def test_beta_rejects_endpoint_populations(system):
 def test_population_state_is_valid_density_matrix(system):
     rho = state_from_population(hamiltonian_hot(system), 0.99)
     assert isinstance(rho, matcore.DensityMatrix)
-    assert rho.pos_ok
+    assert rho.min_eig >= -matcore.DensityMatrix.POS_TOL
     assert rho.trace_dev < 1e-14
