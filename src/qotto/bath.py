@@ -1,4 +1,4 @@
-"""Structured two-level environment: spectrum, occupation, time-local rates.
+"""Structured two-level environment: spectrum and time-local rates.
 
 The dissipation (gamma) and fluctuation (gamma_tilde) coefficients of a
 contact stroke are frequency integrals with a sinc kernel,
@@ -6,7 +6,8 @@ contact stroke are frequency integrals with a sinc kernel,
     gamma(t)  =      int_0^inf dw g(w)         sin((w-e)t)/(w-e)
     gt(t)     =  2 * int_0^inf dw g(w) nbar(w) sin((w-e)t)/(w-e)
 
-with g = J/(2pi) and e the transition energy of the system Hamiltonian.
+with g = J/(2pi), nbar(w) = 1/(exp(beta(w - mu)) + 1) the Fermi occupation
+of the bath mode and e the transition energy of the system Hamiltonian.
 
   * gamma has a closed form.  g(w)/(w-e) splits into simple poles at
     w = e and w = +-i*wc; the first integrates to a sine integral, the
@@ -90,13 +91,6 @@ def spectral_density(bath: BathSpec, w):
         raise ValueError("spectral density defined for w >= 0 only")
     wc2 = bath.omega_c ** 2
     out = bath.alpha * w * wc2 / (wc2 + w * w)
-    return out if out.ndim else float(out)
-
-
-def occupation(bath: BathSpec, w):
-    """Fermi-Dirac occupation of the bath mode at frequency w."""
-    w = np.asarray(w, dtype=float)
-    out = expit(-bath.beta * (w - bath.mu))
     return out if out.ndim else float(out)
 
 

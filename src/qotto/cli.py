@@ -169,8 +169,8 @@ def _config_value(v) -> str:
 
 def _derived_lines(ccfg: CycleConfig) -> list[str]:
     sp = ccfg.system
-    eps_cold, _ = transition_energy(hamiltonian_cold(sp))
-    eps_hot, _ = transition_energy(hamiltonian_hot(sp))
+    eps_cold = transition_energy(hamiltonian_cold(sp))[0]
+    eps_hot = transition_energy(hamiltonian_hot(sp))[0]
     out = [
         ("omega", sp.omega),
         ("omega_tilde", sp.omega_tilde),
@@ -215,7 +215,7 @@ def _safe(text: str) -> str:
 
 def cmd_rates(cfg: dict, outdir: str) -> int:
     ccfg = _cycle_config(cfg)
-    eps_hot, _ = transition_energy(hamiltonian_hot(ccfg.system))
+    eps_hot = transition_energy(hamiltonian_hot(ccfg.system))[0]
     rates = build_rate_trajectory(ccfg.hot_bath, eps_hot, ccfg.heat_t_max)
     rows = ([_g9(t * 1e3), _g9(a), _g9(b), _g9(c)]
             for t, a, b, c in zip(rates.times, rates.gamma,
@@ -228,7 +228,7 @@ def cmd_rates(cfg: dict, outdir: str) -> int:
 
 def cmd_nonmarkov(cfg: dict, outdir: str) -> int:
     ccfg = _cycle_config(cfg)
-    eps_hot, _ = transition_energy(hamiltonian_hot(ccfg.system))
+    eps_hot = transition_energy(hamiltonian_hot(ccfg.system))[0]
     rates = build_rate_trajectory(ccfg.hot_bath, eps_hot, ccfg.heat_t_max)
     report = nonmarkov_report(rates)
     _write_csv(_out_path(outdir, "witness.csv"),
@@ -239,9 +239,13 @@ def cmd_nonmarkov(cfg: dict, outdir: str) -> int:
 
     q_rows = []
     for w in _omega_c_points(cfg):
-        spec = replace(ccfg, omega_c=w).hot_bath
-        rt = build_rate_trajectory(spec, eps_hot, ccfg.heat_t_max)
-        q_rows.append([_g9(w), _g9(nonmarkov_report(rt).q_total)])
+        if w == ccfg.omega_c:  # the witness table is this cutoff's table
+            q = report.q_total
+        else:
+            spec = replace(ccfg, omega_c=w).hot_bath
+            rt = build_rate_trajectory(spec, eps_hot, ccfg.heat_t_max)
+            q = nonmarkov_report(rt).q_total
+        q_rows.append([_g9(w), _g9(q)])
     _write_csv(_out_path(outdir, "nonmarkov_q.csv"),
                _header("nonmarkov", cfg, ccfg),
                ["omega_c", "Q"], q_rows)

@@ -72,7 +72,8 @@ class CycleConfig:
     The contact-stroke grid is dense (spacing `heat_dt`) up to
     `heat_t_dense` and sparse (spacing `tail_dt`) out to `heat_t_max`;
     the dense part resolves the efficiency oscillations, the tail pins
-    the saturation value.
+    the saturation value.  Each spacing must divide its span to 1e-9
+    relative, so the grid is exactly the configured one.
     """
 
     nu_cold: float = 2.0
@@ -105,6 +106,15 @@ class CycleConfig:
             raise ValueError("grid spacings must be positive")
         if not 0.0 < self.heat_t_dense <= self.heat_t_max:
             raise ValueError("need 0 < heat_t_dense <= heat_t_max")
+        # a spacing that does not divide its span would be silently
+        # stretched or squeezed by heating_grid
+        for name, step, span in (
+                ("heat_dt", self.heat_dt, self.heat_t_dense),
+                ("tail_dt", self.tail_dt,
+                 self.heat_t_max - self.heat_t_dense)):
+            if not abs(np.round(span / step) * step - span) <= 1e-9 * span:
+                raise ValueError(f"{name} = {step:.9g} does not divide "
+                                 f"its span {span:.9g} ms")
         if not 0.0 < self.t_f <= self.heat_t_max:
             raise ValueError("t_f must lie in (0, heat_t_max]")
         if self.n_steps < 1:
@@ -131,10 +141,7 @@ class CycleConfig:
     def heating_grid(self) -> np.ndarray:
         n_dense = int(round(self.heat_t_dense / self.heat_dt))
         dense = np.linspace(0.0, self.heat_t_dense, n_dense + 1)
-        if self.heat_t_max == self.heat_t_dense:
-            return dense
         n_tail = int(round((self.heat_t_max - self.heat_t_dense) / self.tail_dt))
-        n_tail = max(n_tail, 1)
         tail = np.linspace(self.heat_t_dense, self.heat_t_max, n_tail + 1)[1:]
         return np.concatenate([dense, tail])
 
@@ -234,7 +241,7 @@ def _setup(cfg: CycleConfig) -> _Setup:
     sp = cfg.system
     h_cold = hamiltonian_cold(sp)
     h_hot = hamiltonian_hot(sp)
-    eps_hot, _ = transition_energy(h_hot)
+    eps_hot = transition_energy(h_hot)[0]
     rho_in = state_from_population(h_cold, cfg.p_plus_cold).mat
     u_exp = propagate_unitary(sp, cfg.n_steps)
     rho_exp = u_exp @ rho_in @ dag(u_exp)
@@ -314,7 +321,7 @@ def _cycle(cfg: CycleConfig, su: _Setup) -> CycleResult:
         "xi": _branch_crossing(cfg.system, su.u_exp),
         "eps_hot": float(su.eps_hot),
         "final_population_gap": float(
-            abs(traj.populations(transition_energy(su.h_hot)[1].v_plus)[-1]
+            abs(traj.populations(transition_energy(su.h_hot)[2])[-1]
                 - cfg.p_plus_hot)),
     }
     return CycleResult(config=cfg, w1=en.w1, times=grid,

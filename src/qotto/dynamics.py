@@ -24,9 +24,9 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .bath import RateTrajectory
-from .matcore import DensityMatrix, dag
+from .matcore import SIGMA_X, DensityMatrix, dag
 from .model import (SystemParams, hamiltonian_cold, hamiltonian_hot,
-                    herm_eig2, jump_operator, transition_energy)
+                    transition_energy)
 
 DEFAULT_N_STEPS = 20_000
 
@@ -84,10 +84,10 @@ def _branch_crossing(p: SystemParams, u: np.ndarray) -> float:
     eigenstate branches (zero for a perfectly adiabatic ramp); both
     matrix elements that define it agree by unitarity and are checked
     against each other."""
-    cold = herm_eig2(hamiltonian_cold(p))
-    hot = herm_eig2(hamiltonian_hot(p))
-    xi_a = abs(np.vdot(hot.v_plus, u @ cold.v_minus)) ** 2
-    xi_b = abs(np.vdot(hot.v_minus, u @ cold.v_plus)) ** 2
+    _, cold_minus, cold_plus = transition_energy(hamiltonian_cold(p))
+    _, hot_minus, hot_plus = transition_energy(hamiltonian_hot(p))
+    xi_a = abs(np.vdot(hot_plus, u @ cold_minus)) ** 2
+    xi_b = abs(np.vdot(hot_minus, u @ cold_plus)) ** 2
     if abs(xi_a - xi_b) > 1e-9:
         raise RuntimeError(
             f"branch-crossing probabilities disagree: {xi_a} vs {xi_b}")
@@ -124,8 +124,9 @@ def evolve_open(rho0: DensityMatrix, h_sys: np.ndarray, rates: RateTrajectory,
     """Exact contact-stroke evolution sampled on the given grid.
 
     grid must start at 0 (bath switch-on) and stay inside the domain of the
-    rate table; the jump channel is `model.jump_operator(h_sys)`.  Sampled
-    states are returned at exactly the grid times.
+    rate table; the jump channel is a |-><+| of h_sys with weight
+    k = |a|^2 = |<-|sigma_x|+>|^2.  Sampled states are returned at exactly
+    the grid times.
     """
     grid = np.asarray(grid, dtype=float)
     if grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0):
@@ -134,9 +135,8 @@ def evolve_open(rho0: DensityMatrix, h_sys: np.ndarray, rates: RateTrajectory,
         raise ValueError(
             f"grid end {grid[-1]} exceeds rate table end {rates.times[-1]}")
 
-    eps, eig = transition_energy(h_sys)
-    vp, vm = eig.v_plus, eig.v_minus
-    k = abs(np.vdot(vm, jump_operator(h_sys) @ vp)) ** 2
+    eps, vm, vp = transition_energy(h_sys)
+    k = abs(np.vdot(vm, SIGMA_X @ vp)) ** 2
 
     big_lam = CubicSpline(rates.times,
                           rates.big_gamma + rates.gamma_tilde).antiderivative()

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import RateTrajectory
-from .matcore import expect, herm_eig2
+from .matcore import expect
+from .model import transition_energy
 
 __all__ = [
     "Q_HOT_FLOOR_SCALE",
@@ -84,7 +85,7 @@ def cycle_energetics(rho_in, rho_exp, rho_heat, rho_comp,
     w2 = expect(h_cold, rc) - e_heat
     q_hot = e_heat - e_exp
     w = w1 + w2
-    floor = Q_HOT_FLOOR_SCALE * herm_eig2(h_hot).gap
+    floor = Q_HOT_FLOOR_SCALE * transition_energy(h_hot)[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         eta = np.where(np.abs(q_hot) > floor, np.divide(-w, q_hot), np.nan)
     valid = (w < 0.0) & (q_hot > floor)

@@ -11,6 +11,10 @@ Stroke layout over one cycle:
   heating     fixed hot Hamiltonian, system coupled to the inverted bath
   compression t in [0, tau]  : sign-flipped, time-reversed expansion drive
   cooling     fixed cold Hamiltonian, positive-temperature bath (optional)
+
+Each stroke Hamiltonian has one transition, so everything derived from it
+(gap, contact-stroke eigenbasis, reservoir temperature) comes from the
+one spectral routine `transition_energy`.
 """
 from __future__ import annotations
 
@@ -18,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import (SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, Eig2,
-                      herm_eig2)
+from .matcore import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -64,36 +67,29 @@ def hamiltonian_hot(p: SystemParams) -> np.ndarray:
     return -np.pi * p.nu_hot * SIGMA_Y + 0.5 * p.omega_tilde * SIGMA_Z
 
 
-def transition_energy(h: np.ndarray) -> tuple[float, Eig2]:
-    """Gap e_plus - e_minus (> 0) and the spectral data of h.
+def transition_energy(
+        h: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Gap e_plus - e_minus (> 0) of the 2x2 Hermitian h and its
+    eigenvectors (v_minus, v_plus), lower level first.
 
     The zero-gap case carries no dissipation channel in this model and is
-    rejected rather than special-cased.
+    rejected rather than special-cased; a gap below 1e-12 of the upper
+    level (or of 1) counts as zero.
     """
-    eig = herm_eig2(h)
-    if eig.degenerate:
+    (e_minus, e_plus), vecs = np.linalg.eigh(h)
+    gap = float(e_plus - e_minus)
+    if gap < 1e-12 * max(1.0, abs(e_plus)):
         raise ValueError("degenerate Hamiltonian has no transition channel")
-    return eig.gap, eig
-
-
-def jump_operator(h: np.ndarray) -> np.ndarray:
-    """Lowering operator |minus><minus| sigma_x |plus><plus| of h.
-
-    Only the single channel at the (positive) transition energy exists for a
-    two-level system; the sigma_x sandwich fixes its weight.
-    """
-    _, eig = transition_energy(h)
-    amp = np.vdot(eig.v_minus, SIGMA_X @ eig.v_plus)
-    return amp * np.outer(eig.v_minus, eig.v_plus.conj())
+    return gap, vecs[:, 0], vecs[:, 1]
 
 
 def state_from_population(h: np.ndarray, p_plus: float) -> DensityMatrix:
     """Diagonal state in the eigenbasis of h with excited population p_plus."""
     if not 0.0 <= p_plus <= 1.0:
         raise ValueError(f"population must lie in [0, 1], got {p_plus}")
-    _, eig = transition_energy(h)
-    m = (p_plus * np.outer(eig.v_plus, eig.v_plus.conj())
-         + (1.0 - p_plus) * np.outer(eig.v_minus, eig.v_minus.conj()))
+    _, v_minus, v_plus = transition_energy(h)
+    m = (p_plus * np.outer(v_plus, v_plus.conj())
+         + (1.0 - p_plus) * np.outer(v_minus, v_minus.conj()))
     return DensityMatrix.from_matrix(m)
 
 
@@ -106,5 +102,5 @@ def beta_from_population(h: np.ndarray, p_plus: float) -> float:
     """
     if not 0.0 < p_plus < 1.0:
         raise ValueError(f"population must lie strictly in (0, 1), got {p_plus}")
-    gap, _ = transition_energy(h)
+    gap = transition_energy(h)[0]
     return float(np.log((1.0 - p_plus) / p_plus) / gap)

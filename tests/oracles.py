@@ -13,30 +13,132 @@ the literal ramp Hamiltonians `hamiltonian_expansion` and
 `hamiltonian_compression` feed it.  `adiabaticity` rebuilds the ramp to
 score its branch crossing, `population_from_beta` inverts the library's
 population-to-temperature map, `markov_limits` is the golden-rule rate
-pair the time-local rates settle to, and `run_cooling` is the restoring
-contact stroke with the cold reservoir, which no first-cycle figure uses.
+pair the time-local rates settle to, with the Fermi `occupation` behind
+it, and `run_cooling` is the restoring contact stroke with the cold
+reservoir, which no first-cycle figure uses.  `herm_eig2` is the
+closed-form 2x2 eigensolver that the library's `transition_energy`
+(numpy's `eigh`) is checked against; `expm_aherm` shares its Bloch
+parts.  `jump_operator` builds the explicit jump channel a |-><+| that
+the RK45 oracle applies.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
-from scipy.special import sici, spherical_jn
+from scipy.special import expit, sici, spherical_jn
 
 from qotto import dynamics
 from qotto.bath import (TWO_PI, BathSpec, RateTrajectory,
-                        build_rate_trajectory, occupation, spectral_density)
+                        build_rate_trajectory, spectral_density)
 from qotto.cycle import _TABLE_MARGIN, CycleConfig
 from qotto.dynamics import (DEFAULT_N_STEPS, Trajectory, _branch_crossing,
                             propagate_unitary)
 from qotto.matcore import (SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix,
-                           _require_hermitian, bloch_parts, dag)
+                           _require_2x2, dag, herm_deviation)
 from qotto.model import SystemParams, hamiltonian_cold, transition_energy
 
 IDENTITY = np.eye(2, dtype=complex)
 PAULIS = (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z)
+
+# relative scale below which the two eigenvalues count as degenerate
+DEGENERACY_RTOL = 1e-12
+
+# relative Hermiticity deviation herm_eig2 accepts before symmetrizing
+EIG_HERM_TOL = 1e-9
+
+
+def _require_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
+    m = _require_2x2(m)
+    dev = herm_deviation(m)
+    scale = max(1.0, float(np.max(np.abs(m))))
+    if dev > tol * scale:
+        raise ValueError(
+            f"matrix is not Hermitian within tolerance: deviation {dev:.3e}, "
+            f"allowed {tol * scale:.3e}")
+    # symmetrize so downstream Bloch components are exactly real
+    return 0.5 * (m + dag(m))
+
+
+def bloch_parts(m: np.ndarray) -> tuple[float, float, float, float]:
+    """Coefficients (c0, cx, cy, cz) of M = c0*I + cx*sx + cy*sy + cz*sz.
+
+    Assumes M Hermitian (imaginary parts of the coefficients are dropped).
+    """
+    m = _require_2x2(m)
+    c0 = 0.5 * (m[0, 0] + m[1, 1]).real
+    cx = 0.5 * (m[0, 1] + m[1, 0]).real
+    cy = 0.5 * (m[1, 0] - m[0, 1]).imag
+    cz = 0.5 * (m[0, 0] - m[1, 1]).real
+    return c0, cx, cy, cz
+
+
+@dataclass(frozen=True)
+class Eig2:
+    """Spectral data of a 2x2 Hermitian matrix, lower eigenvalue first."""
+
+    e_minus: float
+    e_plus: float
+    v_minus: np.ndarray
+    v_plus: np.ndarray
+    degenerate: bool
+
+    @property
+    def gap(self) -> float:
+        return self.e_plus - self.e_minus
+
+
+def herm_eig2(m: np.ndarray) -> Eig2:
+    """Eigendecomposition of a 2x2 Hermitian matrix in closed form.
+
+    M = c0*I + c.sigma has eigenvalues c0 -+ |c| and half-angle
+    eigenvectors.  Returns eigenvalues ordered e_minus <= e_plus with
+    orthonormal eigenvectors.  When the spectrum is degenerate (relative
+    to DEGENERACY_RTOL) the flag is set and the computational basis is
+    returned.
+    """
+    m = _require_hermitian(m, EIG_HERM_TOL)
+    c0, cx, cy, cz = bloch_parts(m)
+    r_xy = np.hypot(cx, cy)
+    r = np.hypot(r_xy, cz)
+
+    e_minus = c0 - r
+    e_plus = c0 + r
+    degenerate = (e_plus - e_minus) < DEGENERACY_RTOL * max(1.0, abs(e_plus))
+    if degenerate:
+        return Eig2(e_minus, e_plus,
+                    np.array([1.0, 0.0], dtype=complex),
+                    np.array([0.0, 1.0], dtype=complex),
+                    True)
+
+    # half-angle construction: theta from atan2 is stable for every direction
+    theta = np.arctan2(r_xy, cz)
+    phase = np.exp(1j * np.arctan2(cy, cx)) if r_xy > 0.0 else 1.0 + 0.0j
+    ch, sh = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    v_plus = np.array([ch, sh * phase], dtype=complex)
+    v_minus = np.array([sh, -ch * phase], dtype=complex)
+    return Eig2(float(e_minus), float(e_plus), v_minus, v_plus, False)
+
+
+def jump_operator(h: np.ndarray) -> np.ndarray:
+    """Lowering operator |minus><minus| sigma_x |plus><plus| of h.
+
+    Only the single channel at the (positive) transition energy exists for a
+    two-level system; the sigma_x sandwich fixes its weight.
+    """
+    _, v_minus, v_plus = transition_energy(h)
+    amp = np.vdot(v_minus, SIGMA_X @ v_plus)
+    return amp * np.outer(v_minus, v_plus.conj())
+
+
+def occupation(bath: BathSpec, w):
+    """Fermi-Dirac occupation of the bath mode at frequency w."""
+    w = np.asarray(w, dtype=float)
+    out = expit(-bath.beta * (w - bath.mu))
+    return out if out.ndim else float(out)
 
 
 def density_from_bloch(nx: float, ny: float, nz: float) -> DensityMatrix:
@@ -79,7 +181,7 @@ def adiabaticity(p: SystemParams, n_steps: int = DEFAULT_N_STEPS) -> float:
 
 def population_from_beta(h: np.ndarray, beta: float) -> float:
     """Excited-state weight of the Gibbs state exp(-beta*h)/Z."""
-    gap, _ = transition_energy(h)
+    gap = transition_energy(h)[0]
     return float(1.0 / (1.0 + np.exp(beta * gap)))
 
 
@@ -361,7 +463,7 @@ def run_cooling(cfg: CycleConfig, rho_comp, t_max: float = 40.0,
     runs approach the configured cold thermal state; this stroke never
     enters the first-cycle efficiency."""
     h_cold = hamiltonian_cold(cfg.system)
-    eps_cold, _ = transition_energy(h_cold)
+    eps_cold = transition_energy(h_cold)[0]
     rho0 = rho_comp if isinstance(rho_comp, DensityMatrix) \
         else DensityMatrix.from_matrix(np.asarray(rho_comp, dtype=complex))
     if t_max == 0.0:

@@ -157,7 +157,7 @@ def test_criterion_9_oracle_suite(full_results, system, hot_bath, rng):
         assert gt == pytest.approx(gt_inf, rel=1e-2)
 
     h_hot = model.hamiltonian_hot(system)
-    eig = model.transition_energy(h_hot)[1]
+    v_plus = model.transition_energy(h_hot)[2]
     g_inf, gt_inf = oracles.markov_limits(hot_bath, conftest.EPS_HOT)
     times = np.linspace(0.0, 3.0, 301)
     ones = np.ones(times.size)
@@ -166,8 +166,8 @@ def test_criterion_9_oracle_suite(full_results, system, hot_bath, rng):
                                conftest.EPS_HOT, 0.0, True)
     traj = dynamics.evolve_open(model.state_from_population(h_hot, 0.3),
                                 h_hot, flat, times)
-    nbar = bath.occupation(hot_bath, conftest.EPS_HOT)
-    assert traj.populations(eig.v_plus)[-1] == pytest.approx(nbar, abs=1e-6)
+    nbar = oracles.occupation(hot_bath, conftest.EPS_HOT)
+    assert traj.populations(v_plus)[-1] == pytest.approx(nbar, abs=1e-6)
 
     for h in (model.hamiltonian_cold(system), h_hot):
         for p in (0.261, 0.99):

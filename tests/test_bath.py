@@ -11,11 +11,10 @@ from scipy.integrate import quad
 
 import conftest
 from conftest import EPS_COLD, EPS_HOT
-from oracles import filon_rates, markov_limits
+from oracles import filon_rates, markov_limits, occupation
 from qotto import bath
-from qotto.bath import (BathSpec, build_rate_trajectory, occupation,
-                        rate_coefficients, spectral_density,
-                        quadrature_error_estimate)
+from qotto.bath import (BathSpec, build_rate_trajectory, rate_coefficients,
+                        spectral_density, quadrature_error_estimate)
 from qotto.bath import _engine
 from qotto.cycle import CycleConfig
 

@@ -156,6 +156,18 @@ def test_inconsistent_grid_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("heat_dt=0.0007", "heat_dt = 0.0007 does not divide"),
+    ("heat_t_max=1.004", "tail_dt = 0.01 does not divide"),
+])
+def test_grid_spacing_must_divide_its_span(tmp_path, capsys, setting,
+                                           message):
+    """No silent rounding: 0.7 us does not fit 1 ms, nor 10 us 4 us."""
+    code = cli.main(["rates", "--set", setting, "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def test_rates_output(tmp_path):
     code = cli.main(["rates", "--out", str(tmp_path)] + TINY)
     assert code == cli.EXIT_OK
@@ -223,6 +235,67 @@ def test_nonmarkov_outputs(tmp_path):
     table = {row[0]: row[1] for row in q_data}
     assert table["25"] == "0"         # sharp cutoff carries no memory
     assert float(table["5"]) > 0.0
+
+
+# default `simulate` summary and `nonmarkov` Q rows as printed; a change
+# that moves one on purpose re-pins it and says why
+PINNED_SUMMARY = {
+    "eta_max": 0.711829144, "t_tilde_max_us": 271.896493,
+    "window_lo_us": 267.644485, "window_hi_us": 276.246715,
+    "eta_sat": 0.649838764, "t_eq_us": 1270.0, "o_p": 0.561345486,
+    "q_nonmarkov": 0.0, "eta_ift": 0.649838821, "no_engine": 0.0,
+}
+PINNED_Q = {"5": 0.00342187407, "15": 0.000558287443, "25": 0.0, "30": 0.0}
+
+
+def _matches_pin(text: str, pinned: float) -> bool:
+    if pinned == 0.0:
+        return float(text) == 0.0
+    return float(text) == pytest.approx(pinned, rel=1e-8)
+
+
+@pytest.fixture(scope="module")
+def default_nonmarkov(tmp_path_factory):
+    """A default `nonmarkov` run: exit code, output directory and the
+    baths of the rate tables it built."""
+    out = tmp_path_factory.mktemp("nonmarkov")
+    build = cli.build_rate_trajectory
+    baths = []
+
+    def counting(bath, *args, **kwargs):
+        baths.append(bath)
+        return build(bath, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "build_rate_trajectory", counting)
+        code = cli.main(["nonmarkov", "--out", str(out)])
+    return code, out, baths
+
+
+def test_nonmarkov_builds_each_cutoff_once(default_nonmarkov):
+    """The configured cutoff (30) is also in the default list: its
+    witness table serves its Q row."""
+    code, _, baths = default_nonmarkov
+    assert code == cli.EXIT_OK
+    assert len(baths) == 4
+    assert len(set(baths)) == 4
+
+
+def test_default_nonmarkov_q_is_pinned(default_nonmarkov):
+    _, out, _ = default_nonmarkov
+    _, _, q_data = read_csv(out / "nonmarkov_q.csv")
+    table = {row[0]: row[1] for row in q_data}
+    assert table.keys() == PINNED_Q.keys()
+    for w, pinned in PINNED_Q.items():
+        assert _matches_pin(table[w], pinned), w
+
+
+def test_default_simulate_summary_is_pinned(tmp_path, capsys):
+    assert cli.main(["simulate", "--out", str(tmp_path)]) == cli.EXIT_OK
+    summary = summary_dict(capsys.readouterr().out)
+    assert summary.keys() == PINNED_SUMMARY.keys()
+    for key, pinned in PINNED_SUMMARY.items():
+        assert _matches_pin(summary[key], pinned), key
 
 
 def test_ift_scan(tmp_path):

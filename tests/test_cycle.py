@@ -130,6 +130,8 @@ def test_config_rejects_bad_spectrum(fast_cfg, kwargs, message):
     dict(heat_t_dense=3.0, heat_t_max=2.0),
     dict(heat_dt=-1e-4),
     dict(t_f=3.0, heat_t_max=2.0),          # scoring window past the scan
+    dict(heat_dt=0.0007),                   # 0.7 us does not divide 0.6 ms
+    dict(heat_t_max=0.604),                 # 10 us does not divide 4 us
 ])
 def test_config_validation(kwargs):
     merged = {**FAST, **kwargs}

@@ -79,9 +79,9 @@ def test_adiabaticity_brute_force_oracle(system):
     """Same matrix element from the generic scalar product propagator."""
     u = product_propagator(
         lambda t: oracles.hamiltonian_expansion(system, t), system.tau, 20000)
-    cold = model.transition_energy(model.hamiltonian_cold(system))[1]
-    hot = model.transition_energy(model.hamiltonian_hot(system))[1]
-    xi = abs(np.vdot(hot.v_plus, u @ cold.v_minus)) ** 2
+    _, cold_minus, _ = model.transition_energy(model.hamiltonian_cold(system))
+    _, _, hot_plus = model.transition_energy(model.hamiltonian_hot(system))
+    xi = abs(np.vdot(hot_plus, u @ cold_minus)) ** 2
     assert adiabaticity(system) == pytest.approx(xi, abs=1e-10)
 
 
@@ -106,7 +106,7 @@ def test_trajectory_validation(system):
 def test_generator_against_kronecker_form(system, rng):
     """apply_generator vs the column-stacked superoperator matrix."""
     h = model.hamiltonian_hot(system)
-    a = model.jump_operator(h)
+    a = oracles.jump_operator(h)
     ad = dag(a)
     ada, aad = ad @ a, a @ ad
     big_g, g_t = 0.73, 0.41
@@ -131,9 +131,8 @@ def test_generator_decouples_in_eigenbasis(system):
     connect the diagonal sector to the off-diagonal one must all vanish.
     """
     h = model.hamiltonian_hot(system)
-    a = model.jump_operator(h)
-    eig = model.transition_energy(h)[1]
-    vp, vm = eig.v_plus, eig.v_minus
+    a = oracles.jump_operator(h)
+    _, vm, vp = model.transition_energy(h)
     basis = [np.outer(vp, vp.conj()), np.outer(vm, vm.conj()),
              np.outer(vp, vm.conj()), np.outer(vm, vp.conj())]
     smat = np.empty((4, 4), dtype=complex)
@@ -174,20 +173,19 @@ def test_evolve_open_closed_system_limit(system):
 def test_evolve_open_detailed_balance_fixed_point(system, hot_bath):
     """Constant golden-rule rates drive any state to the bath occupation."""
     h = model.hamiltonian_hot(system)
-    eig = model.transition_energy(h)[1]
+    _, vm, vp = model.transition_energy(h)
     g_inf, gt_inf = oracles.markov_limits(hot_bath, conftest.EPS_HOT)
     times = np.linspace(0.0, 3.0, 301)
     ones = np.ones(times.size)
     rt = RateTrajectory(times, g_inf * ones, gt_inf * ones,
                         (2 * g_inf - gt_inf) * ones, hot_bath,
                         conftest.EPS_HOT, 0.0, True)
-    nbar = bath.occupation(hot_bath, conftest.EPS_HOT)
+    nbar = oracles.occupation(hot_bath, conftest.EPS_HOT)
     for rho0 in (model.state_from_population(h, 0.3),
                  density_from_bloch(1.0, 0.0, 0.0)):
         traj = evolve_open(rho0, h, rt, times)
-        assert traj.populations(eig.v_plus)[-1] == pytest.approx(nbar,
-                                                                 abs=1e-6)
-        coh = abs(np.vdot(eig.v_plus, traj.final_state @ eig.v_minus))
+        assert traj.populations(vp)[-1] == pytest.approx(nbar, abs=1e-6)
+        coh = abs(np.vdot(vp, traj.final_state @ vm))
         assert coh < 1e-5
 
 
@@ -199,8 +197,8 @@ def test_evolve_open_against_decoupled_closed_form(system, hot_bath):
     here with scipy primitives only.
     """
     h = model.hamiltonian_hot(system)
-    a = model.jump_operator(h)
-    eig = model.transition_energy(h)[1]
+    a = oracles.jump_operator(h)
+    _, vm, vp = model.transition_energy(h)
     k2 = float(np.trace(dag(a) @ a).real)
     rt = build_rate_trajectory(hot_bath, conftest.EPS_HOT, 1.05)
     grid = np.linspace(0.0, 1.0, 2001)
@@ -213,17 +211,16 @@ def test_evolve_open_against_decoupled_closed_form(system, hot_bath):
 
     cs_big = CubicSpline(rt.times, rt.big_gamma)
     cs_til = CubicSpline(rt.times, rt.gamma_tilde)
-    p0 = float(np.real(np.vdot(eig.v_plus, rho0.mat @ eig.v_plus)))
+    p0 = float(np.real(np.vdot(vp, rho0.mat @ vp)))
     sol = solve_ivp(
         lambda t, y: [k2 * (-cs_big(t) * y[0] + cs_til(t) * (1.0 - y[0]))],
         (0.0, 1.0), [p0], t_eval=grid, rtol=1e-11, atol=1e-13, method="Radau")
-    assert np.max(np.abs(sol.y[0] - traj.populations(eig.v_plus))) < 1e-7
+    assert np.max(np.abs(sol.y[0] - traj.populations(vp))) < 1e-7
 
     damping = CubicSpline(rt.times, rt.gamma).antiderivative()
-    c0 = complex(np.vdot(eig.v_plus, rho0.mat @ eig.v_minus))
+    c0 = complex(np.vdot(vp, rho0.mat @ vm))
     c_ref = c0 * np.exp(-1j * conftest.EPS_HOT * grid - k2 * damping(grid))
-    c_sim = np.einsum("i,tij,j->t", eig.v_plus.conj(), traj.states,
-                      eig.v_minus)
+    c_sim = np.einsum("i,tij,j->t", vp.conj(), traj.states, vm)
     assert np.max(np.abs(c_sim - c_ref)) < 1e-8
 
 
@@ -270,7 +267,7 @@ def test_evolve_open_matches_rk45_oracle(omega_c):
                                grid[-1] + cycle._TABLE_MARGIN)
     exact = evolve_open(su.rho_exp, su.h_hot, rt, grid)
     ref = oracles.evolve_open(su.rho_exp, su.h_hot, rt,
-                              model.jump_operator(su.h_hot), grid,
+                              oracles.jump_operator(su.h_hot), grid,
                               **ORACLE_TOL)
     assert np.max(np.abs(exact.states - ref.states)) <= 1e-10
 
@@ -287,7 +284,7 @@ def test_cooling_stroke_matches_rk45_oracle(system):
     rt = build_rate_trajectory(cfg.cold_bath, conftest.EPS_COLD,
                                10.0 + cycle._TABLE_MARGIN)
     ref = oracles.evolve_open(rho_comp, h_cold, rt,
-                              model.jump_operator(h_cold), exact.times,
+                              oracles.jump_operator(h_cold), exact.times,
                               **ORACLE_TOL)
     assert np.max(np.abs(exact.states - ref.states)) <= 1e-10
 
@@ -343,12 +340,12 @@ def test_constant_rates_relax_to_bath_occupation(system, omega_c, p_target,
                                                  alpha, p_start):
     """Golden-rule rates held fixed drive the population to nbar(eps)."""
     h = model.hamiltonian_hot(system)
-    a = model.jump_operator(h)
-    eig = model.transition_energy(h)[1]
+    a = oracles.jump_operator(h)
+    _, vm, vp = model.transition_energy(h)
     spec = bath.BathSpec(alpha=alpha, omega_c=omega_c,
                          beta=model.beta_from_population(h, p_target))
     g_inf, gt_inf = oracles.markov_limits(spec, conftest.EPS_HOT)
-    k = abs(np.vdot(eig.v_minus, a @ eig.v_plus)) ** 2
+    k = abs(np.vdot(vm, a @ vp)) ** 2
     # forty relaxation times 1/(k Lambda'), Lambda' = 2 gamma
     times = np.linspace(0.0, 40.0 / (2.0 * k * g_inf), 101)
     ones = np.ones(times.size)
@@ -356,5 +353,5 @@ def test_constant_rates_relax_to_bath_occupation(system, omega_c, p_target,
                         (2 * g_inf - gt_inf) * ones, spec,
                         conftest.EPS_HOT, 0.0, True)
     traj = evolve_open(model.state_from_population(h, p_start), h, rt, times)
-    nbar = bath.occupation(spec, conftest.EPS_HOT)
-    assert traj.populations(eig.v_plus)[-1] == pytest.approx(nbar, abs=1e-12)
+    nbar = oracles.occupation(spec, conftest.EPS_HOT)
+    assert traj.populations(vp)[-1] == pytest.approx(nbar, abs=1e-12)

@@ -1,4 +1,5 @@
-"""Matrix-core checks: spectra, propagator factors, state validation."""
+"""Matrix-core checks: the closed-form spectral oracle, propagator
+factors, state validation."""
 
 import math
 import warnings
@@ -8,10 +9,11 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from oracles import IDENTITY, density_from_bloch, expm_aherm, purity
+from oracles import (IDENTITY, density_from_bloch, expm_aherm, herm_eig2,
+                     purity)
 from qotto import matcore
 from qotto.matcore import (SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, dag,
-                           expect, herm_eig2)
+                           expect)
 
 
 def random_hermitian(rng, scale=1.0):

@@ -156,9 +156,9 @@ def heat_shifted_states(system, q):
     with s * eps_hot = q."""
     rho_in, rho_exp, _, _, h_cold, h_hot = thermal_cycle_states(system)
     u = dynamics.propagate_unitary(system)
-    eps, eig = model.transition_energy(h_hot)
-    flip = (np.outer(eig.v_plus, eig.v_plus.conj())
-            - np.outer(eig.v_minus, eig.v_minus.conj()))
+    eps, v_minus, v_plus = model.transition_energy(h_hot)
+    flip = (np.outer(v_plus, v_plus.conj())
+            - np.outer(v_minus, v_minus.conj()))
     rho_heat = rho_exp + (q / eps) * flip
     return rho_in, rho_exp, rho_heat, dag(u) @ rho_heat @ u, h_cold, h_hot
 

@@ -9,12 +9,12 @@ from numpy.testing import assert_allclose
 
 import conftest
 from oracles import (hamiltonian_compression, hamiltonian_expansion,
-                     population_from_beta)
+                     herm_eig2, jump_operator, population_from_beta)
 from qotto import matcore, model
 from qotto.matcore import SIGMA_X, SIGMA_Z, dag
 from qotto.model import (SystemParams, beta_from_population, hamiltonian_cold,
-                         hamiltonian_hot, jump_operator,
-                         state_from_population, transition_energy)
+                         hamiltonian_hot, state_from_population,
+                         transition_energy)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -67,19 +67,37 @@ def test_ramp_continuity(system, rng):
 
 
 def test_transition_energies(system):
-    eps_c, _ = transition_energy(hamiltonian_cold(system))
-    eps_h, _ = transition_energy(hamiltonian_hot(system))
+    eps_c = transition_energy(hamiltonian_cold(system))[0]
+    eps_h = transition_energy(hamiltonian_hot(system))[0]
     assert eps_c == pytest.approx(2 * math.pi * math.sqrt(4.25), rel=1e-13)
     assert eps_h == pytest.approx(conftest.EPS_HOT, rel=1e-13)
     assert eps_c == pytest.approx(12.95311834341519, abs=1e-11)
     assert eps_h == pytest.approx(22.83659117630216, abs=1e-11)
-    eps_z, _ = transition_energy(SIGMA_Z)
+    eps_z = transition_energy(SIGMA_Z)[0]
     assert eps_z == pytest.approx(2.0, abs=1e-14)
 
 
 def test_transition_energy_rejects_degenerate():
     with pytest.raises(ValueError):
         transition_energy(np.eye(2, dtype=complex))
+
+
+def test_transition_energy_matches_closed_form_oracle(system, rng):
+    """numpy's eigh against the closed-form herm_eig2: the gap to 1e-14
+    relative, each eigenvector to within 1e-14 of unit overlap (they
+    agree up to a phase)."""
+    hams = [hamiltonian_cold(system), hamiltonian_hot(system)]
+    for _ in range(200):
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        hams.append(10.0 ** rng.uniform(-2, 2) * (m + dag(m)) / 2.0)
+    for h in hams:
+        gap, v_minus, v_plus = transition_energy(h)
+        ref = herm_eig2(h)
+        assert gap == pytest.approx(ref.gap, rel=1e-14)
+        assert abs(np.vdot(ref.v_minus, v_minus)) == pytest.approx(
+            1.0, abs=1e-14)
+        assert abs(np.vdot(ref.v_plus, v_plus)) == pytest.approx(
+            1.0, abs=1e-14)
 
 
 def test_jump_operator_structure_sigma_z():
@@ -104,12 +122,13 @@ def test_jump_weights(system):
     assert k_cold == pytest.approx(math.sqrt(1.0 / 17.0), rel=1e-12)
 
 
-def test_jump_operator_against_dense_eigensolver(system):
-    """Same construction routed through numpy's eigh instead of herm_eig2."""
+def test_jump_operator_against_closed_form_eigensolver(system):
+    """Same construction routed through the closed-form herm_eig2 instead
+    of numpy's eigh."""
     for h in (hamiltonian_cold(system), hamiltonian_hot(system),
               np.array([[0.4, 1 - 2j], [1 + 2j, -0.4]])):
-        vals, vecs = np.linalg.eigh(h)
-        lo, hi = vecs[:, 0], vecs[:, 1]
+        eig = herm_eig2(h)
+        lo, hi = eig.v_minus, eig.v_plus
         ref = np.vdot(lo, SIGMA_X @ hi) * np.outer(lo, hi.conj())
         a = jump_operator(h)
         # phases differ between eigensolvers; compare the gauge invariants
@@ -122,7 +141,7 @@ def test_jump_weight_bounded(rng):
     for _ in range(25):
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         h = m + dag(m)
-        if transition_energy(h)[1].gap < 1e-6:
+        if transition_energy(h)[0] < 1e-6:
             continue
         a = jump_operator(h)
         assert np.trace(dag(a) @ a).real <= 1.0 + 1e-12
@@ -130,22 +149,22 @@ def test_jump_weight_bounded(rng):
 
 def test_state_extremes(system):
     h = hamiltonian_cold(system)
-    eig = transition_energy(h)[1]
+    v_minus = transition_energy(h)[1]
     ground = state_from_population(h, 0.0)
-    assert_allclose(ground.mat @ eig.v_minus, eig.v_minus, atol=1e-13)
+    assert_allclose(ground.mat @ v_minus, v_minus, atol=1e-13)
     maximally_mixed = state_from_population(h, 0.5)
     assert_allclose(maximally_mixed.mat, np.eye(2) / 2, atol=1e-14)
 
 
 def test_state_population_round_trip(system, rng):
     h = hamiltonian_hot(system)
-    eig = transition_energy(h)[1]
+    _, v_minus, v_plus = transition_energy(h)
     for p in rng.uniform(0.01, 0.99, size=12):
         rho = state_from_population(h, p)
-        read_back = np.vdot(eig.v_plus, rho.mat @ eig.v_plus).real
+        read_back = np.vdot(v_plus, rho.mat @ v_plus).real
         assert read_back == pytest.approx(p, abs=1e-12)
         # no coherence between the levels
-        assert abs(np.vdot(eig.v_plus, rho.mat @ eig.v_minus)) < 1e-13
+        assert abs(np.vdot(v_plus, rho.mat @ v_minus)) < 1e-13
 
 
 def test_state_rejects_bad_population(system):
