@@ -38,6 +38,8 @@ import numpy as np
 from numpy.polynomial.legendre import legvander
 from scipy.special import expi, exp1, expit, sici, spherical_jn
 
+from . import ConfigError, require_finite
+
 TWO_PI = 2.0 * np.pi
 
 # (Legendre order, panel divisor, range scale) of the remainder quadrature
@@ -74,14 +76,13 @@ class BathSpec:
     mu: float = 0.0
 
     def __post_init__(self):
-        if self.alpha < 0.0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.omega_c <= 0.0:
-            raise ValueError(f"omega_c must be positive, got {self.omega_c}")
-        if not np.isfinite(self.beta):
-            raise ValueError("beta must be finite")
-        if self.mu < 0.0:
-            raise ValueError(f"fermionic bath needs mu >= 0, got {self.mu}")
+        require_finite(self)
+        if not self.alpha >= 0.0:
+            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+        if not self.omega_c > 0.0:
+            raise ConfigError(f"omega_c must be positive, got {self.omega_c}")
+        if not self.mu >= 0.0:
+            raise ConfigError(f"fermionic bath needs mu >= 0, got {self.mu}")
 
 
 def spectral_density(bath: BathSpec, w):

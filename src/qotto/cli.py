@@ -9,6 +9,8 @@ fixed-duration population scans `sweep-population` and `ift`.
 Configuration is a flat `key = value` file plus `--set` overrides;
 unknown keys are rejected.  The cycle keys and their defaults are the
 fields of `cycle.CycleConfig`; only the five sweep keys live here.
+This module only parses: each value rule lives in the library type that
+owns the value, and the config is checked before any command runs.
 Times inside the config are milliseconds, CSV time columns are
 microseconds.  Floats print with 9 significant digits and files carry
 the fully resolved config in `#` header lines, so identical inputs give
@@ -17,8 +19,8 @@ not read back exactly prints as its shortest exact repr, so the
 `# key = value` lines, stripped of `# `, are a config file that rebuilds
 the run.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 no engine operation.
+Exit codes: 0 success, 2 configuration error (a `qotto.ConfigError`,
+the config file or `--out`), 3 numerical failure, 4 no engine operation.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from . import __version__
+from . import ConfigError, __version__
 from .bath import build_rate_trajectory
 from .cycle import (CycleConfig, ift_reference, population_onset, run_cycle,
                     sweep_cutoff, sweep_population)
@@ -56,10 +58,6 @@ _DEFAULTS = {
 _P_QUANTUM = 10 ** 12
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _convert(key: str, raw: str, where: str):
     # a key takes the type of its default
     raw = raw.strip()
@@ -81,8 +79,8 @@ def parse_config(path: str | None, sets) -> dict:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 lines = fh.readlines()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path!r}: {exc}")
         for lineno, line in enumerate(lines, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -106,31 +104,30 @@ def parse_config(path: str | None, sets) -> dict:
 
 
 def _cycle_config(cfg: dict) -> CycleConfig:
-    try:
-        return CycleConfig(**{k: cfg[k] for k in _CYCLE_DEFAULTS})
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return CycleConfig(**{k: cfg[k] for k in _CYCLE_DEFAULTS})
 
 
-def _require_inversion(cfg: dict):
+def _require_inversion(ccfg: CycleConfig):
     # engine-mode commands model an inverted-population reservoir
-    if cfg["p_plus_hot"] < 0.5:
+    if ccfg.p_plus_hot < 0.5:
         raise ConfigError("p_plus_hot must be >= 0.5: this command needs "
                           "the inverted-population (negative-temperature) "
                           "regime")
 
 
-def _omega_c_points(cfg: dict) -> list[float]:
+def _omega_c_points(cfg: dict, ccfg: CycleConfig) -> list[float]:
     raw = cfg["omega_c_list"]
     try:
         points = [float(x) for x in raw.split(",") if x.strip()]
+        for w in points:  # each cutoff must pass the reservoir's own rule
+            replace(ccfg, omega_c=w)
+    except ConfigError as exc:
+        raise ConfigError(f"omega_c_list: {exc}") from None
     except ValueError:
         raise ConfigError(f"omega_c_list is not a comma-separated float "
                           f"list: {raw!r}")
     if not points:
         raise ConfigError("omega_c_list must not be empty")
-    if any(w <= 0.0 for w in points):
-        raise ConfigError("cutoff frequencies must be positive")
     return points
 
 
@@ -138,9 +135,9 @@ def _p_hot_points(cfg: dict) -> list[float]:
     lo, hi, step = cfg["p_hot_min"], cfg["p_hot_max"], cfg["p_hot_step"]
     if not (0.0 < lo <= hi < 1.0):
         raise ConfigError("need 0 < p_hot_min <= p_hot_max < 1")
+    if not 1 / _P_QUANTUM <= step < 1.0:
+        raise ConfigError(f"p_hot_step must lie in [{1 / _P_QUANTUM:g}, 1)")
     lo_q, hi_q, step_q = (round(x * _P_QUANTUM) for x in (lo, hi, step))
-    if step_q < 1:
-        raise ConfigError(f"p_hot_step must be at least {1 / _P_QUANTUM:g}")
     # integer lattice points, never past p_hot_max; dividing the exact
     # integer by the quantum lands on the float nearest the decimal value
     return [(lo_q + k * step_q) / _P_QUANTUM
@@ -154,8 +151,6 @@ def _g9(x) -> str:
 def _fmt_value(v) -> str:
     if isinstance(v, bool):
         return "1" if v else "0"
-    if isinstance(v, int):
-        return str(v)
     if isinstance(v, float):
         return _g9(v)
     return str(v)
@@ -169,13 +164,11 @@ def _config_value(v) -> str:
 
 def _derived_lines(ccfg: CycleConfig) -> list[str]:
     sp = ccfg.system
-    eps_cold = transition_energy(hamiltonian_cold(sp))[0]
-    eps_hot = transition_energy(hamiltonian_hot(sp))[0]
     out = [
         ("omega", sp.omega),
         ("omega_tilde", sp.omega_tilde),
-        ("eps_cold", eps_cold),
-        ("eps_hot", eps_hot),
+        ("eps_cold", transition_energy(hamiltonian_cold(sp))[0]),
+        ("eps_hot", transition_energy(hamiltonian_hot(sp))[0]),
         ("beta_cold", ccfg.cold_bath.beta),
         ("beta_hot", ccfg.hot_bath.beta),
     ]
@@ -186,26 +179,16 @@ def _header(command: str, cfg: dict, ccfg: CycleConfig,
             extra=()) -> list[str]:
     lines = [f"# qotto {__version__}", f"# command = {command}",
              "# config times are ms, csv time columns are us"]
-    for key in sorted(cfg):
-        lines.append(f"# {key} = {_config_value(cfg[key])}")
+    lines.extend(f"# {key} = {_config_value(cfg[key])}" for key in sorted(cfg))
     lines.extend(_derived_lines(ccfg))
-    for item in extra:
-        lines.append(f"# {item}")
+    lines.extend(f"# {item}" for item in extra)
     return lines
 
 
 def _write_csv(path: str, header: list[str], columns: list[str], rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in header:
-            fh.write(line + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
-def _out_path(outdir: str, name: str) -> str:
-    os.makedirs(outdir, exist_ok=True)
-    return os.path.join(outdir, name)
+        fh.writelines(line + "\n" for line in [*header, ",".join(columns)])
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def _safe(text: str) -> str:
@@ -213,32 +196,31 @@ def _safe(text: str) -> str:
     return text.replace(",", ";").replace("\n", " ")
 
 
-def cmd_rates(cfg: dict, outdir: str) -> int:
-    ccfg = _cycle_config(cfg)
+def cmd_rates(cfg: dict, ccfg: CycleConfig, outdir: str) -> int:
     eps_hot = transition_energy(hamiltonian_hot(ccfg.system))[0]
     rates = build_rate_trajectory(ccfg.hot_bath, eps_hot, ccfg.heat_t_max)
     rows = ([_g9(t * 1e3), _g9(a), _g9(b), _g9(c)]
             for t, a, b, c in zip(rates.times, rates.gamma,
                                   rates.gamma_tilde, rates.big_gamma))
-    _write_csv(_out_path(outdir, "rates.csv"),
+    _write_csv(os.path.join(outdir, "rates.csv"),
                _header("rates", cfg, ccfg, ["rates in rad/ms"]),
                ["t_us", "gamma", "gamma_tilde", "big_gamma"], rows)
     return EXIT_OK
 
 
-def cmd_nonmarkov(cfg: dict, outdir: str) -> int:
-    ccfg = _cycle_config(cfg)
+def cmd_nonmarkov(cfg: dict, ccfg: CycleConfig, outdir: str) -> int:
+    cutoffs = _omega_c_points(cfg, ccfg)
     eps_hot = transition_energy(hamiltonian_hot(ccfg.system))[0]
     rates = build_rate_trajectory(ccfg.hot_bath, eps_hot, ccfg.heat_t_max)
     report = nonmarkov_report(rates)
-    _write_csv(_out_path(outdir, "witness.csv"),
+    _write_csv(os.path.join(outdir, "witness.csv"),
                _header("nonmarkov", cfg, ccfg, ["witness f in rad/ms"]),
                ["t_us", "f"],
                ([_g9(t * 1e3), _g9(f)]
                 for t, f in zip(report.times, report.f)))
 
     q_rows = []
-    for w in _omega_c_points(cfg):
+    for w in cutoffs:
         if w == ccfg.omega_c:  # the witness table is this cutoff's table
             q = report.q_total
         else:
@@ -246,21 +228,21 @@ def cmd_nonmarkov(cfg: dict, outdir: str) -> int:
             rt = build_rate_trajectory(spec, eps_hot, ccfg.heat_t_max)
             q = nonmarkov_report(rt).q_total
         q_rows.append([_g9(w), _g9(q)])
-    _write_csv(_out_path(outdir, "nonmarkov_q.csv"),
+    _write_csv(os.path.join(outdir, "nonmarkov_q.csv"),
                _header("nonmarkov", cfg, ccfg),
                ["omega_c", "Q"], q_rows)
     return EXIT_OK
 
 
-def cmd_simulate(cfg: dict, outdir: str) -> int:
-    _require_inversion(cfg)
-    res = run_cycle(_cycle_config(cfg))
+def cmd_simulate(cfg: dict, ccfg: CycleConfig, outdir: str) -> int:
+    _require_inversion(ccfg)
+    res = run_cycle(ccfg)
     rows = ([_g9(t * 1e3), _g9(e), _g9(res.w1), _g9(w2), _g9(q),
              "1" if v else "0"]
             for t, e, w2, q, v in zip(res.times, res.eta, res.w2,
                                       res.q_hot, res.valid))
-    _write_csv(_out_path(outdir, "efficiency.csv"),
-               _header("simulate", cfg, res.config, ["energies in rad/ms"]),
+    _write_csv(os.path.join(outdir, "efficiency.csv"),
+               _header("simulate", cfg, ccfg, ["energies in rad/ms"]),
                ["t_us", "eta", "w1", "w2", "q_hot", "valid"], rows)
 
     summary = [
@@ -280,10 +262,9 @@ def cmd_simulate(cfg: dict, outdir: str) -> int:
     return EXIT_NO_ENGINE if res.no_engine else EXIT_OK
 
 
-def cmd_sweep_cutoff(cfg: dict, outdir: str) -> int:
-    _require_inversion(cfg)
-    ccfg = _cycle_config(cfg)
-    rows = sweep_cutoff(ccfg, _omega_c_points(cfg))
+def cmd_sweep_cutoff(cfg: dict, ccfg: CycleConfig, outdir: str) -> int:
+    _require_inversion(ccfg)
+    rows = sweep_cutoff(ccfg, _omega_c_points(cfg, ccfg))
     csv_rows = []
     for r in rows:
         status = ("error:" + _safe(r.error)) if r.error else \
@@ -291,7 +272,7 @@ def cmd_sweep_cutoff(cfg: dict, outdir: str) -> int:
         csv_rows.append([_g9(r.omega_c), _g9(r.eta_max),
                          _g9(r.t_tilde_max * 1e3), _g9(r.o_p),
                          _g9(r.q_nonmarkov), _g9(r.eta_sat), status])
-    _write_csv(_out_path(outdir, "cutoff_sweep.csv"),
+    _write_csv(os.path.join(outdir, "cutoff_sweep.csv"),
                _header("sweep-cutoff", cfg, ccfg),
                ["omega_c", "eta_max", "t_tilde_max_us", "o_p",
                 "q_nonmarkov", "eta_sat", "status"], csv_rows)
@@ -307,18 +288,15 @@ def _resolve_t_tilde(cfg: dict, ccfg: CycleConfig):
                                "shows no engine operation")
         return float(res.t_tilde_max), True
     try:
-        value = float(raw)
+        return float(raw), False
     except ValueError:
         raise ConfigError(f"t_tilde must be 'auto' or a time in ms: {raw!r}")
-    if not 0.0 < value <= ccfg.heat_t_max:
-        raise ConfigError("t_tilde must lie in (0, heat_t_max] ms")
-    return value, False
 
 
-def cmd_sweep_population(cfg: dict, outdir: str) -> int:
-    ccfg = _cycle_config(cfg)
+def cmd_sweep_population(cfg: dict, ccfg: CycleConfig, outdir: str) -> int:
+    points = _p_hot_points(cfg)  # before an auto t_tilde runs its cycle
     t_tilde, was_auto = _resolve_t_tilde(cfg, ccfg)
-    rows = sweep_population(ccfg, _p_hot_points(cfg), t_tilde)
+    rows = sweep_population(ccfg, points, t_tilde)
     onset = population_onset(rows)
     extra = [f"t_tilde_ms = {_g9(t_tilde)}",
              f"t_tilde_source = {'auto' if was_auto else 'config'}",
@@ -327,21 +305,20 @@ def cmd_sweep_population(cfg: dict, outdir: str) -> int:
                  _g9(r.w), _g9(r.q_hot),
                  ("error:" + _safe(r.error)) if r.error else "ok"]
                 for r in rows]
-    _write_csv(_out_path(outdir, "population_sweep.csv"),
+    _write_csv(os.path.join(outdir, "population_sweep.csv"),
                _header("sweep-population", cfg, ccfg, extra),
                ["p_plus_hot", "eta", "valid", "w", "q_hot", "status"],
                csv_rows)
     return EXIT_OK if any(not r.error for r in rows) else EXIT_NUMERIC
 
 
-def cmd_ift(cfg: dict, outdir: str) -> int:
-    ccfg = _cycle_config(cfg)
+def cmd_ift(cfg: dict, ccfg: CycleConfig, outdir: str) -> int:
     rows = ift_reference(ccfg, _p_hot_points(cfg))
     onset = population_onset(rows)
     csv_rows = [[_g9(r.p_plus_hot), _g9(r.eta),
                  "1" if r.valid_engine else "0", _g9(r.w), _g9(r.q_hot)]
                 for r in rows]
-    _write_csv(_out_path(outdir, "ift_reference.csv"),
+    _write_csv(os.path.join(outdir, "ift_reference.csv"),
                _header("ift", cfg, ccfg,
                        [f"onset_p_plus_hot = {_g9(onset)}"]),
                ["p_plus_hot", "eta", "valid", "w", "q_hot"], csv_rows)
@@ -383,11 +360,16 @@ def main(argv=None) -> int:
     fn = _COMMANDS[args.command][0]
     try:
         cfg = parse_config(args.config, args.sets)
-        return fn(cfg, args.out)
+        ccfg = _cycle_config(cfg)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create --out {args.out!r}: {exc}")
+        return fn(cfg, ccfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RuntimeError, FloatingPointError, ValueError) as exc:
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
         # ValueError covers np.linalg.LinAlgError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import ConfigError, require_finite
 from .bath import BathSpec, build_rate_trajectory
 from .dynamics import (DEFAULT_N_STEPS, _branch_crossing, evolve_open,
                        propagate_unitary)
@@ -93,19 +94,18 @@ class CycleConfig:
     n_steps: int = DEFAULT_N_STEPS
 
     def __post_init__(self):
-        # building the drive checks it
-        _ = self.system
+        require_finite(self)
         if not 0.0 < self.p_plus_cold < 0.5:
-            raise ValueError("p_plus_cold must lie in (0, 0.5): the cold "
-                             "stage is a positive-temperature reservoir")
+            raise ConfigError("p_plus_cold must lie in (0, 0.5): the cold "
+                              "stage is a positive-temperature reservoir")
         if not 0.0 < self.p_plus_hot < 1.0:
-            raise ValueError("p_plus_hot must lie in (0, 1)")
-        # building a reservoir checks the shared spectrum
-        _ = self.hot_bath
-        if self.heat_dt <= 0.0 or self.tail_dt <= 0.0:
-            raise ValueError("grid spacings must be positive")
+            raise ConfigError("p_plus_hot must lie in (0, 1)")
+        # building both reservoirs checks drive, spectrum and temperatures
+        _ = self.hot_bath, self.cold_bath
+        if not (self.heat_dt > 0.0 and self.tail_dt > 0.0):
+            raise ConfigError("heat_dt and tail_dt must be positive")
         if not 0.0 < self.heat_t_dense <= self.heat_t_max:
-            raise ValueError("need 0 < heat_t_dense <= heat_t_max")
+            raise ConfigError("need 0 < heat_t_dense <= heat_t_max")
         # a spacing that does not divide its span would be silently
         # stretched or squeezed by heating_grid
         for name, step, span in (
@@ -113,12 +113,12 @@ class CycleConfig:
                 ("tail_dt", self.tail_dt,
                  self.heat_t_max - self.heat_t_dense)):
             if not abs(np.round(span / step) * step - span) <= 1e-9 * span:
-                raise ValueError(f"{name} = {step:.9g} does not divide "
-                                 f"its span {span:.9g} ms")
+                raise ConfigError(f"{name} = {step:.9g} does not divide "
+                                  f"its span {span:.9g} ms")
         if not 0.0 < self.t_f <= self.heat_t_max:
-            raise ValueError("t_f must lie in (0, heat_t_max]")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be positive")
+            raise ConfigError("t_f must lie in (0, heat_t_max]")
+        if not self.n_steps >= 1:
+            raise ConfigError("n_steps must be positive")
 
     @property
     def system(self) -> SystemParams:
@@ -365,7 +365,7 @@ def sweep_cutoff(cfg: CycleConfig, omega_c_list) -> list[SweepRow]:
     does not depend on the cutoff, so all runs share one setup."""
     points = [float(w) for w in omega_c_list]
     if not points:
-        raise ValueError("cutoff list must not be empty")
+        raise ConfigError("cutoff list must not be empty")
     su = _setup(cfg)
     return [_cutoff_point(cfg, su, w) for w in points]
 
@@ -401,12 +401,12 @@ def _population_point(cfg: CycleConfig, su: _Setup, p_hot: float,
                              error=f"{type(exc).__name__}: {exc}")
 
 
-def _checked_populations(p_hot_grid) -> list[float]:
+def _checked_populations(cfg: CycleConfig, p_hot_grid) -> list[float]:
     points = [float(p) for p in p_hot_grid]
     if not points:
-        raise ValueError("population grid must not be empty")
-    if any(not 0.0 < p < 1.0 for p in points):
-        raise ValueError("populations must lie in (0, 1)")
+        raise ConfigError("population grid must not be empty")
+    for p in points:  # each target must pass the config's own rule
+        replace(cfg, p_plus_hot=p)
     return points
 
 
@@ -414,9 +414,9 @@ def sweep_population(cfg: CycleConfig, p_hot_grid,
                      t_tilde: float) -> list[PopulationRow]:
     """Truncated-contact efficiency at fixed stroke duration t_tilde,
     one row per target population, rows in input order."""
-    points = _checked_populations(p_hot_grid)
+    points = _checked_populations(cfg, p_hot_grid)
     if not 0.0 < t_tilde <= cfg.heat_t_max:
-        raise ValueError("t_tilde must lie inside the heating window")
+        raise ConfigError("t_tilde must lie in (0, heat_t_max] ms")
     su = _setup(cfg)
     return [_population_point(cfg, su, p, float(t_tilde)) for p in points]
 
@@ -424,7 +424,7 @@ def sweep_population(cfg: CycleConfig, p_hot_grid,
 def ift_reference(cfg: CycleConfig, p_hot_grid) -> list[PopulationRow]:
     """Perfect-thermalization reference: the contact stroke is replaced
     by its infinite-time endpoint, no reservoir dynamics involved."""
-    points = _checked_populations(p_hot_grid)
+    points = _checked_populations(cfg, p_hot_grid)
     su = _setup(cfg)
     en = _energetics(su, np.stack([state_from_population(su.h_hot, p).mat
                                    for p in points]))

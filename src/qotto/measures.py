@@ -148,8 +148,6 @@ class NonMarkovReport:
 
     times: np.ndarray
     f: np.ndarray
-    big_gamma: np.ndarray
-    gamma_tilde: np.ndarray
     q_total: float
     window: tuple
 
@@ -167,10 +165,8 @@ def nonmarkov_report(rates: RateTrajectory, t0: float = 0.0,
         t1 = float(rates.times[-1])
     f = witness_f(rates)
     q = quantifier_Q(rates.times, f, t0, t1)
-    return NonMarkovReport(times=rates.times, f=f,
-                           big_gamma=rates.big_gamma,
-                           gamma_tilde=rates.gamma_tilde,
-                           q_total=q, window=(float(t0), float(t1)))
+    return NonMarkovReport(times=rates.times, f=f, q_total=q,
+                           window=(float(t0), float(t1)))
 
 
 def overall_performance(times, eta_samples, t_f: float) -> float:

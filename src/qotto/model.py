@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ConfigError, require_finite
 from .matcore import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix
 
 
@@ -40,13 +41,18 @@ class SystemParams:
     g: float
 
     def __post_init__(self):
+        require_finite(self)
         if not (0.0 < self.nu_cold < self.nu_hot):
-            raise ValueError(
+            raise ConfigError(
                 f"need 0 < nu_cold < nu_hot, got {self.nu_cold}, {self.nu_hot}")
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.g < 0.0:
-            raise ValueError(f"g must be non-negative, got {self.g}")
+        if not self.tau > 0.0:
+            raise ConfigError(f"tau must be positive, got {self.tau}")
+        if not self.g >= 0.0:
+            raise ConfigError(f"g must be non-negative, got {self.g}")
+        if not np.isfinite(np.hypot(2.0 * np.pi * self.nu_hot,
+                                    self.omega_tilde)):
+            raise ConfigError("tau too short or nu_hot, g too large: the "
+                              "hot transition energy overflows")
 
     @property
     def omega(self) -> float:

@@ -12,7 +12,7 @@ from scipy.integrate import quad
 import conftest
 from conftest import EPS_COLD, EPS_HOT
 from oracles import filon_rates, markov_limits, occupation
-from qotto import bath
+from qotto import ConfigError, bath
 from qotto.bath import (BathSpec, build_rate_trajectory, rate_coefficients,
                         spectral_density, quadrature_error_estimate)
 from qotto.bath import _engine
@@ -27,8 +27,16 @@ from qotto.cycle import CycleConfig
     dict(alpha=0.6, omega_c=30.0, beta=0.1, mu=-1.0),
 ])
 def test_spec_validation(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         BathSpec(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["alpha", "omega_c", "beta", "mu"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spec_values_must_be_finite(name, value):
+    kwargs = dict(alpha=0.6, omega_c=30.0, beta=0.1, mu=0.0)
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        BathSpec(**{**kwargs, name: value})
 
 
 def test_spec_allows_zero_coupling():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qotto
 from qotto import cli, cycle
 
 FAST = ["--set", "heat_dt=0.0005", "--set", "heat_t_dense=0.6",
@@ -117,6 +118,90 @@ def test_bad_spectrum_is_config_error(tmp_path, capsys):
                      "--out", str(tmp_path)] + TINY)
     assert code == cli.EXIT_CONFIG
     assert "alpha must be >= 0" in capsys.readouterr().err
+
+
+def test_cli_raises_the_library_config_error():
+    assert cli.ConfigError is qotto.ConfigError
+    assert issubclass(qotto.ConfigError, ValueError)
+
+
+def _assert_config_exit(capsys, argv, named):
+    """Exit 2 with one `config error:` line that names the culprit."""
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG, err
+    assert err.startswith("config error:"), err
+    assert "Traceback" not in err
+    assert named in err
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the config was checked")
+
+
+_FLOAT_KEYS = [f.name for f in fields(cycle.CycleConfig)
+               if isinstance(f.default, float)]
+
+
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_cycle_key_is_config_error(tmp_path, capsys, key, value):
+    _assert_config_exit(capsys, ["rates", "--out", str(tmp_path)] + TINY
+                        + ["--set", f"{key}={value}"], key)
+
+
+@pytest.mark.parametrize("command", ["nonmarkov", "sweep-cutoff"])
+@pytest.mark.parametrize("cutoffs", ["5,inf", "5,nan", "5,-1"])
+def test_bad_cutoff_list_is_rejected_before_any_work(
+        tmp_path, capsys, monkeypatch, command, cutoffs):
+    """The whole list passes the reservoir's cutoff rule before the
+    first table is built."""
+    monkeypatch.setattr(cli, "build_rate_trajectory", _no_work)
+    monkeypatch.setattr(cli, "sweep_cutoff", _no_work)
+    _assert_config_exit(capsys, [command, "--set", f"omega_c_list={cutoffs}",
+                                 "--out", str(tmp_path)] + TINY,
+                        "omega_c_list")
+
+
+@pytest.mark.parametrize("command", ["ift", "sweep-population"])
+@pytest.mark.parametrize("step", ["nan", "inf", "-inf", "0", "1"])
+def test_bad_population_step_is_config_error(tmp_path, capsys, command,
+                                             step):
+    _assert_config_exit(capsys, [command, "--set", f"p_hot_step={step}",
+                                 "--out", str(tmp_path)] + TINY,
+                        "p_hot_step")
+
+
+def test_population_grid_is_checked_before_auto_t_tilde(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_cycle", _no_work)
+    _assert_config_exit(capsys, ["sweep-population", "--set", "p_hot_min=0.9",
+                                 "--set", "p_hot_max=0.5",
+                                 "--out", str(tmp_path)], "p_hot_min")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "0.6"])
+def test_t_tilde_outside_the_window_is_config_error(tmp_path, capsys, value):
+    """The window is the library sweep's rule (TINY ends at 0.5 ms)."""
+    _assert_config_exit(capsys, ["sweep-population", "--set",
+                                 f"t_tilde={value}", "--out", str(tmp_path)]
+                        + TINY, "t_tilde")
+
+
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("omega_c = 15 # \xb5s\n".encode("latin-1"))
+    _assert_config_exit(capsys, ["rates", "--config", str(path),
+                                 "--out", str(tmp_path)] + TINY, str(path))
+
+
+def test_out_naming_a_file_is_config_error(tmp_path, capsys, monkeypatch):
+    """--out is created before the command runs, not after."""
+    target = tmp_path / "taken"
+    target.write_text("not a directory\n")
+    monkeypatch.setattr(cli, "build_rate_trajectory", _no_work)
+    _assert_config_exit(capsys, ["rates", "--out", str(target)] + TINY,
+                        str(target))
 
 
 def test_default_config_is_the_library_default():

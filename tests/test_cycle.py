@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import conftest
 import oracles
-from qotto import bath, cycle, dynamics, matcore, measures, model
+from qotto import ConfigError, bath, cycle, dynamics, matcore, measures, model
 from oracles import density_from_bloch, run_cooling
 from qotto.cycle import (CycleConfig, SweepRow, build_config, ift_reference,
                          population_onset, run_cycle, sweep_cutoff,
@@ -117,9 +117,9 @@ def test_replaced_cutoff_equals_a_fresh_config(fast_cfg):
     (dict(mu=-1.0), "mu >= 0"),
 ])
 def test_config_rejects_bad_spectrum(fast_cfg, kwargs, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ConfigError, match=message):
         build_config(**kwargs, **FAST)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ConfigError, match=message):
         replace(fast_cfg, **kwargs)
 
 
@@ -132,11 +132,41 @@ def test_config_rejects_bad_spectrum(fast_cfg, kwargs, message):
     dict(t_f=3.0, heat_t_max=2.0),          # scoring window past the scan
     dict(heat_dt=0.0007),                   # 0.7 us does not divide 0.6 ms
     dict(heat_t_max=0.604),                 # 10 us does not divide 4 us
+    dict(nu_cold=4.0),                      # the drive is checked too
+    dict(n_steps=0),
 ])
 def test_config_validation(kwargs):
     merged = {**FAST, **kwargs}
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         build_config(**merged)
+
+
+# the float fields of CycleConfig, the ones a nan or inf can reach
+FLOAT_FIELDS = [f.name for f in fields(CycleConfig)
+                if isinstance(f.default, float)]
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_fields_must_be_finite(name, value):
+    """A non-finite value is named, not reported through a rule it
+    happens to break (an infinite spacing "does not divide")."""
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        CycleConfig(**{name: value})
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(FLOAT_FIELDS), value=st.floats())
+def test_one_float_field_builds_or_is_config_error(name, value):
+    """Any float in any one field, nan and +-inf included: either a
+    config whose fields are all finite or a ConfigError, nothing else."""
+    try:
+        cfg = CycleConfig(**{name: value})
+    except ConfigError:
+        return
+    assert all(math.isfinite(getattr(cfg, f.name)) for f in fields(cfg))
+    assert math.isfinite(cfg.hot_bath.beta)
+    assert math.isfinite(cfg.cold_bath.beta)
 
 
 @pytest.mark.parametrize("p_plus_cold", [0.0, 0.5])
@@ -338,12 +368,27 @@ def test_sweep_population_rows(fast_cfg):
 
 
 def test_sweep_population_validation(fast_cfg):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         sweep_population(fast_cfg, [0.5, 1.0], 0.272)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         sweep_population(fast_cfg, [0.6], 2.5)   # past the heating horizon
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         sweep_population(fast_cfg, [0.6], 0.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda c: sweep_cutoff(c, []), "must not be empty"),
+    (lambda c: sweep_population(c, [], 0.272), "must not be empty"),
+    (lambda c: sweep_population(c, [0.6, math.nan], 0.272), "p_plus_hot"),
+    (lambda c: sweep_population(c, [0.6], math.nan), "t_tilde"),
+    (lambda c: sweep_population(c, [0.6], math.inf), "t_tilde"),
+    (lambda c: ift_reference(c, [0.6, 0.0]), "p_plus_hot"),
+    (lambda c: ift_reference(c, [math.inf]), "p_plus_hot"),
+])
+def test_sweep_inputs_raise_config_error(fast_cfg, call, message):
+    """A sweep's populations pass the config's own p_plus_hot rule."""
+    with pytest.raises(ConfigError, match=message):
+        call(fast_cfg)
 
 
 def test_ift_reference_curve(fast_cfg):

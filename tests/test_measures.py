@@ -134,8 +134,7 @@ def test_nonmarkov_report_rejects_negative_data(rate_table):
     bad = rep.f.copy()
     bad[3] = -1e-3
     with pytest.raises(ValueError):
-        NonMarkovReport(rep.times, bad, rep.big_gamma, rep.gamma_tilde,
-                        rep.q_total, rep.window)
+        NonMarkovReport(rep.times, bad, rep.q_total, rep.window)
 
 
 def test_energetics_identity_heating_is_not_an_engine(system):

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 import conftest
 from oracles import (hamiltonian_compression, hamiltonian_expansion,
                      herm_eig2, jump_operator, population_from_beta)
-from qotto import matcore, model
+from qotto import ConfigError, matcore, model
 from qotto.matcore import SIGMA_X, SIGMA_Z, dag
 from qotto.model import (SystemParams, beta_from_population, hamiltonian_cold,
                          hamiltonian_hot, state_from_population,
@@ -24,7 +24,28 @@ from qotto.model import (SystemParams, beta_from_population, hamiltonian_cold,
     dict(nu_cold=2.0, nu_hot=3.6, tau=0.1, g=-0.1),
 ])
 def test_params_validation(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
+        SystemParams(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["nu_cold", "nu_hot", "tau", "g"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_must_be_finite(name, value):
+    kwargs = dict(nu_cold=2.0, nu_hot=3.6, tau=0.1, g=0.2)
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        SystemParams(**{**kwargs, name: value})
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(nu_cold=2.0, nu_hot=1e308, tau=0.1, g=0.2),
+    dict(nu_cold=2.0, nu_hot=3.6, tau=1e-320, g=0.2),
+    dict(nu_cold=2.0, nu_hot=3.6, tau=1e-320, g=0.0),
+    dict(nu_cold=2.0, nu_hot=3.6, tau=0.1, g=1e308),
+])
+def test_params_reject_an_overflowing_drive(kwargs):
+    """A drive whose hot transition energy is not a float is a config
+    error, not a NaN Hamiltonian."""
+    with pytest.raises(ConfigError, match="overflows"):
         SystemParams(**kwargs)
 
 
