@@ -25,14 +25,13 @@ of the bath mode and e the transition energy of the system Hamiltonian.
     2 i^k j_k(z) turns each panel into spherical Bessel moments, uniformly
     valid in t.
 
-A doubled-resolution, doubled-range remainder gives the convergence
-estimate reported with every rate table; gamma has no quadrature to check.
+A doubled-resolution, doubled-range remainder checks the remainder values
+every rate table stores; gamma has no quadrature to check.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import legvander
@@ -52,6 +51,9 @@ _REACH = 40.0
 
 # largest accepted base-versus-fine remainder discrepancy, rad/ms
 QUAD_TOL = 1e-8
+
+# most samples a rate table or a heating grid may hold
+MAX_POINTS = 10**6
 
 # past this wc*t the scaled exponential integrals come from their
 # asymptotic series (DLMF 6.12.1-2), whose terms are below 1e-25 there
@@ -212,22 +214,14 @@ class _Remainder:
         return self._panel_sums(t) + self.h_eps * sing
 
 
-@lru_cache(maxsize=64)
-def _engine(bath: BathSpec, eps: float, order: int, panel_div: float,
-            range_scale: float) -> _Remainder:
-    return _Remainder(bath, eps, order, panel_div, range_scale)
-
-
-def quadrature_error_estimate(bath: BathSpec, eps: float, ts) -> float:
-    """Max discrepancy of the confined remainder against a
-    doubled-resolution, doubled-range quadrature; 0 at beta = 0, where
-    both rates are the closed-form gamma."""
+def quadrature_error_estimate(bath: BathSpec, eps: float, ts, held) -> float:
+    """Max discrepancy of the confined remainder values `held` at times
+    `ts` against a doubled-resolution, doubled-range quadrature; 0 at
+    beta = 0, where both rates are the closed-form gamma."""
     if bath.beta == 0.0:
         return 0.0
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    base = _engine(bath, eps, *_BASE_RESOLUTION)(ts)
-    fine = _engine(bath, eps, *_FINE_RESOLUTION)(ts)
-    return float(np.max(np.abs(base - fine)))
+    fine = _Remainder(bath, eps, *_FINE_RESOLUTION)(np.asarray(ts, float))
+    return float(np.max(np.abs(np.asarray(held) - fine)))
 
 
 def rate_coefficients(bath: BathSpec, eps: float, t):
@@ -247,7 +241,7 @@ def rate_coefficients(bath: BathSpec, eps: float, t):
         # nbar = 1/2 everywhere: both channels run at gamma
         gt, bg = g.copy(), g.copy()
     else:
-        c = _engine(bath, eps, *_BASE_RESOLUTION)(ts)
+        c = _Remainder(bath, eps, *_BASE_RESOLUTION)(ts)
         rest = 2.0 * g - c
         gt, bg = (rest, c) if bath.beta < 0.0 else (c, rest)
     if np.ndim(t) == 0:
@@ -260,15 +254,13 @@ class RateTrajectory:
     """Precomputed rate table on a uniform grid, with health diagnostics.
 
     `quad_error` is the convergence estimate of the confined remainder,
-    the only rate piece computed by quadrature.
+    the only rate piece computed by quadrature, on the stored values.
     """
 
     times: np.ndarray
     gamma: np.ndarray
     gamma_tilde: np.ndarray
     big_gamma: np.ndarray
-    bath: BathSpec
-    eps: float
     quad_error: float
     weak_coupling_ok: bool
 
@@ -288,12 +280,20 @@ def build_rate_trajectory(bath: BathSpec, eps: float,
     if t_max <= 0.0:
         raise ValueError(f"t_max must be positive, got {t_max}")
     spacing = min(0.2 / eps, 0.05 / bath.omega_c)
-    n = int(np.ceil(t_max / spacing)) + 1
+    count = np.ceil(t_max / spacing) + 1.0
+    if not count <= MAX_POINTS:
+        raise ConfigError(
+            f"a rate table over {t_max:.9g} ms at omega_c = "
+            f"{bath.omega_c:.9g} needs {count:.9g} points, more than "
+            f"{MAX_POINTS}")
+    n = int(count)
     times = np.linspace(0.0, t_max, n)
     g, gt, bg = rate_coefficients(bath, eps, times)
 
-    probes = np.geomspace(times[1], t_max, 9)
-    quad_err = quadrature_error_estimate(bath, eps, probes)
+    # the stored remainder at nine table times spread geometrically
+    k = np.rint(np.geomspace(1, n - 1, 9)).astype(int)
+    held = bg if bath.beta < 0.0 else gt
+    quad_err = quadrature_error_estimate(bath, eps, times[k], held[k])
     if quad_err > QUAD_TOL:
         warnings.warn(
             f"rate quadrature convergence estimate {quad_err:.2e} exceeds "
@@ -310,4 +310,4 @@ def build_rate_trajectory(bath: BathSpec, eps: float,
             "dissipation strength is not small against the transition energy; "
             "weak-coupling treatment is marginal here", RuntimeWarning,
             stacklevel=2)
-    return RateTrajectory(times, g, gt, bg, bath, eps, float(quad_err), weak_ok)
+    return RateTrajectory(times, g, gt, bg, float(quad_err), weak_ok)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ConfigError, require_finite
-from .bath import BathSpec, build_rate_trajectory
+from .bath import MAX_POINTS, BathSpec, build_rate_trajectory
 from .dynamics import (DEFAULT_N_STEPS, _branch_crossing, evolve_open,
                        propagate_unitary)
 from .matcore import DensityMatrix, dag
@@ -108,13 +108,19 @@ class CycleConfig:
             raise ConfigError("need 0 < heat_t_dense <= heat_t_max")
         # a spacing that does not divide its span would be silently
         # stretched or squeezed by heating_grid
+        samples = 1.0
         for name, step, span in (
                 ("heat_dt", self.heat_dt, self.heat_t_dense),
                 ("tail_dt", self.tail_dt,
                  self.heat_t_max - self.heat_t_dense)):
-            if not abs(np.round(span / step) * step - span) <= 1e-9 * span:
+            steps = np.round(span / step)
+            if not abs(steps * step - span) <= 1e-9 * span:
                 raise ConfigError(f"{name} = {step:.9g} does not divide "
                                   f"its span {span:.9g} ms")
+            samples += steps
+        if samples > MAX_POINTS:
+            raise ConfigError(f"heat_dt and tail_dt give {samples:.9g} "
+                              f"heating samples, more than {MAX_POINTS}")
         if not 0.0 < self.t_f <= self.heat_t_max:
             raise ConfigError("t_f must lie in (0, heat_t_max]")
         if not self.n_steps >= 1:

@@ -162,8 +162,7 @@ def test_criterion_9_oracle_suite(full_results, system, hot_bath, rng):
     times = np.linspace(0.0, 3.0, 301)
     ones = np.ones(times.size)
     flat = bath.RateTrajectory(times, g_inf * ones, gt_inf * ones,
-                               (2 * g_inf - gt_inf) * ones, hot_bath,
-                               conftest.EPS_HOT, 0.0, True)
+                               (2 * g_inf - gt_inf) * ones, 0.0, True)
     traj = dynamics.evolve_open(model.state_from_population(h_hot, 0.3),
                                 h_hot, flat, times)
     nbar = oracles.occupation(hot_bath, conftest.EPS_HOT)

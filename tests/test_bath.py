@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,6 @@ from oracles import filon_rates, markov_limits, occupation
 from qotto import ConfigError, bath
 from qotto.bath import (BathSpec, build_rate_trajectory, rate_coefficients,
                         spectral_density, quadrature_error_estimate)
-from qotto.bath import _engine
 from qotto.cycle import CycleConfig
 
 
@@ -156,7 +156,7 @@ def test_panel_quadrature_against_qawo(omega_c):
     """
     eps = conftest.EPS_HOT
     b = BathSpec(alpha=0.6, omega_c=omega_c, beta=conftest.BETA_HOT)
-    eng = _engine(b, eps, *bath._BASE_RESOLUTION)
+    eng = bath._Remainder(b, eps, *bath._BASE_RESOLUTION)
     d_eps = confined_slope(b, eps)
 
     def psi(w):
@@ -248,7 +248,8 @@ def test_flat_occupation_has_equal_channels():
     g, gt, bg = rate_coefficients(flat, conftest.EPS_HOT, ts)
     assert_array_equal(gt, g)
     assert_array_equal(bg, g)
-    assert quadrature_error_estimate(flat, conftest.EPS_HOT, ts) == 0.0
+    rt = build_rate_trajectory(flat, conftest.EPS_HOT, ts[-1])
+    assert rt.quad_error == 0.0
 
 
 def test_no_sliver_panel_at_transition_energy():
@@ -271,7 +272,9 @@ def test_no_sliver_panel_at_transition_energy():
 
 def test_quadrature_error_estimate_small(hot_bath):
     ts = np.geomspace(1e-3, 10.0, 9)
-    assert quadrature_error_estimate(hot_bath, conftest.EPS_HOT, ts) < 1e-8
+    held = rate_coefficients(hot_bath, conftest.EPS_HOT, ts)[2]
+    assert quadrature_error_estimate(hot_bath, conftest.EPS_HOT, ts,
+                                     held) < 1e-8
 
 
 def test_trajectory_grid_contract(rate_table):
@@ -291,6 +294,60 @@ def test_trajectory_warns_when_tolerance_unreachable(hot_bath, monkeypatch):
     monkeypatch.setattr(bath, "_BASE_RESOLUTION", (4, 1.0, 1.0))
     with pytest.warns(RuntimeWarning, match="convergence estimate"):
         build_rate_trajectory(hot_bath, conftest.EPS_HOT, 0.5)
+
+
+@pytest.mark.filterwarnings(conftest.MARGINAL_COUPLING)
+@pytest.mark.parametrize("beta", [conftest.BETA_HOT, conftest.BETA_COLD],
+                         ids=["inverted", "positive"])
+def test_trajectory_evaluates_each_remainder_once(monkeypatch, beta):
+    """One base-resolution pass fills the table and the check reuses
+    it; only the doubled-resolution remainder is evaluated besides."""
+    calls = Counter()
+    call = bath._Remainder.__call__
+
+    def counting(self, t):
+        calls[self.order] += 1
+        return call(self, t)
+
+    monkeypatch.setattr(bath._Remainder, "__call__", counting)
+    spec = BathSpec(alpha=0.6, omega_c=30.0, beta=beta)
+    build_rate_trajectory(spec, conftest.EPS_HOT, 0.5)
+    assert calls == {bath._BASE_RESOLUTION[0]: 1,
+                     bath._FINE_RESOLUTION[0]: 1}
+
+
+@pytest.mark.filterwarnings(conftest.MARGINAL_COUPLING)
+@pytest.mark.parametrize("beta", [conftest.BETA_HOT, conftest.BETA_COLD],
+                         ids=["inverted", "positive"])
+def test_trajectory_check_reads_stored_values(monkeypatch, beta):
+    """A table whose stored remainder is off by 1e-6 fails the check,
+    although the quadrature itself is converged."""
+    rates = bath.rate_coefficients
+
+    def shifted(spec, eps, t):
+        g, gt, bg = rates(spec, eps, t)
+        # the remainder is big_gamma below beta = 0, gamma_tilde above
+        return (g, gt, bg + 1e-6) if spec.beta < 0.0 else (g, gt + 1e-6, bg)
+
+    monkeypatch.setattr(bath, "rate_coefficients", shifted)
+    spec = BathSpec(alpha=0.6, omega_c=30.0, beta=beta)
+    with pytest.warns(RuntimeWarning, match="convergence estimate"):
+        rt = build_rate_trajectory(spec, conftest.EPS_HOT, 0.5)
+    assert rt.quad_error == pytest.approx(1e-6, rel=1e-3)
+
+
+def test_trajectory_size_is_bounded(hot_bath, monkeypatch):
+    """A table longer than MAX_POINTS is refused before it is allocated:
+    0.1 ms at spacing 0.05/30 ms needs 61 points."""
+    monkeypatch.setattr(bath, "MAX_POINTS", 61)
+    rt = build_rate_trajectory(hot_bath, conftest.EPS_HOT, 0.1)
+    assert rt.times.size == 61
+    monkeypatch.setattr(bath, "MAX_POINTS", 60)
+    with pytest.raises(ConfigError, match="needs 61 points, more than 60"):
+        build_rate_trajectory(hot_bath, conftest.EPS_HOT, 0.1)
+    with pytest.raises(ConfigError, match="needs inf points"):
+        build_rate_trajectory(replace(hot_bath, omega_c=1e308),
+                              conftest.EPS_HOT, 0.1)
 
 
 def test_trajectory_flags_marginal_coupling():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qotto
-from qotto import cli, cycle
+from qotto import bath, cli, cycle
 
 FAST = ["--set", "heat_dt=0.0005", "--set", "heat_t_dense=0.6",
         "--set", "heat_t_max=2.0", "--set", "t_f=0.5",
@@ -251,6 +251,20 @@ def test_grid_spacing_must_divide_its_span(tmp_path, capsys, setting,
     code = cli.main(["rates", "--set", setting, "--out", str(tmp_path)])
     assert code == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+def test_oversized_grids_are_config_errors(tmp_path, capsys, monkeypatch):
+    """A heating grid or rate table past MAX_POINTS samples is an input
+    error (exit 2), refused before numpy is asked to allocate it."""
+    code = cli.main(["simulate", "--set", "heat_dt=1e-300",
+                     "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    assert "heating samples" in capsys.readouterr().err
+    # the TINY table holds 301 points
+    monkeypatch.setattr(bath, "MAX_POINTS", 300)
+    code = cli.main(["rates", "--out", str(tmp_path)] + TINY)
+    assert code == cli.EXIT_CONFIG
+    assert "needs 301 points" in capsys.readouterr().err
 
 
 def test_rates_output(tmp_path):

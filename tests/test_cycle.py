@@ -141,6 +141,21 @@ def test_config_validation(kwargs):
         build_config(**merged)
 
 
+def test_heating_grid_size_is_bounded(monkeypatch):
+    """The sample count is checked before any grid is built: at most
+    MAX_POINTS samples, so 1e-9 ms steps (1e9 samples) or 1e-300 ms
+    steps are refused as input errors."""
+    for heat_dt in (1e-9, 1e-300):
+        with pytest.raises(ConfigError, match="heating samples"):
+            CycleConfig(heat_dt=heat_dt)
+    monkeypatch.setattr(cycle, "MAX_POINTS", 1000)
+    cfg = CycleConfig(heat_t_dense=1.0, heat_t_max=1.0, heat_dt=1.0 / 999)
+    assert cfg.heating_grid().size == 1000
+    with pytest.raises(ConfigError, match="give 1001 heating samples, "
+                                          "more than 1000"):
+        CycleConfig(heat_t_dense=1.0, heat_t_max=1.0, heat_dt=1e-3)
+
+
 # the float fields of CycleConfig, the ones a nan or inf can reach
 FLOAT_FIELDS = [f.name for f in fields(CycleConfig)
                 if isinstance(f.default, float)]

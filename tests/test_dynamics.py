@@ -178,8 +178,7 @@ def test_evolve_open_detailed_balance_fixed_point(system, hot_bath):
     times = np.linspace(0.0, 3.0, 301)
     ones = np.ones(times.size)
     rt = RateTrajectory(times, g_inf * ones, gt_inf * ones,
-                        (2 * g_inf - gt_inf) * ones, hot_bath,
-                        conftest.EPS_HOT, 0.0, True)
+                        (2 * g_inf - gt_inf) * ones, 0.0, True)
     nbar = oracles.occupation(hot_bath, conftest.EPS_HOT)
     for rho0 in (model.state_from_population(h, 0.3),
                  density_from_bloch(1.0, 0.0, 0.0)):
@@ -318,9 +317,8 @@ def test_closed_form_stroke_is_a_state_path(system, bg, gt, direction,
     times = np.linspace(0.0, 2.0, 81)
     big_gamma = _quadratic(times, *bg)
     gamma_tilde = _quadratic(times, *gt)
-    spec = bath.BathSpec(alpha=0.6, omega_c=30.0, beta=conftest.BETA_HOT)
     rt = RateTrajectory(times, 0.5 * (big_gamma + gamma_tilde), gamma_tilde,
-                        big_gamma, spec, conftest.EPS_HOT, 0.0, True)
+                        big_gamma, 0.0, True)
     n = radius * np.asarray(direction) / math.hypot(*direction)
     rho0 = density_from_bloch(*n)
     traj = evolve_open(rho0, h, rt, np.linspace(0.0, 2.0, 57))
@@ -350,8 +348,7 @@ def test_constant_rates_relax_to_bath_occupation(system, omega_c, p_target,
     times = np.linspace(0.0, 40.0 / (2.0 * k * g_inf), 101)
     ones = np.ones(times.size)
     rt = RateTrajectory(times, g_inf * ones, gt_inf * ones,
-                        (2 * g_inf - gt_inf) * ones, spec,
-                        conftest.EPS_HOT, 0.0, True)
+                        (2 * g_inf - gt_inf) * ones, 0.0, True)
     traj = evolve_open(model.state_from_population(h, p_start), h, rt, times)
     nbar = oracles.occupation(spec, conftest.EPS_HOT)
     assert traj.populations(vp)[-1] == pytest.approx(nbar, abs=1e-12)

@@ -18,13 +18,12 @@ from qotto.measures import (Energetics, NonMarkovReport, cycle_energetics,
                             quantifier_Q, witness_f)
 
 
-def make_table(hot_bath, gamma, gamma_tilde):
+def make_table(gamma, gamma_tilde):
     """Constant-rate table consistent with the fermionic channel rule."""
     times = np.linspace(0.0, 2.0, 21)
     g = np.full(times.size, gamma)
     gt = np.full(times.size, gamma_tilde)
-    return RateTrajectory(times, g, gt, 2 * g - gt, hot_bath,
-                          conftest.EPS_HOT, 0.0, True)
+    return RateTrajectory(times, g, gt, 2 * g - gt, 0.0, True)
 
 
 def thermal_cycle_states(system, p_cold=0.261, p_hot=0.99):
@@ -38,13 +37,13 @@ def thermal_cycle_states(system, p_cold=0.261, p_hot=0.99):
     return rho_in.mat, rho_exp, rho_heat, rho_comp, h_cold, h_hot
 
 
-def test_witness_positive_rates_are_markovian(hot_bath):
-    rt = make_table(hot_bath, 0.35, 0.2)     # big_gamma = 0.5
+def test_witness_positive_rates_are_markovian():
+    rt = make_table(0.35, 0.2)     # big_gamma = 0.5
     assert_allclose(witness_f(rt), 0.0, atol=0)
 
 
-def test_witness_counts_negative_channel(hot_bath):
-    rt = make_table(hot_bath, 0.1, 0.5)      # big_gamma = -0.3
+def test_witness_counts_negative_channel():
+    rt = make_table(0.1, 0.5)      # big_gamma = -0.3
     assert_allclose(witness_f(rt), 0.3, atol=1e-15)
 
 
@@ -52,15 +51,15 @@ def test_witness_zero_at_sharp_cutoff(rate_table):
     assert np.max(witness_f(rate_table(25.0))) == 0.0
 
 
-def test_witness_shift_invariance(hot_bath):
+def test_witness_shift_invariance():
     # raising both rates while they stay positive cannot create memory
     for lift in (0.1, 1.0):
-        rt = make_table(hot_bath, 0.35 + lift, 0.2 + lift)
+        rt = make_table(0.35 + lift, 0.2 + lift)
         assert np.max(witness_f(rt)) == 0.0
 
 
-def test_quantifier_trivial_windows(hot_bath):
-    rt = make_table(hot_bath, 0.35, 0.2)
+def test_quantifier_trivial_windows():
+    rt = make_table(0.35, 0.2)
     f = witness_f(rt)
     assert quantifier_Q(rt.times, f, 0.0, 2.0) == 0.0
     const = np.full(rt.times.size, 0.7)
@@ -101,8 +100,8 @@ def test_quantifier_additive_over_random_splits(steps, values, cuts,
     assert pieces == pytest.approx(total, rel=1e-12, abs=1e-12)
 
 
-def test_quantifier_window_validation(hot_bath):
-    rt = make_table(hot_bath, 0.35, 0.2)
+def test_quantifier_window_validation():
+    rt = make_table(0.35, 0.2)
     f = witness_f(rt)
     with pytest.raises(ValueError):
         quantifier_Q(rt.times, f, -0.1, 1.0)
