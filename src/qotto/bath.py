@@ -23,7 +23,8 @@ of the bath mode and e the transition energy of the system Hamiltonian.
     off exactly, (h(w)-h(e))/(w-e) is expanded in Legendre polynomials on
     panels sized by the envelope h alone, and int P_k(x) e^{izx} dx =
     2 i^k j_k(z) turns each panel into spherical Bessel moments, uniformly
-    valid in t.
+    valid in t; each order is one Bessel call over all panels, in blocks
+    of _BLOCK times.
 
 A doubled-resolution, doubled-range remainder checks the remainder values
 every rate table stores; gamma has no quadrature to check.
@@ -54,6 +55,9 @@ QUAD_TOL = 1e-8
 
 # most samples a rate table or a heating grid may hold
 MAX_POINTS = 10**6
+
+# times per remainder block, which bounds its (panels x times) arrays
+_BLOCK = 2048
 
 # past this wc*t the scaled exponential integrals come from their
 # asymptotic series (DLMF 6.12.1-2), whose terms are below 1e-25 there
@@ -162,56 +166,45 @@ def _panel_edges(bath: BathSpec, eps: float, panel_div: float,
     return np.asarray(edges)
 
 
-class _Remainder:
-    """Filon-Legendre evaluation of the confined remainder
-    C(t) = int_0^omega_max h(w) sin((w-e)t)/(w-e) dw,
-    h(w) = 2 g(w) expit(-|beta|(w - mu)); needs beta != 0."""
+def _envelope(bath: BathSpec, w: np.ndarray) -> np.ndarray:
+    """Remainder envelope h(w) = 2 g(w) expit(-|beta|(w - mu))."""
+    return (2.0 * spectral_density(bath, w) / TWO_PI
+            * expit(-abs(bath.beta) * (w - bath.mu)))
 
-    def __init__(self, bath: BathSpec, eps: float, order: int,
-                 panel_div: float, range_scale: float):
-        self.bath = bath
-        self.eps = eps
-        self.order = order
-        self.omega_max = range_scale * (bath.mu + _REACH / abs(bath.beta))
-        self.h_eps = float(self.envelope(np.asarray(eps)))
 
-        edges = _panel_edges(bath, eps, panel_div, self.omega_max)
-        nodes_x, weights = np.polynomial.legendre.leggauss(order)
-        # Gauss projection onto P_0 .. P_{K-1}, shape (K, n)
-        proj = (legvander(nodes_x, order - 1) * weights[:, None]).T \
-            * (np.arange(order)[:, None] + 0.5)
+def _remainder(bath: BathSpec, eps: float, t: np.ndarray, order: int,
+               panel_div: float, range_scale: float) -> np.ndarray:
+    """Filon-Legendre confined remainder, for t >= 0 and beta != 0,
+    C(t) = int_0^omega_max h(w) sin((w-e)t)/(w-e) dw; C(0) = 0."""
+    omega_max = range_scale * (bath.mu + _REACH / abs(bath.beta))
+    h_eps = float(_envelope(bath, np.asarray(eps)))
 
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        halfs = 0.5 * (edges[1:] - edges[:-1])
-        pts = mids[:, None] + halfs[:, None] * nodes_x[None, :]   # (P, n)
+    edges = _panel_edges(bath, eps, panel_div, omega_max)
+    nodes_x, weights = np.polynomial.legendre.leggauss(order)
+    # Gauss projection onto P_0 .. P_{K-1}, shape (K, n)
+    proj = (legvander(nodes_x, order - 1) * weights[:, None]).T \
+        * (np.arange(order)[:, None] + 0.5)
 
-        # eps is a panel edge or outside the range, and Gauss nodes are
-        # interior, so no node meets the removable singularity
-        psi = (self.envelope(pts) - self.h_eps) / (pts - eps)
-        self.coef = (psi @ proj.T) * 1j ** np.arange(order)    # (P, K)
-        self.mids = mids
-        self.halfs = halfs
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    halfs = 0.5 * (edges[1:] - edges[:-1])
+    pts = mids[:, None] + halfs[:, None] * nodes_x[None, :]   # (P, n)
 
-    def envelope(self, w: np.ndarray) -> np.ndarray:
-        b = self.bath
-        return (2.0 * spectral_density(b, w) / TWO_PI
-                * expit(-abs(b.beta) * (w - b.mu)))
+    # eps is a panel edge or outside the range, and Gauss nodes are
+    # interior, so no node meets the removable singularity
+    psi = (_envelope(bath, pts) - h_eps) / (pts - eps)
+    coef = (psi @ proj.T) * 1j ** np.arange(order)    # (P, K)
 
-    def _panel_sums(self, t: np.ndarray) -> np.ndarray:
-        """Oscillatory panel contributions, shape (T,)."""
-        acc = np.zeros(t.shape, dtype=float)
-        k = np.arange(self.order)[:, None]
-        for p in range(self.mids.size):
-            jn = spherical_jn(k, self.halfs[p] * t[None, :])
-            s = np.einsum("k,kt->t", self.coef[p], jn)
-            osc = np.exp(1j * (self.mids[p] - self.eps) * t)
-            acc += 2.0 * self.halfs[p] * (osc * s).imag
-        return acc
-
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        """C(t) for t >= 0; C(0) = 0."""
-        sing = sici((self.omega_max - self.eps) * t)[0] + sici(self.eps * t)[0]
-        return self._panel_sums(t) + self.h_eps * sing
+    # oscillatory panel sums, one Bessel call per order over all panels
+    sums = []
+    for tb in np.split(t, range(_BLOCK, t.size, _BLOCK)):
+        z = halfs[:, None] * tb                         # (P, T)
+        s = np.zeros(z.shape, dtype=complex)
+        for k in range(order):
+            s += coef[:, k, None] * spherical_jn(k, z)
+        osc = np.exp(1j * (mids - eps)[:, None] * tb)
+        sums.append(np.sum(2.0 * halfs[:, None] * (osc * s).imag, axis=0))
+    sing = sici((omega_max - eps) * t)[0] + sici(eps * t)[0]
+    return np.concatenate(sums) + h_eps * sing
 
 
 def quadrature_error_estimate(bath: BathSpec, eps: float, ts, held) -> float:
@@ -220,7 +213,7 @@ def quadrature_error_estimate(bath: BathSpec, eps: float, ts, held) -> float:
     beta = 0, where both rates are the closed-form gamma."""
     if bath.beta == 0.0:
         return 0.0
-    fine = _Remainder(bath, eps, *_FINE_RESOLUTION)(np.asarray(ts, float))
+    fine = _remainder(bath, eps, np.asarray(ts, float), *_FINE_RESOLUTION)
     return float(np.max(np.abs(np.asarray(held) - fine)))
 
 
@@ -241,7 +234,7 @@ def rate_coefficients(bath: BathSpec, eps: float, t):
         # nbar = 1/2 everywhere: both channels run at gamma
         gt, bg = g.copy(), g.copy()
     else:
-        c = _Remainder(bath, eps, *_BASE_RESOLUTION)(ts)
+        c = _remainder(bath, eps, ts, *_BASE_RESOLUTION)
         rest = 2.0 * g - c
         gt, bg = (rest, c) if bath.beta < 0.0 else (c, rest)
     if np.ndim(t) == 0:
@@ -269,14 +262,11 @@ class RateTrajectory:
             raise ValueError("rate grid must start at 0 and increase strictly")
 
 
-def build_rate_trajectory(bath: BathSpec, eps: float,
-                          t_max: float) -> RateTrajectory:
-    """Tabulate rates on [0, t_max] at the resolution the dynamics needs.
-
-    Grid spacing stays below min(0.2/eps, 0.05/omega_c) ms so that cubic
-    interpolation resolves both the transition-frequency oscillation and the
-    cutoff-scale transient of the rates.
-    """
+def rate_table_size(bath: BathSpec, eps: float, t_max: float) -> int:
+    """Points of the rate table on [0, t_max], spaced below
+    min(0.2/eps, 0.05/omega_c) ms so that cubic interpolation resolves the
+    transition-frequency oscillation and the cutoff-scale transient of the
+    rates; more than MAX_POINTS is a ConfigError, raised before allocation."""
     if t_max <= 0.0:
         raise ValueError(f"t_max must be positive, got {t_max}")
     spacing = min(0.2 / eps, 0.05 / bath.omega_c)
@@ -286,12 +276,17 @@ def build_rate_trajectory(bath: BathSpec, eps: float,
             f"a rate table over {t_max:.9g} ms at omega_c = "
             f"{bath.omega_c:.9g} needs {count:.9g} points, more than "
             f"{MAX_POINTS}")
-    n = int(count)
-    times = np.linspace(0.0, t_max, n)
+    return int(count)
+
+
+def build_rate_trajectory(bath: BathSpec, eps: float,
+                          t_max: float) -> RateTrajectory:
+    """Tabulate rates on [0, t_max] at the resolution the dynamics needs."""
+    times = np.linspace(0.0, t_max, rate_table_size(bath, eps, t_max))
     g, gt, bg = rate_coefficients(bath, eps, times)
 
     # the stored remainder at nine table times spread geometrically
-    k = np.rint(np.geomspace(1, n - 1, 9)).astype(int)
+    k = np.rint(np.geomspace(1, times.size - 1, 9)).astype(int)
     held = bg if bath.beta < 0.0 else gt
     quad_err = quadrature_error_estimate(bath, eps, times[k], held[k])
     if quad_err > QUAD_TOL:

@@ -32,7 +32,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import ConfigError, __version__
-from .bath import build_rate_trajectory
+from .bath import build_rate_trajectory, rate_table_size
 from .cycle import (CycleConfig, ift_reference, population_onset, run_cycle,
                     sweep_cutoff, sweep_population)
 from .measures import nonmarkov_report
@@ -211,6 +211,8 @@ def cmd_rates(cfg: dict, ccfg: CycleConfig, outdir: str) -> int:
 def cmd_nonmarkov(cfg: dict, ccfg: CycleConfig, outdir: str) -> int:
     cutoffs = _omega_c_points(cfg, ccfg)
     eps_hot = transition_energy(hamiltonian_hot(ccfg.system))[0]
+    for spec in (replace(ccfg, omega_c=w).hot_bath for w in cutoffs):
+        rate_table_size(spec, eps_hot, ccfg.heat_t_max)  # before any output
     rates = build_rate_trajectory(ccfg.hot_bath, eps_hot, ccfg.heat_t_max)
     report = nonmarkov_report(rates)
     _write_csv(os.path.join(outdir, "witness.csv"),

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ConfigError, require_finite
-from .bath import MAX_POINTS, BathSpec, build_rate_trajectory
+from .bath import MAX_POINTS, BathSpec, build_rate_trajectory, rate_table_size
 from .dynamics import (DEFAULT_N_STEPS, _branch_crossing, evolve_open,
                        propagate_unitary)
 from .matcore import DensityMatrix, dag
@@ -424,6 +424,8 @@ def sweep_population(cfg: CycleConfig, p_hot_grid,
     if not 0.0 < t_tilde <= cfg.heat_t_max:
         raise ConfigError("t_tilde must lie in (0, heat_t_max] ms")
     su = _setup(cfg)
+    # one size for every point: the table spacing ignores the population
+    rate_table_size(cfg.hot_bath, su.eps_hot, t_tilde + _TABLE_MARGIN)
     return [_population_point(cfg, su, p, float(t_tilde)) for p in points]
 
 

@@ -10,11 +10,12 @@ A contact stroke obeys the time-local master equation
 with D[X] rho = X rho X^dag - {X^dag X, rho}/2, a constant H and the single
 jump channel A = a |-><+| of H.  In the eigenbasis of H it decouples into the
 damped two-level atom with time-dependent rates (Breuer & Petruccione, The
-Theory of Open Quantum Systems, OUP 2002): with k = |a|^2 and
-Lambda = int (G + gt), the coherence is c0 exp(-i e t - k Lambda(t)/2) and the
-excited population obeys dp/dt = -k Lambda'(t) p + k gt(t).  Both rates are
-read from a cubic spline of the rate table, so Lambda is that spline's exact
-antiderivative, and the population is stepped interval by interval.
+Theory of Open Quantum Systems, OUP 2002): with k = |a|^2 and Lambda =
+int (G + gt) = 2 int gamma (G = 2 gamma - gt), the coherence is
+c0 exp(-i e t - k Lambda(t)/2) and the excited population obeys
+dp/dt = -k Lambda'(t) p + k gt(t).  gamma and gt are read from cubic splines
+of the rate table, Lambda is the exact antiderivative of the spline of
+2 gamma, and the population is stepped interval by interval.
 """
 from __future__ import annotations
 
@@ -138,8 +139,7 @@ def evolve_open(rho0: DensityMatrix, h_sys: np.ndarray, rates: RateTrajectory,
     eps, vm, vp = transition_energy(h_sys)
     k = abs(np.vdot(vm, SIGMA_X @ vp)) ** 2
 
-    big_lam = CubicSpline(rates.times,
-                          rates.big_gamma + rates.gamma_tilde).antiderivative()
+    big_lam = CubicSpline(rates.times, 2.0 * rates.gamma).antiderivative()
     gamma_tilde = CubicSpline(rates.times, rates.gamma_tilde)
 
     # step over sample times and spline knots alike, so every step lies

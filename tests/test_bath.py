@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
+from scipy.special import sici
 
 import conftest
 from conftest import EPS_COLD, EPS_HOT
@@ -156,23 +157,66 @@ def test_panel_quadrature_against_qawo(omega_c):
     """
     eps = conftest.EPS_HOT
     b = BathSpec(alpha=0.6, omega_c=omega_c, beta=conftest.BETA_HOT)
-    eng = bath._Remainder(b, eps, *bath._BASE_RESOLUTION)
+    order, div, scale = bath._BASE_RESOLUTION
+    omega_max = scale * (b.mu + bath._REACH / abs(b.beta))
+    h_eps = float(bath._envelope(b, np.asarray(eps)))
     d_eps = confined_slope(b, eps)
 
     def psi(w):
         d = w - eps
         if abs(d) < 1e-7:
             return d_eps
-        return float((eng.envelope(np.asarray([w])) - eng.h_eps)[0] / d)
+        return float((bath._envelope(b, np.asarray([w])) - h_eps)[0] / d)
 
     for t in (0.013, 0.37, 2.1):
-        s_part = quad(psi, 0.0, eng.omega_max, weight="sin", wvar=t,
+        s_part = quad(psi, 0.0, omega_max, weight="sin", wvar=t,
                       limit=2000, epsabs=1e-12, epsrel=1e-12)[0]
-        c_part = quad(psi, 0.0, eng.omega_max, weight="cos", wvar=t,
+        c_part = quad(psi, 0.0, omega_max, weight="cos", wvar=t,
                       limit=2000, epsabs=1e-12, epsrel=1e-12)[0]
-        oracle = math.cos(eps * t) * s_part - math.sin(eps * t) * c_part
-        mine = eng._panel_sums(np.array([t]))[0]
+        sing = h_eps * (sici((omega_max - eps) * t)[0] + sici(eps * t)[0])
+        oracle = math.cos(eps * t) * s_part - math.sin(eps * t) * c_part \
+            + sing
+        mine = bath._remainder(b, eps, np.array([t]), order, div, scale)[0]
         assert mine == pytest.approx(oracle, abs=1e-10)
+
+
+def test_remainder_calls_bessel_once_per_order(monkeypatch):
+    """A table shorter than one block costs one spherical_jn call per
+    Legendre order of each pass, 14 + 16, however many panels it has:
+    the two reservoirs below have 13 + 27 and 34 + 60 panels."""
+    calls = Counter()
+    jn = bath.spherical_jn
+
+    def counting(k, z):
+        calls["jn"] += 1
+        return jn(k, z)
+
+    monkeypatch.setattr(bath, "spherical_jn", counting)
+    panels = set()
+    for p_hot in (0.99, 0.51):
+        spec = CycleConfig(p_plus_hot=p_hot).hot_bath
+        for _, div, scale in (bath._BASE_RESOLUTION,
+                              bath._FINE_RESOLUTION):
+            w_max = scale * (spec.mu + bath._REACH / abs(spec.beta))
+            panels.add(bath._panel_edges(spec, EPS_HOT, div, w_max).size - 1)
+        calls.clear()
+        rt = build_rate_trajectory(spec, EPS_HOT, 0.5)
+        assert calls["jn"] == (bath._BASE_RESOLUTION[0]
+                               + bath._FINE_RESOLUTION[0])
+        assert rt.times.size <= bath._BLOCK
+    assert panels == {13, 27, 34, 60}
+
+
+def test_remainder_blocks_match_halves(hot_bath):
+    """Times past one block give, bit for bit, what the two halves give
+    on their own: the blocks change no value."""
+    t = np.linspace(0.0, 2.0, bath._BLOCK + 101)
+    m = t.size // 2
+    res = bath._BASE_RESOLUTION
+    whole = bath._remainder(hot_bath, EPS_HOT, t, *res)
+    halves = np.concatenate([bath._remainder(hot_bath, EPS_HOT, t[:m], *res),
+                             bath._remainder(hot_bath, EPS_HOT, t[m:], *res)])
+    assert whole.tobytes() == halves.tobytes()
 
 
 def qawf_gamma(b: BathSpec, eps: float, t: float) -> float:
@@ -303,13 +347,13 @@ def test_trajectory_evaluates_each_remainder_once(monkeypatch, beta):
     """One base-resolution pass fills the table and the check reuses
     it; only the doubled-resolution remainder is evaluated besides."""
     calls = Counter()
-    call = bath._Remainder.__call__
+    remainder = bath._remainder
 
-    def counting(self, t):
-        calls[self.order] += 1
-        return call(self, t)
+    def counting(spec, eps, t, order, panel_div, range_scale):
+        calls[order] += 1
+        return remainder(spec, eps, t, order, panel_div, range_scale)
 
-    monkeypatch.setattr(bath._Remainder, "__call__", counting)
+    monkeypatch.setattr(bath, "_remainder", counting)
     spec = BathSpec(alpha=0.6, omega_c=30.0, beta=beta)
     build_rate_trajectory(spec, conftest.EPS_HOT, 0.5)
     assert calls == {bath._BASE_RESOLUTION[0]: 1,
@@ -342,6 +386,7 @@ def test_trajectory_size_is_bounded(hot_bath, monkeypatch):
     monkeypatch.setattr(bath, "MAX_POINTS", 61)
     rt = build_rate_trajectory(hot_bath, conftest.EPS_HOT, 0.1)
     assert rt.times.size == 61
+    assert bath.rate_table_size(hot_bath, conftest.EPS_HOT, 0.1) == 61
     monkeypatch.setattr(bath, "MAX_POINTS", 60)
     with pytest.raises(ConfigError, match="needs 61 points, more than 60"):
         build_rate_trajectory(hot_bath, conftest.EPS_HOT, 0.1)

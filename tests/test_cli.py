@@ -267,6 +267,16 @@ def test_oversized_grids_are_config_errors(tmp_path, capsys, monkeypatch):
     assert "needs 301 points" in capsys.readouterr().err
 
 
+def test_nonmarkov_checks_every_table_size_before_output(tmp_path, capsys):
+    """A cutoff whose rate table would pass MAX_POINTS is refused before
+    `witness.csv` or any other file is written."""
+    code = cli.main(["nonmarkov", "--set", "omega_c_list=5,1e6",
+                     "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    assert "needs 200000001 points" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def test_rates_output(tmp_path):
     code = cli.main(["rates", "--out", str(tmp_path)] + TINY)
     assert code == cli.EXIT_OK

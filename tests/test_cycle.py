@@ -399,9 +399,12 @@ def test_sweep_population_validation(fast_cfg):
     (lambda c: sweep_population(c, [0.6], math.inf), "t_tilde"),
     (lambda c: ift_reference(c, [0.6, 0.0]), "p_plus_hot"),
     (lambda c: ift_reference(c, [math.inf]), "p_plus_hot"),
+    (lambda c: sweep_population(replace(c, omega_c=1e6), [0.6], 0.272),
+     "needs 6440001 points"),
 ])
 def test_sweep_inputs_raise_config_error(fast_cfg, call, message):
-    """A sweep's populations pass the config's own p_plus_hot rule."""
+    """A sweep's populations pass the config's own p_plus_hot rule, and
+    its rate tables the size bound, before any point runs."""
     with pytest.raises(ConfigError, match=message):
         call(fast_cfg)
 
