@@ -23,8 +23,10 @@ of the bath mode and e the transition energy of the system Hamiltonian.
     off exactly, (h(w)-h(e))/(w-e) is expanded in Legendre polynomials on
     panels sized by the envelope h alone, and int P_k(x) e^{izx} dx =
     2 i^k j_k(z) turns each panel into spherical Bessel moments, uniformly
-    valid in t; each order is one Bessel call over all panels, in blocks
-    of _BLOCK times.
+    valid in t.  All orders come from one three-term recurrence over all
+    panels (DLMF 10.51, https://dlmf.nist.gov/10.51): upward where z is
+    at least the number of orders, Miller's downward form below it.  The
+    times go in blocks of _BLOCK.
 
 A doubled-resolution, doubled-range remainder checks the remainder values
 every rate table stores; gamma has no quadrature to check.
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import legvander
-from scipy.special import expi, exp1, expit, sici, spherical_jn
+from scipy.special import expi, exp1, expit, sici
 
 from . import ConfigError, require_finite
 
@@ -58,6 +60,9 @@ MAX_POINTS = 10**6
 
 # times per remainder block, which bounds its (panels x times) arrays
 _BLOCK = 2048
+
+# orders above the top one at which the downward Bessel recurrence starts
+_MILLER_LEAD = 24
 
 # past this wc*t the scaled exponential integrals come from their
 # asymptotic series (DLMF 6.12.1-2), whose terms are below 1e-25 there
@@ -172,6 +177,75 @@ def _envelope(bath: BathSpec, w: np.ndarray) -> np.ndarray:
             * expit(-abs(bath.beta) * (w - bath.mu)))
 
 
+def _bessel_sum(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_k coef[:, k] j_k(z) for z >= 0 of shape (panels, times), one
+    row of coef per panel, with j_k the spherical Bessel functions.
+
+    Every order comes from j_{k+1} = (2k+1)/z j_k - j_{k-1} (DLMF
+    10.51.1), which is stable upward where z >= K, the number of orders,
+    and downward below it (Miller's algorithm).  Each order is added to
+    the sum as it is produced, so no (orders x panels x times) array is
+    built.
+    """
+    # real and imaginary coefficients, each of shape (K, P)
+    parts = (coef.real.T, coef.imag.T)
+    out = np.empty(z.shape, dtype=complex)
+    up = z >= coef.shape[1]
+    for sel, branch in ((up, _bessel_up), (~up, _bessel_down)):
+        # the selected points, panel by panel, and how many each panel has
+        acc = branch(z[sel], np.count_nonzero(sel, axis=1), parts)
+        out.real[sel], out.imag[sel] = acc
+    return out
+
+
+def _bessel_up(x: np.ndarray, counts: np.ndarray,
+               parts: tuple) -> np.ndarray:
+    """Upward recurrence from j_{-1} = cos(x)/x and j_0 = sin(x)/x."""
+    acc = np.zeros((2, x.size))
+    inv = 1.0 / x
+    j_prev, j, tmp = np.cos(x) * inv, np.sin(x) * inv, np.empty_like(x)
+    for k in range(len(parts[0])):
+        for a, c in zip(acc, parts):
+            a += np.repeat(c[k], counts) * j
+        np.multiply(inv, 2 * k + 1, out=tmp)
+        tmp *= j
+        tmp -= j_prev
+        j_prev, j, tmp = j, tmp, j_prev
+    return acc
+
+
+def _bessel_down(x: np.ndarray, counts: np.ndarray,
+                 parts: tuple) -> np.ndarray:
+    """Miller's algorithm (DLMF 3.6(iii); Gautschi, SIAM Rev. 9, 24
+    (1967)), started _MILLER_LEAD orders above the top on y_k = (2k+1)!! x^-k j_k: y stays O(1) however small
+    x is, so nothing overflows, and j_k(0) = delta_k0.  The sum is a
+    Horner polynomial in x, normalized by j_0, or by j_1 where
+    |j_0| < |j_1|."""
+    order = len(parts[0])
+    # coefficients of x^k y_k: c_k / (2k+1)!!
+    dfact = np.cumprod(np.arange(1.0, 2 * order, 2.0))[:, None]
+    parts = [c / dfact for c in parts]
+    acc = np.zeros((2, x.size))
+    x2 = x * x
+    y_next, y, tmp = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
+    for k in range(order - 1 + _MILLER_LEAD, -1, -1):
+        if k < order:
+            acc *= x
+            for a, c in zip(acc, parts):
+                a += np.repeat(c[k], counts) * y
+        if k:   # y_{k-1} = y_k - x^2/((2k+1)(2k+3)) y_{k+1}
+            np.multiply(x2, -1.0 / ((2 * k + 1) * (2 * k + 3)), out=tmp)
+            tmp *= y_next
+            tmp += y
+            y_next, y, tmp = y, tmp, y_next
+    del x2, tmp   # before the normalization allocates
+    j0 = np.divide(np.sin(x), x, out=np.ones_like(x), where=x > 0.0)
+    j1 = np.divide(j0 - np.cos(x), x, out=np.zeros_like(x), where=x > 0.0)
+    by_j1 = np.abs(j0) < np.abs(j1)
+    acc *= np.where(by_j1, 3.0 * j1, j0) / np.where(by_j1, x * y_next, y)
+    return acc
+
+
 def _remainder(bath: BathSpec, eps: float, t: np.ndarray, order: int,
                panel_div: float, range_scale: float) -> np.ndarray:
     """Filon-Legendre confined remainder, for t >= 0 and beta != 0,
@@ -194,13 +268,11 @@ def _remainder(bath: BathSpec, eps: float, t: np.ndarray, order: int,
     psi = (_envelope(bath, pts) - h_eps) / (pts - eps)
     coef = (psi @ proj.T) * 1j ** np.arange(order)    # (P, K)
 
-    # oscillatory panel sums, one Bessel call per order over all panels
+    # oscillatory panel sums, every Bessel order of a block from one
+    # recurrence over all panels
     sums = []
     for tb in np.split(t, range(_BLOCK, t.size, _BLOCK)):
-        z = halfs[:, None] * tb                         # (P, T)
-        s = np.zeros(z.shape, dtype=complex)
-        for k in range(order):
-            s += coef[:, k, None] * spherical_jn(k, z)
+        s = _bessel_sum(coef, halfs[:, None] * tb)     # (P, T)
         osc = np.exp(1j * (mids - eps)[:, None] * tb)
         sums.append(np.sum(2.0 * halfs[:, None] * (osc * s).imag, axis=0))
     sing = sici((omega_max - eps) * t)[0] + sici(eps * t)[0]

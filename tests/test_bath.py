@@ -1,6 +1,7 @@
 """Bath rate machinery against direct quadrature and closed-form limits."""
 
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
-from scipy.special import sici
+from scipy.special import sici, spherical_jn
 
 import conftest
 from conftest import EPS_COLD, EPS_HOT
@@ -180,18 +181,37 @@ def test_panel_quadrature_against_qawo(omega_c):
         assert mine == pytest.approx(oracle, abs=1e-10)
 
 
-def test_remainder_calls_bessel_once_per_order(monkeypatch):
-    """A table shorter than one block costs one spherical_jn call per
-    Legendre order of each pass, 14 + 16, however many panels it has:
-    the two reservoirs below have 13 + 27 and 34 + 60 panels."""
+@pytest.mark.parametrize("order", [14, 16])
+def test_bessel_sum_against_spherical_jn(order, rng):
+    """The recurrence sum against scipy's spherical_jn, order by order:
+    at z = 0, across 12 decades, at the zeros n*pi of j_0 (where the
+    downward branch normalizes by j_1) and on both sides of z = order
+    (where the upward branch takes over)."""
+    edge = float(order)
+    z = np.concatenate([
+        [0.0], np.geomspace(1e-8, 1e4, 241), np.linspace(0.0, 60.0, 601),
+        np.pi * np.arange(1, 5),
+        [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]])
+    z = np.stack([z, z[::-1], rng.permutation(z)])       # three panels
+    coef = rng.normal(size=(3, order)) + 1j * rng.normal(size=(3, order))
+    oracle = sum(coef[:, k, None] * spherical_jn(k, z) for k in range(order))
+    assert_allclose(bath._bessel_sum(coef, z), oracle, rtol=0, atol=1e-14)
+
+
+def test_remainder_runs_one_recurrence_per_pass(monkeypatch):
+    """spherical_jn has left the library, and a table shorter than one
+    block runs the Bessel recurrence once per pass, base and check,
+    however many panels it has: the two reservoirs below have 13 + 27
+    and 34 + 60 panels."""
+    assert not hasattr(bath, "spherical_jn")
     calls = Counter()
-    jn = bath.spherical_jn
+    bessel_sum = bath._bessel_sum
 
-    def counting(k, z):
-        calls["jn"] += 1
-        return jn(k, z)
+    def counting(coef, z):
+        calls[coef.shape[1]] += 1
+        return bessel_sum(coef, z)
 
-    monkeypatch.setattr(bath, "spherical_jn", counting)
+    monkeypatch.setattr(bath, "_bessel_sum", counting)
     panels = set()
     for p_hot in (0.99, 0.51):
         spec = CycleConfig(p_plus_hot=p_hot).hot_bath
@@ -201,10 +221,31 @@ def test_remainder_calls_bessel_once_per_order(monkeypatch):
             panels.add(bath._panel_edges(spec, EPS_HOT, div, w_max).size - 1)
         calls.clear()
         rt = build_rate_trajectory(spec, EPS_HOT, 0.5)
-        assert calls["jn"] == (bath._BASE_RESOLUTION[0]
-                               + bath._FINE_RESOLUTION[0])
+        assert calls == {bath._BASE_RESOLUTION[0]: 1,
+                         bath._FINE_RESOLUTION[0]: 1}
         assert rt.times.size <= bath._BLOCK
     assert panels == {13, 27, 34, 60}
+
+
+@pytest.mark.parametrize("t_max", [0.3, 10.0])
+def test_remainder_block_memory_is_bounded(t_max):
+    """One full block of the finest pass, at 60 panels, allocates less
+    than one float64 (orders x panels x block) stack would: the orders
+    are summed as they are produced.  The downward branch takes 57 % of
+    the points at 0.3 ms and 8 % at 10 ms."""
+    spec = CycleConfig(p_plus_hot=0.51).hot_bath
+    order, div, scale = bath._FINE_RESOLUTION
+    w_max = scale * (spec.mu + bath._REACH / abs(spec.beta))
+    panels = bath._panel_edges(spec, EPS_HOT, div, w_max).size - 1
+    assert panels == 60
+    t = np.linspace(0.0, t_max, bath._BLOCK)
+    tracemalloc.start()
+    try:
+        bath._remainder(spec, EPS_HOT, t, *bath._FINE_RESOLUTION)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * order * panels * bath._BLOCK
 
 
 def test_remainder_blocks_match_halves(hot_bath):
