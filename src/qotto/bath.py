@@ -19,14 +19,14 @@ of the bath mode and e the transition energy of the system Hamiltonian.
     needs no tail beyond w_max = mu + 40/|beta|.  C is gt for a
     positive-temperature reservoir (beta > 0) and the decay rate
     2*gamma - gt for an inverted one (beta < 0); at beta = 0, gt = gamma.
-  * C is a Filon-Legendre quadrature: the removable singularity is split
-    off exactly, (h(w)-h(e))/(w-e) is expanded in Legendre polynomials on
-    panels sized by the envelope h alone, and int P_k(x) e^{izx} dx =
-    2 i^k j_k(z) turns each panel into spherical Bessel moments, uniformly
-    valid in t.  All orders come from one three-term recurrence over all
-    panels (DLMF 10.51, https://dlmf.nist.gov/10.51): upward where z is
-    at least the number of orders, Miller's downward form below it.  The
-    times go in blocks of _BLOCK.
+  * C is a Filon-Legendre quadrature.  The removable singularity is split
+    off exactly; (h(w)-h(e))/(w-e) is projected onto Legendre polynomials
+    on panels sized by h alone, with one cached Gauss rule per order; and
+    int P_k(x) e^{izx} dx = 2 i^k j_k(z) turns each panel into spherical
+    Bessel moments, uniformly valid in t.  The projections are real, so
+    even orders weigh the sine of the panel phase and odd orders its
+    cosine, all in real arithmetic.  Every order comes from one recurrence
+    over all panels (DLMF 10.51), upward for z >= K orders, downward below.
 
 A doubled-resolution, doubled-range remainder checks the remainder values
 every rate table stores; gamma has no quadrature to check.
@@ -35,9 +35,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from numpy.polynomial.legendre import legvander
+from numpy.polynomial.legendre import leggauss, legvander
 from scipy.special import expi, exp1, expit, sici
 
 from . import ConfigError, require_finite
@@ -178,35 +179,30 @@ def _envelope(bath: BathSpec, w: np.ndarray) -> np.ndarray:
 
 
 def _bessel_sum(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_k coef[:, k] j_k(z) for z >= 0 of shape (panels, times), one
-    row of coef per panel, with j_k the spherical Bessel functions.
+    """Even-k and odd-k sums of coef[:, k] j_k(z), spherical Bessel j_k,
+    shape (2, P, T), for real coef of shape (P, K) and z >= 0 of (P, T).
 
     Every order comes from j_{k+1} = (2k+1)/z j_k - j_{k-1} (DLMF
     10.51.1), which is stable upward where z >= K, the number of orders,
-    and downward below it (Miller's algorithm).  Each order is added to
-    the sum as it is produced, so no (orders x panels x times) array is
-    built.
+    and downward below it (Miller's algorithm).  Each order joins its
+    parity's sum as it is produced: no (orders x panels x times) array.
     """
-    # real and imaginary coefficients, each of shape (K, P)
-    parts = (coef.real.T, coef.imag.T)
-    out = np.empty(z.shape, dtype=complex)
+    out = np.empty((2, *z.shape))
     up = z >= coef.shape[1]
     for sel, branch in ((up, _bessel_up), (~up, _bessel_down)):
         # the selected points, panel by panel, and how many each panel has
-        acc = branch(z[sel], np.count_nonzero(sel, axis=1), parts)
-        out.real[sel], out.imag[sel] = acc
+        out[:, sel] = branch(z[sel], np.count_nonzero(sel, axis=1), coef.T)
     return out
 
 
 def _bessel_up(x: np.ndarray, counts: np.ndarray,
-               parts: tuple) -> np.ndarray:
+               coef: np.ndarray) -> np.ndarray:
     """Upward recurrence from j_{-1} = cos(x)/x and j_0 = sin(x)/x."""
     acc = np.zeros((2, x.size))
     inv = 1.0 / x
     j_prev, j, tmp = np.cos(x) * inv, np.sin(x) * inv, np.empty_like(x)
-    for k in range(len(parts[0])):
-        for a, c in zip(acc, parts):
-            a += np.repeat(c[k], counts) * j
+    for k, c in enumerate(coef):
+        acc[k % 2] += np.repeat(c, counts) * j
         np.multiply(inv, 2 * k + 1, out=tmp)
         tmp *= j
         tmp -= j_prev
@@ -215,35 +211,44 @@ def _bessel_up(x: np.ndarray, counts: np.ndarray,
 
 
 def _bessel_down(x: np.ndarray, counts: np.ndarray,
-                 parts: tuple) -> np.ndarray:
+                 coef: np.ndarray) -> np.ndarray:
     """Miller's algorithm (DLMF 3.6(iii); Gautschi, SIAM Rev. 9, 24
-    (1967)), started _MILLER_LEAD orders above the top on y_k = (2k+1)!! x^-k j_k: y stays O(1) however small
-    x is, so nothing overflows, and j_k(0) = delta_k0.  The sum is a
-    Horner polynomial in x, normalized by j_0, or by j_1 where
-    |j_0| < |j_1|."""
-    order = len(parts[0])
+    (1967)) on y_k = (2k+1)!! x^-k j_k, from _MILLER_LEAD orders above the
+    top: y stays O(1) however small x is, and j_k(0) = delta_k0.  Each
+    parity sums as a Horner polynomial in x^2, the odd one times x, and is
+    normalized by j_0, or by j_1 where |j_0| < |j_1|."""
+    order = len(coef)
     # coefficients of x^k y_k: c_k / (2k+1)!!
-    dfact = np.cumprod(np.arange(1.0, 2 * order, 2.0))[:, None]
-    parts = [c / dfact for c in parts]
+    coef = coef / np.cumprod(np.arange(1.0, 2 * order, 2.0))[:, None]
     acc = np.zeros((2, x.size))
     x2 = x * x
     y_next, y, tmp = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
     for k in range(order - 1 + _MILLER_LEAD, -1, -1):
         if k < order:
-            acc *= x
-            for a, c in zip(acc, parts):
-                a += np.repeat(c[k], counts) * y
+            acc[k % 2] *= x2
+            acc[k % 2] += np.repeat(coef[k], counts) * y
         if k:   # y_{k-1} = y_k - x^2/((2k+1)(2k+3)) y_{k+1}
             np.multiply(x2, -1.0 / ((2 * k + 1) * (2 * k + 3)), out=tmp)
             tmp *= y_next
             tmp += y
             y_next, y, tmp = y, tmp, y_next
     del x2, tmp   # before the normalization allocates
+    acc[1] *= x
     j0 = np.divide(np.sin(x), x, out=np.ones_like(x), where=x > 0.0)
     j1 = np.divide(j0 - np.cos(x), x, out=np.zeros_like(x), where=x > 0.0)
     by_j1 = np.abs(j0) < np.abs(j1)
     acc *= np.where(by_j1, 3.0 * j1, j0) / np.where(by_j1, x * y_next, y)
     return acc
+
+
+@cache
+def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes on [-1, 1] and the (K, n) Legendre projection."""
+    nodes, weights = leggauss(order)
+    proj = (legvander(nodes, order - 1) * weights[:, None]).T \
+        * (np.arange(order)[:, None] + 0.5)
+    nodes.flags.writeable = proj.flags.writeable = False
+    return nodes, proj
 
 
 def _remainder(bath: BathSpec, eps: float, t: np.ndarray, order: int,
@@ -252,13 +257,8 @@ def _remainder(bath: BathSpec, eps: float, t: np.ndarray, order: int,
     C(t) = int_0^omega_max h(w) sin((w-e)t)/(w-e) dw; C(0) = 0."""
     omega_max = range_scale * (bath.mu + _REACH / abs(bath.beta))
     h_eps = float(_envelope(bath, np.asarray(eps)))
-
     edges = _panel_edges(bath, eps, panel_div, omega_max)
-    nodes_x, weights = np.polynomial.legendre.leggauss(order)
-    # Gauss projection onto P_0 .. P_{K-1}, shape (K, n)
-    proj = (legvander(nodes_x, order - 1) * weights[:, None]).T \
-        * (np.arange(order)[:, None] + 0.5)
-
+    nodes_x, proj = _gauss_rule(order)
     mids = 0.5 * (edges[1:] + edges[:-1])
     halfs = 0.5 * (edges[1:] - edges[:-1])
     pts = mids[:, None] + halfs[:, None] * nodes_x[None, :]   # (P, n)
@@ -266,15 +266,15 @@ def _remainder(bath: BathSpec, eps: float, t: np.ndarray, order: int,
     # eps is a panel edge or outside the range, and Gauss nodes are
     # interior, so no node meets the removable singularity
     psi = (_envelope(bath, pts) - h_eps) / (pts - eps)
-    coef = (psi @ proj.T) * 1j ** np.arange(order)    # (P, K)
-
-    # oscillatory panel sums, every Bessel order of a block from one
-    # recurrence over all panels
+    # a panel adds 2 half Im(e^{i phi} sum_k i^k c_k j_k), phi = (mid - e)t,
+    # and c is real: i^k is (-1)^(k//2) times i for odd k
+    coef = (psi @ proj.T) * (2.0 * halfs[:, None]) \
+        * (-1.0) ** (np.arange(order) // 2)                     # (P, K)
     sums = []
     for tb in np.split(t, range(_BLOCK, t.size, _BLOCK)):
-        s = _bessel_sum(coef, halfs[:, None] * tb)     # (P, T)
-        osc = np.exp(1j * (mids - eps)[:, None] * tb)
-        sums.append(np.sum(2.0 * halfs[:, None] * (osc * s).imag, axis=0))
+        even, odd = _bessel_sum(coef, halfs[:, None] * tb)     # (P, T)
+        phase = (mids - eps)[:, None] * tb
+        sums.append((np.sin(phase) * even + np.cos(phase) * odd).sum(0))
     sing = sici((omega_max - eps) * t)[0] + sici(eps * t)[0]
     return np.concatenate(sums) + h_eps * sing
 

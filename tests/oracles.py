@@ -7,7 +7,9 @@ under the real 4x4 matrix `bloch_generator` builds from `apply_generator`,
 one application of the master-equation right-hand side.
 `filon_rates` is the two-envelope rate quadrature with its 1/w tail
 expansion that the library's closed-form gamma and confined remainder
-replaced.  `product_propagator` is a scalar-loop midpoint product for an
+replaced, and `complex_remainder` sums that remainder's panels in complex
+arithmetic, one spherical_jn call per order and panel.
+`product_propagator` is a scalar-loop midpoint product for an
 arbitrary H(t), built from the closed-form 2x2 exponential `expm_aherm`;
 the literal ramp Hamiltonians `hamiltonian_expansion` and
 `hamiltonian_compression` feed it.  `adiabaticity` rebuilds the ramp to
@@ -31,6 +33,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.special import expit, sici, spherical_jn
 
+from qotto import bath as qbath
 from qotto import dynamics
 from qotto.bath import (TWO_PI, BathSpec, RateTrajectory,
                         build_rate_trajectory, spectral_density)
@@ -454,6 +457,30 @@ def filon_rates(bath: BathSpec, eps: float, t) -> tuple:
     engine = _RateQuadrature(bath, eps, 14, 3.0, 1.0)
     g, gt = engine.rates(t)
     return g, gt, 2.0 * g - gt
+
+
+def complex_remainder(bath: BathSpec, eps: float, t: np.ndarray, order: int,
+                      panel_div: float, range_scale: float) -> np.ndarray:
+    """The library's confined remainder summed the direct way: the same
+    panels and Legendre coefficients c_k, each panel adding
+    2 half Im(e^{i phi} sum_k i^k c_k j_k(half t)), phi = (mid - e) t,
+    with every order from scipy's spherical_jn."""
+    omega_max = range_scale * (bath.mu + qbath._REACH / abs(bath.beta))
+    h_eps = float(qbath._envelope(bath, np.asarray(eps)))
+    edges = qbath._panel_edges(bath, eps, panel_div, omega_max)
+    nodes_x, weights = np.polynomial.legendre.leggauss(order)
+    legvals = np.stack([np.polynomial.legendre.Legendre.basis(k)(nodes_x)
+                        for k in range(order)])            # (K, n)
+    proj = legvals * weights * (np.arange(order)[:, None] + 0.5)
+    out = h_eps * (sici((omega_max - eps) * t)[0] + sici(eps * t)[0])
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        pts = mid + half * nodes_x
+        coef = proj @ ((qbath._envelope(bath, pts) - h_eps) / (pts - eps))
+        s = sum(coef[k] * 1j ** k * spherical_jn(k, half * t)
+                for k in range(order))
+        out = out + 2.0 * half * (np.exp(1j * (mid - eps) * t) * s).imag
+    return out
 
 
 def run_cooling(cfg: CycleConfig, rho_comp, t_max: float = 40.0,

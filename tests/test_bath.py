@@ -14,11 +14,11 @@ from scipy.special import sici, spherical_jn
 
 import conftest
 from conftest import EPS_COLD, EPS_HOT
-from oracles import filon_rates, markov_limits, occupation
+from oracles import complex_remainder, filon_rates, markov_limits, occupation
 from qotto import ConfigError, bath
 from qotto.bath import (BathSpec, build_rate_trajectory, rate_coefficients,
                         spectral_density, quadrature_error_estimate)
-from qotto.cycle import CycleConfig
+from qotto.cycle import CycleConfig, sweep_population
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -183,31 +183,35 @@ def test_panel_quadrature_against_qawo(omega_c):
 
 @pytest.mark.parametrize("order", [14, 16])
 def test_bessel_sum_against_spherical_jn(order, rng):
-    """The recurrence sum against scipy's spherical_jn, order by order:
-    at z = 0, across 12 decades, at the zeros n*pi of j_0 (where the
-    downward branch normalizes by j_1) and on both sides of z = order
-    (where the upward branch takes over)."""
+    """The recurrence sums, even and odd orders apart, against scipy's
+    spherical_jn, order by order: at z = 0, across 12 decades, at the
+    zeros n*pi of j_0 (where the downward branch normalizes by j_1) and
+    on both sides of z = order (where the upward branch takes over)."""
     edge = float(order)
     z = np.concatenate([
         [0.0], np.geomspace(1e-8, 1e4, 241), np.linspace(0.0, 60.0, 601),
         np.pi * np.arange(1, 5),
         [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]])
     z = np.stack([z, z[::-1], rng.permutation(z)])       # three panels
-    coef = rng.normal(size=(3, order)) + 1j * rng.normal(size=(3, order))
-    oracle = sum(coef[:, k, None] * spherical_jn(k, z) for k in range(order))
-    assert_allclose(bath._bessel_sum(coef, z), oracle, rtol=0, atol=1e-14)
+    coef = rng.normal(size=(3, order))
+    oracle = [sum(coef[:, k, None] * spherical_jn(k, z)
+                  for k in range(parity, order, 2)) for parity in (0, 1)]
+    even, odd = bath._bessel_sum(coef, z)
+    assert_allclose(even, oracle[0], rtol=0, atol=1e-14)
+    assert_allclose(odd, oracle[1], rtol=0, atol=1e-14)
 
 
 def test_remainder_runs_one_recurrence_per_pass(monkeypatch):
     """spherical_jn has left the library, and a table shorter than one
-    block runs the Bessel recurrence once per pass, base and check,
-    however many panels it has: the two reservoirs below have 13 + 27
-    and 34 + 60 panels."""
+    block runs the Bessel recurrence once per pass, base and check, on
+    real coefficients, however many panels it has: the two reservoirs
+    below have 13 + 27 and 34 + 60 panels."""
     assert not hasattr(bath, "spherical_jn")
     calls = Counter()
     bessel_sum = bath._bessel_sum
 
     def counting(coef, z):
+        assert coef.dtype == np.float64 and z.dtype == np.float64
         calls[coef.shape[1]] += 1
         return bessel_sum(coef, z)
 
@@ -225,6 +229,44 @@ def test_remainder_runs_one_recurrence_per_pass(monkeypatch):
                          bath._FINE_RESOLUTION[0]: 1}
         assert rt.times.size <= bath._BLOCK
     assert panels == {13, 27, 34, 60}
+
+
+@pytest.mark.parametrize("spec", [
+    *(CycleConfig(omega_c=wc, p_plus_hot=p).hot_bath
+      for wc in (2.0, 30.0) for p in (0.51, 0.99)),
+    CycleConfig().cold_bath],
+    ids=["hot-wc2-p0.51", "hot-wc2-p0.99", "hot-wc30-p0.51", "hot-wc30-p0.99",
+         "cold"])
+def test_remainder_against_complex_panel_sum(spec):
+    """The real parity sums against the complex panel sum
+    2 half Im(e^{i phi} sum_k i^k c_k j_k(half t)) with scipy's
+    spherical_jn, at times that send points down both Bessel branches."""
+    eps = EPS_COLD if spec.beta > 0.0 else EPS_HOT
+    order, div, scale = res = bath._BASE_RESOLUTION
+    t = np.concatenate([[0.0], np.geomspace(1e-3, 20.0, 60)])
+    w_max = scale * (spec.mu + bath._REACH / abs(spec.beta))
+    z = 0.5 * np.diff(bath._panel_edges(spec, eps, div, w_max))[:, None] * t
+    assert np.any(z >= order) and np.any((z > 0.0) & (z < order))
+    assert_allclose(bath._remainder(spec, eps, t, *res),
+                    complex_remainder(spec, eps, t, *res), rtol=0, atol=1e-14)
+
+
+def test_sweep_builds_one_gauss_rule_per_resolution(monkeypatch):
+    """Every rate table and quadrature check of a sweep shares the Gauss
+    rule of its order: leggauss runs once per resolution."""
+    calls = Counter()
+    leggauss = bath.leggauss
+
+    def counting(order):
+        calls[order] += 1
+        return leggauss(order)
+
+    monkeypatch.setattr(bath, "leggauss", counting)
+    bath._gauss_rule.cache_clear()
+    rows = sweep_population(CycleConfig(), np.linspace(0.9, 0.99, 10), 0.27)
+    assert not any(row.error for row in rows)
+    assert calls == {bath._BASE_RESOLUTION[0]: 1,
+                     bath._FINE_RESOLUTION[0]: 1}
 
 
 @pytest.mark.parametrize("t_max", [0.3, 10.0])
