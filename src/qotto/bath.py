@@ -28,8 +28,9 @@ of the bath mode and e the transition energy of the system Hamiltonian.
     cosine, all in real arithmetic.  Every order comes from one recurrence
     over all panels (DLMF 10.51), upward for z >= K orders, downward below.
 
-A doubled-resolution, doubled-range remainder checks the remainder values
-every rate table stores; gamma has no quadrature to check.
+Tables of baths that share alpha and omega_c are built together: one gamma,
+one remainder pass over all their stacked panels, and one doubled-resolution,
+doubled-range pass that checks the stored remainders.
 """
 from __future__ import annotations
 
@@ -251,67 +252,76 @@ def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, proj
 
 
-def _remainder(bath: BathSpec, eps: float, t: np.ndarray, order: int,
+def _remainder(baths, eps: float, t: np.ndarray, order: int,
                panel_div: float, range_scale: float) -> np.ndarray:
-    """Filon-Legendre confined remainder, for t >= 0 and beta != 0,
-    C(t) = int_0^omega_max h(w) sin((w-e)t)/(w-e) dw; C(0) = 0."""
-    omega_max = range_scale * (bath.mu + _REACH / abs(bath.beta))
-    h_eps = float(_envelope(bath, np.asarray(eps)))
-    edges = _panel_edges(bath, eps, panel_div, omega_max)
+    """Filon-Legendre confined remainder of each bath (beta != 0), shape
+    (B, T), C(t) = int_0^omega_max h(w) sin((w-e)t)/(w-e) dw for t >= 0;
+    each bath sums its own panels in order, as it would alone."""
+    out = np.empty((len(baths), t.size))
+    if not baths:
+        return out
     nodes_x, proj = _gauss_rule(order)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
-    pts = mids[:, None] + halfs[:, None] * nodes_x[None, :]   # (P, n)
-
-    # eps is a panel edge or outside the range, and Gauss nodes are
-    # interior, so no node meets the removable singularity
-    psi = (_envelope(bath, pts) - h_eps) / (pts - eps)
     # a panel adds 2 half Im(e^{i phi} sum_k i^k c_k j_k), phi = (mid - e)t,
     # and c is real: i^k is (-1)^(k//2) times i for odd k
-    coef = (psi @ proj.T) * (2.0 * halfs[:, None]) \
-        * (-1.0) ** (np.arange(order) // 2)                     # (P, K)
-    sums = []
-    for tb in np.split(t, range(_BLOCK, t.size, _BLOCK)):
-        even, odd = _bessel_sum(coef, halfs[:, None] * tb)     # (P, T)
-        phase = (mids - eps)[:, None] * tb
-        sums.append((np.sin(phase) * even + np.cos(phase) * odd).sum(0))
-    sing = sici((omega_max - eps) * t)[0] + sici(eps * t)[0]
-    return np.concatenate(sums) + h_eps * sing
+    parity = (-1.0) ** (np.arange(order) // 2)
+    si_eps = sici(eps * t)[0]
+    panels = []
+    for b, row in zip(baths, out):
+        omega_max = range_scale * (b.mu + _REACH / abs(b.beta))
+        h_eps = float(_envelope(b, np.asarray(eps)))
+        edges = _panel_edges(b, eps, panel_div, omega_max)
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+        pts = mid[:, None] + half[:, None] * nodes_x[None, :]   # (P, n)
+        # eps is a panel edge or outside the range, and Gauss nodes are
+        # interior, so no node meets the removable singularity
+        psi = (_envelope(b, pts) - h_eps) / (pts - eps)
+        coef = psi @ proj.T * (2.0 * half[:, None]) * parity    # (P, K)
+        panels.append((coef, mid, half))
+        row[:] = h_eps * (sici((omega_max - eps) * t)[0] + si_eps)
+    coef, mids, halfs = (np.concatenate(x) for x in zip(*panels))
+    bounds = np.cumsum([0] + [m.size for _, m, _ in panels])
+    # whole baths per group, as many as keep (panels x times) <= 8 _BLOCK
+    cap = 8 * _BLOCK / min(max(t.size, 1), _BLOCK)
+    first = 0
+    while first < len(baths):
+        last = max(first + 1, np.searchsorted(bounds, bounds[first] + cap,
+                                              "right") - 1)
+        rows = slice(bounds[first], bounds[last])
+        for lo in range(0, t.size, _BLOCK):
+            tb = t[lo:lo + _BLOCK]
+            terms = _bessel_sum(coef[rows], halfs[rows, None] * tb)
+            phase = (mids[rows] - eps)[:, None] * tb
+            terms = np.sin(phase) * terms[0] + np.cos(phase) * terms[1]
+            for row, part in zip(out[first:last], np.split(
+                    terms, bounds[first + 1:last] - rows.start)):
+                row[lo:lo + _BLOCK] += part.sum(0)
+            del terms, phase   # before the next block allocates its own
+        first = last
+    return out
 
 
-def quadrature_error_estimate(bath: BathSpec, eps: float, ts, held) -> float:
-    """Max discrepancy of the confined remainder values `held` at times
-    `ts` against a doubled-resolution, doubled-range quadrature; 0 at
-    beta = 0, where both rates are the closed-form gamma."""
-    if bath.beta == 0.0:
-        return 0.0
-    fine = _remainder(bath, eps, np.asarray(ts, float), *_FINE_RESOLUTION)
-    return float(np.max(np.abs(np.asarray(held) - fine)))
-
-
-def rate_coefficients(bath: BathSpec, eps: float, t):
-    """(gamma, gamma_tilde, big_gamma) at time(s) t since bath switch-on.
-
-    big_gamma is the canonical decay-channel coefficient 2*gamma - gamma_tilde.
-    """
+def rate_coefficients(baths, eps: float, t) -> list[tuple]:
+    """(gamma, gamma_tilde, big_gamma) of each bath at time(s) t since
+    switch-on, floats for a scalar t; big_gamma = 2*gamma - gamma_tilde is
+    the decay channel.  The baths share alpha and omega_c, hence gamma."""
+    if len({(b.alpha, b.omega_c) for b in baths}) != 1:
+        raise ValueError("the baths must share alpha and omega_c")
     if eps <= 0.0:
         raise ValueError(f"transition energy must be positive, got {eps}")
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(ts < 0.0):
         raise ValueError("rates defined for t >= 0 only")
-    positive = ts > 0.0
     g = np.zeros(ts.shape)
-    g[positive] = _gamma(bath, eps, ts[positive])
-    if bath.beta == 0.0:
-        # nbar = 1/2 everywhere: both channels run at gamma
-        gt, bg = g.copy(), g.copy()
-    else:
-        c = _remainder(bath, eps, ts, *_BASE_RESOLUTION)
-        rest = 2.0 * g - c
-        gt, bg = (rest, c) if bath.beta < 0.0 else (c, rest)
+    g[ts > 0.0] = _gamma(baths[0], eps, ts[ts > 0.0])
+    held = iter(_remainder([b for b in baths if b.beta != 0.0], eps, ts,
+                           *_BASE_RESOLUTION))
+    # the remainder; at beta = 0, nbar = 1/2: both channels run at gamma
+    cs = [next(held) if b.beta != 0.0 else g.copy() for b in baths]
+    out = [(g, 2.0 * g - c, c) if b.beta < 0.0 else (g, c, 2.0 * g - c)
+           for b, c in zip(baths, cs)]
     if np.ndim(t) == 0:
-        return float(g[0]), float(gt[0]), float(bg[0])
-    return g, gt, bg
+        return [tuple(float(x[0]) for x in r) for r in out]
+    return out
 
 
 @dataclass(frozen=True)
@@ -351,30 +361,47 @@ def rate_table_size(bath: BathSpec, eps: float, t_max: float) -> int:
     return int(count)
 
 
+def quadrature_error_estimate(baths, eps: float, ts, held) -> list[float]:
+    """Per bath, the max discrepancy of its remainder values `held[b]` at
+    times `ts` against a doubled-resolution, doubled-range quadrature; 0
+    at beta = 0, where both rates are the closed-form gamma."""
+    fine = iter(_remainder([b for b in baths if b.beta != 0.0], eps,
+                           np.asarray(ts, float), *_FINE_RESOLUTION))
+    return [float(np.max(np.abs(h - next(fine)))) if b.beta != 0.0 else 0.0
+            for b, h in zip(baths, held)]
+
+
+def build_rate_trajectories(baths, eps: float,
+                            t_max: float) -> list[RateTrajectory]:
+    """Rate tables on [0, t_max] at the resolution the dynamics needs, all
+    on one grid: the baths must share alpha and omega_c."""
+    times = np.linspace(0.0, t_max, rate_table_size(baths[0], eps, t_max))
+    rates = rate_coefficients(baths, eps, times)
+    # the stored remainders at nine table times spread geometrically
+    k = np.rint(np.geomspace(1, times.size - 1, 9)).astype(int)
+    errors = quadrature_error_estimate(baths, eps, times[k], [
+        (bg if b.beta < 0.0 else gt)[k]
+        for b, (_, gt, bg) in zip(baths, rates)])
+    tables = []
+    for b, (g, gt, bg), quad_err in zip(baths, rates, errors):
+        weak_ok = bool(np.max(np.abs(bg)) < eps / 5.0)
+        for warn, text in (
+                (quad_err > QUAD_TOL,
+                 f"rate quadrature convergence estimate {quad_err:.2e} "
+                 f"exceeds tolerance {QUAD_TOL:.1e}"),
+                (np.min(gt) < -1e-12,
+                 f"fluctuation rate dips to {np.min(gt):.3e}; canonical-rate "
+                 "interpretation may be affected"),
+                (not weak_ok,
+                 "dissipation strength is not small against the transition "
+                 "energy; weak-coupling treatment is marginal here")):
+            if warn:
+                warnings.warn(text, RuntimeWarning, stacklevel=2)
+        tables.append(RateTrajectory(times, g, gt, bg, quad_err, weak_ok))
+    return tables
+
+
 def build_rate_trajectory(bath: BathSpec, eps: float,
                           t_max: float) -> RateTrajectory:
-    """Tabulate rates on [0, t_max] at the resolution the dynamics needs."""
-    times = np.linspace(0.0, t_max, rate_table_size(bath, eps, t_max))
-    g, gt, bg = rate_coefficients(bath, eps, times)
-
-    # the stored remainder at nine table times spread geometrically
-    k = np.rint(np.geomspace(1, times.size - 1, 9)).astype(int)
-    held = bg if bath.beta < 0.0 else gt
-    quad_err = quadrature_error_estimate(bath, eps, times[k], held[k])
-    if quad_err > QUAD_TOL:
-        warnings.warn(
-            f"rate quadrature convergence estimate {quad_err:.2e} exceeds "
-            f"tolerance {QUAD_TOL:.1e}", RuntimeWarning, stacklevel=2)
-
-    if np.min(gt) < -1e-12:
-        warnings.warn(
-            f"fluctuation rate dips to {np.min(gt):.3e}; canonical-rate "
-            "interpretation may be affected", RuntimeWarning, stacklevel=2)
-
-    weak_ok = bool(np.max(np.abs(bg)) < eps / 5.0)
-    if not weak_ok:
-        warnings.warn(
-            "dissipation strength is not small against the transition energy; "
-            "weak-coupling treatment is marginal here", RuntimeWarning,
-            stacklevel=2)
-    return RateTrajectory(times, g, gt, bg, float(quad_err), weak_ok)
+    """The rate table of one bath; see build_rate_trajectories."""
+    return build_rate_trajectories([bath], eps, t_max)[0]

@@ -9,9 +9,10 @@ is unitary: the stack of contact states is driven back at once and
 scored by one `measures.cycle_energetics` call.
 
 The stroke-independent pieces (Hamiltonians, input state, ramp unitary)
-are set up once per run, sweep or reference scan.  Sweeps run their
-points serially in input order; a point that fails becomes a row
-carrying the error instead of ending the sweep.
+are set up once per run, sweep or reference scan.  A population sweep
+runs its points as one batch, point by point only if the batch fails;
+rows come in input order, and a point that fails becomes a row carrying
+the error instead of ending the sweep.
 """
 from __future__ import annotations
 
@@ -20,7 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ConfigError, require_finite
-from .bath import MAX_POINTS, BathSpec, build_rate_trajectory, rate_table_size
+from .bath import (MAX_POINTS, BathSpec, build_rate_trajectories,
+                   build_rate_trajectory, rate_table_size)
 from .dynamics import (DEFAULT_N_STEPS, _branch_crossing, evolve_open,
                        propagate_unitary)
 from .matcore import DensityMatrix, dag
@@ -271,7 +273,7 @@ def _cycle(cfg: CycleConfig, su: _Setup) -> CycleResult:
     grid = cfg.heating_grid()
     rates = build_rate_trajectory(cfg.hot_bath, su.eps_hot,
                                   grid[-1] + _TABLE_MARGIN)
-    traj = evolve_open(su.rho_exp, su.h_hot, rates, grid)
+    [traj] = evolve_open(su.rho_exp, su.h_hot, [rates], grid)
 
     en = _energetics(su, traj.states)
     eta, valid = en.eta, en.valid_engine
@@ -386,27 +388,6 @@ class PopulationRow:
     error: str = ""
 
 
-def _population_point(cfg: CycleConfig, su: _Setup, p_hot: float,
-                      t_tilde: float) -> PopulationRow:
-    try:
-        # each target population sets its own reservoir temperature
-        hot = replace(cfg, p_plus_hot=p_hot).hot_bath
-        rates = build_rate_trajectory(hot, su.eps_hot,
-                                      t_tilde + _TABLE_MARGIN)
-        # the exact stroke needs no intermediate samples, only the endpoint
-        traj = evolve_open(su.rho_exp, su.h_hot, rates,
-                           np.array([0.0, t_tilde]))
-        en = _energetics(su, traj.final_state)
-        return PopulationRow(p_plus_hot=p_hot, eta=en.eta,
-                             valid_engine=en.valid_engine,
-                             w=en.w, q_hot=en.q_hot)
-    except Exception as exc:
-        nan = float("nan")
-        return PopulationRow(p_plus_hot=p_hot, eta=nan, valid_engine=False,
-                             w=nan, q_hot=nan,
-                             error=f"{type(exc).__name__}: {exc}")
-
-
 def _checked_populations(cfg: CycleConfig, p_hot_grid) -> list[float]:
     points = [float(p) for p in p_hot_grid]
     if not points:
@@ -426,7 +407,24 @@ def sweep_population(cfg: CycleConfig, p_hot_grid,
     su = _setup(cfg)
     # one size for every point: the table spacing ignores the population
     rate_table_size(cfg.hot_bath, su.eps_hot, t_tilde + _TABLE_MARGIN)
-    return [_population_point(cfg, su, p, float(t_tilde)) for p in points]
+
+    def rows(ps: list[float]) -> list[PopulationRow]:
+        try:
+            # each target population sets its own reservoir temperature
+            tables = build_rate_trajectories(
+                [cfg._reservoir(su.h_hot, p) for p in ps], su.eps_hot,
+                t_tilde + _TABLE_MARGIN)
+            # the exact stroke needs no intermediate samples, only the end
+            return _scored(su, ps, [tr.final_state for tr in evolve_open(
+                su.rho_exp, su.h_hot, tables, np.array([0.0, t_tilde]))])
+        except Exception as exc:  # a failed point must not kill the sweep
+            if len(ps) > 1:   # point by point, so only failed points fail
+                return [row for p in ps for row in rows([p])]
+            nan = float("nan")
+            return [PopulationRow(ps[0], nan, False, nan, nan,
+                                  f"{type(exc).__name__}: {exc}")]
+
+    return rows(points)
 
 
 def ift_reference(cfg: CycleConfig, p_hot_grid) -> list[PopulationRow]:
@@ -434,12 +432,16 @@ def ift_reference(cfg: CycleConfig, p_hot_grid) -> list[PopulationRow]:
     by its infinite-time endpoint, no reservoir dynamics involved."""
     points = _checked_populations(cfg, p_hot_grid)
     su = _setup(cfg)
-    en = _energetics(su, np.stack([state_from_population(su.h_hot, p).mat
-                                   for p in points]))
-    return [PopulationRow(p_plus_hot=p, eta=float(e), valid_engine=bool(v),
-                          w=float(w), q_hot=float(q))
-            for p, e, v, w, q in zip(points, en.eta, en.valid_engine,
-                                     en.w, en.q_hot)]
+    return _scored(su, points, [state_from_population(su.h_hot, p).mat
+                                for p in points])
+
+
+def _scored(su: _Setup, points, ends) -> list[PopulationRow]:
+    """One row per population, from the contact endpoint it ends in."""
+    en = _energetics(su, np.stack(ends))
+    return [PopulationRow(*x) for x in zip(
+        points, en.eta.tolist(), en.valid_engine.tolist(), en.w.tolist(),
+        en.q_hot.tolist())]
 
 
 def population_onset(rows) -> float:

@@ -13,9 +13,10 @@ damped two-level atom with time-dependent rates (Breuer & Petruccione, The
 Theory of Open Quantum Systems, OUP 2002): with k = |a|^2 and Lambda =
 int (G + gt) = 2 int gamma (G = 2 gamma - gt), the coherence is
 c0 exp(-i e t - k Lambda(t)/2) and the excited population obeys
-dp/dt = -k Lambda'(t) p + k gt(t).  gamma and gt are read from cubic splines
-of the rate table, Lambda is the exact antiderivative of the spline of
-2 gamma, and the population is stepped interval by interval.
+dp/dt = -k Lambda'(t) p + k gt(t).  Tables that share gamma evolve together:
+Lambda is the exact antiderivative of one cubic spline of 2 gamma, gt comes
+from one spline of every table's column, and each population is stepped
+interval by interval in Python floats.
 """
 from __future__ import annotations
 
@@ -120,60 +121,74 @@ class Trajectory:
         return self.states[-1]
 
 
-def evolve_open(rho0: DensityMatrix, h_sys: np.ndarray, rates: RateTrajectory,
-                grid: np.ndarray) -> Trajectory:
-    """Exact contact-stroke evolution sampled on the given grid.
+class Trajectories(list):
+    """One Trajectory per rate table, in table order, sampled on `times`."""
+    times: np.ndarray
+
+
+def evolve_open(rho0: DensityMatrix, h_sys: np.ndarray,
+                rates: list[RateTrajectory], grid: np.ndarray) -> Trajectories:
+    """Exact contact-stroke evolution under each rate table, the tables
+    sharing times and gamma, sampled on the given grid: one Trajectory each.
 
     grid must start at 0 (bath switch-on) and stay inside the domain of the
-    rate table; the jump channel is a |-><+| of h_sys with weight
+    rate tables; the jump channel is a |-><+| of h_sys with weight
     k = |a|^2 = |<-|sigma_x|+>|^2.  Sampled states are returned at exactly
     the grid times.
     """
+    table = rates[0]
+    if not all(np.array_equal(r.times, table.times) and np.array_equal(
+            r.gamma, table.gamma) for r in rates):
+        raise ValueError("rate tables must share their times and gamma")
     grid = np.asarray(grid, dtype=float)
     if grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must start at 0 and increase strictly")
-    if grid[-1] > rates.times[-1] * (1.0 + 1e-12):
+    if grid[-1] > table.times[-1] * (1.0 + 1e-12):
         raise ValueError(
-            f"grid end {grid[-1]} exceeds rate table end {rates.times[-1]}")
+            f"grid end {grid[-1]} exceeds rate table end {table.times[-1]}")
 
     eps, vm, vp = transition_energy(h_sys)
     k = abs(np.vdot(vm, SIGMA_X @ vp)) ** 2
 
-    big_lam = CubicSpline(rates.times, 2.0 * rates.gamma).antiderivative()
-    gamma_tilde = CubicSpline(rates.times, rates.gamma_tilde)
+    big_lam = CubicSpline(table.times, 2.0 * table.gamma).antiderivative()
+    gamma_tilde = CubicSpline(
+        table.times, np.stack([r.gamma_tilde for r in rates]), axis=1)
 
     # step over sample times and spline knots alike, so every step lies
     # inside one spline piece and its quadrature sees a smooth integrand;
     # each step decays by its own factor: one global integrating factor
     # exp(+k Lambda) loses about 1e-5 at the sharpest cutoffs
-    t = np.union1d(grid, rates.times[rates.times < grid[-1]])
+    t = np.union1d(grid, table.times[table.times < grid[-1]])
     k_lam = k * big_lam(t)
     dt = np.diff(t)
     nodes = t[:-1, None] + dt[:, None] * _GL_NODES
-    decay = np.exp(k_lam[:-1] - k_lam[1:])
-    source = k * dt * np.sum(
+    decay = np.exp(k_lam[:-1] - k_lam[1:]).tolist()
+    sources = k * dt * np.sum(
         _GL_WEIGHTS * gamma_tilde(nodes)
-        * np.exp(k * big_lam(nodes) - k_lam[1:, None]), axis=1)
+        * np.exp(k * big_lam(nodes) - k_lam[1:, None]), axis=-1)
     p0 = float(np.vdot(vp, rho0.mat @ vp).real)
-    pop = [p0]
-    for d, s in zip(decay.tolist(), source.tolist()):
-        pop.append(d * pop[-1] + s)
-
     at = np.searchsorted(t, grid)
-    p = np.asarray(pop)[at]
     c0 = np.vdot(vp, rho0.mat @ vm)
     c = c0 * np.exp(-1j * eps * grid - 0.5 * k_lam[at])
     # add the change to rho0 rather than rebuilding the state from the
     # eigenbasis, so the t = 0 sample is rho0 itself
-    dp = (p - p0)[:, None, None]
     dc = (c - c0)[:, None, None]
     up = np.outer(vp, vm.conj())
     flip = np.outer(vp, vp.conj()) - np.outer(vm, vm.conj())
-    states = rho0.mat + dp * flip + dc * up + dc.conj() * dag(up)
+    dc_up, dc_down = dc * up, dc.conj() * dag(up)
 
-    trace_dev = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
-    if not np.max(trace_dev) <= 1e-8:
-        raise RuntimeError(
-            f"trace drift {np.max(trace_dev):.3e} exceeds tolerance 1e-8")
-    min_eig = 0.5 - np.hypot(p - 0.5, np.abs(c))
-    return Trajectory(grid, states, trace_dev, min_eig)
+    trajectories = Trajectories()
+    for source in sources:
+        pop = [p0]
+        for d, s in zip(decay, source.tolist()):
+            pop.append(d * pop[-1] + s)
+        p = np.asarray(pop)[at]
+        states = rho0.mat + (p - p0)[:, None, None] * flip + dc_up + dc_down
+        trace_dev = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
+        if not np.max(trace_dev) <= 1e-8:
+            raise RuntimeError(
+                f"trace drift {np.max(trace_dev):.3e} exceeds tolerance 1e-8")
+        min_eig = 0.5 - np.hypot(p - 0.5, np.abs(c))
+        trajectories.append(Trajectory(grid, states, trace_dev, min_eig))
+    trajectories.times = grid
+    return trajectories

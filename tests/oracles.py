@@ -500,4 +500,4 @@ def run_cooling(cfg: CycleConfig, rho_comp, t_max: float = 40.0,
     rates = build_rate_trajectory(cfg.cold_bath, eps_cold,
                                   t_max + _TABLE_MARGIN)
     grid = np.linspace(0.0, t_max, int(round(t_max / dt)) + 1)
-    return dynamics.evolve_open(rho0, h_cold, rates, grid)
+    return dynamics.evolve_open(rho0, h_cold, [rates], grid)[0]

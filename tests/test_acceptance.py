@@ -2,8 +2,9 @@
 
 Each test is one pass/fail line of the gate.  Everything runs at the
 default (quarter-microsecond) scan resolution; the four full cutoff runs
-and the three fixed-duration population sweeps are shared module fixtures
-because they dominate the run time.
+and the four fixed-duration population sweeps are shared module fixtures
+because they dominate the run time.  One more test checks the paper's
+claim that memory widens the operating domain.
 """
 
 import math
@@ -39,7 +40,7 @@ def ift_rows():
 def ft_rows(full_results):
     """Fixed-duration population sweeps at each cutoff's own best duration."""
     out = {}
-    for wc in (5.0, 15.0, 25.0):
+    for wc in CUTOFFS:
         cfg = cycle.build_config(omega_c=wc)
         out[wc] = cycle.sweep_population(
             cfg, P_GRID, full_results[wc].t_tilde_max)
@@ -139,6 +140,18 @@ def test_criterion_8_finite_time_beats_ideal_contact(ift_rows, ft_rows):
         assert compared >= 30, wc
 
 
+def test_operating_domain_grows_with_memory(ift_rows, ft_rows):
+    """The necessarily transient engine operates over a larger population
+    range than ideal contact, and the range grows with non-Markovianity:
+    at each cutoff's own t_tilde_max the onset rises strictly from the
+    most non-Markovian cutoff (5) to the sharpest (30), and every onset
+    stays below the ideal-contact one."""
+    assert all(r.error == "" for wc in CUTOFFS for r in ft_rows[wc])
+    onsets = [cycle.population_onset(ft_rows[wc]) for wc in CUTOFFS]
+    assert all(a < b for a, b in zip(onsets, onsets[1:])), onsets
+    assert onsets[-1] < cycle.population_onset(ift_rows), onsets
+
+
 def test_criterion_9_oracle_suite(full_results, system, hot_bath, rng):
     """Cross-implementation checks with pinned tolerances: propagator
     unitarity 1e-9, trace retention 1e-8, long-time rates within 1% of the
@@ -151,7 +164,7 @@ def test_criterion_9_oracle_suite(full_results, system, hot_bath, rng):
 
     for wc in (15.0, 25.0, 30.0):
         spec = bath.BathSpec(alpha=0.6, omega_c=wc, beta=conftest.BETA_HOT)
-        g, gt, _ = bath.rate_coefficients(spec, conftest.EPS_HOT, 1e3)
+        g, gt, _ = bath.rate_coefficients([spec], conftest.EPS_HOT, 1e3)[0]
         g_inf, gt_inf = oracles.markov_limits(spec, conftest.EPS_HOT)
         assert g == pytest.approx(g_inf, rel=1e-2)
         assert gt == pytest.approx(gt_inf, rel=1e-2)
@@ -164,7 +177,7 @@ def test_criterion_9_oracle_suite(full_results, system, hot_bath, rng):
     flat = bath.RateTrajectory(times, g_inf * ones, gt_inf * ones,
                                (2 * g_inf - gt_inf) * ones, 0.0, True)
     traj = dynamics.evolve_open(model.state_from_population(h_hot, 0.3),
-                                h_hot, flat, times)
+                                h_hot, [flat], times)[0]
     nbar = oracles.occupation(hot_bath, conftest.EPS_HOT)
     assert traj.populations(v_plus)[-1] == pytest.approx(nbar, abs=1e-6)
 

@@ -76,12 +76,13 @@ def test_occupation_fermionic():
 
 
 def test_rates_vanish_at_switch_on(hot_bath):
-    assert rate_coefficients(hot_bath, conftest.EPS_HOT, 0.0) == (0.0, 0.0, 0.0)
+    assert rate_coefficients([hot_bath], conftest.EPS_HOT, 0.0) == [
+        (0.0, 0.0, 0.0)]
 
 
 def test_rates_reject_negative_time(hot_bath):
     with pytest.raises(ValueError):
-        rate_coefficients(hot_bath, conftest.EPS_HOT, -0.5)
+        rate_coefficients([hot_bath], conftest.EPS_HOT, -0.5)
 
 
 def test_markov_limit_values(hot_bath):
@@ -104,7 +105,7 @@ def test_rates_converge_to_markov_limits(omega_c):
     """Long after switch-on the transient rates settle on the golden-rule
     values; by t = 1e3 ms the residual must be below one percent."""
     b = BathSpec(alpha=0.6, omega_c=omega_c, beta=conftest.BETA_HOT)
-    g, gt, _ = rate_coefficients(b, conftest.EPS_HOT, 1e3)
+    g, gt, _ = rate_coefficients([b], conftest.EPS_HOT, 1e3)[0]
     g_inf, gt_inf = markov_limits(b, conftest.EPS_HOT)
     assert g == pytest.approx(g_inf, rel=1e-2)
     assert gt == pytest.approx(gt_inf, rel=1e-2)
@@ -122,8 +123,8 @@ def test_rates_linear_in_coupling():
     ts = np.linspace(0.01, 2.0, 7)
     weak = BathSpec(alpha=0.6, omega_c=30.0, beta=conftest.BETA_HOT)
     strong = BathSpec(alpha=1.2, omega_c=30.0, beta=conftest.BETA_HOT)
-    gw, gtw, _ = rate_coefficients(weak, conftest.EPS_HOT, ts)
-    gs, gts, _ = rate_coefficients(strong, conftest.EPS_HOT, ts)
+    gw, gtw, _ = rate_coefficients([weak], conftest.EPS_HOT, ts)[0]
+    gs, gts, _ = rate_coefficients([strong], conftest.EPS_HOT, ts)[0]
     assert_allclose(gs, 2.0 * gw, rtol=1e-10)
     assert_allclose(gts, 2.0 * gtw, rtol=1e-10)
 
@@ -177,7 +178,8 @@ def test_panel_quadrature_against_qawo(omega_c):
         sing = h_eps * (sici((omega_max - eps) * t)[0] + sici(eps * t)[0])
         oracle = math.cos(eps * t) * s_part - math.sin(eps * t) * c_part \
             + sing
-        mine = bath._remainder(b, eps, np.array([t]), order, div, scale)[0]
+        mine = bath._remainder([b], eps, np.array([t]), order, div,
+                               scale)[0, 0]
         assert mine == pytest.approx(oracle, abs=1e-10)
 
 
@@ -247,7 +249,7 @@ def test_remainder_against_complex_panel_sum(spec):
     w_max = scale * (spec.mu + bath._REACH / abs(spec.beta))
     z = 0.5 * np.diff(bath._panel_edges(spec, eps, div, w_max))[:, None] * t
     assert np.any(z >= order) and np.any((z > 0.0) & (z < order))
-    assert_allclose(bath._remainder(spec, eps, t, *res),
+    assert_allclose(bath._remainder([spec], eps, t, *res)[0],
                     complex_remainder(spec, eps, t, *res), rtol=0, atol=1e-14)
 
 
@@ -283,11 +285,75 @@ def test_remainder_block_memory_is_bounded(t_max):
     t = np.linspace(0.0, t_max, bath._BLOCK)
     tracemalloc.start()
     try:
-        bath._remainder(spec, EPS_HOT, t, *bath._FINE_RESOLUTION)
+        bath._remainder([spec], EPS_HOT, t, *bath._FINE_RESOLUTION)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * order * panels * bath._BLOCK
+
+
+def test_remainder_batch_memory_is_bounded():
+    """The remainders of 50 populations over a 10 ms table, at the finest
+    pass, stay under the bound of one bath's block above: a block stacks
+    whole baths only up to 8 _BLOCK (panels x times) elements, or holds
+    one bath, and is freed before the next block is computed."""
+    specs = [CycleConfig(p_plus_hot=p).hot_bath
+             for p in np.linspace(0.51, 0.99, 50)]
+    order = bath._FINE_RESOLUTION[0]
+    t = np.linspace(0.0, 10.0, bath.rate_table_size(specs[0], EPS_HOT, 10.0))
+    tracemalloc.start()
+    try:
+        bath._remainder(specs, EPS_HOT, t, *bath._FINE_RESOLUTION)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * order * 60 * bath._BLOCK
+
+
+@pytest.mark.filterwarnings(conftest.MARGINAL_COUPLING)
+@pytest.mark.parametrize("omega_c", [5.0, 30.0])
+def test_batched_tables_match_single_tables(omega_c):
+    """Tables built together, an inverted, an infinite-temperature and a
+    positive-temperature reservoir among them, equal the tables built one
+    bath at a time; at 4 ms the omega_c = 30 grid spans two time blocks."""
+    specs = [CycleConfig(omega_c=omega_c, p_plus_hot=p).hot_bath
+             for p in (0.3, 0.5, 0.51, 0.99)]
+    assert [np.sign(s.beta) for s in specs] == [1.0, 0.0, -1.0, -1.0]
+    batch = bath.build_rate_trajectories(specs, EPS_HOT, 4.0)
+    assert len(batch) == len(specs)
+    for spec, rt in zip(specs, batch):
+        one = build_rate_trajectory(spec, EPS_HOT, 4.0)
+        assert_array_equal(rt.times, one.times)
+        for name in ("gamma", "gamma_tilde", "big_gamma"):
+            assert_allclose(getattr(rt, name), getattr(one, name),
+                            rtol=0, atol=2e-15)
+        assert rt.quad_error == one.quad_error
+        assert rt.weak_coupling_ok == one.weak_coupling_ok
+    assert batch[1].quad_error == 0.0
+
+
+def test_batched_tables_need_one_spectrum(hot_bath):
+    with pytest.raises(ValueError, match="share alpha and omega_c"):
+        bath.build_rate_trajectories(
+            [hot_bath, replace(hot_bath, omega_c=15.0)], EPS_HOT, 0.5)
+
+
+def test_sweep_runs_two_remainder_passes(monkeypatch):
+    """A 50-point population sweep evaluates the remainder twice: one base
+    pass fills every table, one check pass tests them all."""
+    calls = Counter()
+    remainder = bath._remainder
+
+    def counting(specs, eps, t, order, panel_div, range_scale):
+        calls[order] += 1
+        return remainder(specs, eps, t, order, panel_div, range_scale)
+
+    monkeypatch.setattr(bath, "_remainder", counting)
+    rows = sweep_population(CycleConfig(omega_c=15.0),
+                            np.linspace(0.5, 0.99, 50), 0.27)
+    assert len(rows) == 50 and not any(row.error for row in rows)
+    assert calls == {bath._BASE_RESOLUTION[0]: 1,
+                     bath._FINE_RESOLUTION[0]: 1}
 
 
 def test_remainder_blocks_match_halves(hot_bath):
@@ -296,9 +362,10 @@ def test_remainder_blocks_match_halves(hot_bath):
     t = np.linspace(0.0, 2.0, bath._BLOCK + 101)
     m = t.size // 2
     res = bath._BASE_RESOLUTION
-    whole = bath._remainder(hot_bath, EPS_HOT, t, *res)
-    halves = np.concatenate([bath._remainder(hot_bath, EPS_HOT, t[:m], *res),
-                             bath._remainder(hot_bath, EPS_HOT, t[m:], *res)])
+    whole = bath._remainder([hot_bath], EPS_HOT, t, *res)[0]
+    halves = np.concatenate(
+        [bath._remainder([hot_bath], EPS_HOT, t[:m], *res)[0],
+         bath._remainder([hot_bath], EPS_HOT, t[m:], *res)[0]])
     assert whole.tobytes() == halves.tobytes()
 
 
@@ -333,7 +400,7 @@ def test_closed_form_gamma_against_qawf(omega_c):
     omega_c = 100, t = 10 ms the asymptotic series is the branch taken."""
     b = BathSpec(alpha=0.6, omega_c=omega_c, beta=conftest.BETA_HOT)
     ts = np.array([0.013, 0.37, 2.1, 10.0])
-    g, _, _ = rate_coefficients(b, conftest.EPS_HOT, ts)
+    g, _, _ = rate_coefficients([b], conftest.EPS_HOT, ts)[0]
     for t, mine in zip(ts, g):
         assert mine == pytest.approx(qawf_gamma(b, conftest.EPS_HOT, t),
                                      abs=1e-12)
@@ -362,7 +429,7 @@ def test_rates_match_two_envelope_engine():
     signs and beta = 0 (p = 0.5)."""
     ts = np.concatenate(([0.0], np.geomspace(1e-4, 10.0, 40)))
     for label, spec, eps in _rate_cases():
-        mine = rate_coefficients(spec, eps, ts)
+        mine = rate_coefficients([spec], eps, ts)[0]
         ref = filon_rates(spec, eps, ts)
         for name, a, b in zip(("gamma", "gamma_tilde", "big_gamma"),
                               mine, ref):
@@ -372,7 +439,7 @@ def test_rates_match_two_envelope_engine():
 def test_flat_occupation_has_equal_channels():
     flat = BathSpec(alpha=0.6, omega_c=30.0, beta=0.0)
     ts = np.geomspace(1e-3, 10.0, 7)
-    g, gt, bg = rate_coefficients(flat, conftest.EPS_HOT, ts)
+    g, gt, bg = rate_coefficients([flat], conftest.EPS_HOT, ts)[0]
     assert_array_equal(gt, g)
     assert_array_equal(bg, g)
     rt = build_rate_trajectory(flat, conftest.EPS_HOT, ts[-1])
@@ -399,9 +466,9 @@ def test_no_sliver_panel_at_transition_energy():
 
 def test_quadrature_error_estimate_small(hot_bath):
     ts = np.geomspace(1e-3, 10.0, 9)
-    held = rate_coefficients(hot_bath, conftest.EPS_HOT, ts)[2]
-    assert quadrature_error_estimate(hot_bath, conftest.EPS_HOT, ts,
-                                     held) < 1e-8
+    held = rate_coefficients([hot_bath], conftest.EPS_HOT, ts)[0][2]
+    assert quadrature_error_estimate([hot_bath], conftest.EPS_HOT, ts,
+                                     [held])[0] < 1e-8
 
 
 def test_trajectory_grid_contract(rate_table):
@@ -451,10 +518,10 @@ def test_trajectory_check_reads_stored_values(monkeypatch, beta):
     although the quadrature itself is converged."""
     rates = bath.rate_coefficients
 
-    def shifted(spec, eps, t):
-        g, gt, bg = rates(spec, eps, t)
+    def shifted(specs, eps, t):
         # the remainder is big_gamma below beta = 0, gamma_tilde above
-        return (g, gt, bg + 1e-6) if spec.beta < 0.0 else (g, gt + 1e-6, bg)
+        return [(g, gt, bg + 1e-6) if spec.beta < 0.0 else (g, gt + 1e-6, bg)
+                for spec, (g, gt, bg) in zip(specs, rates(specs, eps, t))]
 
     monkeypatch.setattr(bath, "rate_coefficients", shifted)
     spec = BathSpec(alpha=0.6, omega_c=30.0, beta=beta)

@@ -346,8 +346,9 @@ def test_nonmarkov_outputs(tmp_path):
     assert float(table["5"]) > 0.0
 
 
-# default `simulate` summary and `nonmarkov` Q rows as printed; a change
-# that moves one on purpose re-pins it and says why
+# default `simulate` summary, `nonmarkov` Q rows and `sweep-population`
+# (eta, valid) rows as printed; a change that moves one on purpose re-pins
+# it and says why
 PINNED_SUMMARY = {
     "eta_max": 0.711829144, "t_tilde_max_us": 271.896493,
     "window_lo_us": 267.644485, "window_hi_us": 276.246715,
@@ -355,6 +356,32 @@ PINNED_SUMMARY = {
     "q_nonmarkov": 0.0, "eta_ift": 0.649838821, "no_engine": 0.0,
 }
 PINNED_Q = {"5": 0.00342187407, "15": 0.000558287443, "25": 0.0, "30": 0.0}
+PINNED_SWEEP = {
+    "0.5": (-1.28729243, 0), "0.51": (-0.874811842, 0),
+    "0.52": (-0.593836385, 0), "0.53": (-0.390211943, 0),
+    "0.54": (-0.23587771, 0), "0.55": (-0.114880263, 0),
+    "0.56": (-0.0174795614, 0), "0.57": (0.062607478, 1),
+    "0.58": (0.129615567, 1), "0.59": (0.18650281, 1), "0.6": (0.235398007, 1),
+    "0.61": (0.277872208, 1), "0.62": (0.315110135, 1),
+    "0.63": (0.348022047, 1), "0.64": (0.377318863, 1),
+    "0.65": (0.403563901, 1), "0.66": (0.427209296, 1),
+    "0.67": (0.448622147, 1), "0.68": (0.468103618, 1),
+    "0.69": (0.485903114, 1), "0.7": (0.502228953, 1),
+    "0.71": (0.517256506, 1), "0.72": (0.531134474, 1),
+    "0.73": (0.543989785, 1), "0.74": (0.55593146, 1),
+    "0.75": (0.567053677, 1), "0.76": (0.577438233, 1),
+    "0.77": (0.587156541, 1), "0.78": (0.596271245, 1),
+    "0.79": (0.604837559, 1), "0.8": (0.612904362, 1),
+    "0.81": (0.620515122, 1), "0.82": (0.627708663, 1),
+    "0.83": (0.634519816, 1), "0.84": (0.640979976, 1),
+    "0.85": (0.647117586, 1), "0.86": (0.652958552, 1),
+    "0.87": (0.658526629, 1), "0.88": (0.663843763, 1),
+    "0.89": (0.668930431, 1), "0.9": (0.673805976, 1),
+    "0.91": (0.678488985, 1), "0.92": (0.682997738, 1),
+    "0.93": (0.687350807, 1), "0.94": (0.691567954, 1),
+    "0.95": (0.69567162, 1), "0.96": (0.699689743, 1), "0.97": (0.70366189, 1),
+    "0.98": (0.707655654, 1), "0.99": (0.711829137, 1),
+}
 
 
 def _matches_pin(text: str, pinned: float) -> bool:
@@ -405,6 +432,18 @@ def test_default_simulate_summary_is_pinned(tmp_path, capsys):
     assert summary.keys() == PINNED_SUMMARY.keys()
     for key, pinned in PINNED_SUMMARY.items():
         assert _matches_pin(summary[key], pinned), key
+
+
+def test_default_sweep_population_is_pinned(tmp_path):
+    code = cli.main(["sweep-population", "--out", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    _, _, data = read_csv(tmp_path / "population_sweep.csv")
+    table = {row[0]: row for row in data}
+    assert table.keys() == PINNED_SWEEP.keys()
+    for p, (eta, valid) in PINNED_SWEEP.items():
+        assert _matches_pin(table[p][1], eta), p
+        assert table[p][2] == str(valid), p
+        assert table[p][5] == "ok", p
 
 
 def test_ift_scan(tmp_path):

@@ -247,7 +247,7 @@ def test_energetics_match_stroke_bookkeeping(fast_cfg, fast_result):
     rt = bath.build_rate_trajectory(cfg.hot_bath, eps_hot,
                                     grid[-1] + cycle._TABLE_MARGIN)
     traj = dynamics.evolve_open(matcore.DensityMatrix.from_matrix(rho_exp),
-                                h_hot, rt, grid)
+                                h_hot, [rt], grid)[0]
     for k in (0, 57, 313, 800, 1201, 1340):
         rho_heat = traj.states[k]
         out = measures.cycle_energetics(rho_in.mat, rho_exp, rho_heat,
@@ -380,6 +380,30 @@ def test_sweep_population_rows(fast_cfg):
     etas = [r.eta for r in rows[1:]]
     assert etas == sorted(etas)
     assert population_onset(rows) == 0.65
+
+
+@pytest.mark.filterwarnings(conftest.MARGINAL_COUPLING)
+def test_sweep_population_isolates_failures(fast_cfg, monkeypatch):
+    """A population whose remainder is poisoned with NaN fails in the
+    batched evolution: only its row carries the error, and every other
+    row is the row of a clean sweep."""
+    grid = [0.55, 0.65, 0.75, 0.85, 0.95]
+    clean = sweep_population(fast_cfg, grid, 0.272)
+    bad_beta = replace(fast_cfg, p_plus_hot=0.75).hot_bath.beta
+    remainder = bath._remainder
+
+    def poisoned(specs, eps, t, *resolution):
+        held = remainder(specs, eps, t, *resolution)
+        held[[spec.beta == bad_beta for spec in specs]] = np.nan
+        return held
+
+    monkeypatch.setattr(bath, "_remainder", poisoned)
+    rows = sweep_population(fast_cfg, grid, 0.272)
+    assert [r.p_plus_hot for r in rows] == grid
+    assert rows[2].error.startswith("ValueError: ")
+    assert math.isnan(rows[2].eta) and not rows[2].valid_engine
+    for k in (0, 1, 3, 4):
+        assert rows[k] == clean[k]
 
 
 def test_sweep_population_validation(fast_cfg):

@@ -149,9 +149,9 @@ def test_evolve_open_grid_contract(system, hot_bath):
     rt = build_rate_trajectory(hot_bath, conftest.EPS_HOT, 0.5)
     rho0 = model.state_from_population(h, 0.3)
     with pytest.raises(ValueError):
-        evolve_open(rho0, h, rt, np.array([0.1, 0.2]))
+        evolve_open(rho0, h, [rt], np.array([0.1, 0.2]))
     with pytest.raises(ValueError):
-        evolve_open(rho0, h, rt, np.array([0.0, 0.3, 0.6]))  # past table
+        evolve_open(rho0, h, [rt], np.array([0.0, 0.3, 0.6]))  # past table
 
 
 def test_evolve_open_closed_system_limit(system):
@@ -163,7 +163,7 @@ def test_evolve_open_closed_system_limit(system):
     v /= np.linalg.norm(v)
     rho0 = matcore.DensityMatrix.from_matrix(np.outer(v, v.conj()))
     grid = np.linspace(0.0, 2.0, 201)
-    traj = evolve_open(rho0, h, rt, grid)
+    traj = evolve_open(rho0, h, [rt], grid)[0]
     for i, t in enumerate(grid):
         u = expm_aherm(h, t)
         assert_allclose(traj.states[i], u @ rho0.mat @ dag(u), atol=1e-8)
@@ -182,7 +182,7 @@ def test_evolve_open_detailed_balance_fixed_point(system, hot_bath):
     nbar = oracles.occupation(hot_bath, conftest.EPS_HOT)
     for rho0 in (model.state_from_population(h, 0.3),
                  density_from_bloch(1.0, 0.0, 0.0)):
-        traj = evolve_open(rho0, h, rt, times)
+        traj = evolve_open(rho0, h, [rt], times)[0]
         assert traj.populations(vp)[-1] == pytest.approx(nbar, abs=1e-6)
         coh = abs(np.vdot(vp, traj.final_state @ vm))
         assert coh < 1e-5
@@ -206,7 +206,7 @@ def test_evolve_open_against_decoupled_closed_form(system, hot_bath):
     v = np.array([1.0, 1.0j]) / math.sqrt(2)
     rho0 = matcore.DensityMatrix.from_matrix(
         0.7 * mix + 0.3 * np.outer(v, v.conj()))
-    traj = evolve_open(rho0, h, rt, grid)
+    traj = evolve_open(rho0, h, [rt], grid)[0]
 
     cs_big = CubicSpline(rt.times, rt.big_gamma)
     cs_til = CubicSpline(rt.times, rt.gamma_tilde)
@@ -231,8 +231,8 @@ def test_truncated_equilibration_endpoint(system, hot_bath, rate_table):
     rho_in = model.state_from_population(h_cold, 0.261)
     u = propagate_unitary(system)
     rho_exp = matcore.DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))
-    traj = evolve_open(rho_exp, h_hot, rate_table(30.0),
-                       np.linspace(0.0, 10.0, 1001))
+    traj = evolve_open(rho_exp, h_hot, [rate_table(30.0)],
+                       np.linspace(0.0, 10.0, 1001))[0]
     target = model.state_from_population(h_hot, 0.99).mat
     assert np.max(np.abs(traj.final_state - target)) < 1e-3
     assert np.max(traj.trace_dev) < 1e-8
@@ -243,8 +243,8 @@ def test_positivity_along_baseline_heating(system, rate_table):
     rho_in = model.state_from_population(model.hamiltonian_cold(system), 0.261)
     u = propagate_unitary(system)
     rho_exp = matcore.DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))
-    traj = evolve_open(rho_exp, h, rate_table(25.0),
-                       np.linspace(0.0, 2.0, 401))
+    traj = evolve_open(rho_exp, h, [rate_table(25.0)],
+                       np.linspace(0.0, 2.0, 401))[0]
     assert np.min(traj.min_eig) > -1e-6
     state = matcore.DensityMatrix.from_matrix(traj.final_state)
     assert state.min_eig > -1e-6
@@ -264,7 +264,7 @@ def test_evolve_open_matches_rk45_oracle(omega_c):
     grid = cfg.heating_grid()
     rt = build_rate_trajectory(cfg.hot_bath, su.eps_hot,
                                grid[-1] + cycle._TABLE_MARGIN)
-    exact = evolve_open(su.rho_exp, su.h_hot, rt, grid)
+    exact = evolve_open(su.rho_exp, su.h_hot, [rt], grid)[0]
     ref = oracles.evolve_open(su.rho_exp, su.h_hot, rt,
                               oracles.jump_operator(su.h_hot), grid,
                               **ORACLE_TOL)
@@ -321,7 +321,7 @@ def test_closed_form_stroke_is_a_state_path(system, bg, gt, direction,
                         big_gamma, 0.0, True)
     n = radius * np.asarray(direction) / math.hypot(*direction)
     rho0 = density_from_bloch(*n)
-    traj = evolve_open(rho0, h, rt, np.linspace(0.0, 2.0, 57))
+    traj = evolve_open(rho0, h, [rt], np.linspace(0.0, 2.0, 57))[0]
     traces = np.trace(traj.states, axis1=1, axis2=2)
     assert np.max(np.abs(traces - 1.0)) < 1e-12
     assert np.max(np.abs(traj.states - np.conj(
@@ -349,6 +349,7 @@ def test_constant_rates_relax_to_bath_occupation(system, omega_c, p_target,
     ones = np.ones(times.size)
     rt = RateTrajectory(times, g_inf * ones, gt_inf * ones,
                         (2 * g_inf - gt_inf) * ones, 0.0, True)
-    traj = evolve_open(model.state_from_population(h, p_start), h, rt, times)
+    traj = evolve_open(model.state_from_population(h, p_start), h, [rt],
+                       times)[0]
     nbar = oracles.occupation(spec, conftest.EPS_HOT)
     assert traj.populations(vp)[-1] == pytest.approx(nbar, abs=1e-12)
