@@ -100,8 +100,7 @@ class CycleConfig:
         if not 0.0 < self.p_plus_cold < 0.5:
             raise ConfigError("p_plus_cold must lie in (0, 0.5): the cold "
                               "stage is a positive-temperature reservoir")
-        if not 0.0 < self.p_plus_hot < 1.0:
-            raise ConfigError("p_plus_hot must lie in (0, 1)")
+        _check_p_plus_hot(self.p_plus_hot)
         # building both reservoirs checks drive, spectrum and temperatures
         _ = self.hot_bath, self.cold_bath
         if not (self.heat_dt > 0.0 and self.tail_dt > 0.0):
@@ -125,8 +124,9 @@ class CycleConfig:
                               f"heating samples, more than {MAX_POINTS}")
         if not 0.0 < self.t_f <= self.heat_t_max:
             raise ConfigError("t_f must lie in (0, heat_t_max]")
-        if not self.n_steps >= 1:
-            raise ConfigError("n_steps must be positive")
+        if not 2 <= self.n_steps <= MAX_POINTS:
+            raise ConfigError(f"n_steps = {self.n_steps} must lie in "
+                              f"[2, {MAX_POINTS}]")
 
     @property
     def system(self) -> SystemParams:
@@ -152,6 +152,12 @@ class CycleConfig:
         n_tail = int(round((self.heat_t_max - self.heat_t_dense) / self.tail_dt))
         tail = np.linspace(self.heat_t_dense, self.heat_t_max, n_tail + 1)[1:]
         return np.concatenate([dense, tail])
+
+
+def _check_p_plus_hot(p: float) -> None:
+    """The hot target population rule, for a config and a sweep point."""
+    if not 0.0 < p < 1.0:
+        raise ConfigError(f"p_plus_hot must lie in (0, 1), got {p}")
 
 
 # another name for the constructor: it takes the same keywords
@@ -242,6 +248,7 @@ class _Setup:
     eps_hot: float
     rho_in: np.ndarray
     u_exp: np.ndarray
+    ramp_error: float
     rho_exp: DensityMatrix
 
 
@@ -251,10 +258,9 @@ def _setup(cfg: CycleConfig) -> _Setup:
     h_hot = hamiltonian_hot(sp)
     eps_hot = transition_energy(h_hot)[0]
     rho_in = state_from_population(h_cold, cfg.p_plus_cold).mat
-    u_exp = propagate_unitary(sp, cfg.n_steps)
-    rho_exp = u_exp @ rho_in @ dag(u_exp)
-    return _Setup(h_cold=h_cold, h_hot=h_hot, eps_hot=eps_hot, rho_in=rho_in,
-                  u_exp=u_exp, rho_exp=DensityMatrix.from_matrix(rho_exp))
+    u_exp, ramp_error = propagate_unitary(sp, cfg.n_steps)
+    rho_exp = DensityMatrix.from_matrix(u_exp @ rho_in @ dag(u_exp))
+    return _Setup(h_cold, h_hot, eps_hot, rho_in, u_exp, ramp_error, rho_exp)
 
 
 def _energetics(su: _Setup, rho_heat: np.ndarray):
@@ -327,6 +333,7 @@ def _cycle(cfg: CycleConfig, su: _Setup) -> CycleResult:
         "max_trace_dev": float(np.max(traj.trace_dev)),
         "min_eig": float(np.min(traj.min_eig)),
         "xi": _branch_crossing(cfg.system, su.u_exp),
+        "ramp_error": su.ramp_error,
         "eps_hot": float(su.eps_hot),
         "final_population_gap": float(
             abs(traj.populations(transition_energy(su.h_hot)[2])[-1]
@@ -393,7 +400,7 @@ def _checked_populations(cfg: CycleConfig, p_hot_grid) -> list[float]:
     if not points:
         raise ConfigError("population grid must not be empty")
     for p in points:  # each target must pass the config's own rule
-        replace(cfg, p_plus_hot=p)
+        _check_p_plus_hot(p)
     return points
 
 

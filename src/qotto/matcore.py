@@ -56,7 +56,6 @@ class DensityMatrix:
     mat: np.ndarray
     min_eig: float
     trace_dev: float
-    herm_dev: float
 
     TRACE_TOL = 1e-10
     HERM_TOL = 1e-12
@@ -78,4 +77,4 @@ class DensityMatrix:
                 f"density matrix has negative eigenvalue {lo:.3e} "
                 f"(pos_tol={cls.POS_TOL:.1e})", RuntimeWarning, stacklevel=2)
         h.setflags(write=False)
-        return cls(h, float(lo), float(tr_dev), float(h_dev))
+        return cls(h, float(lo), float(tr_dev))

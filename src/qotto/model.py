@@ -6,11 +6,10 @@ magnitude) while a constant longitudinal field softens the crossing.  Units:
 hbar = kB = 1, time in ms, drive magnitudes nu in kHz, energies and angular
 frequencies in rad/ms.
 
-Stroke layout over one cycle:
+Strokes that enter the first-cycle efficiency:
   expansion   t in [0, tau]  : field rotates x -> y while nu ramps cold -> hot
   heating     fixed hot Hamiltonian, system coupled to the inverted bath
   compression t in [0, tau]  : sign-flipped, time-reversed expansion drive
-  cooling     fixed cold Hamiltonian, positive-temperature bath (optional)
 
 Each stroke Hamiltonian has one transition, so everything derived from it
 (gap, contact-stroke eigenbasis, reservoir temperature) comes from the

@@ -10,9 +10,13 @@ expansion that the library's closed-form gamma and confined remainder
 replaced, and `complex_remainder` sums that remainder's panels in complex
 arithmetic, one spherical_jn call per order and panel.
 `product_propagator` is a scalar-loop midpoint product for an
-arbitrary H(t), built from the closed-form 2x2 exponential `expm_aherm`;
-the literal ramp Hamiltonians `hamiltonian_expansion` and
-`hamiltonian_compression` feed it.  `adiabaticity` rebuilds the ramp to
+arbitrary H(t), and `magnus_propagator` the scalar-loop two-node Magnus
+product with the commutator written out, both built from the closed-form
+2x2 exponential `expm_aherm`; the literal ramp Hamiltonians
+`hamiltonian_expansion` and `hamiltonian_compression` feed them.
+`midpoint_unitary` is the vectorised midpoint product of the expansion
+ramp that the library's Magnus ramp replaced; at `REFERENCE_STEPS` it is
+the converged reference ramp.  `adiabaticity` rebuilds the ramp to
 score its branch crossing, `population_from_beta` inverts the library's
 population-to-temperature map, `markov_limits` is the golden-rule rate
 pair the time-local rates settle to, with the Fermi `occupation` behind
@@ -26,6 +30,7 @@ the RK45 oracle applies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -52,6 +57,10 @@ DEGENERACY_RTOL = 1e-12
 
 # relative Hermiticity deviation herm_eig2 accepts before symmetrizing
 EIG_HERM_TOL = 1e-9
+
+# midpoint steps of the reference ramp: its discretization error (about
+# 4e-13) sits below the rounding its product accumulates (about 4e-12)
+REFERENCE_STEPS = 640_000
 
 
 def _require_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
@@ -179,7 +188,40 @@ def adiabaticity(p: SystemParams, n_steps: int = DEFAULT_N_STEPS) -> float:
 
     Zero for a perfectly adiabatic ramp.
     """
-    return _branch_crossing(p, propagate_unitary(p, n_steps))
+    return _branch_crossing(p, propagate_unitary(p, n_steps)[0])
+
+
+def _midpoint_factors(p: SystemParams, dt: float,
+                      steps: np.ndarray) -> np.ndarray:
+    """Slice exponentials exp(-i*dt*H(t_mid)) of the expansion ramp."""
+    t_mid = (steps + 0.5) * dt
+    nu = p.nu_cold * (1.0 - t_mid / p.tau) + p.nu_hot * (t_mid / p.tau)
+    phase = p.omega * t_mid
+    cx = -np.pi * nu * np.cos(phase)
+    cy = -np.pi * nu * np.sin(phase)
+    cz = np.full_like(t_mid, 0.5 * p.omega_tilde)
+    r = np.sqrt(cx * cx + cy * cy + cz * cz)
+    a = np.cos(dt * r)
+    b = np.sin(dt * r) / r
+    u = np.empty((steps.size, 2, 2), dtype=complex)
+    u[:, 0, 0] = a - 1j * b * cz
+    u[:, 1, 1] = a + 1j * b * cz
+    u[:, 0, 1] = -1j * b * (cx - 1j * cy)
+    u[:, 1, 0] = -1j * b * (cx + 1j * cy)
+    return u
+
+
+@cache
+def midpoint_unitary(p: SystemParams, n_steps: int) -> np.ndarray:
+    """Vectorised midpoint product of the expansion ramp, second order in
+    the step, built 65,536 steps at a time so its memory stays bounded."""
+    dt = p.tau / n_steps
+    u = IDENTITY
+    for start in range(0, n_steps, 1 << 16):
+        steps = np.arange(start, min(start + (1 << 16), n_steps))
+        u = dynamics._ordered_product(_midpoint_factors(p, dt, steps)) @ u
+    u.setflags(write=False)
+    return u
 
 
 def population_from_beta(h: np.ndarray, beta: float) -> float:
@@ -219,6 +261,21 @@ def product_propagator(h_of_t: Callable[[float], np.ndarray], tau: float,
     u = IDENTITY.copy()
     for k in range(n_steps):
         u = expm_aherm(h_of_t((k + 0.5) * dt), dt) @ u
+    return u
+
+
+def magnus_propagator(h_of_t: Callable[[float], np.ndarray], tau: float,
+                      n_steps: int) -> np.ndarray:
+    """Generic two-node Gauss-Legendre Magnus product for an arbitrary H(t):
+    each step is exp(-i dt M), M = (H1 + H2)/2 + i (sqrt(3)/12) dt [H1, H2]."""
+    dt = tau / n_steps
+    node = np.sqrt(3.0) / 6.0
+    u = IDENTITY.copy()
+    for k in range(n_steps):
+        h1 = h_of_t((k + 0.5 - node) * dt)
+        h2 = h_of_t((k + 0.5 + node) * dt)
+        m = 0.5 * (h1 + h2) + 0.5j * node * dt * (h1 @ h2 - h2 @ h1)
+        u = expm_aherm(m, dt) @ u
     return u
 
 

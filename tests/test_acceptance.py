@@ -157,7 +157,7 @@ def test_criterion_9_oracle_suite(full_results, system, hot_bath, rng):
     unitarity 1e-9, trace retention 1e-8, long-time rates within 1% of the
     golden-rule pair, dynamic detailed balance 1e-6, thermal-state
     equivalence 1e-10, quantifier additivity 1e-12."""
-    u = dynamics.propagate_unitary(system)
+    u, _ = dynamics.propagate_unitary(system)
     assert np.max(np.abs(u @ dag(u) - oracles.IDENTITY)) < 1e-9
 
     assert full_results[30.0].diagnostics["max_trace_dev"] < 1e-8

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import qotto
 from qotto import bath, cli, cycle
 
@@ -267,6 +268,17 @@ def test_oversized_grids_are_config_errors(tmp_path, capsys, monkeypatch):
     assert "needs 301 points" in capsys.readouterr().err
 
 
+def test_oversized_ramp_is_a_config_error(tmp_path, capsys, monkeypatch):
+    """A ramp of more than MAX_POINTS steps exits 2 and names its count,
+    before any output or allocation."""
+    monkeypatch.setattr(cycle, "MAX_POINTS", 5000)
+    code = cli.main(["simulate", "--set", "n_steps=5001",
+                     "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    assert "n_steps = 5001 must lie in [2, 5000]" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def test_nonmarkov_checks_every_table_size_before_output(tmp_path, capsys):
     """A cutoff whose rate table would pass MAX_POINTS is refused before
     `witness.csv` or any other file is written."""
@@ -359,8 +371,8 @@ PINNED_Q = {"5": 0.00342187407, "15": 0.000558287443, "25": 0.0, "30": 0.0}
 PINNED_SWEEP = {
     "0.5": (-1.28729243, 0), "0.51": (-0.874811842, 0),
     "0.52": (-0.593836385, 0), "0.53": (-0.390211943, 0),
-    "0.54": (-0.23587771, 0), "0.55": (-0.114880263, 0),
-    "0.56": (-0.0174795614, 0), "0.57": (0.062607478, 1),
+    "0.54": (-0.23587771, 0), "0.55": (-0.114880265, 0),
+    "0.56": (-0.017479563, 0), "0.57": (0.0626074768, 1),
     "0.58": (0.129615567, 1), "0.59": (0.18650281, 1), "0.6": (0.235398007, 1),
     "0.61": (0.277872208, 1), "0.62": (0.315110135, 1),
     "0.63": (0.348022047, 1), "0.64": (0.377318863, 1),
@@ -434,16 +446,32 @@ def test_default_simulate_summary_is_pinned(tmp_path, capsys):
         assert _matches_pin(summary[key], pinned), key
 
 
-def test_default_sweep_population_is_pinned(tmp_path):
-    code = cli.main(["sweep-population", "--out", str(tmp_path)])
+def _assert_sweep_population_pinned(out):
+    code = cli.main(["sweep-population", "--out", str(out)])
     assert code == cli.EXIT_OK
-    _, _, data = read_csv(tmp_path / "population_sweep.csv")
+    _, _, data = read_csv(out / "population_sweep.csv")
     table = {row[0]: row for row in data}
     assert table.keys() == PINNED_SWEEP.keys()
     for p, (eta, valid) in PINNED_SWEEP.items():
         assert _matches_pin(table[p][1], eta), p
         assert table[p][2] == str(valid), p
         assert table[p][5] == "ok", p
+
+
+def test_default_sweep_population_is_pinned(tmp_path):
+    _assert_sweep_population_pinned(tmp_path)
+
+
+def test_sweep_population_pins_hold_on_the_reference_ramp(tmp_path,
+                                                          monkeypatch):
+    """The pinned rows are those of the converged ramp: the default sweep
+    with its ramp swapped for the 640,000-step midpoint product matches
+    every pin too."""
+    def reference(p, n_steps):
+        return oracles.midpoint_unitary(p, oracles.REFERENCE_STEPS), 0.0
+
+    monkeypatch.setattr(cycle, "propagate_unitary", reference)
+    _assert_sweep_population_pinned(tmp_path)
 
 
 def test_ift_scan(tmp_path):

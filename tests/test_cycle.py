@@ -134,6 +134,7 @@ def test_config_rejects_bad_spectrum(fast_cfg, kwargs, message):
     dict(heat_t_max=0.604),                 # 10 us does not divide 4 us
     dict(nu_cold=4.0),                      # the drive is checked too
     dict(n_steps=0),
+    dict(n_steps=1),                        # the error estimate halves it
 ])
 def test_config_validation(kwargs):
     merged = {**FAST, **kwargs}
@@ -154,6 +155,25 @@ def test_heating_grid_size_is_bounded(monkeypatch):
     with pytest.raises(ConfigError, match="give 1001 heating samples, "
                                           "more than 1000"):
         CycleConfig(heat_t_dense=1.0, heat_t_max=1.0, heat_dt=1e-3)
+
+
+def test_ramp_step_count_is_bounded(monkeypatch):
+    """A ramp of more than MAX_POINTS steps is refused as an input error
+    before its factors are allocated."""
+    monkeypatch.setattr(cycle, "MAX_POINTS", 5000)
+    assert CycleConfig(n_steps=5000).n_steps == 5000
+    with pytest.raises(ConfigError, match=r"n_steps = 5001 must lie in "
+                                          r"\[2, 5000\]"):
+        CycleConfig(n_steps=5001)
+
+
+def test_default_ramp_error_is_reported():
+    """The default ramp's Richardson estimate is below 1e-10 and reaches
+    the diagnostics of a run."""
+    cfg = CycleConfig(heat_t_dense=0.5, heat_t_max=0.5, t_f=0.5)
+    ramp_error = cycle._setup(cfg).ramp_error
+    assert 0.0 < ramp_error < 1e-10
+    assert run_cycle(cfg).diagnostics["ramp_error"] == ramp_error
 
 
 # the float fields of CycleConfig, the ones a nan or inf can reach
@@ -239,7 +259,7 @@ def test_energetics_match_stroke_bookkeeping(fast_cfg, fast_result):
     cfg, r = fast_cfg, fast_result
     h_cold = model.hamiltonian_cold(cfg.system)
     h_hot = model.hamiltonian_hot(cfg.system)
-    u = dynamics.propagate_unitary(cfg.system, cfg.n_steps)
+    u, _ = dynamics.propagate_unitary(cfg.system, cfg.n_steps)
     rho_in = model.state_from_population(h_cold, cfg.p_plus_cold)
     rho_exp = u @ rho_in.mat @ dag(u)
     eps_hot = model.transition_energy(h_hot)[0]
@@ -291,7 +311,7 @@ def test_cooling_returns_to_cold_thermal_state(fast_cfg):
     cfg = fast_cfg
     h_cold = model.hamiltonian_cold(cfg.system)
     h_hot = model.hamiltonian_hot(cfg.system)
-    u = dynamics.propagate_unitary(cfg.system, cfg.n_steps)
+    u, _ = dynamics.propagate_unitary(cfg.system, cfg.n_steps)
     rho_comp = matcore.DensityMatrix.from_matrix(
         dag(u) @ model.state_from_population(h_hot, 0.99).mat @ u)
     traj = run_cooling(cfg, rho_comp, t_max=40.0, dt=0.02)
@@ -431,6 +451,23 @@ def test_sweep_inputs_raise_config_error(fast_cfg, call, message):
     its rate tables the size bound, before any point runs."""
     with pytest.raises(ConfigError, match=message):
         call(fast_cfg)
+
+
+def test_population_sweep_builds_no_config_per_point(fast_cfg, monkeypatch):
+    """A sweep checks each population by the config's rule alone: 50
+    points construct no CycleConfig."""
+    calls = []
+    post_init = CycleConfig.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(CycleConfig, "__post_init__", counted)
+    grid = [round(0.5 + 0.01 * k, 2) for k in range(50)]
+    rows = sweep_population(fast_cfg, grid, 0.272)
+    assert len(rows) == 50 and all(r.error == "" for r in rows)
+    assert calls == []
 
 
 def test_ift_reference_curve(fast_cfg):

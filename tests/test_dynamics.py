@@ -37,33 +37,51 @@ def test_time_independent_generator_is_exact():
 
 
 def test_propagator_rejects_bad_step_count(system):
-    with pytest.raises(ValueError):
-        propagate_unitary(system, 0)
+    # the error estimate needs a product at half the steps
+    for n_steps in (0, 1):
+        with pytest.raises(ValueError):
+            propagate_unitary(system, n_steps)
+
+
+def _random_drives(rng, count):
+    """Drives drawn from the ranges the unitarity test covers."""
+    drives = []
+    for _ in range(count):
+        nu_c = rng.uniform(0.5, 3.0)
+        drives.append(model.SystemParams(nu_c, nu_c + rng.uniform(0.5, 3.0),
+                                         rng.uniform(0.02, 0.5),
+                                         rng.uniform(0.0, 0.5)))
+    return drives
+
+
+# the corner of those ranges where the ramp error is largest
+WORST_DRIVE = model.SystemParams(3.0, 6.0, 0.5, 0.0)
 
 
 def test_propagator_unitarity(system, rng):
-    params = [system]
-    for _ in range(3):
-        nu_c = rng.uniform(0.5, 3.0)
-        params.append(model.SystemParams(nu_c, nu_c + rng.uniform(0.5, 3.0),
-                                         rng.uniform(0.02, 0.5),
-                                         rng.uniform(0.0, 0.5)))
-    for p in params:
-        u = propagate_unitary(p, 2000)
+    """Unitary to 1e-10, with a ramp error estimate below 1e-10 at the
+    default step count anywhere in the drive ranges."""
+    for p in [system, WORST_DRIVE] + _random_drives(rng, 3):
+        u, ramp_error = propagate_unitary(p)
         assert_allclose(u @ dag(u), IDENTITY, atol=1e-10)
+        assert ramp_error < 1e-10
 
 
 def test_compression_matches_literal_reversed_ramp(system):
-    """The adjoint shortcut equals integrating the reversed ramp directly."""
-    u_exp = propagate_unitary(system, 20000)
-    u_lit = product_propagator(
-        lambda t: oracles.hamiltonian_compression(system, t), system.tau, 20000)
+    """The adjoint shortcut equals integrating the reversed ramp directly,
+    by a Magnus product over the literal compression Hamiltonian that
+    writes the commutator out instead of the cross product."""
+    u_exp, _ = propagate_unitary(system)
+    u_lit = oracles.magnus_propagator(
+        lambda t: oracles.hamiltonian_compression(system, t), system.tau,
+        dynamics.DEFAULT_N_STEPS)
     assert_allclose(u_lit, dag(u_exp), atol=1e-11)
 
 
 def test_step_convergence_is_second_order(system):
-    ref = propagate_unitary(system, 1_000_000)
-    errs = [np.max(np.abs(propagate_unitary(system, n) - ref))
+    """The midpoint oracle the Magnus ramp replaced is second order."""
+    ref = oracles.midpoint_unitary(system, oracles.REFERENCE_STEPS)
+    errs = [np.max(np.abs(oracles.midpoint_unitary(system, n) - ref))
             for n in (250, 500, 1000)]
     assert errs[2] < 5e-7
     # halving the step must cut the error by four
@@ -71,18 +89,51 @@ def test_step_convergence_is_second_order(system):
     assert errs[1] / errs[2] == pytest.approx(4.0, abs=0.4)
 
 
+def test_magnus_step_convergence_is_fourth_order(system):
+    ref, _ = propagate_unitary(system, 4000)
+    errs = [np.max(np.abs(propagate_unitary(system, n)[0] - ref))
+            for n in (50, 100, 200)]
+    # halving the step must cut the error by sixteen
+    assert errs[0] / errs[1] == pytest.approx(16.0, abs=2.0)
+    assert errs[1] / errs[2] == pytest.approx(16.0, abs=2.0)
+
+
+def test_default_ramp_matches_midpoint_reference(system):
+    """The default Magnus ramp is the converged ramp: within 1e-11 of the
+    midpoint product at 640,000 steps."""
+    u, _ = propagate_unitary(system)
+    ref = oracles.midpoint_unitary(system, oracles.REFERENCE_STEPS)
+    assert np.max(np.abs(u - ref)) < 1e-11
+
+
+@pytest.mark.parametrize("n_steps", [100, 200, dynamics.DEFAULT_N_STEPS])
+def test_ramp_error_estimate_tracks_true_error(system, n_steps):
+    """The Richardson estimate lies within a factor of 2 of the error
+    against a 4,000-step Magnus reference, at the studied drive and at
+    the worst one."""
+    for p in (system, WORST_DRIVE):
+        ref, _ = propagate_unitary(p, 4000)
+        u, ramp_error = propagate_unitary(p, n_steps)
+        true_error = np.max(np.abs(u - ref))
+        assert 0.5 * true_error <= ramp_error <= 2.0 * true_error
+
+
 def test_adiabaticity_baseline(system):
     assert adiabaticity(system) == pytest.approx(0.4072916737738594, abs=1e-9)
 
 
 def test_adiabaticity_brute_force_oracle(system):
-    """Same matrix element from the generic scalar product propagator."""
+    """The vectorised midpoint oracle equals the generic scalar product
+    propagator at 20,000 steps, and so does its branch crossing."""
     u = product_propagator(
         lambda t: oracles.hamiltonian_expansion(system, t), system.tau, 20000)
+    u_vec = oracles.midpoint_unitary(system, 20000)
+    assert_allclose(u_vec, u, atol=1e-12)
     _, cold_minus, _ = model.transition_energy(model.hamiltonian_cold(system))
     _, _, hot_plus = model.transition_energy(model.hamiltonian_hot(system))
     xi = abs(np.vdot(hot_plus, u @ cold_minus)) ** 2
-    assert adiabaticity(system) == pytest.approx(xi, abs=1e-10)
+    assert dynamics._branch_crossing(system, u_vec) == pytest.approx(
+        xi, abs=1e-10)
 
 
 def test_adiabaticity_limits(system):
@@ -229,7 +280,7 @@ def test_truncated_equilibration_endpoint(system, hot_bath, rate_table):
     h_cold = model.hamiltonian_cold(system)
     h_hot = model.hamiltonian_hot(system)
     rho_in = model.state_from_population(h_cold, 0.261)
-    u = propagate_unitary(system)
+    u, _ = propagate_unitary(system)
     rho_exp = matcore.DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))
     traj = evolve_open(rho_exp, h_hot, [rate_table(30.0)],
                        np.linspace(0.0, 10.0, 1001))[0]
@@ -241,7 +292,7 @@ def test_truncated_equilibration_endpoint(system, hot_bath, rate_table):
 def test_positivity_along_baseline_heating(system, rate_table):
     h = model.hamiltonian_hot(system)
     rho_in = model.state_from_population(model.hamiltonian_cold(system), 0.261)
-    u = propagate_unitary(system)
+    u, _ = propagate_unitary(system)
     rho_exp = matcore.DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))
     traj = evolve_open(rho_exp, h, [rate_table(25.0)],
                        np.linspace(0.0, 2.0, 401))[0]
@@ -275,7 +326,7 @@ def test_evolve_open_matches_rk45_oracle(omega_c):
 def test_cooling_stroke_matches_rk45_oracle(system):
     cfg = cycle.build_config()
     h_cold = model.hamiltonian_cold(system)
-    u = propagate_unitary(system)
+    u, _ = propagate_unitary(system)
     rho_comp = matcore.DensityMatrix.from_matrix(
         dag(u) @ model.state_from_population(model.hamiltonian_hot(system),
                                              0.99).mat @ u)

@@ -29,7 +29,7 @@ def make_table(gamma, gamma_tilde):
 def thermal_cycle_states(system, p_cold=0.261, p_hot=0.99):
     h_cold = model.hamiltonian_cold(system)
     h_hot = model.hamiltonian_hot(system)
-    u = dynamics.propagate_unitary(system)
+    u, _ = dynamics.propagate_unitary(system)
     rho_in = model.state_from_population(h_cold, p_cold)
     rho_exp = u @ rho_in.mat @ dag(u)
     rho_heat = model.state_from_population(h_hot, p_hot).mat
@@ -153,7 +153,7 @@ def heat_shifted_states(system, q):
     rho_heat = rho_exp + s (|+><+| - |-><-|) in the h_hot eigenbasis,
     with s * eps_hot = q."""
     rho_in, rho_exp, _, _, h_cold, h_hot = thermal_cycle_states(system)
-    u = dynamics.propagate_unitary(system)
+    u, _ = dynamics.propagate_unitary(system)
     eps, v_minus, v_plus = model.transition_energy(h_hot)
     flip = (np.outer(v_plus, v_plus.conj())
             - np.outer(v_minus, v_minus.conj()))
@@ -172,7 +172,10 @@ def test_energetics_heat_floor_decides_operation(system):
     above = cycle_energetics(*heat_shifted_states(system, 1e-6))
     assert above.q_hot > floor
     assert above.valid_engine
-    assert above.eta == pytest.approx(0.8948329611, abs=1e-8)
+    # eta = -w/q at q = 1e-6 reads the ramp's unitarity defect about
+    # 5e6-fold: Magnus ramps of 250 to 4,000 steps (defect <= 1.2e-14)
+    # spread it by 7e-8
+    assert above.eta == pytest.approx(0.8948300255, abs=1e-8)
 
 
 def test_energetics_stacked_rows_match_scalar_calls(system):
@@ -254,7 +257,7 @@ def test_first_law_telescopes_through_cooling(system, cold_bath):
     """Stroke energies and the two heats add up to the total energy change."""
     h_cold = model.hamiltonian_cold(system)
     h_hot = model.hamiltonian_hot(system)
-    u = dynamics.propagate_unitary(system)
+    u, _ = dynamics.propagate_unitary(system)
     rho_in = model.state_from_population(h_cold, 0.261)
     rho_exp = matcore.DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))
 
@@ -300,7 +303,7 @@ def test_first_law_across_four_strokes(nu_cold, nu_gap, tau, p_cold, p_hot,
                             omega_c=omega_c, n_steps=2000)
     h_cold = model.hamiltonian_cold(cfg.system)
     h_hot = model.hamiltonian_hot(cfg.system)
-    u = dynamics.propagate_unitary(cfg.system, cfg.n_steps)
+    u, _ = dynamics.propagate_unitary(cfg.system, cfg.n_steps)
     rho_in = model.state_from_population(h_cold, p_cold)
     rho_exp = matcore.DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))
 
