@@ -32,7 +32,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import ConfigError, __version__
-from .bath import build_rate_trajectory, rate_table_size
+from .bath import BathSpec, build_rate_trajectory, rate_table_size
 from .cycle import (CycleConfig, ift_reference, population_onset, run_cycle,
                     sweep_cutoff, sweep_population)
 from .measures import nonmarkov_report
@@ -115,20 +115,20 @@ def _require_inversion(ccfg: CycleConfig):
                           "regime")
 
 
-def _omega_c_points(cfg: dict, ccfg: CycleConfig) -> list[float]:
-    raw = cfg["omega_c_list"]
+def _cutoff_baths(cfg: dict, ccfg: CycleConfig) -> list[BathSpec]:
+    """The hot reservoir at each listed cutoff, checked by its own rule."""
+    raw, hot = cfg["omega_c_list"], ccfg.hot_bath
     try:
-        points = [float(x) for x in raw.split(",") if x.strip()]
-        for w in points:  # each cutoff must pass the reservoir's own rule
-            replace(ccfg, omega_c=w)
+        baths = [replace(hot, omega_c=float(x))
+                 for x in raw.split(",") if x.strip()]
     except ConfigError as exc:
         raise ConfigError(f"omega_c_list: {exc}") from None
     except ValueError:
         raise ConfigError(f"omega_c_list is not a comma-separated float "
                           f"list: {raw!r}")
-    if not points:
+    if not baths:
         raise ConfigError("omega_c_list must not be empty")
-    return points
+    return baths
 
 
 def _p_hot_points(cfg: dict) -> list[float]:
@@ -209,9 +209,9 @@ def cmd_rates(cfg: dict, ccfg: CycleConfig, outdir: str) -> int:
 
 
 def cmd_nonmarkov(cfg: dict, ccfg: CycleConfig, outdir: str) -> int:
-    cutoffs = _omega_c_points(cfg, ccfg)
+    baths = _cutoff_baths(cfg, ccfg)
     eps_hot = transition_energy(hamiltonian_hot(ccfg.system))[0]
-    for spec in (replace(ccfg, omega_c=w).hot_bath for w in cutoffs):
+    for spec in baths:
         rate_table_size(spec, eps_hot, ccfg.heat_t_max)  # before any output
     rates = build_rate_trajectory(ccfg.hot_bath, eps_hot, ccfg.heat_t_max)
     report = nonmarkov_report(rates)
@@ -222,14 +222,13 @@ def cmd_nonmarkov(cfg: dict, ccfg: CycleConfig, outdir: str) -> int:
                 for t, f in zip(report.times, report.f)))
 
     q_rows = []
-    for w in cutoffs:
-        if w == ccfg.omega_c:  # the witness table is this cutoff's table
+    for spec in baths:
+        if spec.omega_c == ccfg.omega_c:  # the witness table is this one's
             q = report.q_total
         else:
-            spec = replace(ccfg, omega_c=w).hot_bath
             rt = build_rate_trajectory(spec, eps_hot, ccfg.heat_t_max)
             q = nonmarkov_report(rt).q_total
-        q_rows.append([_g9(w), _g9(q)])
+        q_rows.append([_g9(spec.omega_c), _g9(q)])
     _write_csv(os.path.join(outdir, "nonmarkov_q.csv"),
                _header("nonmarkov", cfg, ccfg),
                ["omega_c", "Q"], q_rows)
@@ -266,7 +265,7 @@ def cmd_simulate(cfg: dict, ccfg: CycleConfig, outdir: str) -> int:
 
 def cmd_sweep_cutoff(cfg: dict, ccfg: CycleConfig, outdir: str) -> int:
     _require_inversion(ccfg)
-    rows = sweep_cutoff(ccfg, _omega_c_points(cfg, ccfg))
+    rows = sweep_cutoff(ccfg, [b.omega_c for b in _cutoff_baths(cfg, ccfg)])
     csv_rows = []
     for r in rows:
         status = ("error:" + _safe(r.error)) if r.error else \

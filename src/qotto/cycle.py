@@ -5,8 +5,9 @@ ramp, evolves it in contact with the inverted-population reservoir while
 sampling every truncation time on a grid, and closes the cycle at each
 sample with the exact inverse ramp.  Efficiency versus truncation time
 comes out of a single dissipative trajectory because the closing stroke
-is unitary: the stack of contact states is driven back at once and
-scored by one `measures.cycle_energetics` call.
+is unitary: it enters only through the cold Hamiltonian seen through the
+ramp, so one `measures.energetics` call scores the stroke's populations
+and coherences.
 
 The stroke-independent pieces (Hamiltonians, input state, ramp unitary)
 are set up once per run, sweep or reference scan.  A population sweep
@@ -26,7 +27,7 @@ from .bath import (MAX_POINTS, BathSpec, build_rate_trajectories,
 from .dynamics import (DEFAULT_N_STEPS, _branch_crossing, evolve_open,
                        propagate_unitary)
 from .matcore import DensityMatrix, dag
-from .measures import (NonMarkovReport, cycle_energetics, nonmarkov_report,
+from .measures import (NonMarkovReport, energetics, nonmarkov_report,
                        overall_performance)
 from .model import (SystemParams, beta_from_population, hamiltonian_cold,
                     hamiltonian_hot, state_from_population,
@@ -241,15 +242,14 @@ def _band_edges(times: np.ndarray, eta: np.ndarray, k: int,
 
 @dataclass(frozen=True)
 class _Setup:
-    """The stroke-independent pieces of one cycle."""
+    """The stroke-independent pieces of one cycle; h_back = u h_cold u^dag."""
 
-    h_cold: np.ndarray
     h_hot: np.ndarray
     eps_hot: float
-    rho_in: np.ndarray
     u_exp: np.ndarray
     ramp_error: float
     rho_exp: DensityMatrix
+    h_back: np.ndarray
 
 
 def _setup(cfg: CycleConfig) -> _Setup:
@@ -260,14 +260,8 @@ def _setup(cfg: CycleConfig) -> _Setup:
     rho_in = state_from_population(h_cold, cfg.p_plus_cold).mat
     u_exp, ramp_error = propagate_unitary(sp, cfg.n_steps)
     rho_exp = DensityMatrix.from_matrix(u_exp @ rho_in @ dag(u_exp))
-    return _Setup(h_cold, h_hot, eps_hot, rho_in, u_exp, ramp_error, rho_exp)
-
-
-def _energetics(su: _Setup, rho_heat: np.ndarray):
-    """Cycle energetics for one contact endpoint or a (T, 2, 2) stack."""
-    return cycle_energetics(su.rho_in, su.rho_exp, rho_heat,
-                            dag(su.u_exp) @ rho_heat @ su.u_exp,
-                            su.h_cold, su.h_hot)
+    return _Setup(h_hot, eps_hot, u_exp, ramp_error, rho_exp,
+                  u_exp @ h_cold @ dag(u_exp))
 
 
 def run_cycle(cfg: CycleConfig) -> CycleResult:
@@ -281,7 +275,7 @@ def _cycle(cfg: CycleConfig, su: _Setup) -> CycleResult:
                                   grid[-1] + _TABLE_MARGIN)
     [traj] = evolve_open(su.rho_exp, su.h_hot, [rates], grid)
 
-    en = _energetics(su, traj.states)
+    en = energetics(su.rho_exp.mat, su.h_hot, su.h_back, traj.p, traj.c)
     eta, valid = en.eta, en.valid_engine
     no_engine = not bool(valid.any())
 
@@ -324,8 +318,9 @@ def _cycle(cfg: CycleConfig, su: _Setup) -> CycleResult:
     o_p = overall_performance(grid, eta, cfg.t_f)
     nm = nonmarkov_report(rates, 0.0, cfg.heat_t_max)
 
-    ideal = _energetics(su, state_from_population(su.h_hot,
-                                                  cfg.p_plus_hot).mat)
+    # perfect thermalization ends at the target population, no coherence
+    ideal = energetics(su.rho_exp.mat, su.h_hot, su.h_back,
+                       cfg.p_plus_hot, 0.0)
 
     diagnostics = {
         "quad_error": float(rates.quad_error),
@@ -335,9 +330,7 @@ def _cycle(cfg: CycleConfig, su: _Setup) -> CycleResult:
         "xi": _branch_crossing(cfg.system, su.u_exp),
         "ramp_error": su.ramp_error,
         "eps_hot": float(su.eps_hot),
-        "final_population_gap": float(
-            abs(traj.populations(transition_energy(su.h_hot)[2])[-1]
-                - cfg.p_plus_hot)),
+        "final_population_gap": float(abs(traj.p[-1] - cfg.p_plus_hot)),
     }
     return CycleResult(config=cfg, w1=en.w1, times=grid,
                        w2=en.w2, q_hot=en.q_hot, eta=eta, valid=valid,
@@ -421,9 +414,11 @@ def sweep_population(cfg: CycleConfig, p_hot_grid,
             tables = build_rate_trajectories(
                 [cfg._reservoir(su.h_hot, p) for p in ps], su.eps_hot,
                 t_tilde + _TABLE_MARGIN)
-            # the exact stroke needs no intermediate samples, only the end
-            return _scored(su, ps, [tr.final_state for tr in evolve_open(
-                su.rho_exp, su.h_hot, tables, np.array([0.0, t_tilde]))])
+            # the exact stroke needs only its end, and all tables share
+            # gamma, so they share the coherence too
+            ends = evolve_open(su.rho_exp, su.h_hot, tables,
+                               np.array([0.0, t_tilde]))
+            return _scored(su, ps, [tr.p[-1] for tr in ends], ends[0].c[-1])
         except Exception as exc:  # a failed point must not kill the sweep
             if len(ps) > 1:   # point by point, so only failed points fail
                 return [row for p in ps for row in rows([p])]
@@ -438,14 +433,13 @@ def ift_reference(cfg: CycleConfig, p_hot_grid) -> list[PopulationRow]:
     """Perfect-thermalization reference: the contact stroke is replaced
     by its infinite-time endpoint, no reservoir dynamics involved."""
     points = _checked_populations(cfg, p_hot_grid)
-    su = _setup(cfg)
-    return _scored(su, points, [state_from_population(su.h_hot, p).mat
-                                for p in points])
+    # each stroke ends at its target population, with no coherence
+    return _scored(_setup(cfg), points, points, 0.0)
 
 
-def _scored(su: _Setup, points, ends) -> list[PopulationRow]:
-    """One row per population, from the contact endpoint it ends in."""
-    en = _energetics(su, np.stack(ends))
+def _scored(su: _Setup, points, p, c) -> list[PopulationRow]:
+    """One row per population, from the (p, c) its contact stroke ends at."""
+    en = energetics(su.rho_exp.mat, su.h_hot, su.h_back, p, c)
     return [PopulationRow(*x) for x in zip(
         points, en.eta.tolist(), en.valid_engine.tolist(), en.w.tolist(),
         en.q_hot.tolist())]

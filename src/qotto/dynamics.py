@@ -15,10 +15,10 @@ damped two-level atom with time-dependent rates (Breuer & Petruccione, The
 Theory of Open Quantum Systems, OUP 2002): with k = |a|^2 and Lambda =
 int (G + gt) = 2 int gamma (G = 2 gamma - gt), the coherence is
 c0 exp(-i e t - k Lambda(t)/2) and the excited population obeys
-dp/dt = -k Lambda'(t) p + k gt(t).  Tables that share gamma evolve together:
-Lambda is the exact antiderivative of one cubic spline of 2 gamma, gt comes
-from one spline of every table's column, and each population is stepped
-interval by interval in Python floats.
+dp/dt = -k Lambda'(t) p + k gt(t), a cumulative sum under the integrating
+factor exp(k Lambda).  Tables that share gamma evolve together: Lambda is the
+exact antiderivative of one cubic spline of 2 gamma, gt comes from one spline
+of every table's column, and all populations come from one array sum.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .bath import RateTrajectory
-from .matcore import SIGMA_X, DensityMatrix, dag
+from .matcore import SIGMA_X, DensityMatrix
 from .model import (SystemParams, hamiltonian_cold, hamiltonian_hot,
                     transition_energy)
 
@@ -108,23 +108,33 @@ def _branch_crossing(p: SystemParams, u: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled open-system evolution with per-sample health metrics."""
+    """One contact stroke sampled on `times` from t = 0: the population
+    p = <+|rho|+> and coherence c = <+|rho|-> in the eigenbasis of its
+    Hamiltonian `h`, and health metrics.  Its states, the initial state
+    `rho0` plus the change of (p, c), are built only on request."""
 
     times: np.ndarray
-    states: np.ndarray       # (T, 2, 2) complex, Hermitian by construction
+    p: np.ndarray
+    c: np.ndarray
     trace_dev: np.ndarray    # |Tr rho - 1| per sample
     min_eig: np.ndarray      # smallest eigenvalue per sample
+    rho0: np.ndarray
+    h: np.ndarray
 
     def __post_init__(self):
         if self.times.ndim != 1 or np.any(np.diff(self.times) <= 0.0):
             raise ValueError("trajectory grid must be strictly increasing")
-        if self.states.shape != (self.times.size, 2, 2):
-            raise ValueError("states shape does not match grid")
+        if not self.p.shape == self.c.shape == self.times.shape:
+            raise ValueError("populations and coherences do not match grid")
 
-    def populations(self, v_plus: np.ndarray) -> np.ndarray:
-        """Excited-state weight <v+|rho(t)|v+> along the trajectory."""
-        return np.einsum("i,tij,j->t", v_plus.conj(), self.states,
-                         v_plus).real
+    @property
+    def states(self) -> np.ndarray:
+        """(T, 2, 2) states, Hermitian by construction; sample 0 is rho0."""
+        _, vm, vp = transition_energy(self.h)
+        flip = np.outer(vp, vp.conj()) - np.outer(vm, vm.conj())
+        dc = np.multiply.outer(self.c - self.c[0], np.outer(vp, vm.conj()))
+        return (self.rho0 + np.multiply.outer(self.p - self.p[0], flip)
+                + dc + np.conj(np.swapaxes(dc, 1, 2)))
 
     @property
     def final_state(self) -> np.ndarray:
@@ -136,6 +146,32 @@ class Trajectories(list):
     times: np.ndarray
 
 
+# the population sum runs in blocks over which k Lambda moves by at most
+# this much, so none of its exponentials can overflow
+_REBASE = 50.0
+
+
+def _populations(p0: float, k_lam: np.ndarray,
+                 sources: np.ndarray) -> np.ndarray:
+    """Excited population at every step end, one row per source row:
+    p_n = e^(-k Lambda_n) (p0 + sum_(m<n) s_m e^(k Lambda_m+1)), with the
+    exponents of each block taken relative to its last point."""
+    out = np.empty((sources.shape[0], k_lam.size))
+    out[:, 0] = p0
+    # total variation bounds how far k Lambda moves inside a block
+    var = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(k_lam)))))
+    a = 0
+    while a < k_lam.size - 1:
+        b = int(np.searchsorted(var, var[a + 1] + _REBASE, "right")) - 1
+        lam = k_lam[a + 1:b + 1]
+        out[:, a + 1:b + 1] = (
+            np.exp(k_lam[a] - lam) * out[:, a:a + 1]
+            + np.exp(lam[-1] - lam) * np.cumsum(
+                sources[:, a:b] * np.exp(lam - lam[-1]), axis=1))
+        a = b
+    return out
+
+
 def evolve_open(rho0: DensityMatrix, h_sys: np.ndarray,
                 rates: list[RateTrajectory], grid: np.ndarray) -> Trajectories:
     """Exact contact-stroke evolution under each rate table, the tables
@@ -143,8 +179,7 @@ def evolve_open(rho0: DensityMatrix, h_sys: np.ndarray,
 
     grid must start at 0 (bath switch-on) and stay inside the domain of the
     rate tables; the jump channel is a |-><+| of h_sys with weight
-    k = |a|^2 = |<-|sigma_x|+>|^2.  Sampled states are returned at exactly
-    the grid times.
+    k = |a|^2 = |<-|sigma_x|+>|^2.
     """
     table = rates[0]
     if not all(np.array_equal(r.times, table.times) and np.array_equal(
@@ -166,39 +201,29 @@ def evolve_open(rho0: DensityMatrix, h_sys: np.ndarray,
 
     # step over sample times and spline knots alike, so every step lies
     # inside one spline piece and its quadrature sees a smooth integrand;
-    # each step decays by its own factor: one global integrating factor
-    # exp(+k Lambda) loses about 1e-5 at the sharpest cutoffs
+    # step n adds k int gamma_tilde exp(k Lambda - k Lambda_n+1)
     t = np.union1d(grid, table.times[table.times < grid[-1]])
     k_lam = k * big_lam(t)
     dt = np.diff(t)
     nodes = t[:-1, None] + dt[:, None] * _GL_NODES
-    decay = np.exp(k_lam[:-1] - k_lam[1:]).tolist()
     sources = k * dt * np.sum(
         _GL_WEIGHTS * gamma_tilde(nodes)
         * np.exp(k * big_lam(nodes) - k_lam[1:, None]), axis=-1)
     p0 = float(np.vdot(vp, rho0.mat @ vp).real)
-    at = np.searchsorted(t, grid)
     c0 = np.vdot(vp, rho0.mat @ vm)
+    at = np.searchsorted(t, grid)
+    p = _populations(p0, k_lam, sources)[:, at]
     c = c0 * np.exp(-1j * eps * grid - 0.5 * k_lam[at])
-    # add the change to rho0 rather than rebuilding the state from the
-    # eigenbasis, so the t = 0 sample is rho0 itself
-    dc = (c - c0)[:, None, None]
-    up = np.outer(vp, vm.conj())
-    flip = np.outer(vp, vp.conj()) - np.outer(vm, vm.conj())
-    dc_up, dc_down = dc * up, dc.conj() * dag(up)
-
-    trajectories = Trajectories()
-    for source in sources:
-        pop = [p0]
-        for d, s in zip(decay, source.tolist()):
-            pop.append(d * pop[-1] + s)
-        p = np.asarray(pop)[at]
-        states = rho0.mat + (p - p0)[:, None, None] * flip + dc_up + dc_down
-        trace_dev = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
-        if not np.max(trace_dev) <= 1e-8:
-            raise RuntimeError(
-                f"trace drift {np.max(trace_dev):.3e} exceeds tolerance 1e-8")
-        min_eig = 0.5 - np.hypot(p - 0.5, np.abs(c))
-        trajectories.append(Trajectory(grid, states, trace_dev, min_eig))
+    # Tr rho = Tr rho0 + dp Tr flip + 2 Re(dc Tr |+><-|); NaN fails it too
+    trace_dev = np.abs(np.trace(rho0.mat).real
+                       + (p - p0) * (np.vdot(vp, vp) - np.vdot(vm, vm)).real
+                       + 2.0 * ((c - c0) * np.vdot(vm, vp)).real - 1.0)
+    if not np.max(trace_dev) <= 1e-8:
+        raise RuntimeError(
+            f"trace drift {np.max(trace_dev):.3e} exceeds tolerance 1e-8")
+    min_eig = 0.5 - np.hypot(p - 0.5, np.abs(c))
+    trajectories = Trajectories(
+        Trajectory(grid, p_j, c, dev_j, eig_j, rho0.mat, h_sys)
+        for p_j, dev_j, eig_j in zip(p, trace_dev, min_eig))
     trajectories.times = grid
     return trajectories

@@ -1,13 +1,13 @@
 """Thermodynamic bookkeeping and reservoir-memory measures.
 
-Work and heat are endpoint trace differences over one cycle: the two
+Work and heat are endpoint energy differences over one cycle: the two
 driven strokes exchange only work, the truncated contact stroke only
 heat.  The sign convention makes useful output negative, so the
-efficiency carries a leading minus sign.  One function scores one
-contact endpoint or a stack of them, with the one operating rule: work
-out while heat above a floor of Q_HOT_FLOOR_SCALE hot transition
-energies flows in.  Reservoir memory is scored by integrating the
-negative excursions of the decay rates.
+efficiency carries a leading minus sign.  One closed form scores contact
+endpoints given as excited population and coherence, with the one
+operating rule: work out while heat above a floor of Q_HOT_FLOOR_SCALE
+hot transition energies flows in.  Reservoir memory is scored by
+integrating the negative excursions of the decay rates.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ __all__ = [
     "Q_HOT_FLOOR_SCALE",
     "Energetics",
     "NonMarkovReport",
-    "cycle_energetics",
+    "energetics",
     "nonmarkov_report",
     "overall_performance",
     "quantifier_Q",
@@ -36,17 +36,12 @@ __all__ = [
 Q_HOT_FLOOR_SCALE = 1e-9
 
 
-def _mat(state) -> np.ndarray:
-    # accept a DensityMatrix wrapper, a bare 2x2 array or a (T, 2, 2) stack
-    return np.asarray(getattr(state, "mat", state), dtype=complex)
-
-
 @dataclass(frozen=True)
 class Energetics:
     """Energy ledger for one cycle, entries in rad/ms (hbar = 1).
 
-    For a stack of contact endpoints every entry but `w1` is an array
-    over the stack.  `w` is the sum of the two driven-stroke
+    For an array of contact endpoints every entry but `w1` is an array
+    over them.  `w` is the sum of the two driven-stroke
     contributions by construction, never stored separately.  `eta` is
     NaN when no heat above the floor was exchanged with the hot
     reservoir.  `valid_engine` is the operating test: net work
@@ -64,34 +59,34 @@ class Energetics:
         return self.w1 + self.w2
 
 
-def cycle_energetics(rho_in, rho_exp, rho_heat, rho_comp,
-                     h_cold: np.ndarray, h_hot: np.ndarray) -> Energetics:
-    """Score one cycle from its four corner states.
+def energetics(rho_exp: np.ndarray, h_hot: np.ndarray, h_back: np.ndarray,
+               p, c) -> Energetics:
+    """Score the cycles whose contact strokes end at excited population p
+    and coherence c = <+|rho|-> in the eigenbasis of `h_hot`, scalars or
+    matching arrays.  `rho_exp` leaves the first ramp under `h_hot`;
+    `h_back` = U h_cold U^dag is the cold Hamiltonian seen through that
+    ramp's propagator U, so Tr(h_back rho_exp) is the input energy.
 
-    `rho_in` enters the first driven stroke under `h_cold`, `rho_exp`
-    leaves it under `h_hot`, `rho_heat` is the (possibly truncated)
-    contact endpoint, and `rho_comp` is that state driven back under
-    `h_cold`; `rho_heat` and `rho_comp` are one 2x2 state each or
-    matching (T, 2, 2) stacks.  The driven strokes contribute work only;
-    heat is the contact-stroke energy change, one contraction at both
-    ends, so no contact stroke is exactly zero heat.  Where |q_hot| does
-    not clear Q_HOT_FLOOR_SCALE * (hot transition energy), eta is NaN
-    and the cycle is no engine.
+    The contact stroke adds drho = dp flip + dc |+><-| + h.c. to `rho_exp`
+    (dp = p - p0, dc = c - c0 against its own), so q_hot = eps dp and the
+    cycle work is w = Tr(h_back drho) - q_hot, both exactly 0 at drho = 0.
+    Where |q_hot| does not clear Q_HOT_FLOOR_SCALE * eps, eta is NaN and
+    the cycle is no engine.
     """
-    ri, re, rh, rc = (_mat(x) for x in (rho_in, rho_exp, rho_heat, rho_comp))
-    e_exp = expect(h_hot, re)
-    e_heat = expect(h_hot, rh)
-    w1 = e_exp - expect(h_cold, ri)
-    w2 = expect(h_cold, rc) - e_heat
-    q_hot = e_heat - e_exp
-    w = w1 + w2
-    floor = Q_HOT_FLOOR_SCALE * transition_energy(h_hot)[0]
+    eps, vm, vp = transition_energy(h_hot)
+    dp = np.asarray(p) - np.vdot(vp, rho_exp @ vp).real
+    dc = np.asarray(c) - np.vdot(vp, rho_exp @ vm)
+    back_flip = np.vdot(vp, h_back @ vp).real - np.vdot(vm, h_back @ vm).real
+    q_hot = eps * dp
+    w = dp * back_flip + 2.0 * (dc * np.vdot(vm, h_back @ vp)).real - q_hot
+    w1 = expect(h_hot - h_back, rho_exp)
+    floor = Q_HOT_FLOOR_SCALE * eps
     with np.errstate(divide="ignore", invalid="ignore"):
         eta = np.where(np.abs(q_hot) > floor, np.divide(-w, q_hot), np.nan)
     valid = (w < 0.0) & (q_hot > floor)
-    if rh.ndim == 2:  # one endpoint: plain Python scalars
-        eta, valid = float(eta), bool(valid)
-    return Energetics(w1=w1, w2=w2, q_hot=q_hot, eta=eta, valid_engine=valid)
+    if q_hot.ndim == 0:  # one endpoint: plain Python scalars
+        q_hot, w, eta, valid = float(q_hot), float(w), float(eta), bool(valid)
+    return Energetics(w1, w - w1, q_hot, eta, valid)
 
 
 def witness_f(rates: RateTrajectory) -> np.ndarray:

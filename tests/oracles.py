@@ -4,7 +4,13 @@ against, and helpers only the tests need.
 `evolve_open` integrates the contact-stroke master equation with a general
 RK45 solver, riding the state as a real 4-vector (trace, Bloch components)
 under the real 4x4 matrix `bloch_generator` builds from `apply_generator`,
-one application of the master-equation right-hand side.
+one application of the master-equation right-hand side; it returns the
+states themselves, as a `StateTrajectory`.  `population_loop` steps the
+library's contact-stroke populations one interval at a time in Python
+floats, as the library did before its cumulative sum, and
+`cycle_energetics` scores a cycle from its four corner states by trace
+differences, the contact endpoint driven back by hand, which the
+library's closed form on (population, coherence) replaced.
 `filon_rates` is the two-envelope rate quadrature with its 1/w tail
 expansion that the library's closed-form gamma and confined remainder
 replaced, and `complex_remainder` sums that remainder's panels in complex
@@ -46,7 +52,8 @@ from qotto.cycle import _TABLE_MARGIN, CycleConfig
 from qotto.dynamics import (DEFAULT_N_STEPS, Trajectory, _branch_crossing,
                             propagate_unitary)
 from qotto.matcore import (SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix,
-                           _require_2x2, dag, herm_deviation)
+                           _require_2x2, dag, expect, herm_deviation)
+from qotto.measures import Q_HOT_FLOOR_SCALE, Energetics
 from qotto.model import SystemParams, hamiltonian_cold, transition_energy
 
 IDENTITY = np.eye(2, dtype=complex)
@@ -303,9 +310,19 @@ def bloch_generator(h_sys: np.ndarray, jump: np.ndarray, big_gamma: float,
         for s_k in PAULIS] for s_j in PAULIS])
 
 
+@dataclass(frozen=True)
+class StateTrajectory:
+    """Sampled states of an integrated stroke with their health metrics."""
+
+    times: np.ndarray
+    states: np.ndarray       # (T, 2, 2) complex
+    trace_dev: np.ndarray    # |Tr rho - 1| per sample
+    min_eig: np.ndarray      # smallest eigenvalue per sample
+
+
 def evolve_open(rho0: DensityMatrix, h_sys: np.ndarray, rates: RateTrajectory,
                 jump: np.ndarray, grid: np.ndarray, rtol: float = 1e-9,
-                atol: float = 1e-12) -> Trajectory:
+                atol: float = 1e-12) -> StateTrajectory:
     """Integrate the heating-stroke master equation over the given grid.
 
     grid must start at 0 (bath switch-on) and stay inside the domain of the
@@ -347,7 +364,51 @@ def evolve_open(rho0: DensityMatrix, h_sys: np.ndarray, rates: RateTrajectory,
             f"trace drift {np.max(trace_dev):.3e} exceeds tolerance 1e-8")
     bloch_norm = np.sqrt(y[1] ** 2 + y[2] ** 2 + y[3] ** 2)
     min_eig = 0.5 * (y[0] - bloch_norm)
-    return Trajectory(grid, states, trace_dev, min_eig)
+    return StateTrajectory(grid, states, trace_dev, min_eig)
+
+
+def population_loop(p0: float, k_lam: np.ndarray,
+                    sources: np.ndarray) -> np.ndarray:
+    """`dynamics._populations` one step at a time: each step decays by its
+    own factor exp(k Lambda_n - k Lambda_n+1) and adds its source."""
+    decay = np.exp(k_lam[:-1] - k_lam[1:]).tolist()
+    rows = []
+    for source in sources:
+        pop = [p0]
+        for d, s in zip(decay, source.tolist()):
+            pop.append(d * pop[-1] + s)
+        rows.append(pop)
+    return np.asarray(rows)
+
+
+def cycle_energetics(rho_in, rho_exp, rho_heat, rho_comp,
+                     h_cold: np.ndarray, h_hot: np.ndarray) -> Energetics:
+    """Score one cycle from its four corner states.
+
+    `rho_in` enters the first driven stroke under `h_cold`, `rho_exp`
+    leaves it under `h_hot`, `rho_heat` is the (possibly truncated)
+    contact endpoint, and `rho_comp` is that state driven back under
+    `h_cold`; `rho_heat` and `rho_comp` are one 2x2 state each or
+    matching (T, 2, 2) stacks.  The driven strokes contribute work only;
+    heat is the contact-stroke energy change.  Where |q_hot| does not
+    clear Q_HOT_FLOOR_SCALE * (hot transition energy), eta is NaN and the
+    cycle is no engine.
+    """
+    ri, re, rh, rc = (np.asarray(getattr(x, "mat", x), dtype=complex)
+                      for x in (rho_in, rho_exp, rho_heat, rho_comp))
+    e_exp = expect(h_hot, re)
+    e_heat = expect(h_hot, rh)
+    w1 = e_exp - expect(h_cold, ri)
+    w2 = expect(h_cold, rc) - e_heat
+    q_hot = e_heat - e_exp
+    w = w1 + w2
+    floor = Q_HOT_FLOOR_SCALE * transition_energy(h_hot)[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = np.where(np.abs(q_hot) > floor, np.divide(-w, q_hot), np.nan)
+    valid = (w < 0.0) & (q_hot > floor)
+    if rh.ndim == 2:  # one endpoint: plain Python scalars
+        eta, valid = float(eta), bool(valid)
+    return Energetics(w1=w1, w2=w2, q_hot=q_hot, eta=eta, valid_engine=valid)
 
 
 class _Envelopes:
@@ -550,10 +611,6 @@ def run_cooling(cfg: CycleConfig, rho_comp, t_max: float = 40.0,
     eps_cold = transition_energy(h_cold)[0]
     rho0 = rho_comp if isinstance(rho_comp, DensityMatrix) \
         else DensityMatrix.from_matrix(np.asarray(rho_comp, dtype=complex))
-    if t_max == 0.0:
-        return Trajectory(times=np.zeros(1), states=rho0.mat[None, :, :],
-                          trace_dev=np.zeros(1),
-                          min_eig=np.full(1, rho0.min_eig))
     rates = build_rate_trajectory(cfg.cold_bath, eps_cold,
                                   t_max + _TABLE_MARGIN)
     grid = np.linspace(0.0, t_max, int(round(t_max / dt)) + 1)

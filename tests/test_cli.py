@@ -358,6 +358,26 @@ def test_nonmarkov_outputs(tmp_path):
     assert float(table["5"]) > 0.0
 
 
+@pytest.mark.parametrize("extra", [[], ["--set", "omega_c_list=" + ",".join(
+    str(w) for w in range(2, 31))]])
+def test_nonmarkov_builds_configs_independent_of_cutoffs(tmp_path,
+                                                         monkeypatch, extra):
+    """Each cutoff's reservoir is built from the hot one, never through a
+    whole CycleConfig: 29 cutoffs build as many configs as the default
+    list of four."""
+    built = []
+    post_init = cycle.CycleConfig.__post_init__
+
+    def counting(self):
+        built.append(self.omega_c)
+        post_init(self)
+
+    monkeypatch.setattr(cycle.CycleConfig, "__post_init__", counting)
+    assert cli.main(["nonmarkov", "--out", str(tmp_path)]
+                    + TINY + extra) == cli.EXIT_OK
+    assert built == [30.0]
+
+
 # default `simulate` summary, `nonmarkov` Q rows and `sweep-population`
 # (eta, valid) rows as printed; a change that moves one on purpose re-pins
 # it and says why
@@ -577,3 +597,27 @@ def test_header_round_trip_property(tmp_path_factory, nu_cold, nu_gap, tau,
     # the derived lines are not config keys and take no part here
     header = cli._header("simulate", cfg, cycle.CycleConfig())
     assert cli.parse_config(config_file_from_header(header, path), []) == cfg
+
+
+def test_cli_drift_compares_cells_and_headers():
+    """The drift report's comparison on two tiny outputs: changed cells,
+    their largest relative change, rows only one side has, and changed
+    header lines apart from cells."""
+    import cli_drift
+
+    old = ["# qotto 0.1.0", "# omega_c = 30", "p,eta,status",
+           "0.5,0.123456789,ok", "0.6,nan,ok", "0.7,1,ok"]
+    new = ["# qotto 0.1.0", "# omega_c = 25", "p,eta,status",
+           "0.5,0.123456788,ok", "0.6,nan,error:x"]
+    drift = cli_drift.compare(old, new)
+    assert drift.cells == 12
+    assert drift.changed == [(1, 1, "0.123456789", "0.123456788"),
+                             (2, 2, "ok", "error:x"), (3, 0, "0.7", ""),
+                             (3, 1, "1", ""), (3, 2, "ok", "")]
+    assert drift.max_rel == math.inf
+    assert drift.header_removed == ["# omega_c = 30"]
+    assert drift.header_added == ["# omega_c = 25"]
+    same = cli_drift.compare(old, old)
+    assert (same.cells, same.changed, same.max_rel) == (12, [], 0.0)
+    assert cli_drift.compare(old[:4], new[:4]).max_rel == pytest.approx(
+        1e-9 / 0.123456789, rel=1e-6)

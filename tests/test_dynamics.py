@@ -145,13 +145,15 @@ def test_adiabaticity_limits(system):
 
 
 def test_trajectory_validation(system):
-    times = np.array([0.0, 1.0, 0.5])
+    rho0, basis = 0.5 * IDENTITY, IDENTITY
     with pytest.raises(ValueError):
-        Trajectory(times, np.zeros((3, 2, 2), dtype=complex),
-                   np.zeros(3), np.zeros(3))
+        Trajectory(np.array([0.0, 1.0, 0.5]), np.zeros(3),
+                   np.zeros(3, dtype=complex), np.zeros(3), np.zeros(3),
+                   rho0, basis)
     with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 1.0]), np.zeros((3, 2, 2), dtype=complex),
-                   np.zeros(2), np.zeros(2))
+        Trajectory(np.array([0.0, 1.0]), np.zeros(3),
+                   np.zeros(3, dtype=complex), np.zeros(2), np.zeros(2),
+                   rho0, basis)
 
 
 def test_generator_against_kronecker_form(system, rng):
@@ -224,7 +226,6 @@ def test_evolve_open_closed_system_limit(system):
 def test_evolve_open_detailed_balance_fixed_point(system, hot_bath):
     """Constant golden-rule rates drive any state to the bath occupation."""
     h = model.hamiltonian_hot(system)
-    _, vm, vp = model.transition_energy(h)
     g_inf, gt_inf = oracles.markov_limits(hot_bath, conftest.EPS_HOT)
     times = np.linspace(0.0, 3.0, 301)
     ones = np.ones(times.size)
@@ -234,9 +235,8 @@ def test_evolve_open_detailed_balance_fixed_point(system, hot_bath):
     for rho0 in (model.state_from_population(h, 0.3),
                  density_from_bloch(1.0, 0.0, 0.0)):
         traj = evolve_open(rho0, h, [rt], times)[0]
-        assert traj.populations(vp)[-1] == pytest.approx(nbar, abs=1e-6)
-        coh = abs(np.vdot(vp, traj.final_state @ vm))
-        assert coh < 1e-5
+        assert traj.p[-1] == pytest.approx(nbar, abs=1e-6)
+        assert abs(traj.c[-1]) < 1e-5
 
 
 def test_evolve_open_against_decoupled_closed_form(system, hot_bath):
@@ -265,13 +265,12 @@ def test_evolve_open_against_decoupled_closed_form(system, hot_bath):
     sol = solve_ivp(
         lambda t, y: [k2 * (-cs_big(t) * y[0] + cs_til(t) * (1.0 - y[0]))],
         (0.0, 1.0), [p0], t_eval=grid, rtol=1e-11, atol=1e-13, method="Radau")
-    assert np.max(np.abs(sol.y[0] - traj.populations(vp))) < 1e-7
+    assert np.max(np.abs(sol.y[0] - traj.p)) < 1e-7
 
     damping = CubicSpline(rt.times, rt.gamma).antiderivative()
     c0 = complex(np.vdot(vp, rho0.mat @ vm))
     c_ref = c0 * np.exp(-1j * conftest.EPS_HOT * grid - k2 * damping(grid))
-    c_sim = np.einsum("i,tij,j->t", vp.conj(), traj.states, vm)
-    assert np.max(np.abs(c_sim - c_ref)) < 1e-8
+    assert np.max(np.abs(traj.c - c_ref)) < 1e-8
 
 
 def test_truncated_equilibration_endpoint(system, hot_bath, rate_table):
@@ -403,4 +402,86 @@ def test_constant_rates_relax_to_bath_occupation(system, omega_c, p_target,
     traj = evolve_open(model.state_from_population(h, p_start), h, [rt],
                        times)[0]
     nbar = oracles.occupation(spec, conftest.EPS_HOT)
-    assert traj.populations(vp)[-1] == pytest.approx(nbar, abs=1e-12)
+    assert traj.p[-1] == pytest.approx(nbar, abs=1e-12)
+
+
+def _step_terms(h, rates, grid):
+    """The k Lambda and source rows that `evolve_open` hands its
+    population sum, with the Trajectories it returns."""
+    seen = []
+    real = dynamics._populations
+
+    def spy(*args):
+        seen.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_populations", spy)
+        out = evolve_open(model.state_from_population(h, 0.3), h, rates, grid)
+    [(_, k_lam, sources)] = seen
+    return k_lam, sources, out
+
+
+@pytest.mark.parametrize("omega_c", [5.0, 15.0, 25.0, 30.0])
+def test_population_sum_matches_step_loop(system, rate_table, omega_c):
+    """The blocked cumulative sum against the interval-by-interval
+    recurrence on the default truncation grid of each studied cutoff."""
+    grid = cycle.build_config(omega_c=omega_c).heating_grid()
+    k_lam, sources, _ = _step_terms(model.hamiltonian_hot(system),
+                                    [rate_table(omega_c)], grid)
+    for p0 in (0.0, 0.2612, 1.0):
+        assert np.max(np.abs(dynamics._populations(p0, k_lam, sources)
+                             - oracles.population_loop(p0, k_lam, sources))
+                      ) <= 1e-13
+
+
+def test_population_sum_matches_step_loop_over_a_batch(system):
+    """Fifty reservoirs of the population sweep, summed as one batch."""
+    h = model.hamiltonian_hot(system)
+    specs = [BathSpec(alpha=0.6, omega_c=15.0,
+                      beta=model.beta_from_population(h, p))
+             for p in np.linspace(0.5, 0.99, 50)]
+    tables = bath.build_rate_trajectories(specs, conftest.EPS_HOT, 0.32)
+    k_lam, sources, _ = _step_terms(h, tables, np.array([0.0, 0.27]))
+    assert sources.shape[0] == 50
+    assert np.max(np.abs(dynamics._populations(0.2612, k_lam, sources)
+                         - oracles.population_loop(0.2612, k_lam, sources))
+                  ) <= 1e-13
+
+
+def test_population_sum_does_not_overflow(system, hot_bath):
+    """Constant rates over a stroke whose k Lambda passes 1,500: the
+    integrating factor exp(k Lambda) alone would overflow, the blocked sum
+    relaxes to the bath occupation."""
+    h = model.hamiltonian_hot(system)
+    g_inf, gt_inf = oracles.markov_limits(hot_bath, conftest.EPS_HOT)
+    _, vm, vp = model.transition_energy(h)
+    k = abs(np.vdot(vm, matcore.SIGMA_X @ vp)) ** 2
+    times = np.linspace(0.0, 1600.0 / (2.0 * k * g_inf), 2001)
+    ones = np.ones(times.size)
+    rt = RateTrajectory(times, g_inf * ones, gt_inf * ones,
+                        (2 * g_inf - gt_inf) * ones, 0.0, True)
+    k_lam, sources, [traj] = _step_terms(h, [rt], times)
+    assert k_lam[-1] > 1500.0
+    assert np.all(np.isfinite(traj.p))
+    assert traj.p[-1] == pytest.approx(
+        oracles.occupation(hot_bath, conftest.EPS_HOT), abs=1e-12)
+    assert np.max(np.abs(traj.p - oracles.population_loop(
+        0.3, k_lam, sources)[0])) <= 1e-13
+
+
+def test_trace_dev_matches_rebuilt_states(system, hot_bath):
+    """The closed-form trace deviation is that of the states rebuilt from
+    (p, c), and sample 0 is the initial state bit for bit."""
+    h = model.hamiltonian_hot(system)
+    rt = build_rate_trajectory(hot_bath, conftest.EPS_HOT, 1.05)
+    v = np.array([1.0, 1.0j]) / math.sqrt(2)
+    rho0 = matcore.DensityMatrix.from_matrix(
+        0.6 * model.state_from_population(h, 0.3).mat
+        + 0.4 * np.outer(v, v.conj()))
+    traj = evolve_open(rho0, h, [rt], np.linspace(0.0, 1.0, 401))[0]
+    states = traj.states
+    traces = np.trace(states, axis1=1, axis2=2).real
+    assert np.max(np.abs(traj.trace_dev - np.abs(traces - 1.0))) <= 1e-15
+    assert np.array_equal(states[0], rho0.mat)
+    assert np.array_equal(traj.final_state, states[-1])

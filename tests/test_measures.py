@@ -13,7 +13,7 @@ import oracles
 from qotto import bath, cycle, dynamics, matcore, measures, model
 from qotto.bath import RateTrajectory
 from qotto.matcore import dag
-from qotto.measures import (Energetics, NonMarkovReport, cycle_energetics,
+from qotto.measures import (Energetics, NonMarkovReport, energetics,
                             nonmarkov_report, overall_performance,
                             quantifier_Q, witness_f)
 
@@ -24,17 +24,6 @@ def make_table(gamma, gamma_tilde):
     g = np.full(times.size, gamma)
     gt = np.full(times.size, gamma_tilde)
     return RateTrajectory(times, g, gt, 2 * g - gt, 0.0, True)
-
-
-def thermal_cycle_states(system, p_cold=0.261, p_hot=0.99):
-    h_cold = model.hamiltonian_cold(system)
-    h_hot = model.hamiltonian_hot(system)
-    u, _ = dynamics.propagate_unitary(system)
-    rho_in = model.state_from_population(h_cold, p_cold)
-    rho_exp = u @ rho_in.mat @ dag(u)
-    rho_heat = model.state_from_population(h_hot, p_hot).mat
-    rho_comp = dag(u) @ rho_heat @ u
-    return rho_in.mat, rho_exp, rho_heat, rho_comp, h_cold, h_hot
 
 
 def test_witness_positive_rates_are_markovian():
@@ -136,60 +125,69 @@ def test_nonmarkov_report_rejects_negative_data(rate_table):
         NonMarkovReport(rep.times, bad, rep.q_total, rep.window)
 
 
+def contact_args(system, n_steps=dynamics.DEFAULT_N_STEPS, p_cold=0.261):
+    """The stroke-independent arguments (rho_exp, h_hot, h_back) of
+    `energetics`, the expansion output's (p0, c0) in the h_hot eigenbasis,
+    and the hot gap."""
+    h_cold = model.hamiltonian_cold(system)
+    h_hot = model.hamiltonian_hot(system)
+    u, _ = dynamics.propagate_unitary(system, n_steps)
+    rho_in = model.state_from_population(h_cold, p_cold).mat
+    rho_exp = u @ rho_in @ dag(u)
+    eps, v_minus, v_plus = model.transition_energy(h_hot)
+    p0 = np.vdot(v_plus, rho_exp @ v_plus).real
+    c0 = np.vdot(v_plus, rho_exp @ v_minus)
+    return (rho_exp, h_hot, u @ h_cold @ dag(u)), p0, c0, eps
+
+
+def contact_state(h_hot, p, c):
+    """The state with excited population p and coherence c = <+|rho|->."""
+    _, v_minus, v_plus = model.transition_energy(h_hot)
+    up = np.outer(v_plus, v_minus.conj())
+    return (p * np.outer(v_plus, v_plus.conj())
+            + (1 - p) * np.outer(v_minus, v_minus.conj())
+            + c * up + np.conj(c) * dag(up))
+
+
 def test_energetics_identity_heating_is_not_an_engine(system):
-    rho_in, rho_exp, _, _, h_cold, h_hot = thermal_cycle_states(system)
-    # no heating stroke at all: expansion state fed straight to compression
-    rho_comp_mat = rho_in  # u_comp (u_exp rho u_exp^d) u_comp^d
-    out = cycle_energetics(rho_in, rho_exp, rho_exp, rho_comp_mat,
-                           h_cold, h_hot)
+    # no heating stroke at all: the expansion state is fed straight to
+    # the compression
+    args, p0, c0, _ = contact_args(system)
+    out = energetics(*args, p0, c0)
     assert out.q_hot == 0.0
     assert math.isnan(out.eta)
     assert not out.valid_engine
     assert out.w == pytest.approx(0.0, abs=1e-12)
 
 
-def heat_shifted_states(system, q):
-    """Cycle states whose contact stroke adds exactly heat q to rho_exp:
-    rho_heat = rho_exp + s (|+><+| - |-><-|) in the h_hot eigenbasis,
-    with s * eps_hot = q."""
-    rho_in, rho_exp, _, _, h_cold, h_hot = thermal_cycle_states(system)
-    u, _ = dynamics.propagate_unitary(system)
-    eps, v_minus, v_plus = model.transition_energy(h_hot)
-    flip = (np.outer(v_plus, v_plus.conj())
-            - np.outer(v_minus, v_minus.conj()))
-    rho_heat = rho_exp + (q / eps) * flip
-    return rho_in, rho_exp, rho_heat, dag(u) @ rho_heat @ u, h_cold, h_hot
-
-
 def test_energetics_heat_floor_decides_operation(system):
     """Heat below the floor is no heat: no efficiency, no engine."""
     floor = measures.Q_HOT_FLOOR_SCALE * conftest.EPS_HOT
-    below = cycle_energetics(*heat_shifted_states(system, 1e-12))
+    args, p0, c0, eps = contact_args(system)
+    # the contact stroke adds exactly heat q: population p0 + q/eps
+    below = energetics(*args, p0 + 1e-12 / eps, c0)
     assert 0.0 < below.q_hot < floor
     assert below.w < 0.0
     assert math.isnan(below.eta)
     assert not below.valid_engine
-    above = cycle_energetics(*heat_shifted_states(system, 1e-6))
+    above = energetics(*args, p0 + 1e-6 / eps, c0)
     assert above.q_hot > floor
     assert above.valid_engine
-    # eta = -w/q at q = 1e-6 reads the ramp's unitarity defect about
-    # 5e6-fold: Magnus ramps of 250 to 4,000 steps (defect <= 1.2e-14)
-    # spread it by 7e-8
-    assert above.eta == pytest.approx(0.8948300255, abs=1e-8)
+    # with the exact zero-heat baseline eta does not depend on q
+    assert above.eta == pytest.approx(
+        energetics(*args, p0 + 1e-3 / eps, c0).eta, abs=1e-12)
+    # Magnus ramps of 250 to 4,000 steps spread it by 6.7e-12
+    assert above.eta == pytest.approx(0.8948300202862, abs=1e-11)
 
 
 def test_energetics_stacked_rows_match_scalar_calls(system):
-    rho_in, rho_exp, _, _, h_cold, h_hot = thermal_cycle_states(system)
-    cases = ([thermal_cycle_states(system, 0.261, p)
-              for p in (0.3, 0.65, 0.99)]
-             + [heat_shifted_states(system, q) for q in (0.0, 1e-12, 1e-6)])
-    stacked = cycle_energetics(rho_in, rho_exp,
-                               np.stack([c[2] for c in cases]),
-                               np.stack([c[3] for c in cases]),
-                               h_cold, h_hot)
-    assert stacked.eta.shape == stacked.valid_engine.shape == (len(cases),)
-    for k, case in enumerate(cases):
-        one = cycle_energetics(*case)
+    args, p0, c0, eps = contact_args(system)
+    p = np.array([0.3, 0.65, 0.99, p0, p0 + 1e-12 / eps, p0 + 1e-6 / eps])
+    c = np.array([0.0, 0.0, 0.0, c0, c0, c0])
+    stacked = energetics(*args, p, c)
+    assert stacked.eta.shape == stacked.valid_engine.shape == (p.size,)
+    for k in range(p.size):
+        one = energetics(*args, p[k], c[k])
         assert stacked.w1 == one.w1
         assert stacked.w2[k] == pytest.approx(one.w2, abs=1e-14)
         assert stacked.q_hot[k] == pytest.approx(one.q_hot, abs=1e-14)
@@ -203,9 +201,34 @@ def test_energetics_stacked_rows_match_scalar_calls(system):
                                                         False, False, True]
 
 
+def test_energetics_matches_four_state_oracle(system, rng):
+    """The closed form on (p, c) against trace differences over the four
+    corner states, the contact endpoint driven back by hand: thermal,
+    heat-shifted and random coherent endpoints."""
+    args, p0, c0, eps = contact_args(system)
+    rho_exp, h_hot, _ = args
+    h_cold = model.hamiltonian_cold(system)
+    rho_in = model.state_from_population(h_cold, 0.261).mat
+    u, _ = dynamics.propagate_unitary(system)
+    radius = rng.uniform(0.0, 0.5, 8)
+    ends = ([(p, 0.0) for p in (0.261, 0.5, 0.75, 0.99)]
+            + [(p0 + q / eps, c0) for q in (0.0, 1e-12, 1e-6, 1e-2)]
+            + list(zip(rng.uniform(0.0, 1.0, 8), radius * np.exp(
+                2j * np.pi * rng.uniform(size=8)))))
+    p = np.array([e[0] for e in ends])
+    c = np.array([e[1] for e in ends], dtype=complex)
+    mine = energetics(*args, p, c)
+    heat = np.stack([contact_state(h_hot, *e) for e in ends])
+    ref = oracles.cycle_energetics(rho_in, rho_exp, heat,
+                                   dag(u) @ heat @ u, h_cold, h_hot)
+    assert mine.w1 == pytest.approx(ref.w1, abs=1e-12)
+    assert_allclose(mine.w2, ref.w2, rtol=0, atol=1e-12)
+    assert_allclose(mine.q_hot, ref.q_hot, rtol=0, atol=1e-12)
+
+
 def test_energetics_perfect_thermalization(system):
-    states = thermal_cycle_states(system)
-    out = cycle_energetics(*states)
+    args, _, _, _ = contact_args(system)
+    out = energetics(*args, 0.99, 0.0)
     assert out.valid_engine
     assert out.w == pytest.approx(out.w1 + out.w2, abs=0)
     assert out.eta == pytest.approx(0.649, abs=0.005)
@@ -213,11 +236,11 @@ def test_energetics_perfect_thermalization(system):
 
 
 def test_energetics_population_closed_form(system):
-    """Trace bookkeeping against level-occupation arithmetic.
+    """The closed form against level-occupation arithmetic.
 
-    With diagonal endpoint states every trace reduces to eps*(p - 1/2), and
-    the ramp only mixes branches with the crossing probability, so the whole
-    efficiency follows from populations and the adiabaticity alone.
+    With diagonal endpoint states every energy reduces to eps*(p - 1/2),
+    and the ramp only mixes branches with the crossing probability, so the
+    whole efficiency follows from populations and the adiabaticity alone.
     """
     p_c, p_h = 0.261, 0.99
     xi = oracles.adiabaticity(system)
@@ -227,7 +250,8 @@ def test_energetics_population_closed_form(system):
     w1 = e_h * (p_after_exp - 0.5) - e_c * (p_c - 0.5)
     q_hot = e_h * (p_h - p_after_exp)
     w2 = e_c * (p_after_cmp - 0.5) - e_h * (p_h - 0.5)
-    out = cycle_energetics(*thermal_cycle_states(system, p_c, p_h))
+    args, _, _, _ = contact_args(system, p_cold=p_c)
+    out = energetics(*args, p_h, 0.0)
     assert out.w1 == pytest.approx(w1, abs=1e-9)
     assert out.w2 == pytest.approx(w2, abs=1e-9)
     assert out.q_hot == pytest.approx(q_hot, abs=1e-9)
@@ -235,17 +259,20 @@ def test_energetics_population_closed_form(system):
 
 
 def test_energetics_linearity(system, rng):
-    """Every energy term is linear in each state argument."""
-    rho_in, rho_exp, rho_heat, rho_comp, h_cold, h_hot = \
-        thermal_cycle_states(system)
-    other = thermal_cycle_states(system, 0.35, 0.9)
+    """Every energy term is linear in the expansion output and the
+    contact endpoint (p, c) taken together."""
+    args_a, _, _, _ = contact_args(system)
+    args_b, _, _, _ = contact_args(system, p_cold=0.35)
+    end_a, end_b = (0.99, 0.0), (0.9, 0.1 - 0.05j)
     lam = rng.uniform(0.1, 0.9)
-    mixed = [lam * a + (1 - lam) * b
-             for a, b in zip((rho_in, rho_exp, rho_heat, rho_comp), other[:4])]
-    out_mix = cycle_energetics(*mixed, h_cold, h_hot)
-    out_a = cycle_energetics(rho_in, rho_exp, rho_heat, rho_comp,
-                             h_cold, h_hot)
-    out_b = cycle_energetics(*other)
+
+    def mix(a, b):
+        return lam * a + (1 - lam) * b
+
+    out_mix = energetics(mix(args_a[0], args_b[0]), *args_a[1:],
+                         *(mix(a, b) for a, b in zip(end_a, end_b)))
+    out_a = energetics(*args_a, *end_a)
+    out_b = energetics(*args_b, *end_b)
     for field in ("w1", "w2", "q_hot"):
         left = getattr(out_mix, field)
         right = (lam * getattr(out_a, field)
@@ -265,8 +292,7 @@ def test_first_law_telescopes_through_cooling(system, cold_bath):
     rt = bath.build_rate_trajectory(hot, conftest.EPS_HOT, 0.3)
     heat = dynamics.evolve_open(rho_exp, h_hot, [rt],
                                 np.linspace(0.0, 0.272, 273))[0]
-    rho_heat = heat.final_state
-    rho_comp = dag(u) @ rho_heat @ u
+    rho_comp = dag(u) @ heat.final_state @ u
 
     with pytest.warns(RuntimeWarning, match="weak-coupling"):
         rt_cold = bath.build_rate_trajectory(cold_bath, conftest.EPS_COLD, 5.0)
@@ -275,8 +301,8 @@ def test_first_law_telescopes_through_cooling(system, cold_bath):
                                 np.linspace(0.0, 5.0, 501))[0]
     rho_fin = cool.final_state
 
-    out = cycle_energetics(rho_in.mat, rho_exp.mat, rho_heat, rho_comp,
-                           h_cold, h_hot)
+    out = energetics(rho_exp.mat, h_hot, u @ h_cold @ dag(u),
+                     heat.p[-1], heat.c[-1])
     q_cold = np.trace(rho_fin @ h_cold).real - np.trace(rho_comp @ h_cold).real
     total = np.trace(rho_fin @ h_cold).real - np.trace(rho_in.mat @ h_cold).real
     assert out.w1 + out.w2 + out.q_hot + q_cold == pytest.approx(total,
@@ -309,14 +335,14 @@ def test_first_law_across_four_strokes(nu_cold, nu_gap, tau, p_cold, p_hot,
 
     eps_hot = model.transition_energy(h_hot)[0]
     rt = bath.build_rate_trajectory(cfg.hot_bath, eps_hot, t_heat)
-    rho_heat = dynamics.evolve_open(rho_exp, h_hot, [rt],
-                                    np.array([0.0, t_heat]))[0].final_state
-    rho_comp = dag(u) @ rho_heat @ u
+    heat = dynamics.evolve_open(rho_exp, h_hot, [rt],
+                                np.array([0.0, t_heat]))[0]
+    rho_comp = dag(u) @ heat.final_state @ u
     rho_fin = oracles.run_cooling(cfg, rho_comp, t_max=t_cool,
                                   dt=t_cool).final_state
 
-    out = cycle_energetics(rho_in, rho_exp, rho_heat, rho_comp,
-                           h_cold, h_hot)
+    out = energetics(rho_exp.mat, h_hot, u @ h_cold @ dag(u),
+                     heat.p[-1], heat.c[-1])
     q_cold = _energy(h_cold, rho_fin) - _energy(h_cold, rho_comp)
     total = _energy(h_cold, rho_fin) - _energy(h_cold, rho_in)
     assert out.w1 + out.w2 + out.q_hot + q_cold == pytest.approx(total,
