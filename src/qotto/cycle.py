@@ -273,9 +273,10 @@ def _cycle(cfg: CycleConfig, su: _Setup) -> CycleResult:
     grid = cfg.heating_grid()
     rates = build_rate_trajectory(cfg.hot_bath, su.eps_hot,
                                   grid[-1] + _TABLE_MARGIN)
-    [traj] = evolve_open(su.rho_exp, su.h_hot, [rates], grid)
+    contact = evolve_open(su.rho_exp, su.h_hot, [rates], grid)
+    p = contact.p[0]
 
-    en = energetics(su.rho_exp.mat, su.h_hot, su.h_back, traj.p, traj.c)
+    en = energetics(su.rho_exp.mat, su.h_hot, su.h_back, p, contact.c)
     eta, valid = en.eta, en.valid_engine
     no_engine = not bool(valid.any())
 
@@ -325,12 +326,12 @@ def _cycle(cfg: CycleConfig, su: _Setup) -> CycleResult:
     diagnostics = {
         "quad_error": float(rates.quad_error),
         "weak_coupling_ok": bool(rates.weak_coupling_ok),
-        "max_trace_dev": float(np.max(traj.trace_dev)),
-        "min_eig": float(np.min(traj.min_eig)),
+        "max_trace_dev": float(np.max(contact.trace_dev)),
+        "min_eig": float(np.min(contact.min_eig)),
         "xi": _branch_crossing(cfg.system, su.u_exp),
         "ramp_error": su.ramp_error,
         "eps_hot": float(su.eps_hot),
-        "final_population_gap": float(abs(traj.p[-1] - cfg.p_plus_hot)),
+        "final_population_gap": float(abs(p[-1] - cfg.p_plus_hot)),
     }
     return CycleResult(config=cfg, w1=en.w1, times=grid,
                        w2=en.w2, q_hot=en.q_hot, eta=eta, valid=valid,
@@ -418,7 +419,7 @@ def sweep_population(cfg: CycleConfig, p_hot_grid,
             # gamma, so they share the coherence too
             ends = evolve_open(su.rho_exp, su.h_hot, tables,
                                np.array([0.0, t_tilde]))
-            return _scored(su, ps, [tr.p[-1] for tr in ends], ends[0].c[-1])
+            return _scored(su, ps, ends.p[:, -1], ends.c[-1])
         except Exception as exc:  # a failed point must not kill the sweep
             if len(ps) > 1:   # point by point, so only failed points fail
                 return [row for p in ps for row in rows([p])]

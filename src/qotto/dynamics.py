@@ -107,43 +107,17 @@ def _branch_crossing(p: SystemParams, u: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """One contact stroke sampled on `times` from t = 0: the population
-    p = <+|rho|+> and coherence c = <+|rho|-> in the eigenbasis of its
-    Hamiltonian `h`, and health metrics.  Its states, the initial state
-    `rho0` plus the change of (p, c), are built only on request."""
+class Contact:
+    """Contact strokes under tables that share gamma, sampled on `times`
+    from t = 0 in the eigenbasis of the stroke Hamiltonian: one row per
+    table of the population p = <+|rho|+> and health metrics, and the
+    coherence c = <+|rho|-> that every table shares."""
 
     times: np.ndarray
-    p: np.ndarray
-    c: np.ndarray
-    trace_dev: np.ndarray    # |Tr rho - 1| per sample
-    min_eig: np.ndarray      # smallest eigenvalue per sample
-    rho0: np.ndarray
-    h: np.ndarray
-
-    def __post_init__(self):
-        if self.times.ndim != 1 or np.any(np.diff(self.times) <= 0.0):
-            raise ValueError("trajectory grid must be strictly increasing")
-        if not self.p.shape == self.c.shape == self.times.shape:
-            raise ValueError("populations and coherences do not match grid")
-
-    @property
-    def states(self) -> np.ndarray:
-        """(T, 2, 2) states, Hermitian by construction; sample 0 is rho0."""
-        _, vm, vp = transition_energy(self.h)
-        flip = np.outer(vp, vp.conj()) - np.outer(vm, vm.conj())
-        dc = np.multiply.outer(self.c - self.c[0], np.outer(vp, vm.conj()))
-        return (self.rho0 + np.multiply.outer(self.p - self.p[0], flip)
-                + dc + np.conj(np.swapaxes(dc, 1, 2)))
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
-
-class Trajectories(list):
-    """One Trajectory per rate table, in table order, sampled on `times`."""
-    times: np.ndarray
+    p: np.ndarray            # (tables, samples)
+    c: np.ndarray            # (samples,)
+    trace_dev: np.ndarray    # |Tr rho - 1|, (tables, samples)
+    min_eig: np.ndarray      # smallest eigenvalue, (tables, samples)
 
 
 # the population sum runs in blocks over which k Lambda moves by at most
@@ -173,9 +147,10 @@ def _populations(p0: float, k_lam: np.ndarray,
 
 
 def evolve_open(rho0: DensityMatrix, h_sys: np.ndarray,
-                rates: list[RateTrajectory], grid: np.ndarray) -> Trajectories:
+                rates: list[RateTrajectory], grid: np.ndarray) -> Contact:
     """Exact contact-stroke evolution under each rate table, the tables
-    sharing times and gamma, sampled on the given grid: one Trajectory each.
+    sharing times and gamma, sampled on the given grid as one Contact: a
+    population row per table, in table order, and their shared coherence.
 
     grid must start at 0 (bath switch-on) and stay inside the domain of the
     rate tables; the jump channel is a |-><+| of h_sys with weight
@@ -221,9 +196,5 @@ def evolve_open(rho0: DensityMatrix, h_sys: np.ndarray,
     if not np.max(trace_dev) <= 1e-8:
         raise RuntimeError(
             f"trace drift {np.max(trace_dev):.3e} exceeds tolerance 1e-8")
-    min_eig = 0.5 - np.hypot(p - 0.5, np.abs(c))
-    trajectories = Trajectories(
-        Trajectory(grid, p_j, c, dev_j, eig_j, rho0.mat, h_sys)
-        for p_j, dev_j, eig_j in zip(p, trace_dev, min_eig))
-    trajectories.times = grid
-    return trajectories
+    return Contact(grid, p, c, trace_dev,
+                   0.5 - np.hypot(p - 0.5, np.abs(c)))

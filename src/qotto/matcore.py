@@ -2,7 +2,7 @@
 
 Everything downstream lives in a single qubit Hilbert space.  The one
 spectral routine, `model.transition_energy`, is numpy's `eigh`; this
-module only checks states.
+module only validates density matrices.
 """
 from __future__ import annotations
 

@@ -5,7 +5,9 @@ against, and helpers only the tests need.
 RK45 solver, riding the state as a real 4-vector (trace, Bloch components)
 under the real 4x4 matrix `bloch_generator` builds from `apply_generator`,
 one application of the master-equation right-hand side; it returns the
-states themselves, as a `StateTrajectory`.  `population_loop` steps the
+states themselves, as a `StateTrajectory`.  `contact_states` rebuilds the
+states of one of the library's contact strokes from its population row
+and coherence, which is all the library keeps.  `population_loop` steps the
 library's contact-stroke populations one interval at a time in Python
 floats, as the library did before its cumulative sum, and
 `cycle_energetics` scores a cycle from its four corner states by trace
@@ -49,7 +51,7 @@ from qotto import dynamics
 from qotto.bath import (TWO_PI, BathSpec, RateTrajectory,
                         build_rate_trajectory, spectral_density)
 from qotto.cycle import _TABLE_MARGIN, CycleConfig
-from qotto.dynamics import (DEFAULT_N_STEPS, Trajectory, _branch_crossing,
+from qotto.dynamics import (DEFAULT_N_STEPS, _branch_crossing,
                             propagate_unitary)
 from qotto.matcore import (SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix,
                            _require_2x2, dag, expect, herm_deviation)
@@ -312,7 +314,7 @@ def bloch_generator(h_sys: np.ndarray, jump: np.ndarray, big_gamma: float,
 
 @dataclass(frozen=True)
 class StateTrajectory:
-    """Sampled states of an integrated stroke with their health metrics."""
+    """Sampled states of a stroke with their health metrics."""
 
     times: np.ndarray
     states: np.ndarray       # (T, 2, 2) complex
@@ -365,6 +367,20 @@ def evolve_open(rho0: DensityMatrix, h_sys: np.ndarray, rates: RateTrajectory,
     bloch_norm = np.sqrt(y[1] ** 2 + y[2] ** 2 + y[3] ** 2)
     min_eig = 0.5 * (y[0] - bloch_norm)
     return StateTrajectory(grid, states, trace_dev, min_eig)
+
+
+def contact_states(rho0, h: np.ndarray, p: np.ndarray,
+                   c: np.ndarray) -> np.ndarray:
+    """(T, 2, 2) states of one contact stroke from its excited population p
+    and coherence c = <+|rho|-> in the eigenbasis of h: rho0 plus
+    dp flip + dc |+><-| + h.c., Hermitian by construction; sample 0 is
+    rho0 itself."""
+    rho0 = np.asarray(getattr(rho0, "mat", rho0))
+    _, vm, vp = transition_energy(h)
+    flip = np.outer(vp, vp.conj()) - np.outer(vm, vm.conj())
+    dc = np.multiply.outer(c - c[0], np.outer(vp, vm.conj()))
+    return (rho0 + np.multiply.outer(p - p[0], flip)
+            + dc + np.conj(np.swapaxes(dc, 1, 2)))
 
 
 def population_loop(p0: float, k_lam: np.ndarray,
@@ -602,9 +618,10 @@ def complex_remainder(bath: BathSpec, eps: float, t: np.ndarray, order: int,
 
 
 def run_cooling(cfg: CycleConfig, rho_comp, t_max: float = 40.0,
-                dt: float = 0.01) -> Trajectory:
+                dt: float = 0.01) -> StateTrajectory:
     """Restoring stroke: contact with the cold reservoir under the cold
-    Hamiltonian, by the library's closed-form contact evolution.  Long
+    Hamiltonian, by the library's closed-form contact evolution with its
+    states rebuilt by `contact_states`.  Long
     runs approach the configured cold thermal state; this stroke never
     enters the first-cycle efficiency."""
     h_cold = hamiltonian_cold(cfg.system)
@@ -614,4 +631,7 @@ def run_cooling(cfg: CycleConfig, rho_comp, t_max: float = 40.0,
     rates = build_rate_trajectory(cfg.cold_bath, eps_cold,
                                   t_max + _TABLE_MARGIN)
     grid = np.linspace(0.0, t_max, int(round(t_max / dt)) + 1)
-    return dynamics.evolve_open(rho0, h_cold, [rates], grid)[0]
+    contact = dynamics.evolve_open(rho0, h_cold, [rates], grid)
+    return StateTrajectory(
+        grid, contact_states(rho0, h_cold, contact.p[0], contact.c),
+        contact.trace_dev[0], contact.min_eig[0])

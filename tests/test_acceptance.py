@@ -176,9 +176,9 @@ def test_criterion_9_oracle_suite(full_results, system, hot_bath, rng):
     flat = bath.RateTrajectory(times, g_inf * ones, gt_inf * ones,
                                (2 * g_inf - gt_inf) * ones, 0.0, True)
     traj = dynamics.evolve_open(model.state_from_population(h_hot, 0.3),
-                                h_hot, [flat], times)[0]
+                                h_hot, [flat], times)
     nbar = oracles.occupation(hot_bath, conftest.EPS_HOT)
-    assert traj.p[-1] == pytest.approx(nbar, abs=1e-6)
+    assert traj.p[0, -1] == pytest.approx(nbar, abs=1e-6)
 
     for h in (model.hamiltonian_cold(system), h_hot):
         for p in (0.261, 0.99):

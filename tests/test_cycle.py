@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import conftest
 import oracles
 from qotto import ConfigError, bath, cycle, dynamics, matcore, measures, model
-from oracles import density_from_bloch, run_cooling
+from oracles import contact_states, density_from_bloch, run_cooling
 from qotto.cycle import (CycleConfig, SweepRow, build_config, ift_reference,
                          population_onset, run_cycle, sweep_cutoff,
                          sweep_population)
@@ -276,10 +276,11 @@ def test_energetics_match_stroke_bookkeeping(fast_cfg, fast_result):
     grid = cfg.heating_grid()
     rt = bath.build_rate_trajectory(cfg.hot_bath, eps_hot,
                                     grid[-1] + cycle._TABLE_MARGIN)
-    traj = dynamics.evolve_open(matcore.DensityMatrix.from_matrix(rho_exp),
-                                h_hot, [rt], grid)[0]
+    rho0 = matcore.DensityMatrix.from_matrix(rho_exp)
+    traj = dynamics.evolve_open(rho0, h_hot, [rt], grid)
+    states = contact_states(rho0, h_hot, traj.p[0], traj.c)
     for k in (0, 57, 313, 800, 1201, 1340):
-        rho_heat = traj.states[k]
+        rho_heat = states[k]
         out = oracles.cycle_energetics(rho_in.mat, rho_exp, rho_heat,
                                        dag(u) @ rho_heat @ u, h_cold, h_hot)
         assert out.w1 == pytest.approx(r.w1, abs=1e-10)
@@ -326,7 +327,7 @@ def test_cooling_returns_to_cold_thermal_state(fast_cfg):
         dag(u) @ model.state_from_population(h_hot, 0.99).mat @ u)
     traj = run_cooling(cfg, rho_comp, t_max=40.0, dt=0.02)
     target = model.state_from_population(h_cold, cfg.p_plus_cold).mat
-    assert np.max(np.abs(traj.final_state - target)) < 1e-3
+    assert np.max(np.abs(traj.states[-1] - target)) < 1e-3
     assert np.max(traj.trace_dev) < 1e-8
 
 
@@ -342,7 +343,7 @@ def test_cooling_relaxes_to_configured_cold_state(p_plus_cold, bloch):
     traj = run_cooling(cfg, rho0, t_max=40.0, dt=0.5)
     target = model.state_from_population(
         model.hamiltonian_cold(cfg.system), p_plus_cold).mat
-    assert np.max(np.abs(traj.final_state - target)) < 1e-3
+    assert np.max(np.abs(traj.states[-1] - target)) < 1e-3
 
 
 @pytest.mark.filterwarnings(conftest.MARGINAL_COUPLING)
@@ -351,7 +352,7 @@ def test_cooling_zero_duration_is_identity(fast_cfg):
         model.hamiltonian_cold(fast_cfg.system), 0.3)
     traj = run_cooling(fast_cfg, rho, t_max=0.0)
     assert traj.times.size == 1
-    assert_allclose(traj.final_state, rho.mat, atol=0)
+    assert_allclose(traj.states[-1], rho.mat, atol=0)
 
 
 def test_sweep_cutoff_rows(fast_cfg):

@@ -19,10 +19,11 @@ from scipy.interpolate import CubicSpline
 import conftest
 import oracles
 from oracles import (IDENTITY, adiabaticity, apply_generator,
-                     density_from_bloch, expm_aherm, product_propagator)
+                     contact_states, density_from_bloch, expm_aherm,
+                     product_propagator)
 from qotto import bath, cycle, dynamics, matcore, model
 from qotto.bath import BathSpec, RateTrajectory, build_rate_trajectory
-from qotto.dynamics import Trajectory, evolve_open, propagate_unitary
+from qotto.dynamics import evolve_open, propagate_unitary
 from qotto.matcore import dag
 
 
@@ -144,18 +145,6 @@ def test_adiabaticity_limits(system):
     assert adiabaticity(system) > adiabaticity(plain)
 
 
-def test_trajectory_validation(system):
-    rho0, basis = 0.5 * IDENTITY, IDENTITY
-    with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 1.0, 0.5]), np.zeros(3),
-                   np.zeros(3, dtype=complex), np.zeros(3), np.zeros(3),
-                   rho0, basis)
-    with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 1.0]), np.zeros(3),
-                   np.zeros(3, dtype=complex), np.zeros(2), np.zeros(2),
-                   rho0, basis)
-
-
 def test_generator_against_kronecker_form(system, rng):
     """apply_generator vs the column-stacked superoperator matrix."""
     h = model.hamiltonian_hot(system)
@@ -216,10 +205,11 @@ def test_evolve_open_closed_system_limit(system):
     v /= np.linalg.norm(v)
     rho0 = matcore.DensityMatrix.from_matrix(np.outer(v, v.conj()))
     grid = np.linspace(0.0, 2.0, 201)
-    traj = evolve_open(rho0, h, [rt], grid)[0]
+    traj = evolve_open(rho0, h, [rt], grid)
+    states = contact_states(rho0, h, traj.p[0], traj.c)
     for i, t in enumerate(grid):
         u = expm_aherm(h, t)
-        assert_allclose(traj.states[i], u @ rho0.mat @ dag(u), atol=1e-8)
+        assert_allclose(states[i], u @ rho0.mat @ dag(u), atol=1e-8)
     assert np.max(traj.trace_dev) < 1e-8
 
 
@@ -234,8 +224,8 @@ def test_evolve_open_detailed_balance_fixed_point(system, hot_bath):
     nbar = oracles.occupation(hot_bath, conftest.EPS_HOT)
     for rho0 in (model.state_from_population(h, 0.3),
                  density_from_bloch(1.0, 0.0, 0.0)):
-        traj = evolve_open(rho0, h, [rt], times)[0]
-        assert traj.p[-1] == pytest.approx(nbar, abs=1e-6)
+        traj = evolve_open(rho0, h, [rt], times)
+        assert traj.p[0, -1] == pytest.approx(nbar, abs=1e-6)
         assert abs(traj.c[-1]) < 1e-5
 
 
@@ -257,7 +247,7 @@ def test_evolve_open_against_decoupled_closed_form(system, hot_bath):
     v = np.array([1.0, 1.0j]) / math.sqrt(2)
     rho0 = matcore.DensityMatrix.from_matrix(
         0.7 * mix + 0.3 * np.outer(v, v.conj()))
-    traj = evolve_open(rho0, h, [rt], grid)[0]
+    traj = evolve_open(rho0, h, [rt], grid)
 
     cs_big = CubicSpline(rt.times, rt.big_gamma)
     cs_til = CubicSpline(rt.times, rt.gamma_tilde)
@@ -265,7 +255,7 @@ def test_evolve_open_against_decoupled_closed_form(system, hot_bath):
     sol = solve_ivp(
         lambda t, y: [k2 * (-cs_big(t) * y[0] + cs_til(t) * (1.0 - y[0]))],
         (0.0, 1.0), [p0], t_eval=grid, rtol=1e-11, atol=1e-13, method="Radau")
-    assert np.max(np.abs(sol.y[0] - traj.p)) < 1e-7
+    assert np.max(np.abs(sol.y[0] - traj.p[0])) < 1e-7
 
     damping = CubicSpline(rt.times, rt.gamma).antiderivative()
     c0 = complex(np.vdot(vp, rho0.mat @ vm))
@@ -282,9 +272,10 @@ def test_truncated_equilibration_endpoint(system, hot_bath, rate_table):
     u, _ = propagate_unitary(system)
     rho_exp = matcore.DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))
     traj = evolve_open(rho_exp, h_hot, [rate_table(30.0)],
-                       np.linspace(0.0, 10.0, 1001))[0]
+                       np.linspace(0.0, 10.0, 1001))
+    final = contact_states(rho_exp, h_hot, traj.p[0], traj.c)[-1]
     target = model.state_from_population(h_hot, 0.99).mat
-    assert np.max(np.abs(traj.final_state - target)) < 1e-3
+    assert np.max(np.abs(final - target)) < 1e-3
     assert np.max(traj.trace_dev) < 1e-8
 
 
@@ -294,9 +285,10 @@ def test_positivity_along_baseline_heating(system, rate_table):
     u, _ = propagate_unitary(system)
     rho_exp = matcore.DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))
     traj = evolve_open(rho_exp, h, [rate_table(25.0)],
-                       np.linspace(0.0, 2.0, 401))[0]
+                       np.linspace(0.0, 2.0, 401))
     assert np.min(traj.min_eig) > -1e-6
-    state = matcore.DensityMatrix.from_matrix(traj.final_state)
+    state = matcore.DensityMatrix.from_matrix(
+        contact_states(rho_exp, h, traj.p[0], traj.c)[-1])
     assert state.min_eig > -1e-6
 
 
@@ -314,11 +306,12 @@ def test_evolve_open_matches_rk45_oracle(omega_c):
     grid = cfg.heating_grid()
     rt = build_rate_trajectory(cfg.hot_bath, su.eps_hot,
                                grid[-1] + cycle._TABLE_MARGIN)
-    exact = evolve_open(su.rho_exp, su.h_hot, [rt], grid)[0]
+    exact = evolve_open(su.rho_exp, su.h_hot, [rt], grid)
     ref = oracles.evolve_open(su.rho_exp, su.h_hot, rt,
                               oracles.jump_operator(su.h_hot), grid,
                               **ORACLE_TOL)
-    assert np.max(np.abs(exact.states - ref.states)) <= 1e-10
+    states = contact_states(su.rho_exp, su.h_hot, exact.p[0], exact.c)
+    assert np.max(np.abs(states - ref.states)) <= 1e-10
 
 
 @pytest.mark.filterwarnings(conftest.MARGINAL_COUPLING)
@@ -371,14 +364,15 @@ def test_closed_form_stroke_is_a_state_path(system, bg, gt, direction,
                         big_gamma, 0.0, True)
     n = radius * np.asarray(direction) / math.hypot(*direction)
     rho0 = density_from_bloch(*n)
-    traj = evolve_open(rho0, h, [rt], np.linspace(0.0, 2.0, 57))[0]
-    traces = np.trace(traj.states, axis1=1, axis2=2)
+    traj = evolve_open(rho0, h, [rt], np.linspace(0.0, 2.0, 57))
+    states = contact_states(rho0, h, traj.p[0], traj.c)
+    traces = np.trace(states, axis1=1, axis2=2)
     assert np.max(np.abs(traces - 1.0)) < 1e-12
-    assert np.max(np.abs(traj.states - np.conj(
-        np.swapaxes(traj.states, 1, 2)))) <= 1e-15
+    assert np.max(np.abs(states - np.conj(
+        np.swapaxes(states, 1, 2)))) <= 1e-15
     assert np.min(traj.min_eig) >= -1e-12
-    eigs = np.linalg.eigvalsh(traj.states)
-    assert_allclose(eigs[:, 0], traj.min_eig, atol=1e-12)
+    eigs = np.linalg.eigvalsh(states)
+    assert_allclose(eigs[:, 0], traj.min_eig[0], atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -400,14 +394,14 @@ def test_constant_rates_relax_to_bath_occupation(system, omega_c, p_target,
     rt = RateTrajectory(times, g_inf * ones, gt_inf * ones,
                         (2 * g_inf - gt_inf) * ones, 0.0, True)
     traj = evolve_open(model.state_from_population(h, p_start), h, [rt],
-                       times)[0]
+                       times)
     nbar = oracles.occupation(spec, conftest.EPS_HOT)
-    assert traj.p[-1] == pytest.approx(nbar, abs=1e-12)
+    assert traj.p[0, -1] == pytest.approx(nbar, abs=1e-12)
 
 
 def _step_terms(h, rates, grid):
     """The k Lambda and source rows that `evolve_open` hands its
-    population sum, with the Trajectories it returns."""
+    population sum, with the Contact it returns."""
     seen = []
     real = dynamics._populations
 
@@ -449,6 +443,27 @@ def test_population_sum_matches_step_loop_over_a_batch(system):
                   ) <= 1e-13
 
 
+def test_batch_equals_single_tables():
+    """One call over the fifty tables of the population sweep gives every
+    table exactly the rows, and the coherence, of a call of its own."""
+    cfg = cycle.build_config(omega_c=15.0)
+    su = cycle._setup(cfg)
+    grid = np.linspace(0.0, 0.27, 28)
+    tables = bath.build_rate_trajectories(
+        [cfg._reservoir(su.h_hot, p) for p in np.linspace(0.5, 0.99, 50)],
+        su.eps_hot, grid[-1] + cycle._TABLE_MARGIN)
+    batch = evolve_open(su.rho_exp, su.h_hot, tables, grid)
+    assert np.array_equal(batch.times, grid)
+    assert batch.p.shape == batch.trace_dev.shape == batch.min_eig.shape \
+        == (50, grid.size)
+    for j, table in enumerate(tables):
+        one = evolve_open(su.rho_exp, su.h_hot, [table], grid)
+        assert np.array_equal(batch.p[j], one.p[0])
+        assert np.array_equal(batch.trace_dev[j], one.trace_dev[0])
+        assert np.array_equal(batch.min_eig[j], one.min_eig[0])
+        assert np.array_equal(batch.c, one.c)
+
+
 def test_population_sum_does_not_overflow(system, hot_bath):
     """Constant rates over a stroke whose k Lambda passes 1,500: the
     integrating factor exp(k Lambda) alone would overflow, the blocked sum
@@ -461,27 +476,33 @@ def test_population_sum_does_not_overflow(system, hot_bath):
     ones = np.ones(times.size)
     rt = RateTrajectory(times, g_inf * ones, gt_inf * ones,
                         (2 * g_inf - gt_inf) * ones, 0.0, True)
-    k_lam, sources, [traj] = _step_terms(h, [rt], times)
+    k_lam, sources, contact = _step_terms(h, [rt], times)
+    [p] = contact.p
     assert k_lam[-1] > 1500.0
-    assert np.all(np.isfinite(traj.p))
-    assert traj.p[-1] == pytest.approx(
+    assert np.all(np.isfinite(p))
+    assert p[-1] == pytest.approx(
         oracles.occupation(hot_bath, conftest.EPS_HOT), abs=1e-12)
-    assert np.max(np.abs(traj.p - oracles.population_loop(
+    assert np.max(np.abs(p - oracles.population_loop(
         0.3, k_lam, sources)[0])) <= 1e-13
 
 
 def test_trace_dev_matches_rebuilt_states(system, hot_bath):
     """The closed-form trace deviation is that of the states rebuilt from
-    (p, c), and sample 0 is the initial state bit for bit."""
+    (p, c), sample 0 is the initial state bit for bit, and the rebuilt
+    states give back (p, c)."""
     h = model.hamiltonian_hot(system)
     rt = build_rate_trajectory(hot_bath, conftest.EPS_HOT, 1.05)
     v = np.array([1.0, 1.0j]) / math.sqrt(2)
     rho0 = matcore.DensityMatrix.from_matrix(
         0.6 * model.state_from_population(h, 0.3).mat
         + 0.4 * np.outer(v, v.conj()))
-    traj = evolve_open(rho0, h, [rt], np.linspace(0.0, 1.0, 401))[0]
-    states = traj.states
+    traj = evolve_open(rho0, h, [rt], np.linspace(0.0, 1.0, 401))
+    states = contact_states(rho0, h, traj.p[0], traj.c)
     traces = np.trace(states, axis1=1, axis2=2).real
-    assert np.max(np.abs(traj.trace_dev - np.abs(traces - 1.0))) <= 1e-15
+    assert np.max(np.abs(traj.trace_dev[0] - np.abs(traces - 1.0))) <= 1e-15
     assert np.array_equal(states[0], rho0.mat)
-    assert np.array_equal(traj.final_state, states[-1])
+    _, vm, vp = model.transition_energy(h)
+    assert np.max(np.abs(np.einsum("i,tij,j->t", vp.conj(), states, vp)
+                         - traj.p[0])) <= 1e-15
+    assert np.max(np.abs(np.einsum("i,tij,j->t", vp.conj(), states, vm)
+                         - traj.c)) <= 1e-15

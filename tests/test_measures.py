@@ -291,18 +291,19 @@ def test_first_law_telescopes_through_cooling(system, cold_bath):
     hot = bath.BathSpec(alpha=0.6, omega_c=30.0, beta=conftest.BETA_HOT)
     rt = bath.build_rate_trajectory(hot, conftest.EPS_HOT, 0.3)
     heat = dynamics.evolve_open(rho_exp, h_hot, [rt],
-                                np.linspace(0.0, 0.272, 273))[0]
-    rho_comp = dag(u) @ heat.final_state @ u
+                                np.linspace(0.0, 0.272, 273))
+    rho_heat = oracles.contact_states(rho_exp, h_hot, heat.p[0], heat.c)[-1]
+    rho_comp = dag(u) @ rho_heat @ u
 
     with pytest.warns(RuntimeWarning, match="weak-coupling"):
         rt_cold = bath.build_rate_trajectory(cold_bath, conftest.EPS_COLD, 5.0)
-    cool = dynamics.evolve_open(matcore.DensityMatrix.from_matrix(rho_comp),
-                                h_cold, [rt_cold],
-                                np.linspace(0.0, 5.0, 501))[0]
-    rho_fin = cool.final_state
+    rho_cool = matcore.DensityMatrix.from_matrix(rho_comp)
+    cool = dynamics.evolve_open(rho_cool, h_cold, [rt_cold],
+                                np.linspace(0.0, 5.0, 501))
+    rho_fin = oracles.contact_states(rho_cool, h_cold, cool.p[0], cool.c)[-1]
 
     out = energetics(rho_exp.mat, h_hot, u @ h_cold @ dag(u),
-                     heat.p[-1], heat.c[-1])
+                     heat.p[0, -1], heat.c[-1])
     q_cold = np.trace(rho_fin @ h_cold).real - np.trace(rho_comp @ h_cold).real
     total = np.trace(rho_fin @ h_cold).real - np.trace(rho_in.mat @ h_cold).real
     assert out.w1 + out.w2 + out.q_hot + q_cold == pytest.approx(total,
@@ -336,13 +337,14 @@ def test_first_law_across_four_strokes(nu_cold, nu_gap, tau, p_cold, p_hot,
     eps_hot = model.transition_energy(h_hot)[0]
     rt = bath.build_rate_trajectory(cfg.hot_bath, eps_hot, t_heat)
     heat = dynamics.evolve_open(rho_exp, h_hot, [rt],
-                                np.array([0.0, t_heat]))[0]
-    rho_comp = dag(u) @ heat.final_state @ u
+                                np.array([0.0, t_heat]))
+    rho_heat = oracles.contact_states(rho_exp, h_hot, heat.p[0], heat.c)[-1]
+    rho_comp = dag(u) @ rho_heat @ u
     rho_fin = oracles.run_cooling(cfg, rho_comp, t_max=t_cool,
-                                  dt=t_cool).final_state
+                                  dt=t_cool).states[-1]
 
     out = energetics(rho_exp.mat, h_hot, u @ h_cold @ dag(u),
-                     heat.p[-1], heat.c[-1])
+                     heat.p[0, -1], heat.c[-1])
     q_cold = _energy(h_cold, rho_fin) - _energy(h_cold, rho_comp)
     total = _energy(h_cold, rho_fin) - _energy(h_cold, rho_in)
     assert out.w1 + out.w2 + out.q_hot + q_cold == pytest.approx(total,
