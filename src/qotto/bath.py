@@ -191,8 +191,10 @@ def _bessel_sum(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
     out = np.empty((2, *z.shape))
     up = z >= coef.shape[1]
     for sel, branch in ((up, _bessel_up), (~up, _bessel_down)):
-        # the selected points, panel by panel, and how many each panel has
-        out[:, sel] = branch(z[sel], np.count_nonzero(sel, axis=1), coef.T)
+        # the selected points, panel by panel, and how many each panel has;
+        # one 1-D scatter per parity, as a 2-D one costs several times more
+        out[0][sel], out[1][sel] = branch(
+            z[sel], np.count_nonzero(sel, axis=1), coef.T)
     return out
 
 
