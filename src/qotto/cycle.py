@@ -97,37 +97,7 @@ class CycleConfig:
     n_steps: int = DEFAULT_N_STEPS
 
     def __post_init__(self):
-        require_finite(self)
-        if not 0.0 < self.p_plus_cold < 0.5:
-            raise ConfigError("p_plus_cold must lie in (0, 0.5): the cold "
-                              "stage is a positive-temperature reservoir")
-        _check_p_plus_hot(self.p_plus_hot)
-        # building both reservoirs checks drive, spectrum and temperatures
-        _ = self.hot_bath, self.cold_bath
-        if not (self.heat_dt > 0.0 and self.tail_dt > 0.0):
-            raise ConfigError("heat_dt and tail_dt must be positive")
-        if not 0.0 < self.heat_t_dense <= self.heat_t_max:
-            raise ConfigError("need 0 < heat_t_dense <= heat_t_max")
-        # a spacing that does not divide its span would be silently
-        # stretched or squeezed by heating_grid
-        samples = 1.0
-        for name, step, span in (
-                ("heat_dt", self.heat_dt, self.heat_t_dense),
-                ("tail_dt", self.tail_dt,
-                 self.heat_t_max - self.heat_t_dense)):
-            steps = np.round(span / step)
-            if not abs(steps * step - span) <= 1e-9 * span:
-                raise ConfigError(f"{name} = {step:.9g} does not divide "
-                                  f"its span {span:.9g} ms")
-            samples += steps
-        if samples > MAX_POINTS:
-            raise ConfigError(f"heat_dt and tail_dt give {samples:.9g} "
-                              f"heating samples, more than {MAX_POINTS}")
-        if not 0.0 < self.t_f <= self.heat_t_max:
-            raise ConfigError("t_f must lie in (0, heat_t_max]")
-        if not 2 <= self.n_steps <= MAX_POINTS:
-            raise ConfigError(f"n_steps = {self.n_steps} must lie in "
-                              f"[2, {MAX_POINTS}]")
+        _check_config(self)
 
     @property
     def system(self) -> SystemParams:
@@ -153,6 +123,42 @@ class CycleConfig:
         n_tail = int(round((self.heat_t_max - self.heat_t_dense) / self.tail_dt))
         tail = np.linspace(self.heat_t_dense, self.heat_t_max, n_tail + 1)[1:]
         return np.concatenate([dense, tail])
+
+
+def _check_config(cfg: CycleConfig) -> None:
+    """Every rule a config must meet, checked once per construction."""
+    require_finite(cfg)
+    if not 0.0 < cfg.p_plus_cold < 0.5:
+        raise ConfigError("p_plus_cold must lie in (0, 0.5): the cold "
+                          "stage is a positive-temperature reservoir")
+    _check_p_plus_hot(cfg.p_plus_hot)
+    # building both reservoirs checks drive, spectrum and temperatures
+    sp = cfg.system
+    cfg._reservoir(hamiltonian_hot(sp), cfg.p_plus_hot)
+    cfg._reservoir(hamiltonian_cold(sp), cfg.p_plus_cold)
+    if not (cfg.heat_dt > 0.0 and cfg.tail_dt > 0.0):
+        raise ConfigError("heat_dt and tail_dt must be positive")
+    if not 0.0 < cfg.heat_t_dense <= cfg.heat_t_max:
+        raise ConfigError("need 0 < heat_t_dense <= heat_t_max")
+    # a spacing that does not divide its span would be silently
+    # stretched or squeezed by heating_grid
+    samples = 1.0
+    for name, step, span in (
+            ("heat_dt", cfg.heat_dt, cfg.heat_t_dense),
+            ("tail_dt", cfg.tail_dt, cfg.heat_t_max - cfg.heat_t_dense)):
+        steps = np.round(span / step)
+        if not abs(steps * step - span) <= 1e-9 * span:
+            raise ConfigError(f"{name} = {step:.9g} does not divide "
+                              f"its span {span:.9g} ms")
+        samples += steps
+    if samples > MAX_POINTS:
+        raise ConfigError(f"heat_dt and tail_dt give {samples:.9g} "
+                          f"heating samples, more than {MAX_POINTS}")
+    if not 0.0 < cfg.t_f <= cfg.heat_t_max:
+        raise ConfigError("t_f must lie in (0, heat_t_max]")
+    if not 2 <= cfg.n_steps <= MAX_POINTS:
+        raise ConfigError(f"n_steps = {cfg.n_steps} must lie in "
+                          f"[2, {MAX_POINTS}]")
 
 
 def _check_p_plus_hot(p: float) -> None:

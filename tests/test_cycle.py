@@ -142,6 +142,19 @@ def test_config_validation(kwargs):
         build_config(**merged)
 
 
+def test_config_is_checked_once_per_construction(monkeypatch):
+    """A new config and a replaced one each run the module-level check
+    exactly once, so the check is one function call a tracer can time."""
+    calls = []
+    check = cycle._check_config
+    monkeypatch.setattr(cycle, "_check_config",
+                        lambda cfg: calls.append(cfg) or check(cfg))
+    built = CycleConfig(omega_c=15.0)
+    assert calls == [built]
+    moved = replace(built, omega_c=5.0)
+    assert calls == [built, moved]
+
+
 def test_heating_grid_size_is_bounded(monkeypatch):
     """The sample count is checked before any grid is built: at most
     MAX_POINTS samples, so 1e-9 ms steps (1e9 samples) or 1e-300 ms
