@@ -29,8 +29,9 @@ of the bath mode and e the transition energy of the system Hamiltonian.
     over all panels (DLMF 10.51), upward for z >= K orders, downward below.
 
 Tables of baths that share alpha and omega_c are built together: one gamma,
-one remainder pass over all their stacked panels, and one doubled-resolution,
-doubled-range pass that checks the stored remainders.
+one remainder pass over all their stacked panels, and one finer pass (more
+orders on half-width panels, over twice the range) that checks the stored
+remainders.
 """
 from __future__ import annotations
 
@@ -47,9 +48,11 @@ from . import ConfigError, require_finite
 TWO_PI = 2.0 * np.pi
 
 # (Legendre order, panel divisor, range scale) of the remainder quadrature
-# and of the doubled-resolution, doubled-range one that checks it
-_BASE_RESOLUTION = (14, 3.0, 1.0)
-_FINE_RESOLUTION = (16, 5.0, 2.0)
+# and of the finer, doubled-range one that checks it; most of the cost is
+# per panel and time, so few wide panels of high order are cheapest at
+# ~1e-14 (tests/resolution_scan.py re-derives both)
+_BASE_RESOLUTION = (22, 1.0, 1.0)
+_FINE_RESOLUTION = (26, 2.0, 2.0)
 
 # the remainder's envelope has fallen by exp(-_REACH) at its range end
 _REACH = 40.0
@@ -365,8 +368,8 @@ def rate_table_size(bath: BathSpec, eps: float, t_max: float) -> int:
 
 def quadrature_error_estimate(baths, eps: float, ts, held) -> list[float]:
     """Per bath, the max discrepancy of its remainder values `held[b]` at
-    times `ts` against a doubled-resolution, doubled-range quadrature; 0
-    at beta = 0, where both rates are the closed-form gamma."""
+    times `ts` against the finer, doubled-range quadrature; 0 at beta = 0,
+    where both rates are the closed-form gamma."""
     fine = iter(_remainder([b for b in baths if b.beta != 0.0], eps,
                            np.asarray(ts, float), *_FINE_RESOLUTION))
     return [float(np.max(np.abs(h - next(fine)))) if b.beta != 0.0 else 0.0

@@ -15,6 +15,8 @@ from scipy.special import sici, spherical_jn
 import conftest
 from conftest import EPS_COLD, EPS_HOT
 from oracles import complex_remainder, filon_rates, markov_limits, occupation
+from resolution_scan import (PREVIOUS_BASE, REFERENCE, deviation,
+                             wide_groups, workload_groups)
 from qotto import ConfigError, bath
 from qotto.bath import (BathSpec, build_rate_trajectory, rate_coefficients,
                         spectral_density, quadrature_error_estimate)
@@ -183,7 +185,7 @@ def test_panel_quadrature_against_qawo(omega_c):
         assert mine == pytest.approx(oracle, abs=1e-10)
 
 
-@pytest.mark.parametrize("order", [14, 16])
+@pytest.mark.parametrize("order", [14, 16, 22, 26])
 def test_bessel_sum_against_spherical_jn(order, rng):
     """The recurrence sums, even and odd orders apart, against scipy's
     spherical_jn, order by order: at z = 0, across 12 decades, at the
@@ -207,7 +209,7 @@ def test_remainder_runs_one_recurrence_per_pass(monkeypatch):
     """spherical_jn has left the library, and a table shorter than one
     block runs the Bessel recurrence once per pass, base and check, on
     real coefficients, however many panels it has: the two reservoirs
-    below have 13 + 27 and 34 + 60 panels."""
+    below have 6 + 12 and 13 + 27 panels."""
     assert not hasattr(bath, "spherical_jn")
     calls = Counter()
     bessel_sum = bath._bessel_sum
@@ -230,7 +232,7 @@ def test_remainder_runs_one_recurrence_per_pass(monkeypatch):
         assert calls == {bath._BASE_RESOLUTION[0]: 1,
                          bath._FINE_RESOLUTION[0]: 1}
         assert rt.times.size <= bath._BLOCK
-    assert panels == {13, 27, 34, 60}
+    assert panels == {6, 12, 13, 27}
 
 
 @pytest.mark.parametrize("spec", [
@@ -253,6 +255,28 @@ def test_remainder_against_complex_panel_sum(spec):
                     complex_remainder(spec, eps, t, *res), rtol=0, atol=1e-14)
 
 
+def test_base_resolution_matches_previous_on_workload_baths():
+    """Fewer, wider panels of higher order give the benchmark's tables
+    (29 nonmarkov cutoffs, 49 sweep populations, the four studied
+    cutoffs) to 1e-14 of the previous base resolution."""
+    assert deviation(workload_groups(), bath._BASE_RESOLUTION,
+                     PREVIOUS_BASE) < 1e-14
+
+
+def test_base_resolution_matches_reference_on_wide_grid():
+    """Cutoffs 2 to 100, populations on both sides of 1/2 and mu = 10,
+    against order 28 on panels a sixth of the scale rule's width."""
+    assert deviation(wide_groups(), bath._BASE_RESOLUTION, REFERENCE) < 5e-14
+
+
+def test_fine_resolution_is_strictly_finer():
+    """The check has more orders, narrower panels and twice the range."""
+    order, div, scale = bath._BASE_RESOLUTION
+    fine_order, fine_div, fine_scale = bath._FINE_RESOLUTION
+    assert fine_order > order and fine_div > div
+    assert fine_scale == 2.0 * scale
+
+
 def test_sweep_builds_one_gauss_rule_per_resolution(monkeypatch):
     """Every rate table and quadrature check of a sweep shares the Gauss
     rule of its order: leggauss runs once per resolution."""
@@ -273,15 +297,15 @@ def test_sweep_builds_one_gauss_rule_per_resolution(monkeypatch):
 
 @pytest.mark.parametrize("t_max", [0.3, 10.0])
 def test_remainder_block_memory_is_bounded(t_max):
-    """One full block of the finest pass, at 60 panels, allocates less
+    """One full block of the finest pass, at 27 panels, allocates less
     than one float64 (orders x panels x block) stack would: the orders
-    are summed as they are produced.  The downward branch takes 57 % of
+    are summed as they are produced.  The downward branch takes 53 % of
     the points at 0.3 ms and 8 % at 10 ms."""
     spec = CycleConfig(p_plus_hot=0.51).hot_bath
     order, div, scale = bath._FINE_RESOLUTION
     w_max = scale * (spec.mu + bath._REACH / abs(spec.beta))
     panels = bath._panel_edges(spec, EPS_HOT, div, w_max).size - 1
-    assert panels == 60
+    assert panels == 27
     t = np.linspace(0.0, t_max, bath._BLOCK)
     tracemalloc.start()
     try:
@@ -307,7 +331,7 @@ def test_remainder_batch_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * order * 60 * bath._BLOCK
+    assert peak < 8 * order * 27 * bath._BLOCK
 
 
 @pytest.mark.filterwarnings(conftest.MARGINAL_COUPLING)
@@ -483,8 +507,8 @@ def test_trajectory_grid_contract(rate_table):
 
 
 def test_trajectory_warns_when_tolerance_unreachable(hot_bath, monkeypatch):
-    """An unconverged remainder quadrature (4 Legendre terms on panels
-    three times too wide, estimate ~1e-4) is caught by the check."""
+    """An unconverged remainder quadrature (4 Legendre terms where the
+    base has 22, estimate ~1e-4) is caught by the check."""
     monkeypatch.setattr(bath, "_BASE_RESOLUTION", (4, 1.0, 1.0))
     with pytest.warns(RuntimeWarning, match="convergence estimate"):
         build_rate_trajectory(hot_bath, conftest.EPS_HOT, 0.5)
@@ -495,7 +519,7 @@ def test_trajectory_warns_when_tolerance_unreachable(hot_bath, monkeypatch):
                          ids=["inverted", "positive"])
 def test_trajectory_evaluates_each_remainder_once(monkeypatch, beta):
     """One base-resolution pass fills the table and the check reuses
-    it; only the doubled-resolution remainder is evaluated besides."""
+    it; only the finer check remainder is evaluated besides."""
     calls = Counter()
     remainder = bath._remainder
 
