@@ -86,16 +86,14 @@ def remainders(groups, resolution) -> list[np.ndarray]:
             for baths, eps, t in groups]
 
 
-def deviation(groups, resolution, reference) -> float:
-    """Largest |C - C_ref| over every bath and time of the groups, where
-    `reference` is a resolution or its precomputed `remainders`."""
-    if isinstance(reference, tuple):
-        reference = remainders(groups, reference)
+def deviation(groups, resolution, reference: list) -> float:
+    """Largest |C - C_ref| over every bath and time of the groups, against
+    the `remainders` of the groups at a reference resolution."""
     return max(float(np.max(np.abs(a - b))) for a, b in
                zip(remainders(groups, resolution), reference))
 
 
-def elements(groups, panel_div: float, range_scale: float = 1.0) -> int:
+def elements(groups, panel_div: float, range_scale: float) -> int:
     """Panels times table times summed over the groups' baths."""
     total = 0
     for baths, eps, t in groups:

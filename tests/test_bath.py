@@ -16,7 +16,7 @@ import conftest
 from conftest import EPS_COLD, EPS_HOT
 from oracles import complex_remainder, filon_rates, markov_limits, occupation
 from resolution_scan import (PREVIOUS_BASE, REFERENCE, deviation,
-                             wide_groups, workload_groups)
+                             remainders, wide_groups, workload_groups)
 from qotto import ConfigError, bath
 from qotto.bath import (BathSpec, build_rate_trajectory, rate_coefficients,
                         spectral_density, quadrature_error_estimate)
@@ -259,14 +259,17 @@ def test_base_resolution_matches_previous_on_workload_baths():
     """Fewer, wider panels of higher order give the benchmark's tables
     (29 nonmarkov cutoffs, 49 sweep populations, the four studied
     cutoffs) to 1e-14 of the previous base resolution."""
-    assert deviation(workload_groups(), bath._BASE_RESOLUTION,
-                     PREVIOUS_BASE) < 1e-14
+    groups = workload_groups()
+    assert deviation(groups, bath._BASE_RESOLUTION,
+                     remainders(groups, PREVIOUS_BASE)) < 1e-14
 
 
 def test_base_resolution_matches_reference_on_wide_grid():
     """Cutoffs 2 to 100, populations on both sides of 1/2 and mu = 10,
     against order 28 on panels a sixth of the scale rule's width."""
-    assert deviation(wide_groups(), bath._BASE_RESOLUTION, REFERENCE) < 5e-14
+    groups = wide_groups()
+    assert deviation(groups, bath._BASE_RESOLUTION,
+                     remainders(groups, REFERENCE)) < 5e-14
 
 
 def test_fine_resolution_is_strictly_finer():
