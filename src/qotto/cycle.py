@@ -1,7 +1,7 @@
 """Four-stroke engine orchestration.
 
-One run builds the thermal input state, drives it through the frequency
-ramp, evolves it in contact with the inverted-population reservoir while
+One run drives the cold thermal input state through the frequency ramp,
+evolves it in contact with the inverted-population reservoir while
 sampling every truncation time on a grid, and closes the cycle at each
 sample with the exact inverse ramp.  Efficiency versus truncation time
 comes out of a single dissipative trajectory because the closing stroke
@@ -9,14 +9,19 @@ is unitary: it enters only through the cold Hamiltonian seen through the
 ramp, so one `measures.energetics` call scores the stroke's populations
 and coherences.
 
-The stroke-independent pieces (Hamiltonians, input state, ramp unitary)
-are set up once per run, sweep or reference scan.  A population sweep
+The stroke-independent pieces are set up once per run, sweep or
+reference scan, as one `model.HotFrame` of scalars: the ramp unitary U
+and the two eigenbases enter only through M = V_hot^dag U V_cold, the
+ramp in the eigenbases of the two stroke Hamiltonians, and the input
+state only through its cold populations.  The setup builds no density
+matrix, and no later stage diagonalises a Hamiltonian.  A population sweep
 runs its points as one batch, point by point only if the batch fails;
 rows come in input order, and a point that fails becomes a row carrying
 the error instead of ending the sweep.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,14 +29,11 @@ import numpy as np
 from . import ConfigError, require_finite
 from .bath import (MAX_POINTS, BathSpec, build_rate_trajectories,
                    build_rate_trajectory, rate_table_size)
-from .dynamics import (DEFAULT_N_STEPS, _branch_crossing, evolve_open,
-                       propagate_unitary)
-from .matcore import DensityMatrix, dag
+from .dynamics import DEFAULT_N_STEPS, evolve_open, propagate_unitary
 from .measures import (NonMarkovReport, energetics, nonmarkov_report,
                        overall_performance)
-from .model import (SystemParams, beta_from_population, hamiltonian_cold,
-                    hamiltonian_hot, state_from_population,
-                    transition_energy)
+from .model import (SIGMA_X, HotFrame, SystemParams, beta_from_population,
+                    hamiltonian_cold, hamiltonian_hot, transition_energy)
 
 __all__ = [
     "CycleConfig",
@@ -57,6 +59,11 @@ EQ_TOL = 1e-3
 
 # extra rate-table coverage past the last evolution time, ms
 _TABLE_MARGIN = 0.05
+
+# the ramp's output state: largest |Tr rho0 - 1| accepted, and how far
+# below 0 its smallest eigenvalue may go before a warning
+_TRACE_TOL = 1e-10
+_POS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -156,6 +163,9 @@ def _check_config(cfg: CycleConfig) -> None:
                           f"heating samples, more than {MAX_POINTS}")
     if not 0.0 < cfg.t_f <= cfg.heat_t_max:
         raise ConfigError("t_f must lie in (0, heat_t_max]")
+    if isinstance(cfg.n_steps, (bool, np.bool_)) or not isinstance(
+            cfg.n_steps, (int, np.integer)):
+        raise ConfigError(f"n_steps must be an integer, got {cfg.n_steps!r}")
     if not 2 <= cfg.n_steps <= MAX_POINTS:
         raise ConfigError(f"n_steps = {cfg.n_steps} must lie in "
                           f"[2, {MAX_POINTS}]")
@@ -246,28 +256,54 @@ def _band_edges(times: np.ndarray, eta: np.ndarray, k: int,
     return float(t_lo), float(t_hi)
 
 
-@dataclass(frozen=True)
-class _Setup:
-    """The stroke-independent pieces of one cycle; h_back = u h_cold u^dag."""
+def _setup(cfg: CycleConfig) -> HotFrame:
+    """Every stroke-independent scalar of one cycle, from the ramp in the
+    two eigenbases, M = V_hot^dag U V_cold (columns and rows lower level
+    first), and the cold input populations d = (1 - p_c, p_c).
 
-    h_hot: np.ndarray
-    eps_hot: float
-    u_exp: np.ndarray
-    ramp_error: float
-    rho_exp: DensityMatrix
-    h_back: np.ndarray
-
-
-def _setup(cfg: CycleConfig) -> _Setup:
+    The ramp's output state has p0 = sum_j d_j |M_+j|^2 and
+    c0 = sum_j d_j M_+j conj(M_-j); h_back in the hot eigenbasis is
+    M diag(-eps_c/2, eps_c/2) M^dag.  Its trace deviation
+    |sum_j d_j |M_.j|^2 - 1| above _TRACE_TOL raises ValueError, and a
+    smallest eigenvalue below -_POS_TOL warns.
+    """
     sp = cfg.system
-    h_cold = hamiltonian_cold(sp)
-    h_hot = hamiltonian_hot(sp)
-    eps_hot = transition_energy(h_hot)[0]
-    rho_in = state_from_population(h_cold, cfg.p_plus_cold).mat
-    u_exp, ramp_error = propagate_unitary(sp, cfg.n_steps)
-    rho_exp = DensityMatrix.from_matrix(u_exp @ rho_in @ dag(u_exp))
-    return _Setup(h_hot, eps_hot, u_exp, ramp_error, rho_exp,
-                  u_exp @ h_cold @ dag(u_exp))
+    eps_cold, *cold = transition_energy(hamiltonian_cold(sp))
+    eps, hot_minus, hot_plus = transition_energy(hamiltonian_hot(sp))
+    u, ramp_error = propagate_unitary(sp, cfg.n_steps)
+    m = np.conj([hot_minus, hot_plus]) @ u @ np.column_stack(cold)
+    d = np.array([1.0 - cfg.p_plus_cold, cfg.p_plus_cold])
+    trace_dev = abs(float(np.sum(np.abs(m) ** 2 @ d)) - 1.0)
+    if not trace_dev <= _TRACE_TOL:
+        raise ValueError(
+            f"ramp output trace deviates from 1 by {trace_dev:.3e}")
+    p0 = float(np.abs(m[1]) ** 2 @ d)
+    c0 = complex(m[1] * m[0].conj() @ d)
+    lowest = 0.5 - np.hypot(p0 - 0.5, abs(c0))
+    if lowest < -_POS_TOL:
+        warnings.warn(f"ramp output state has negative eigenvalue "
+                      f"{lowest:.3e} (pos_tol={_POS_TOL:.1e})",
+                      RuntimeWarning, stacklevel=2)
+    h_back = (m * [-0.5 * eps_cold, 0.5 * eps_cold]) @ m.conj().T
+    return HotFrame(
+        eps=eps, k=abs(np.vdot(hot_minus, SIGMA_X @ hot_plus)) ** 2,
+        p0=p0, c0=c0, back_flip=float((h_back[1, 1] - h_back[0, 0]).real),
+        back_coh=complex(h_back[0, 1]),
+        w1=eps * (p0 - 0.5) - eps_cold * (cfg.p_plus_cold - 0.5),
+        xi=_crossing_probability(m), trace_dev=trace_dev,
+        ramp_error=ramp_error)
+
+
+def _crossing_probability(m: np.ndarray) -> float:
+    """Probability |M_+-|^2 that the ramp M, written in the two
+    eigenbases, crosses between eigenstate branches (zero for a perfectly
+    adiabatic ramp); |M_-+|^2 equals it by unitarity and is checked
+    against it."""
+    xi_a, xi_b = abs(m[1, 0]) ** 2, abs(m[0, 1]) ** 2
+    if abs(xi_a - xi_b) > 1e-9:
+        raise RuntimeError(
+            f"branch-crossing probabilities disagree: {xi_a} vs {xi_b}")
+    return float(xi_a)
 
 
 def run_cycle(cfg: CycleConfig) -> CycleResult:
@@ -275,14 +311,14 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
     return _cycle(cfg, _setup(cfg))
 
 
-def _cycle(cfg: CycleConfig, su: _Setup) -> CycleResult:
+def _cycle(cfg: CycleConfig, su: HotFrame) -> CycleResult:
     grid = cfg.heating_grid()
-    rates = build_rate_trajectory(cfg.hot_bath, su.eps_hot,
+    rates = build_rate_trajectory(cfg.hot_bath, su.eps,
                                   grid[-1] + _TABLE_MARGIN)
-    contact = evolve_open(su.rho_exp, su.h_hot, [rates], grid)
+    contact = evolve_open(su, [rates], grid)
     p = contact.p[0]
 
-    en = energetics(su.rho_exp.mat, su.h_hot, su.h_back, p, contact.c)
+    en = energetics(su, p, contact.c)
     eta, valid = en.eta, en.valid_engine
     no_engine = not bool(valid.any())
 
@@ -326,17 +362,16 @@ def _cycle(cfg: CycleConfig, su: _Setup) -> CycleResult:
     nm = nonmarkov_report(rates, 0.0, cfg.heat_t_max)
 
     # perfect thermalization ends at the target population, no coherence
-    ideal = energetics(su.rho_exp.mat, su.h_hot, su.h_back,
-                       cfg.p_plus_hot, 0.0)
+    ideal = energetics(su, cfg.p_plus_hot, 0.0)
 
     diagnostics = {
         "quad_error": float(rates.quad_error),
         "weak_coupling_ok": bool(rates.weak_coupling_ok),
-        "max_trace_dev": float(np.max(contact.trace_dev)),
+        "max_trace_dev": su.trace_dev,
         "min_eig": float(np.min(contact.min_eig)),
-        "xi": _branch_crossing(cfg.system, su.u_exp),
+        "xi": su.xi,
         "ramp_error": su.ramp_error,
-        "eps_hot": float(su.eps_hot),
+        "eps_hot": su.eps,
         "final_population_gap": float(abs(p[-1] - cfg.p_plus_hot)),
     }
     return CycleResult(config=cfg, w1=en.w1, times=grid,
@@ -360,7 +395,8 @@ class SweepRow:
     error: str = ""
 
 
-def _cutoff_point(cfg: CycleConfig, su: _Setup, omega_c: float) -> SweepRow:
+def _cutoff_point(cfg: CycleConfig, su: HotFrame,
+                  omega_c: float) -> SweepRow:
     try:
         res = _cycle(replace(cfg, omega_c=omega_c), su)
         return SweepRow(omega_c=omega_c, eta_max=res.eta_max,
@@ -412,19 +448,19 @@ def sweep_population(cfg: CycleConfig, p_hot_grid,
     if not 0.0 < t_tilde <= cfg.heat_t_max:
         raise ConfigError("t_tilde must lie in (0, heat_t_max] ms")
     su = _setup(cfg)
+    h_hot = hamiltonian_hot(cfg.system)
     # one size for every point: the table spacing ignores the population
-    rate_table_size(cfg.hot_bath, su.eps_hot, t_tilde + _TABLE_MARGIN)
+    rate_table_size(cfg.hot_bath, su.eps, t_tilde + _TABLE_MARGIN)
 
     def rows(ps: list[float]) -> list[PopulationRow]:
         try:
             # each target population sets its own reservoir temperature
             tables = build_rate_trajectories(
-                [cfg._reservoir(su.h_hot, p) for p in ps], su.eps_hot,
+                [cfg._reservoir(h_hot, p) for p in ps], su.eps,
                 t_tilde + _TABLE_MARGIN)
             # the exact stroke needs only its end, and all tables share
             # gamma, so they share the coherence too
-            ends = evolve_open(su.rho_exp, su.h_hot, tables,
-                               np.array([0.0, t_tilde]))
+            ends = evolve_open(su, tables, np.array([0.0, t_tilde]))
             return _scored(su, ps, ends.p[:, -1], ends.c[-1])
         except Exception as exc:  # a failed point must not kill the sweep
             if len(ps) > 1:   # point by point, so only failed points fail
@@ -444,9 +480,9 @@ def ift_reference(cfg: CycleConfig, p_hot_grid) -> list[PopulationRow]:
     return _scored(_setup(cfg), points, points, 0.0)
 
 
-def _scored(su: _Setup, points, p, c) -> list[PopulationRow]:
+def _scored(su: HotFrame, points, p, c) -> list[PopulationRow]:
     """One row per population, from the (p, c) its contact stroke ends at."""
-    en = energetics(su.rho_exp.mat, su.h_hot, su.h_back, p, c)
+    en = energetics(su, p, c)
     return [PopulationRow(*x) for x in zip(
         points, en.eta.tolist(), en.valid_engine.tolist(), en.w.tolist(),
         en.q_hot.tolist())]

@@ -19,6 +19,8 @@ dp/dt = -k Lambda'(t) p + k gt(t), a cumulative sum under the integrating
 factor exp(k Lambda).  Tables that share gamma evolve together: Lambda is the
 exact antiderivative of one cubic spline of 2 gamma, gt comes from one spline
 of every table's column, and all populations come from one array sum.
+The stroke reads its start (p0, c0), its gap e and k from a
+`model.HotFrame`, never a matrix.
 """
 from __future__ import annotations
 
@@ -28,9 +30,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .bath import RateTrajectory
-from .matcore import SIGMA_X, DensityMatrix
-from .model import (SystemParams, hamiltonian_cold, hamiltonian_hot,
-                    transition_energy)
+from .model import HotFrame, SystemParams
 
 DEFAULT_N_STEPS = 600
 
@@ -91,32 +91,17 @@ def propagate_unitary(p: SystemParams, n_steps: int = DEFAULT_N_STEPS
     return fine, float(np.max(np.abs(fine - coarse))) / 15.0
 
 
-def _branch_crossing(p: SystemParams, u: np.ndarray) -> float:
-    """Probability that the expansion propagator u crosses between
-    eigenstate branches (zero for a perfectly adiabatic ramp); both
-    matrix elements that define it agree by unitarity and are checked
-    against each other."""
-    _, cold_minus, cold_plus = transition_energy(hamiltonian_cold(p))
-    _, hot_minus, hot_plus = transition_energy(hamiltonian_hot(p))
-    xi_a = abs(np.vdot(hot_plus, u @ cold_minus)) ** 2
-    xi_b = abs(np.vdot(hot_minus, u @ cold_plus)) ** 2
-    if abs(xi_a - xi_b) > 1e-9:
-        raise RuntimeError(
-            f"branch-crossing probabilities disagree: {xi_a} vs {xi_b}")
-    return float(xi_a)
-
-
 @dataclass(frozen=True)
 class Contact:
     """Contact strokes under tables that share gamma, sampled on `times`
     from t = 0 in the eigenbasis of the stroke Hamiltonian: one row per
-    table of the population p = <+|rho|+> and health metrics, and the
-    coherence c = <+|rho|-> that every table shares."""
+    table of the population p = <+|rho|+> and the smallest eigenvalue of
+    rho, and the coherence c = <+|rho|-> that every table shares.  A
+    state given as (p, c) has unit trace by construction."""
 
     times: np.ndarray
     p: np.ndarray            # (tables, samples)
     c: np.ndarray            # (samples,)
-    trace_dev: np.ndarray    # |Tr rho - 1|, (tables, samples)
     min_eig: np.ndarray      # smallest eigenvalue, (tables, samples)
 
 
@@ -146,15 +131,17 @@ def _populations(p0: float, k_lam: np.ndarray,
     return out
 
 
-def evolve_open(rho0: DensityMatrix, h_sys: np.ndarray,
-                rates: list[RateTrajectory], grid: np.ndarray) -> Contact:
+def evolve_open(frame: HotFrame, rates: list[RateTrajectory],
+                grid: np.ndarray) -> Contact:
     """Exact contact-stroke evolution under each rate table, the tables
     sharing times and gamma, sampled on the given grid as one Contact: a
     population row per table, in table order, and their shared coherence.
 
-    grid must start at 0 (bath switch-on) and stay inside the domain of the
-    rate tables; the jump channel is a |-><+| of h_sys with weight
-    k = |a|^2 = |<-|sigma_x|+>|^2.
+    The stroke starts at population `frame.p0` and coherence `frame.c0`
+    under the gap `frame.eps`, through the jump channel of weight
+    `frame.k`; no other field of the frame is read.  grid must start at 0
+    (bath switch-on) and stay inside the domain of the rate tables.  A
+    population or coherence that is not finite raises RuntimeError.
     """
     table = rates[0]
     if not all(np.array_equal(r.times, table.times) and np.array_equal(
@@ -167,9 +154,7 @@ def evolve_open(rho0: DensityMatrix, h_sys: np.ndarray,
         raise ValueError(
             f"grid end {grid[-1]} exceeds rate table end {table.times[-1]}")
 
-    eps, vm, vp = transition_energy(h_sys)
-    k = abs(np.vdot(vm, SIGMA_X @ vp)) ** 2
-
+    k = frame.k
     big_lam = CubicSpline(table.times, 2.0 * table.gamma).antiderivative()
     gamma_tilde = CubicSpline(
         table.times, np.stack([r.gamma_tilde for r in rates]), axis=1)
@@ -184,17 +169,10 @@ def evolve_open(rho0: DensityMatrix, h_sys: np.ndarray,
     sources = k * dt * np.sum(
         _GL_WEIGHTS * gamma_tilde(nodes)
         * np.exp(k * big_lam(nodes) - k_lam[1:, None]), axis=-1)
-    p0 = float(np.vdot(vp, rho0.mat @ vp).real)
-    c0 = np.vdot(vp, rho0.mat @ vm)
     at = np.searchsorted(t, grid)
-    p = _populations(p0, k_lam, sources)[:, at]
-    c = c0 * np.exp(-1j * eps * grid - 0.5 * k_lam[at])
-    # Tr rho = Tr rho0 + dp Tr flip + 2 Re(dc Tr |+><-|); NaN fails it too
-    trace_dev = np.abs(np.trace(rho0.mat).real
-                       + (p - p0) * (np.vdot(vp, vp) - np.vdot(vm, vm)).real
-                       + 2.0 * ((c - c0) * np.vdot(vm, vp)).real - 1.0)
-    if not np.max(trace_dev) <= 1e-8:
-        raise RuntimeError(
-            f"trace drift {np.max(trace_dev):.3e} exceeds tolerance 1e-8")
-    return Contact(grid, p, c, trace_dev,
-                   0.5 - np.hypot(p - 0.5, np.abs(c)))
+    p = _populations(frame.p0, k_lam, sources)[:, at]
+    c = frame.c0 * np.exp(-1j * frame.eps * grid - 0.5 * k_lam[at])
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(c))):
+        raise RuntimeError("contact stroke population or coherence "
+                           "is not finite")
+    return Contact(grid, p, c, 0.5 - np.hypot(p - 0.5, np.abs(c)))

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import RateTrajectory
-from .matcore import expect
-from .model import transition_energy
+from .model import HotFrame
 
 __all__ = [
     "Q_HOT_FLOOR_SCALE",
@@ -59,34 +58,32 @@ class Energetics:
         return self.w1 + self.w2
 
 
-def energetics(rho_exp: np.ndarray, h_hot: np.ndarray, h_back: np.ndarray,
-               p, c) -> Energetics:
+def energetics(frame: HotFrame, p, c) -> Energetics:
     """Score the cycles whose contact strokes end at excited population p
-    and coherence c = <+|rho|-> in the eigenbasis of `h_hot`, scalars or
-    matching arrays.  `rho_exp` leaves the first ramp under `h_hot`;
-    `h_back` = U h_cold U^dag is the cold Hamiltonian seen through that
-    ramp's propagator U, so Tr(h_back rho_exp) is the input energy.
+    and coherence c = <+|rho|-> in the hot eigenbasis, scalars or
+    matching arrays, from the cycle's `frame`: the stroke starts at
+    (frame.p0, frame.c0), and h_back = U h_cold U^dag, the cold
+    Hamiltonian seen through the ramp's propagator U, enters through
+    frame.back_flip and frame.back_coh.
 
-    The contact stroke adds drho = dp flip + dc |+><-| + h.c. to `rho_exp`
-    (dp = p - p0, dc = c - c0 against its own), so q_hot = eps dp and the
-    cycle work is w = Tr(h_back drho) - q_hot, both exactly 0 at drho = 0.
-    Where |q_hot| does not clear Q_HOT_FLOOR_SCALE * eps, eta is NaN and
-    the cycle is no engine.
+    The contact stroke adds drho = dp flip + dc |+><-| + h.c. to the
+    ramp's output state (dp = p - p0, dc = c - c0), so q_hot = eps dp and
+    the cycle work is w = Tr(h_back drho) - q_hot, both exactly 0 at
+    drho = 0.  Where |q_hot| does not clear Q_HOT_FLOOR_SCALE * eps, eta
+    is NaN and the cycle is no engine.
     """
-    eps, vm, vp = transition_energy(h_hot)
-    dp = np.asarray(p) - np.vdot(vp, rho_exp @ vp).real
-    dc = np.asarray(c) - np.vdot(vp, rho_exp @ vm)
-    back_flip = np.vdot(vp, h_back @ vp).real - np.vdot(vm, h_back @ vm).real
+    eps = frame.eps
+    dp = np.asarray(p) - frame.p0
+    dc = np.asarray(c) - frame.c0
     q_hot = eps * dp
-    w = dp * back_flip + 2.0 * (dc * np.vdot(vm, h_back @ vp)).real - q_hot
-    w1 = expect(h_hot - h_back, rho_exp)
+    w = dp * frame.back_flip + 2.0 * (dc * frame.back_coh).real - q_hot
     floor = Q_HOT_FLOOR_SCALE * eps
     with np.errstate(divide="ignore", invalid="ignore"):
         eta = np.where(np.abs(q_hot) > floor, np.divide(-w, q_hot), np.nan)
     valid = (w < 0.0) & (q_hot > floor)
     if q_hot.ndim == 0:  # one endpoint: plain Python scalars
         q_hot, w, eta, valid = float(q_hot), float(w), float(eta), bool(valid)
-    return Energetics(w1, w - w1, q_hot, eta, valid)
+    return Energetics(frame.w1, w - frame.w1, q_hot, eta, valid)
 
 
 def witness_f(rates: RateTrajectory) -> np.ndarray:

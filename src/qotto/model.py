@@ -13,7 +13,9 @@ Strokes that enter the first-cycle efficiency:
 
 Each stroke Hamiltonian has one transition, so everything derived from it
 (gap, contact-stroke eigenbasis, reservoir temperature) comes from the
-one spectral routine `transition_energy`.
+one spectral routine `transition_energy`.  From the ramp on, a cycle is a
+handful of scalars in the hot eigenbasis, one `HotFrame` record; no stage
+after the setup sees a matrix.
 """
 from __future__ import annotations
 
@@ -22,7 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ConfigError, require_finite
-from .matcore import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -88,16 +93,6 @@ def transition_energy(
     return gap, vecs[:, 0], vecs[:, 1]
 
 
-def state_from_population(h: np.ndarray, p_plus: float) -> DensityMatrix:
-    """Diagonal state in the eigenbasis of h with excited population p_plus."""
-    if not 0.0 <= p_plus <= 1.0:
-        raise ValueError(f"population must lie in [0, 1], got {p_plus}")
-    _, v_minus, v_plus = transition_energy(h)
-    m = (p_plus * np.outer(v_plus, v_plus.conj())
-         + (1.0 - p_plus) * np.outer(v_minus, v_minus.conj()))
-    return DensityMatrix.from_matrix(m)
-
-
 def beta_from_population(h: np.ndarray, p_plus: float) -> float:
     """Inverse temperature whose Gibbs state of h has excited weight p_plus.
 
@@ -109,3 +104,31 @@ def beta_from_population(h: np.ndarray, p_plus: float) -> float:
         raise ValueError(f"population must lie strictly in (0, 1), got {p_plus}")
     gap = transition_energy(h)[0]
     return float(np.log((1.0 - p_plus) / p_plus) / gap)
+
+
+@dataclass(frozen=True)
+class HotFrame:
+    """One cycle in the eigenbasis {|->, |+>} of the hot Hamiltonian,
+    as the scalars every stage after the ramp reads.
+
+    The contact stroke starts from excited population `p0` = <+|rho|+>
+    and coherence `c0` = <+|rho|-> under the hot gap `eps`, through the
+    jump channel of weight `k` = |<-|sigma_x|+>|^2.  The cold
+    Hamiltonian seen through the ramp, h_back = U h_cold U^dag, enters
+    the energetics as `back_flip` = <+|h_back|+> - <-|h_back|-> and
+    `back_coh` = <-|h_back|+>; `w1` is the expansion-stroke work and
+    `xi` the probability that the ramp crosses between eigenstate
+    branches.  `trace_dev` is |Tr rho0 - 1| of the ramp's output state
+    and `ramp_error` the ramp propagator's error estimate.
+    """
+
+    eps: float
+    k: float
+    p0: float
+    c0: complex
+    back_flip: float
+    back_coh: complex
+    w1: float
+    xi: float
+    trace_dev: float
+    ramp_error: float

@@ -1,6 +1,17 @@
 """Slow reference implementations that the library's fast paths are checked
 against, and helpers only the tests need.
 
+The library keeps a cycle as scalars in the hot eigenbasis, one
+`model.HotFrame`; the tests keep 2x2 matrices.  `DensityMatrix` is a
+validated state (unit trace, Hermiticity, a warning on negativity),
+`expect` the expectation value, `dag` the conjugate transpose and
+`state_from_population` the thermal state of a population.  `setup_frame`
+is `cycle._setup` by the matrix path, the ramp's output state
+U rho_in U^dag as a `DensityMatrix` and h_back = U h_cold U^dag, with the
+branch crossing from `branch_crossing`; `state_frame` reads the frame's
+(eps, k, p0, c0) off any state matrix, so a test can start a contact
+stroke from a state of its own.
+
 `evolve_open` integrates the contact-stroke master equation with a general
 RK45 solver, riding the state as a real 4-vector (trace, Bloch components)
 under the real 4x4 matrix `bloch_generator` builds from `apply_generator`,
@@ -37,7 +48,8 @@ the RK45 oracle applies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, replace
 from functools import cache
 from typing import Callable
 
@@ -51,12 +63,11 @@ from qotto import dynamics
 from qotto.bath import (TWO_PI, BathSpec, RateTrajectory,
                         build_rate_trajectory, spectral_density)
 from qotto.cycle import _TABLE_MARGIN, CycleConfig
-from qotto.dynamics import (DEFAULT_N_STEPS, _branch_crossing,
-                            propagate_unitary)
-from qotto.matcore import (SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix,
-                           _require_2x2, dag, expect, herm_deviation)
+from qotto.dynamics import DEFAULT_N_STEPS, propagate_unitary
 from qotto.measures import Q_HOT_FLOOR_SCALE, Energetics
-from qotto.model import SystemParams, hamiltonian_cold, transition_energy
+from qotto.model import (SIGMA_X, SIGMA_Y, SIGMA_Z, HotFrame, SystemParams,
+                         hamiltonian_cold, hamiltonian_hot,
+                         transition_energy)
 
 IDENTITY = np.eye(2, dtype=complex)
 PAULIS = (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z)
@@ -70,6 +81,118 @@ EIG_HERM_TOL = 1e-9
 # midpoint steps of the reference ramp: its discretization error (about
 # 4e-13) sits below the rounding its product accumulates (about 4e-12)
 REFERENCE_STEPS = 640_000
+
+
+def dag(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose."""
+    return m.conj().T
+
+
+def herm_deviation(m: np.ndarray) -> float:
+    """Largest entrywise deviation |M - M^dag|."""
+    return float(np.max(np.abs(m - dag(m))))
+
+
+def _require_2x2(m: np.ndarray) -> np.ndarray:
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+    return m
+
+
+def expect(op: np.ndarray, rho) -> float | np.ndarray:
+    """Real expectation value Tr[rho * op] for Hermitian op and rho.
+
+    rho may be a plain matrix, a (T, 2, 2) stack (one value per state) or
+    anything carrying one in a `mat` attribute.
+    """
+    mat = np.asarray(getattr(rho, "mat", rho))
+    out = np.einsum("...ij,ji->...", mat, np.asarray(op)).real
+    return out if out.ndim else float(out)
+
+
+@dataclass(frozen=True)
+class DensityMatrix:
+    """A validated 2x2 density matrix.
+
+    Unit trace and Hermiticity are enforced at construction; negativity
+    beyond POS_TOL is reported through a warning and kept (transient
+    non-positivity is physical information here, not an error to clip).
+    """
+
+    mat: np.ndarray
+    min_eig: float
+    trace_dev: float
+
+    TRACE_TOL = 1e-10
+    HERM_TOL = 1e-12
+    POS_TOL = 1e-8
+
+    @classmethod
+    def from_matrix(cls, m: np.ndarray) -> "DensityMatrix":
+        m = _require_2x2(m)
+        tr_dev = abs(float(np.trace(m).real) - 1.0) + abs(float(np.trace(m).imag))
+        if tr_dev > cls.TRACE_TOL:
+            raise ValueError(f"trace deviates from 1 by {tr_dev:.3e}")
+        h_dev = herm_deviation(m)
+        if h_dev > cls.HERM_TOL * max(1.0, float(np.max(np.abs(m)))):
+            raise ValueError(f"not Hermitian: deviation {h_dev:.3e}")
+        h = 0.5 * (m + dag(m))
+        lo = float(np.linalg.eigvalsh(h)[0])
+        if lo < -cls.POS_TOL:
+            warnings.warn(
+                f"density matrix has negative eigenvalue {lo:.3e} "
+                f"(pos_tol={cls.POS_TOL:.1e})", RuntimeWarning, stacklevel=2)
+        h.setflags(write=False)
+        return cls(h, float(lo), float(tr_dev))
+
+
+def state_from_population(h: np.ndarray, p_plus: float) -> DensityMatrix:
+    """Diagonal state in the eigenbasis of h with excited population p_plus."""
+    if not 0.0 <= p_plus <= 1.0:
+        raise ValueError(f"population must lie in [0, 1], got {p_plus}")
+    _, v_minus, v_plus = transition_energy(h)
+    m = (p_plus * np.outer(v_plus, v_plus.conj())
+         + (1.0 - p_plus) * np.outer(v_minus, v_minus.conj()))
+    return DensityMatrix.from_matrix(m)
+
+
+def state_frame(rho0, h: np.ndarray, h_back: np.ndarray | None = None
+                ) -> HotFrame:
+    """The `HotFrame` of the state rho0 under the contact Hamiltonian h,
+    read off the matrices: the gap, the jump weight and (p0, c0) in the
+    eigenbasis of h, and with h_back the energetics terms <+|h_back|+> -
+    <-|h_back|->, <-|h_back|+> and w1 = Tr((h - h_back) rho0).  Fields it
+    cannot know (and the h_back ones without h_back) are NaN."""
+    rho0 = np.asarray(getattr(rho0, "mat", rho0))
+    eps, vm, vp = transition_energy(h)
+    nan = float("nan")
+    back_flip = back_coh = w1 = nan
+    if h_back is not None:
+        back_flip = (np.vdot(vp, h_back @ vp).real
+                     - np.vdot(vm, h_back @ vm).real)
+        back_coh = complex(np.vdot(vm, h_back @ vp))
+        w1 = expect(h - h_back, rho0)
+    return HotFrame(eps=eps, k=abs(np.vdot(vm, SIGMA_X @ vp)) ** 2,
+                    p0=float(np.vdot(vp, rho0 @ vp).real),
+                    c0=complex(np.vdot(vp, rho0 @ vm)), back_flip=back_flip,
+                    back_coh=back_coh, w1=w1, xi=nan, trace_dev=nan,
+                    ramp_error=nan)
+
+
+def setup_frame(cfg: CycleConfig) -> HotFrame:
+    """`cycle._setup` by the matrix path: rho_exp = U rho_in U^dag as a
+    validated `DensityMatrix`, h_back = U h_cold U^dag, the energetics
+    terms by `expect` and the branch crossing by `branch_crossing`."""
+    sp = cfg.system
+    h_cold = hamiltonian_cold(sp)
+    u, ramp_error = propagate_unitary(sp, cfg.n_steps)
+    rho_in = state_from_population(h_cold, cfg.p_plus_cold)
+    rho_exp = DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))
+    return replace(state_frame(rho_exp, hamiltonian_hot(sp),
+                               u @ h_cold @ dag(u)),
+                   xi=branch_crossing(sp, u), trace_dev=rho_exp.trace_dev,
+                   ramp_error=ramp_error)
 
 
 def _require_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
@@ -192,12 +315,27 @@ def hamiltonian_compression(p: SystemParams, t: float) -> np.ndarray:
     return -hamiltonian_expansion(p, p.tau - t)
 
 
+def branch_crossing(p: SystemParams, u: np.ndarray) -> float:
+    """Probability that the expansion propagator u crosses between
+    eigenstate branches (zero for a perfectly adiabatic ramp); both
+    matrix elements that define it agree by unitarity and are checked
+    against each other."""
+    _, cold_minus, cold_plus = transition_energy(hamiltonian_cold(p))
+    _, hot_minus, hot_plus = transition_energy(hamiltonian_hot(p))
+    xi_a = abs(np.vdot(hot_plus, u @ cold_minus)) ** 2
+    xi_b = abs(np.vdot(hot_minus, u @ cold_plus)) ** 2
+    if abs(xi_a - xi_b) > 1e-9:
+        raise RuntimeError(
+            f"branch-crossing probabilities disagree: {xi_a} vs {xi_b}")
+    return float(xi_a)
+
+
 def adiabaticity(p: SystemParams, n_steps: int = DEFAULT_N_STEPS) -> float:
     """Probability of crossing between eigenstate branches during the ramp.
 
     Zero for a perfectly adiabatic ramp.
     """
-    return _branch_crossing(p, propagate_unitary(p, n_steps)[0])
+    return branch_crossing(p, propagate_unitary(p, n_steps)[0])
 
 
 def _midpoint_factors(p: SystemParams, dt: float,
@@ -621,7 +759,7 @@ def run_cooling(cfg: CycleConfig, rho_comp, t_max: float = 40.0,
                 dt: float = 0.01) -> StateTrajectory:
     """Restoring stroke: contact with the cold reservoir under the cold
     Hamiltonian, by the library's closed-form contact evolution with its
-    states rebuilt by `contact_states`.  Long
+    states, and their trace deviation, rebuilt by `contact_states`.  Long
     runs approach the configured cold thermal state; this stroke never
     enters the first-cycle efficiency."""
     h_cold = hamiltonian_cold(cfg.system)
@@ -631,7 +769,8 @@ def run_cooling(cfg: CycleConfig, rho_comp, t_max: float = 40.0,
     rates = build_rate_trajectory(cfg.cold_bath, eps_cold,
                                   t_max + _TABLE_MARGIN)
     grid = np.linspace(0.0, t_max, int(round(t_max / dt)) + 1)
-    contact = dynamics.evolve_open(rho0, h_cold, [rates], grid)
+    contact = dynamics.evolve_open(state_frame(rho0, h_cold), [rates], grid)
+    states = contact_states(rho0, h_cold, contact.p[0], contact.c)
     return StateTrajectory(
-        grid, contact_states(rho0, h_cold, contact.p[0], contact.c),
-        contact.trace_dev[0], contact.min_eig[0])
+        grid, states, np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0),
+        contact.min_eig[0])

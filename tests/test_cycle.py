@@ -10,18 +10,18 @@ from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import conftest
 import oracles
-from qotto import ConfigError, bath, cycle, dynamics, matcore, measures, model
-from oracles import contact_states, density_from_bloch, run_cooling
+from oracles import (DensityMatrix, contact_states, dag, density_from_bloch,
+                     run_cooling, state_frame, state_from_population)
+from qotto import ConfigError, bath, cycle, dynamics, measures, model
 from qotto.cycle import (CycleConfig, SweepRow, build_config, ift_reference,
                          population_onset, run_cycle, sweep_cutoff,
                          sweep_population)
-from qotto.matcore import dag
 
 FAST = dict(heat_dt=0.5e-3, heat_t_dense=0.6, heat_t_max=2.0, t_f=0.5,
             n_steps=4000)
@@ -135,6 +135,9 @@ def test_config_rejects_bad_spectrum(fast_cfg, kwargs, message):
     dict(nu_cold=4.0),                      # the drive is checked too
     dict(n_steps=0),
     dict(n_steps=1),                        # the error estimate halves it
+    dict(n_steps=600.0),                    # a step count is an integer
+    dict(n_steps=600.5),
+    dict(n_steps=True),
 ])
 def test_config_validation(kwargs):
     merged = {**FAST, **kwargs}
@@ -187,6 +190,81 @@ def test_default_ramp_error_is_reported():
     ramp_error = cycle._setup(cfg).ramp_error
     assert 0.0 < ramp_error < 1e-10
     assert run_cycle(cfg).diagnostics["ramp_error"] == ramp_error
+
+
+def test_n_steps_accepts_a_numpy_integer():
+    """An integral numpy step count builds the same ramp as an int."""
+    assert cycle._setup(CycleConfig(n_steps=np.int64(600))) \
+        == cycle._setup(CycleConfig(n_steps=600))
+
+
+@settings(max_examples=30, deadline=None)
+@given(nu_cold=st.floats(0.5, 3.0), nu_gap=st.floats(0.5, 3.0),
+       tau=st.floats(0.02, 0.5), g=st.floats(0.0, 0.5),
+       p_plus_cold=st.floats(0.01, 0.49))
+@example(nu_cold=2.0, nu_gap=1.6, tau=0.1, g=0.2, p_plus_cold=0.261)
+def test_setup_matches_matrix_path(nu_cold, nu_gap, tau, g, p_plus_cold):
+    """The setup's scalars, read off the ramp in the two eigenbases,
+    against the matrix path: U rho_in U^dag as a validated density
+    matrix, h_back = U h_cold U^dag and expectation values."""
+    cfg = CycleConfig(nu_cold=nu_cold, nu_hot=nu_cold + nu_gap, tau=tau,
+                      g=g, p_plus_cold=p_plus_cold)
+    mine, ref = cycle._setup(cfg), oracles.setup_frame(cfg)
+    assert mine.eps == ref.eps and mine.ramp_error == ref.ramp_error
+    for name in ("k", "p0", "c0", "xi", "trace_dev"):
+        assert abs(getattr(mine, name) - getattr(ref, name)) <= 1e-14, name
+    for name in ("back_flip", "back_coh", "w1"):
+        assert abs(getattr(mine, name) - getattr(ref, name)) <= 1e-12, name
+
+
+def test_setup_rejects_a_ramp_that_loses_trace(monkeypatch):
+    """A ramp whose output state's trace is off by more than 1e-10 is
+    refused before any stroke runs."""
+    real = cycle.propagate_unitary
+
+    def scaled(*args):
+        u, ramp_error = real(*args)
+        return 1.001 * u, ramp_error
+
+    monkeypatch.setattr(cycle, "propagate_unitary", scaled)
+    with pytest.raises(ValueError, match="trace deviates from 1 by 2.00"):
+        cycle._setup(CycleConfig())
+
+
+def test_crossing_check_rejects_disagreeing_elements():
+    """The two off-diagonal elements of the ramp in the two eigenbases
+    must give one crossing probability."""
+    m = np.array([[0.9, 0.3], [0.3 + 1e-10, 0.9]])
+    assert cycle._crossing_probability(m) == pytest.approx(0.09)
+    m[1, 0] = 0.31
+    with pytest.raises(RuntimeError, match="probabilities disagree"):
+        cycle._crossing_probability(m)
+
+
+def test_setup_warns_on_a_state_outside_the_state_space():
+    """A ramp output with an eigenvalue below -1e-8 is reported, not
+    repaired.  No valid config reaches one, so the cold population is set
+    past the config's own rule."""
+    cfg = CycleConfig()
+    object.__setattr__(cfg, "p_plus_cold", -0.1)
+    with pytest.warns(RuntimeWarning, match="negative eigenvalue -1.000e-01"):
+        su = cycle._setup(cfg)
+    assert su.trace_dev < 1e-14
+
+
+def test_non_finite_population_becomes_an_error_row(fast_cfg, monkeypatch):
+    """A contact stroke whose populations are not finite fails loudly,
+    and a population sweep turns it into error rows."""
+    def poisoned(p0, k_lam, sources):
+        return np.full((sources.shape[0], k_lam.size), np.nan)
+
+    monkeypatch.setattr(dynamics, "_populations", poisoned)
+    rows = sweep_population(fast_cfg, [0.65, 0.95], 0.272)
+    assert [r.p_plus_hot for r in rows] == [0.65, 0.95]
+    for row in rows:
+        assert row.error == ("RuntimeError: contact stroke population or "
+                             "coherence is not finite")
+        assert math.isnan(row.eta) and not row.valid_engine
 
 
 # the float fields of CycleConfig, the ones a nan or inf can reach
@@ -283,14 +361,14 @@ def test_energetics_match_stroke_bookkeeping(fast_cfg, fast_result):
     h_cold = model.hamiltonian_cold(cfg.system)
     h_hot = model.hamiltonian_hot(cfg.system)
     u, _ = dynamics.propagate_unitary(cfg.system, cfg.n_steps)
-    rho_in = model.state_from_population(h_cold, cfg.p_plus_cold)
+    rho_in = state_from_population(h_cold, cfg.p_plus_cold)
     rho_exp = u @ rho_in.mat @ dag(u)
     eps_hot = model.transition_energy(h_hot)[0]
     grid = cfg.heating_grid()
     rt = bath.build_rate_trajectory(cfg.hot_bath, eps_hot,
                                     grid[-1] + cycle._TABLE_MARGIN)
-    rho0 = matcore.DensityMatrix.from_matrix(rho_exp)
-    traj = dynamics.evolve_open(rho0, h_hot, [rt], grid)
+    rho0 = DensityMatrix.from_matrix(rho_exp)
+    traj = dynamics.evolve_open(state_frame(rho0, h_hot), [rt], grid)
     states = contact_states(rho0, h_hot, traj.p[0], traj.c)
     for k in (0, 57, 313, 800, 1201, 1340):
         rho_heat = states[k]
@@ -336,10 +414,10 @@ def test_cooling_returns_to_cold_thermal_state(fast_cfg):
     h_cold = model.hamiltonian_cold(cfg.system)
     h_hot = model.hamiltonian_hot(cfg.system)
     u, _ = dynamics.propagate_unitary(cfg.system, cfg.n_steps)
-    rho_comp = matcore.DensityMatrix.from_matrix(
-        dag(u) @ model.state_from_population(h_hot, 0.99).mat @ u)
+    rho_comp = DensityMatrix.from_matrix(
+        dag(u) @ state_from_population(h_hot, 0.99).mat @ u)
     traj = run_cooling(cfg, rho_comp, t_max=40.0, dt=0.02)
-    target = model.state_from_population(h_cold, cfg.p_plus_cold).mat
+    target = state_from_population(h_cold, cfg.p_plus_cold).mat
     assert np.max(np.abs(traj.states[-1] - target)) < 1e-3
     assert np.max(traj.trace_dev) < 1e-8
 
@@ -354,14 +432,14 @@ def test_cooling_relaxes_to_configured_cold_state(p_plus_cold, bloch):
     cfg = build_config(p_plus_cold=p_plus_cold, **FAST)
     rho0 = density_from_bloch(*bloch)
     traj = run_cooling(cfg, rho0, t_max=40.0, dt=0.5)
-    target = model.state_from_population(
+    target = state_from_population(
         model.hamiltonian_cold(cfg.system), p_plus_cold).mat
     assert np.max(np.abs(traj.states[-1] - target)) < 1e-3
 
 
 @pytest.mark.filterwarnings(conftest.MARGINAL_COUPLING)
 def test_cooling_zero_duration_is_identity(fast_cfg):
-    rho = model.state_from_population(
+    rho = state_from_population(
         model.hamiltonian_cold(fast_cfg.system), 0.3)
     traj = run_cooling(fast_cfg, rho, t_max=0.0)
     assert traj.times.size == 1

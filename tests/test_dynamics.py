@@ -18,13 +18,17 @@ from scipy.interpolate import CubicSpline
 
 import conftest
 import oracles
-from oracles import (IDENTITY, adiabaticity, apply_generator,
-                     contact_states, density_from_bloch, expm_aherm,
-                     product_propagator)
-from qotto import bath, cycle, dynamics, matcore, model
+from oracles import (IDENTITY, DensityMatrix, adiabaticity, apply_generator,
+                     contact_states, dag, density_from_bloch, expm_aherm,
+                     product_propagator, state_frame, state_from_population)
+from qotto import bath, cycle, dynamics, model
 from qotto.bath import BathSpec, RateTrajectory, build_rate_trajectory
 from qotto.dynamics import evolve_open, propagate_unitary
-from qotto.matcore import dag
+
+
+def _trace_dev(states: np.ndarray) -> np.ndarray:
+    """|Tr rho - 1| of each state in a (T, 2, 2) stack."""
+    return np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
 
 
 def test_time_independent_generator_is_exact():
@@ -133,7 +137,7 @@ def test_adiabaticity_brute_force_oracle(system):
     _, cold_minus, _ = model.transition_energy(model.hamiltonian_cold(system))
     _, _, hot_plus = model.transition_energy(model.hamiltonian_hot(system))
     xi = abs(np.vdot(hot_plus, u @ cold_minus)) ** 2
-    assert dynamics._branch_crossing(system, u_vec) == pytest.approx(
+    assert oracles.branch_crossing(system, u_vec) == pytest.approx(
         xi, abs=1e-10)
 
 
@@ -189,11 +193,11 @@ def test_generator_decouples_in_eigenbasis(system):
 def test_evolve_open_grid_contract(system, hot_bath):
     h = model.hamiltonian_hot(system)
     rt = build_rate_trajectory(hot_bath, conftest.EPS_HOT, 0.5)
-    rho0 = model.state_from_population(h, 0.3)
+    frame = state_frame(state_from_population(h, 0.3), h)
     with pytest.raises(ValueError):
-        evolve_open(rho0, h, [rt], np.array([0.1, 0.2]))
+        evolve_open(frame, [rt], np.array([0.1, 0.2]))
     with pytest.raises(ValueError):
-        evolve_open(rho0, h, [rt], np.array([0.0, 0.3, 0.6]))  # past table
+        evolve_open(frame, [rt], np.array([0.0, 0.3, 0.6]))  # past table
 
 
 def test_evolve_open_closed_system_limit(system):
@@ -203,14 +207,14 @@ def test_evolve_open_closed_system_limit(system):
     rt = build_rate_trajectory(off, conftest.EPS_HOT, 2.0)
     v = np.array([1.0, 0.5 + 0.5j])
     v /= np.linalg.norm(v)
-    rho0 = matcore.DensityMatrix.from_matrix(np.outer(v, v.conj()))
+    rho0 = DensityMatrix.from_matrix(np.outer(v, v.conj()))
     grid = np.linspace(0.0, 2.0, 201)
-    traj = evolve_open(rho0, h, [rt], grid)
+    traj = evolve_open(state_frame(rho0, h), [rt], grid)
     states = contact_states(rho0, h, traj.p[0], traj.c)
     for i, t in enumerate(grid):
         u = expm_aherm(h, t)
         assert_allclose(states[i], u @ rho0.mat @ dag(u), atol=1e-8)
-    assert np.max(traj.trace_dev) < 1e-8
+    assert np.max(_trace_dev(states)) < 1e-8
 
 
 def test_evolve_open_detailed_balance_fixed_point(system, hot_bath):
@@ -222,9 +226,9 @@ def test_evolve_open_detailed_balance_fixed_point(system, hot_bath):
     rt = RateTrajectory(times, g_inf * ones, gt_inf * ones,
                         (2 * g_inf - gt_inf) * ones, 0.0, True)
     nbar = oracles.occupation(hot_bath, conftest.EPS_HOT)
-    for rho0 in (model.state_from_population(h, 0.3),
+    for rho0 in (state_from_population(h, 0.3),
                  density_from_bloch(1.0, 0.0, 0.0)):
-        traj = evolve_open(rho0, h, [rt], times)
+        traj = evolve_open(state_frame(rho0, h), [rt], times)
         assert traj.p[0, -1] == pytest.approx(nbar, abs=1e-6)
         assert abs(traj.c[-1]) < 1e-5
 
@@ -243,11 +247,11 @@ def test_evolve_open_against_decoupled_closed_form(system, hot_bath):
     rt = build_rate_trajectory(hot_bath, conftest.EPS_HOT, 1.05)
     grid = np.linspace(0.0, 1.0, 2001)
 
-    mix = 0.25 * np.eye(2) + 0.5 * model.state_from_population(h, 0.3).mat
+    mix = 0.25 * np.eye(2) + 0.5 * state_from_population(h, 0.3).mat
     v = np.array([1.0, 1.0j]) / math.sqrt(2)
-    rho0 = matcore.DensityMatrix.from_matrix(
+    rho0 = DensityMatrix.from_matrix(
         0.7 * mix + 0.3 * np.outer(v, v.conj()))
-    traj = evolve_open(rho0, h, [rt], grid)
+    traj = evolve_open(state_frame(rho0, h), [rt], grid)
 
     cs_big = CubicSpline(rt.times, rt.big_gamma)
     cs_til = CubicSpline(rt.times, rt.gamma_tilde)
@@ -268,26 +272,27 @@ def test_truncated_equilibration_endpoint(system, hot_bath, rate_table):
     target within a part in a thousand."""
     h_cold = model.hamiltonian_cold(system)
     h_hot = model.hamiltonian_hot(system)
-    rho_in = model.state_from_population(h_cold, 0.261)
+    rho_in = state_from_population(h_cold, 0.261)
     u, _ = propagate_unitary(system)
-    rho_exp = matcore.DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))
-    traj = evolve_open(rho_exp, h_hot, [rate_table(30.0)],
+    rho_exp = DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))
+    traj = evolve_open(state_frame(rho_exp, h_hot), [rate_table(30.0)],
                        np.linspace(0.0, 10.0, 1001))
-    final = contact_states(rho_exp, h_hot, traj.p[0], traj.c)[-1]
-    target = model.state_from_population(h_hot, 0.99).mat
+    states = contact_states(rho_exp, h_hot, traj.p[0], traj.c)
+    final = states[-1]
+    target = state_from_population(h_hot, 0.99).mat
     assert np.max(np.abs(final - target)) < 1e-3
-    assert np.max(traj.trace_dev) < 1e-8
+    assert np.max(_trace_dev(states)) < 1e-8
 
 
 def test_positivity_along_baseline_heating(system, rate_table):
     h = model.hamiltonian_hot(system)
-    rho_in = model.state_from_population(model.hamiltonian_cold(system), 0.261)
+    rho_in = state_from_population(model.hamiltonian_cold(system), 0.261)
     u, _ = propagate_unitary(system)
-    rho_exp = matcore.DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))
-    traj = evolve_open(rho_exp, h, [rate_table(25.0)],
+    rho_exp = DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))
+    traj = evolve_open(state_frame(rho_exp, h), [rate_table(25.0)],
                        np.linspace(0.0, 2.0, 401))
     assert np.min(traj.min_eig) > -1e-6
-    state = matcore.DensityMatrix.from_matrix(
+    state = DensityMatrix.from_matrix(
         contact_states(rho_exp, h, traj.p[0], traj.c)[-1])
     assert state.min_eig > -1e-6
 
@@ -304,13 +309,18 @@ def test_evolve_open_matches_rk45_oracle(omega_c):
     cfg = cycle.build_config(omega_c=omega_c)
     su = cycle._setup(cfg)
     grid = cfg.heating_grid()
-    rt = build_rate_trajectory(cfg.hot_bath, su.eps_hot,
+    rt = build_rate_trajectory(cfg.hot_bath, su.eps,
                                grid[-1] + cycle._TABLE_MARGIN)
-    exact = evolve_open(su.rho_exp, su.h_hot, [rt], grid)
-    ref = oracles.evolve_open(su.rho_exp, su.h_hot, rt,
-                              oracles.jump_operator(su.h_hot), grid,
+    exact = evolve_open(su, [rt], grid)
+    h_hot = model.hamiltonian_hot(cfg.system)
+    u, _ = propagate_unitary(cfg.system, cfg.n_steps)
+    rho_in = state_from_population(model.hamiltonian_cold(cfg.system),
+                                   cfg.p_plus_cold)
+    rho_exp = DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))
+    ref = oracles.evolve_open(rho_exp, h_hot, rt,
+                              oracles.jump_operator(h_hot), grid,
                               **ORACLE_TOL)
-    states = contact_states(su.rho_exp, su.h_hot, exact.p[0], exact.c)
+    states = contact_states(rho_exp, h_hot, exact.p[0], exact.c)
     assert np.max(np.abs(states - ref.states)) <= 1e-10
 
 
@@ -319,9 +329,9 @@ def test_cooling_stroke_matches_rk45_oracle(system):
     cfg = cycle.build_config()
     h_cold = model.hamiltonian_cold(system)
     u, _ = propagate_unitary(system)
-    rho_comp = matcore.DensityMatrix.from_matrix(
-        dag(u) @ model.state_from_population(model.hamiltonian_hot(system),
-                                             0.99).mat @ u)
+    rho_comp = DensityMatrix.from_matrix(
+        dag(u) @ state_from_population(model.hamiltonian_hot(system),
+                                       0.99).mat @ u)
     exact = oracles.run_cooling(cfg, rho_comp, t_max=10.0, dt=0.01)
     rt = build_rate_trajectory(cfg.cold_bath, conftest.EPS_COLD,
                                10.0 + cycle._TABLE_MARGIN)
@@ -364,7 +374,7 @@ def test_closed_form_stroke_is_a_state_path(system, bg, gt, direction,
                         big_gamma, 0.0, True)
     n = radius * np.asarray(direction) / math.hypot(*direction)
     rho0 = density_from_bloch(*n)
-    traj = evolve_open(rho0, h, [rt], np.linspace(0.0, 2.0, 57))
+    traj = evolve_open(state_frame(rho0, h), [rt], np.linspace(0.0, 2.0, 57))
     states = contact_states(rho0, h, traj.p[0], traj.c)
     traces = np.trace(states, axis1=1, axis2=2)
     assert np.max(np.abs(traces - 1.0)) < 1e-12
@@ -393,8 +403,8 @@ def test_constant_rates_relax_to_bath_occupation(system, omega_c, p_target,
     ones = np.ones(times.size)
     rt = RateTrajectory(times, g_inf * ones, gt_inf * ones,
                         (2 * g_inf - gt_inf) * ones, 0.0, True)
-    traj = evolve_open(model.state_from_population(h, p_start), h, [rt],
-                       times)
+    traj = evolve_open(state_frame(state_from_population(h, p_start), h),
+                       [rt], times)
     nbar = oracles.occupation(spec, conftest.EPS_HOT)
     assert traj.p[0, -1] == pytest.approx(nbar, abs=1e-12)
 
@@ -411,7 +421,8 @@ def _step_terms(h, rates, grid):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_populations", spy)
-        out = evolve_open(model.state_from_population(h, 0.3), h, rates, grid)
+        out = evolve_open(state_frame(state_from_population(h, 0.3), h),
+                          rates, grid)
     [(_, k_lam, sources)] = seen
     return k_lam, sources, out
 
@@ -448,18 +459,17 @@ def test_batch_equals_single_tables():
     table exactly the rows, and the coherence, of a call of its own."""
     cfg = cycle.build_config(omega_c=15.0)
     su = cycle._setup(cfg)
+    h_hot = model.hamiltonian_hot(cfg.system)
     grid = np.linspace(0.0, 0.27, 28)
     tables = bath.build_rate_trajectories(
-        [cfg._reservoir(su.h_hot, p) for p in np.linspace(0.5, 0.99, 50)],
-        su.eps_hot, grid[-1] + cycle._TABLE_MARGIN)
-    batch = evolve_open(su.rho_exp, su.h_hot, tables, grid)
+        [cfg._reservoir(h_hot, p) for p in np.linspace(0.5, 0.99, 50)],
+        su.eps, grid[-1] + cycle._TABLE_MARGIN)
+    batch = evolve_open(su, tables, grid)
     assert np.array_equal(batch.times, grid)
-    assert batch.p.shape == batch.trace_dev.shape == batch.min_eig.shape \
-        == (50, grid.size)
+    assert batch.p.shape == batch.min_eig.shape == (50, grid.size)
     for j, table in enumerate(tables):
-        one = evolve_open(su.rho_exp, su.h_hot, [table], grid)
+        one = evolve_open(su, [table], grid)
         assert np.array_equal(batch.p[j], one.p[0])
-        assert np.array_equal(batch.trace_dev[j], one.trace_dev[0])
         assert np.array_equal(batch.min_eig[j], one.min_eig[0])
         assert np.array_equal(batch.c, one.c)
 
@@ -471,7 +481,7 @@ def test_population_sum_does_not_overflow(system, hot_bath):
     h = model.hamiltonian_hot(system)
     g_inf, gt_inf = oracles.markov_limits(hot_bath, conftest.EPS_HOT)
     _, vm, vp = model.transition_energy(h)
-    k = abs(np.vdot(vm, matcore.SIGMA_X @ vp)) ** 2
+    k = abs(np.vdot(vm, model.SIGMA_X @ vp)) ** 2
     times = np.linspace(0.0, 1600.0 / (2.0 * k * g_inf), 2001)
     ones = np.ones(times.size)
     rt = RateTrajectory(times, g_inf * ones, gt_inf * ones,
@@ -486,20 +496,19 @@ def test_population_sum_does_not_overflow(system, hot_bath):
         0.3, k_lam, sources)[0])) <= 1e-13
 
 
-def test_trace_dev_matches_rebuilt_states(system, hot_bath):
-    """The closed-form trace deviation is that of the states rebuilt from
-    (p, c), sample 0 is the initial state bit for bit, and the rebuilt
-    states give back (p, c)."""
+def test_rebuilt_states_give_back_the_stroke(system, hot_bath):
+    """The states rebuilt from (p, c) keep the initial state's unit trace,
+    sample 0 is the initial state bit for bit, and the rebuilt states give
+    back (p, c)."""
     h = model.hamiltonian_hot(system)
     rt = build_rate_trajectory(hot_bath, conftest.EPS_HOT, 1.05)
     v = np.array([1.0, 1.0j]) / math.sqrt(2)
-    rho0 = matcore.DensityMatrix.from_matrix(
-        0.6 * model.state_from_population(h, 0.3).mat
+    rho0 = DensityMatrix.from_matrix(
+        0.6 * state_from_population(h, 0.3).mat
         + 0.4 * np.outer(v, v.conj()))
-    traj = evolve_open(rho0, h, [rt], np.linspace(0.0, 1.0, 401))
+    traj = evolve_open(state_frame(rho0, h), [rt], np.linspace(0.0, 1.0, 401))
     states = contact_states(rho0, h, traj.p[0], traj.c)
-    traces = np.trace(states, axis1=1, axis2=2).real
-    assert np.max(np.abs(traj.trace_dev[0] - np.abs(traces - 1.0))) <= 1e-15
+    assert np.max(_trace_dev(states)) <= 1e-15
     assert np.array_equal(states[0], rho0.mat)
     _, vm, vp = model.transition_energy(h)
     assert np.max(np.abs(np.einsum("i,tij,j->t", vp.conj(), states, vp)

@@ -1,5 +1,5 @@
 """Matrix-core checks: the closed-form spectral oracle, propagator
-factors, state validation."""
+factors, and the validated density matrix the tests build states with."""
 
 import math
 import warnings
@@ -9,11 +9,9 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from oracles import (IDENTITY, density_from_bloch, expm_aherm, herm_eig2,
-                     purity)
-from qotto import matcore
-from qotto.matcore import (SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, dag,
-                           expect)
+from oracles import (IDENTITY, DensityMatrix, dag, density_from_bloch,
+                     expect, expm_aherm, herm_eig2, purity)
+from qotto.model import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
 def random_hermitian(rng, scale=1.0):

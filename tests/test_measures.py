@@ -10,9 +10,9 @@ from numpy.testing import assert_allclose
 
 import conftest
 import oracles
-from qotto import bath, cycle, dynamics, matcore, measures, model
+from oracles import DensityMatrix, dag, state_frame, state_from_population
+from qotto import bath, cycle, dynamics, measures, model
 from qotto.bath import RateTrajectory
-from qotto.matcore import dag
 from qotto.measures import (Energetics, NonMarkovReport, energetics,
                             nonmarkov_report, overall_performance,
                             quantifier_Q, witness_f)
@@ -125,19 +125,22 @@ def test_nonmarkov_report_rejects_negative_data(rate_table):
         NonMarkovReport(rep.times, bad, rep.q_total, rep.window)
 
 
-def contact_args(system, n_steps=dynamics.DEFAULT_N_STEPS, p_cold=0.261):
-    """The stroke-independent arguments (rho_exp, h_hot, h_back) of
-    `energetics`, the expansion output's (p0, c0) in the h_hot eigenbasis,
-    and the hot gap."""
+def ramp_matrices(system, n_steps=dynamics.DEFAULT_N_STEPS, p_cold=0.261):
+    """The expansion output rho_exp, h_hot and the cold Hamiltonian seen
+    through the ramp, h_back = U h_cold U^dag, as matrices."""
     h_cold = model.hamiltonian_cold(system)
-    h_hot = model.hamiltonian_hot(system)
     u, _ = dynamics.propagate_unitary(system, n_steps)
-    rho_in = model.state_from_population(h_cold, p_cold).mat
-    rho_exp = u @ rho_in @ dag(u)
-    eps, v_minus, v_plus = model.transition_energy(h_hot)
-    p0 = np.vdot(v_plus, rho_exp @ v_plus).real
-    c0 = np.vdot(v_plus, rho_exp @ v_minus)
-    return (rho_exp, h_hot, u @ h_cold @ dag(u)), p0, c0, eps
+    rho_in = state_from_population(h_cold, p_cold).mat
+    return (u @ rho_in @ dag(u), model.hamiltonian_hot(system),
+            u @ h_cold @ dag(u))
+
+
+def contact_args(system, n_steps=dynamics.DEFAULT_N_STEPS, p_cold=0.261):
+    """The stroke-independent argument of `energetics`, the frame the
+    oracle reads off `ramp_matrices`, the expansion output's (p0, c0) in
+    the h_hot eigenbasis, and the hot gap."""
+    frame = state_frame(*ramp_matrices(system, n_steps, p_cold))
+    return (frame,), frame.p0, frame.c0, frame.eps
 
 
 def contact_state(h_hot, p, c):
@@ -206,9 +209,9 @@ def test_energetics_matches_four_state_oracle(system, rng):
     corner states, the contact endpoint driven back by hand: thermal,
     heat-shifted and random coherent endpoints."""
     args, p0, c0, eps = contact_args(system)
-    rho_exp, h_hot, _ = args
+    rho_exp, h_hot, _ = ramp_matrices(system)
     h_cold = model.hamiltonian_cold(system)
-    rho_in = model.state_from_population(h_cold, 0.261).mat
+    rho_in = state_from_population(h_cold, 0.261).mat
     u, _ = dynamics.propagate_unitary(system)
     radius = rng.uniform(0.0, 0.5, 8)
     ends = ([(p, 0.0) for p in (0.261, 0.5, 0.75, 0.99)]
@@ -263,13 +266,15 @@ def test_energetics_linearity(system, rng):
     contact endpoint (p, c) taken together."""
     args_a, _, _, _ = contact_args(system)
     args_b, _, _, _ = contact_args(system, p_cold=0.35)
+    mats_a = ramp_matrices(system)
+    mats_b = ramp_matrices(system, p_cold=0.35)
     end_a, end_b = (0.99, 0.0), (0.9, 0.1 - 0.05j)
     lam = rng.uniform(0.1, 0.9)
 
     def mix(a, b):
         return lam * a + (1 - lam) * b
 
-    out_mix = energetics(mix(args_a[0], args_b[0]), *args_a[1:],
+    out_mix = energetics(state_frame(mix(mats_a[0], mats_b[0]), *mats_a[1:]),
                          *(mix(a, b) for a, b in zip(end_a, end_b)))
     out_a = energetics(*args_a, *end_a)
     out_b = energetics(*args_b, *end_b)
@@ -285,25 +290,24 @@ def test_first_law_telescopes_through_cooling(system, cold_bath):
     h_cold = model.hamiltonian_cold(system)
     h_hot = model.hamiltonian_hot(system)
     u, _ = dynamics.propagate_unitary(system)
-    rho_in = model.state_from_population(h_cold, 0.261)
-    rho_exp = matcore.DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))
+    rho_in = state_from_population(h_cold, 0.261)
+    rho_exp = DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))
+    frame = state_frame(rho_exp, h_hot, u @ h_cold @ dag(u))
 
     hot = bath.BathSpec(alpha=0.6, omega_c=30.0, beta=conftest.BETA_HOT)
     rt = bath.build_rate_trajectory(hot, conftest.EPS_HOT, 0.3)
-    heat = dynamics.evolve_open(rho_exp, h_hot, [rt],
-                                np.linspace(0.0, 0.272, 273))
+    heat = dynamics.evolve_open(frame, [rt], np.linspace(0.0, 0.272, 273))
     rho_heat = oracles.contact_states(rho_exp, h_hot, heat.p[0], heat.c)[-1]
     rho_comp = dag(u) @ rho_heat @ u
 
     with pytest.warns(RuntimeWarning, match="weak-coupling"):
         rt_cold = bath.build_rate_trajectory(cold_bath, conftest.EPS_COLD, 5.0)
-    rho_cool = matcore.DensityMatrix.from_matrix(rho_comp)
-    cool = dynamics.evolve_open(rho_cool, h_cold, [rt_cold],
+    rho_cool = DensityMatrix.from_matrix(rho_comp)
+    cool = dynamics.evolve_open(state_frame(rho_cool, h_cold), [rt_cold],
                                 np.linspace(0.0, 5.0, 501))
     rho_fin = oracles.contact_states(rho_cool, h_cold, cool.p[0], cool.c)[-1]
 
-    out = energetics(rho_exp.mat, h_hot, u @ h_cold @ dag(u),
-                     heat.p[0, -1], heat.c[-1])
+    out = energetics(frame, heat.p[0, -1], heat.c[-1])
     q_cold = np.trace(rho_fin @ h_cold).real - np.trace(rho_comp @ h_cold).real
     total = np.trace(rho_fin @ h_cold).real - np.trace(rho_in.mat @ h_cold).real
     assert out.w1 + out.w2 + out.q_hot + q_cold == pytest.approx(total,
@@ -331,20 +335,19 @@ def test_first_law_across_four_strokes(nu_cold, nu_gap, tau, p_cold, p_hot,
     h_cold = model.hamiltonian_cold(cfg.system)
     h_hot = model.hamiltonian_hot(cfg.system)
     u, _ = dynamics.propagate_unitary(cfg.system, cfg.n_steps)
-    rho_in = model.state_from_population(h_cold, p_cold)
-    rho_exp = matcore.DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))
+    rho_in = state_from_population(h_cold, p_cold)
+    rho_exp = DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))
+    frame = state_frame(rho_exp, h_hot, u @ h_cold @ dag(u))
 
     eps_hot = model.transition_energy(h_hot)[0]
     rt = bath.build_rate_trajectory(cfg.hot_bath, eps_hot, t_heat)
-    heat = dynamics.evolve_open(rho_exp, h_hot, [rt],
-                                np.array([0.0, t_heat]))
+    heat = dynamics.evolve_open(frame, [rt], np.array([0.0, t_heat]))
     rho_heat = oracles.contact_states(rho_exp, h_hot, heat.p[0], heat.c)[-1]
     rho_comp = dag(u) @ rho_heat @ u
     rho_fin = oracles.run_cooling(cfg, rho_comp, t_max=t_cool,
                                   dt=t_cool).states[-1]
 
-    out = energetics(rho_exp.mat, h_hot, u @ h_cold @ dag(u),
-                     heat.p[0, -1], heat.c[-1])
+    out = energetics(frame, heat.p[0, -1], heat.c[-1])
     q_cold = _energy(h_cold, rho_fin) - _energy(h_cold, rho_comp)
     total = _energy(h_cold, rho_fin) - _energy(h_cold, rho_in)
     assert out.w1 + out.w2 + out.q_hot + q_cold == pytest.approx(total,

@@ -8,13 +8,13 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 import conftest
-from oracles import (hamiltonian_compression, hamiltonian_expansion,
-                     herm_eig2, jump_operator, population_from_beta)
-from qotto import ConfigError, matcore, model
-from qotto.matcore import SIGMA_X, SIGMA_Z, dag
-from qotto.model import (SystemParams, beta_from_population, hamiltonian_cold,
-                         hamiltonian_hot, state_from_population,
-                         transition_energy)
+import oracles
+from oracles import (dag, hamiltonian_compression, hamiltonian_expansion,
+                     herm_eig2, jump_operator, population_from_beta,
+                     state_from_population)
+from qotto import ConfigError
+from qotto.model import (SIGMA_X, SIGMA_Z, SystemParams, beta_from_population,
+                         hamiltonian_cold, hamiltonian_hot, transition_energy)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -240,6 +240,6 @@ def test_beta_rejects_endpoint_populations(system):
 
 def test_population_state_is_valid_density_matrix(system):
     rho = state_from_population(hamiltonian_hot(system), 0.99)
-    assert isinstance(rho, matcore.DensityMatrix)
-    assert rho.min_eig >= -matcore.DensityMatrix.POS_TOL
+    assert isinstance(rho, oracles.DensityMatrix)
+    assert rho.min_eig >= -oracles.DensityMatrix.POS_TOL
     assert rho.trace_dev < 1e-14
