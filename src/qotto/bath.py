@@ -306,9 +306,10 @@ def _remainder(baths, eps: float, t: np.ndarray, order: int,
 
 
 def rate_coefficients(baths, eps: float, t) -> list[tuple]:
-    """(gamma, gamma_tilde, big_gamma) of each bath at time(s) t since
-    switch-on, floats for a scalar t; big_gamma = 2*gamma - gamma_tilde is
-    the decay channel.  The baths share alpha and omega_c, hence gamma."""
+    """(gamma, gamma_tilde, big_gamma) of each bath as arrays over the
+    times t since switch-on (a scalar counts as one time);
+    big_gamma = 2*gamma - gamma_tilde is the decay channel.  The baths
+    share alpha and omega_c, hence gamma."""
     if len({(b.alpha, b.omega_c) for b in baths}) != 1:
         raise ValueError("the baths must share alpha and omega_c")
     if eps <= 0.0:
@@ -322,11 +323,8 @@ def rate_coefficients(baths, eps: float, t) -> list[tuple]:
                            *_BASE_RESOLUTION))
     # the remainder; at beta = 0, nbar = 1/2: both channels run at gamma
     cs = [next(held) if b.beta != 0.0 else g.copy() for b in baths]
-    out = [(g, 2.0 * g - c, c) if b.beta < 0.0 else (g, c, 2.0 * g - c)
-           for b, c in zip(baths, cs)]
-    if np.ndim(t) == 0:
-        return [tuple(float(x[0]) for x in r) for r in out]
-    return out
+    return [(g, 2.0 * g - c, c) if b.beta < 0.0 else (g, c, 2.0 * g - c)
+            for b, c in zip(baths, cs)]
 
 
 @dataclass(frozen=True)

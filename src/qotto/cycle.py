@@ -21,7 +21,6 @@ the error instead of ending the sweep.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -60,10 +59,8 @@ EQ_TOL = 1e-3
 # extra rate-table coverage past the last evolution time, ms
 _TABLE_MARGIN = 0.05
 
-# the ramp's output state: largest |Tr rho0 - 1| accepted, and how far
-# below 0 its smallest eigenvalue may go before a warning
+# largest |Tr rho0 - 1| accepted of the ramp's output state
 _TRACE_TOL = 1e-10
-_POS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -76,8 +73,8 @@ class CycleConfig:
     bundles it on access.  Both reservoirs share one spectrum (`alpha`,
     `omega_c`, `mu`); each one's inverse temperature is derived, never
     stored: `hot_bath` and `cold_bath` are built on demand at the beta
-    whose Gibbs state of the hot or cold stroke Hamiltonian has excited
-    weight `p_plus_hot` or `p_plus_cold`.  `cold_bath` never enters the
+    whose Gibbs state at the hot or cold stroke's gap has excited weight
+    `p_plus_hot` or `p_plus_cold`.  `cold_bath` never enters the
     first-cycle efficiency; the CLI headers report its beta.
 
     The contact-stroke grid is dense (spacing `heat_dt`) up to
@@ -111,18 +108,19 @@ class CycleConfig:
         return SystemParams(nu_cold=self.nu_cold, nu_hot=self.nu_hot,
                             tau=self.tau, g=self.g)
 
-    def _reservoir(self, h: np.ndarray, p_plus: float) -> BathSpec:
+    def _reservoir(self, gap: float, p_plus: float) -> BathSpec:
         return BathSpec(alpha=self.alpha, omega_c=self.omega_c,
-                        beta=beta_from_population(h, p_plus), mu=self.mu)
+                        beta=beta_from_population(gap, p_plus), mu=self.mu)
 
     @property
     def hot_bath(self) -> BathSpec:
-        return self._reservoir(hamiltonian_hot(self.system), self.p_plus_hot)
+        gap = transition_energy(hamiltonian_hot(self.system))[0]
+        return self._reservoir(gap, self.p_plus_hot)
 
     @property
     def cold_bath(self) -> BathSpec:
-        return self._reservoir(hamiltonian_cold(self.system),
-                               self.p_plus_cold)
+        gap = transition_energy(hamiltonian_cold(self.system))[0]
+        return self._reservoir(gap, self.p_plus_cold)
 
     def heating_grid(self) -> np.ndarray:
         n_dense = int(round(self.heat_t_dense / self.heat_dt))
@@ -140,9 +138,7 @@ def _check_config(cfg: CycleConfig) -> None:
                           "stage is a positive-temperature reservoir")
     _check_p_plus_hot(cfg.p_plus_hot)
     # building both reservoirs checks drive, spectrum and temperatures
-    sp = cfg.system
-    cfg._reservoir(hamiltonian_hot(sp), cfg.p_plus_hot)
-    cfg._reservoir(hamiltonian_cold(sp), cfg.p_plus_cold)
+    cfg.hot_bath, cfg.cold_bath
     if not (cfg.heat_dt > 0.0 and cfg.tail_dt > 0.0):
         raise ConfigError("heat_dt and tail_dt must be positive")
     if not 0.0 < cfg.heat_t_dense <= cfg.heat_t_max:
@@ -264,8 +260,10 @@ def _setup(cfg: CycleConfig) -> HotFrame:
     The ramp's output state has p0 = sum_j d_j |M_+j|^2 and
     c0 = sum_j d_j M_+j conj(M_-j); h_back in the hot eigenbasis is
     M diag(-eps_c/2, eps_c/2) M^dag.  Its trace deviation
-    |sum_j d_j |M_.j|^2 - 1| above _TRACE_TOL raises ValueError, and a
-    smallest eigenvalue below -_POS_TOL warns.
+    |sum_j d_j |M_.j|^2 - 1| above _TRACE_TOL raises ValueError; a NaN
+    fails the same check.  The state M diag(d) M^dag is positive
+    semidefinite for every valid p_c, so its smallest eigenvalue is only
+    reported, as the t = 0 sample of the contact stroke's `min_eig`.
     """
     sp = cfg.system
     eps_cold, *cold = transition_energy(hamiltonian_cold(sp))
@@ -279,11 +277,6 @@ def _setup(cfg: CycleConfig) -> HotFrame:
             f"ramp output trace deviates from 1 by {trace_dev:.3e}")
     p0 = float(np.abs(m[1]) ** 2 @ d)
     c0 = complex(m[1] * m[0].conj() @ d)
-    lowest = 0.5 - np.hypot(p0 - 0.5, abs(c0))
-    if lowest < -_POS_TOL:
-        warnings.warn(f"ramp output state has negative eigenvalue "
-                      f"{lowest:.3e} (pos_tol={_POS_TOL:.1e})",
-                      RuntimeWarning, stacklevel=2)
     h_back = (m * [-0.5 * eps_cold, 0.5 * eps_cold]) @ m.conj().T
     return HotFrame(
         eps=eps, k=abs(np.vdot(hot_minus, SIGMA_X @ hot_plus)) ** 2,
@@ -313,8 +306,8 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
 
 def _cycle(cfg: CycleConfig, su: HotFrame) -> CycleResult:
     grid = cfg.heating_grid()
-    rates = build_rate_trajectory(cfg.hot_bath, su.eps,
-                                  grid[-1] + _TABLE_MARGIN)
+    rates = build_rate_trajectory(cfg._reservoir(su.eps, cfg.p_plus_hot),
+                                  su.eps, grid[-1] + _TABLE_MARGIN)
     contact = evolve_open(su, [rates], grid)
     p = contact.p[0]
 
@@ -448,15 +441,15 @@ def sweep_population(cfg: CycleConfig, p_hot_grid,
     if not 0.0 < t_tilde <= cfg.heat_t_max:
         raise ConfigError("t_tilde must lie in (0, heat_t_max] ms")
     su = _setup(cfg)
-    h_hot = hamiltonian_hot(cfg.system)
     # one size for every point: the table spacing ignores the population
-    rate_table_size(cfg.hot_bath, su.eps, t_tilde + _TABLE_MARGIN)
+    rate_table_size(cfg._reservoir(su.eps, cfg.p_plus_hot), su.eps,
+                    t_tilde + _TABLE_MARGIN)
 
     def rows(ps: list[float]) -> list[PopulationRow]:
         try:
             # each target population sets its own reservoir temperature
             tables = build_rate_trajectories(
-                [cfg._reservoir(h_hot, p) for p in ps], su.eps,
+                [cfg._reservoir(su.eps, p) for p in ps], su.eps,
                 t_tilde + _TABLE_MARGIN)
             # the exact stroke needs only its end, and all tables share
             # gamma, so they share the coherence too

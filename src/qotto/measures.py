@@ -99,10 +99,21 @@ def witness_f(rates: RateTrajectory) -> np.ndarray:
             + np.maximum(0.0, -rates.gamma_tilde))
 
 
-def _window_trapezoid(times: np.ndarray, values: np.ndarray,
-                      t0: float, t1: float) -> float:
-    # interpolated edge nodes keep the integral exactly additive when
-    # a window is split at an interior point
+def _window_trapezoid(times, values, t0: float, t1: float) -> float:
+    """Trapezoid integral of the samples over [t0, t1], which must lie
+    inside the sampled grid (to 1e-12); it is not extrapolated.
+
+    Interpolated edge nodes keep the integral exactly additive when a
+    window is split at an interior point, and t0 = t1 gives exactly 0.
+    """
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if times.ndim != 1 or times.shape != values.shape:
+        raise ValueError("times and samples must be matching 1-d arrays")
+    if not t0 <= t1:
+        raise ValueError("window must satisfy t0 <= t1")
+    if t0 < times[0] - 1e-12 or t1 > times[-1] + 1e-12:
+        raise ValueError("window extends beyond the sampled grid")
     i0 = int(np.searchsorted(times, t0, side="right"))
     i1 = int(np.searchsorted(times, t1, side="left"))
     v0 = float(np.interp(t0, times, values))
@@ -114,18 +125,9 @@ def _window_trapezoid(times: np.ndarray, values: np.ndarray,
 
 def quantifier_Q(times, f, t0: float, t1: float) -> float:
     """Integrated witness over [t0, t1], trapezoid rule on the sampled
-    grid.  The window must lie inside the grid; it is not extrapolated.
+    grid.  The window must lie inside the grid (to 1e-12); it is not
+    extrapolated, and t0 = t1 gives exactly 0.
     """
-    times = np.asarray(times, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if times.ndim != 1 or times.shape != f.shape:
-        raise ValueError("times and f must be matching 1-d arrays")
-    if not t0 <= t1:
-        raise ValueError("window must satisfy t0 <= t1")
-    if t0 < times[0] - 1e-12 or t1 > times[-1] + 1e-12:
-        raise ValueError("window extends beyond the sampled grid")
-    if t1 == t0:
-        return 0.0
     return _window_trapezoid(times, f, t0, t1)
 
 
@@ -166,20 +168,13 @@ def overall_performance(times, eta_samples, t_f: float) -> float:
 
     Samples where the efficiency is not finite contribute zero;
     finite negative samples are averaged as they are, no clipping.
-    A window reaching past the sampled times is rejected rather than
-    extrapolated, and t_f = 0 scores zero by convention.
+    The window must lie inside the sampled times (to 1e-12); it is
+    rejected rather than extrapolated, and t_f = 0 scores zero by
+    convention.
     """
-    times = np.asarray(times, dtype=float)
-    eta = np.asarray(eta_samples, dtype=float)
-    if times.ndim != 1 or times.shape != eta.shape:
-        raise ValueError("times and eta_samples must be matching 1-d arrays")
     if t_f < 0.0:
         raise ValueError("t_f must be nonnegative")
-    if times[0] > 0.0:
-        raise ValueError("samples must start at t = 0")
-    if t_f > times[-1] + 1e-12:
-        raise ValueError("t_f extends beyond the sampled window")
-    if t_f == 0.0:
-        return 0.0
+    eta = np.asarray(eta_samples, dtype=float)
     vals = np.where(np.isfinite(eta), eta, 0.0)
-    return _window_trapezoid(times, vals, 0.0, float(t_f)) / float(t_f)
+    area = _window_trapezoid(times, vals, 0.0, float(t_f))
+    return area / float(t_f) if t_f > 0.0 else 0.0

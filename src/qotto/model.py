@@ -11,11 +11,11 @@ Strokes that enter the first-cycle efficiency:
   heating     fixed hot Hamiltonian, system coupled to the inverted bath
   compression t in [0, tau]  : sign-flipped, time-reversed expansion drive
 
-Each stroke Hamiltonian has one transition, so everything derived from it
-(gap, contact-stroke eigenbasis, reservoir temperature) comes from the
-one spectral routine `transition_energy`.  From the ramp on, a cycle is a
-handful of scalars in the hot eigenbasis, one `HotFrame` record; no stage
-after the setup sees a matrix.
+Each stroke Hamiltonian has one transition, so its gap and eigenbasis
+come from the one spectral routine `transition_energy`, and a reservoir
+temperature comes from a gap, never from a matrix.  From the ramp on, a
+cycle is a handful of scalars in the hot eigenbasis, one `HotFrame`
+record; no stage after the setup sees a matrix.
 """
 from __future__ import annotations
 
@@ -93,8 +93,9 @@ def transition_energy(
     return gap, vecs[:, 0], vecs[:, 1]
 
 
-def beta_from_population(h: np.ndarray, p_plus: float) -> float:
-    """Inverse temperature whose Gibbs state of h has excited weight p_plus.
+def beta_from_population(gap: float, p_plus: float) -> float:
+    """Inverse temperature whose Gibbs state of a two-level system with
+    transition energy `gap` has excited weight p_plus.
 
     beta = ln((1 - p)/p) / gap.  Populations above 1/2 give beta < 0
     (inverted, effective negative temperature); exactly 0 or 1 would need
@@ -102,7 +103,6 @@ def beta_from_population(h: np.ndarray, p_plus: float) -> float:
     """
     if not 0.0 < p_plus < 1.0:
         raise ValueError(f"population must lie strictly in (0, 1), got {p_plus}")
-    gap = transition_energy(h)[0]
     return float(np.log((1.0 - p_plus) / p_plus) / gap)
 
 

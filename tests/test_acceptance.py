@@ -164,7 +164,8 @@ def test_criterion_9_oracle_suite(full_results, system, hot_bath, rng):
 
     for wc in (15.0, 25.0, 30.0):
         spec = bath.BathSpec(alpha=0.6, omega_c=wc, beta=conftest.BETA_HOT)
-        g, gt, _ = bath.rate_coefficients([spec], conftest.EPS_HOT, 1e3)[0]
+        g, gt, _ = bath.rate_coefficients([spec], conftest.EPS_HOT,
+                                           [1e3])[0]
         g_inf, gt_inf = oracles.markov_limits(spec, conftest.EPS_HOT)
         assert g == pytest.approx(g_inf, rel=1e-2)
         assert gt == pytest.approx(gt_inf, rel=1e-2)
@@ -183,7 +184,8 @@ def test_criterion_9_oracle_suite(full_results, system, hot_bath, rng):
 
     for h in (model.hamiltonian_cold(system), h_hot):
         for p in (0.261, 0.99):
-            beta = model.beta_from_population(h, p)
+            beta = model.beta_from_population(
+                model.transition_energy(h)[0], p)
             ref = scipy.linalg.expm(-beta * h)
             ref /= np.trace(ref).real
             assert np.max(np.abs(oracles.state_from_population(h, p).mat

@@ -78,7 +78,7 @@ def test_occupation_fermionic():
 
 
 def test_rates_vanish_at_switch_on(hot_bath):
-    assert rate_coefficients([hot_bath], conftest.EPS_HOT, 0.0) == [
+    assert rate_coefficients([hot_bath], conftest.EPS_HOT, [0.0]) == [
         (0.0, 0.0, 0.0)]
 
 
@@ -107,7 +107,7 @@ def test_rates_converge_to_markov_limits(omega_c):
     """Long after switch-on the transient rates settle on the golden-rule
     values; by t = 1e3 ms the residual must be below one percent."""
     b = BathSpec(alpha=0.6, omega_c=omega_c, beta=conftest.BETA_HOT)
-    g, gt, _ = rate_coefficients([b], conftest.EPS_HOT, 1e3)[0]
+    g, gt, _ = rate_coefficients([b], conftest.EPS_HOT, [1e3])[0]
     g_inf, gt_inf = markov_limits(b, conftest.EPS_HOT)
     assert g == pytest.approx(g_inf, rel=1e-2)
     assert gt == pytest.approx(gt_inf, rel=1e-2)

@@ -100,7 +100,8 @@ def test_replaced_cold_population_moves_the_reservoir(fast_cfg):
     moved = replace(fast_cfg, p_plus_cold=0.1).cold_bath
     assert moved == build_config(p_plus_cold=0.1, **FAST).cold_bath
     assert moved.beta == model.beta_from_population(
-        model.hamiltonian_cold(fast_cfg.system), 0.1)
+        model.transition_energy(model.hamiltonian_cold(fast_cfg.system))[0],
+        0.1)
 
 
 def test_replaced_cutoff_equals_a_fresh_config(fast_cfg):
@@ -239,17 +240,6 @@ def test_crossing_check_rejects_disagreeing_elements():
     m[1, 0] = 0.31
     with pytest.raises(RuntimeError, match="probabilities disagree"):
         cycle._crossing_probability(m)
-
-
-def test_setup_warns_on_a_state_outside_the_state_space():
-    """A ramp output with an eigenvalue below -1e-8 is reported, not
-    repaired.  No valid config reaches one, so the cold population is set
-    past the config's own rule."""
-    cfg = CycleConfig()
-    object.__setattr__(cfg, "p_plus_cold", -0.1)
-    with pytest.warns(RuntimeWarning, match="negative eigenvalue -1.000e-01"):
-        su = cycle._setup(cfg)
-    assert su.trace_dev < 1e-14
 
 
 def test_non_finite_population_becomes_an_error_row(fast_cfg, monkeypatch):
@@ -571,6 +561,26 @@ def test_population_sweep_builds_no_config_per_point(fast_cfg, monkeypatch):
     rows = sweep_population(fast_cfg, grid, 0.272)
     assert len(rows) == 50 and all(r.error == "" for r in rows)
     assert calls == []
+
+
+def test_population_sweep_diagonalises_once_per_sweep(fast_cfg, monkeypatch):
+    """Every reservoir of a sweep is built from the setup's hot gap, so a
+    50-point sweep diagonalises no more Hamiltonians than a 2-point one."""
+    calls = []
+    real = model.transition_energy
+
+    def counted(h):
+        calls.append(h)
+        return real(h)
+
+    monkeypatch.setattr(model, "transition_energy", counted)
+    monkeypatch.setattr(cycle, "transition_energy", counted)
+    counts = []
+    for n in (2, 50):
+        calls.clear()
+        sweep_population(fast_cfg, [0.5 + 0.01 * k for k in range(n)], 0.272)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_ift_reference_curve(fast_cfg):

@@ -393,9 +393,9 @@ def test_constant_rates_relax_to_bath_occupation(system, omega_c, p_target,
     """Golden-rule rates held fixed drive the population to nbar(eps)."""
     h = model.hamiltonian_hot(system)
     a = oracles.jump_operator(h)
-    _, vm, vp = model.transition_energy(h)
+    eps, vm, vp = model.transition_energy(h)
     spec = bath.BathSpec(alpha=alpha, omega_c=omega_c,
-                         beta=model.beta_from_population(h, p_target))
+                         beta=model.beta_from_population(eps, p_target))
     g_inf, gt_inf = oracles.markov_limits(spec, conftest.EPS_HOT)
     k = abs(np.vdot(vm, a @ vp)) ** 2
     # forty relaxation times 1/(k Lambda'), Lambda' = 2 gamma
@@ -443,8 +443,9 @@ def test_population_sum_matches_step_loop(system, rate_table, omega_c):
 def test_population_sum_matches_step_loop_over_a_batch(system):
     """Fifty reservoirs of the population sweep, summed as one batch."""
     h = model.hamiltonian_hot(system)
+    eps = model.transition_energy(h)[0]
     specs = [BathSpec(alpha=0.6, omega_c=15.0,
-                      beta=model.beta_from_population(h, p))
+                      beta=model.beta_from_population(eps, p))
              for p in np.linspace(0.5, 0.99, 50)]
     tables = bath.build_rate_trajectories(specs, conftest.EPS_HOT, 0.32)
     k_lam, sources, _ = _step_terms(h, tables, np.array([0.0, 0.27]))
@@ -459,10 +460,9 @@ def test_batch_equals_single_tables():
     table exactly the rows, and the coherence, of a call of its own."""
     cfg = cycle.build_config(omega_c=15.0)
     su = cycle._setup(cfg)
-    h_hot = model.hamiltonian_hot(cfg.system)
     grid = np.linspace(0.0, 0.27, 28)
     tables = bath.build_rate_trajectories(
-        [cfg._reservoir(h_hot, p) for p in np.linspace(0.5, 0.99, 50)],
+        [cfg._reservoir(su.eps, p) for p in np.linspace(0.5, 0.99, 50)],
         su.eps, grid[-1] + cycle._TABLE_MARGIN)
     batch = evolve_open(su, tables, grid)
     assert np.array_equal(batch.times, grid)

@@ -1,5 +1,6 @@
-"""Matrix-core checks: the closed-form spectral oracle, propagator
-factors, and the validated density matrix the tests build states with."""
+"""The test oracles' matrix core: the closed-form spectral oracle,
+propagator factors, and the validated density matrix the tests build
+states with."""
 
 import math
 import warnings
