@@ -59,47 +59,37 @@ _P_QUANTUM = 10 ** 12
 
 
 def _convert(key: str, raw: str, where: str):
-    # a key takes the type of its default
+    # a key takes the type of its default: text or a float
     raw = raw.strip()
-    default = _DEFAULTS[key]
-    if isinstance(default, str):
+    if isinstance(_DEFAULTS[key], str):
         return raw
-    is_int = isinstance(default, int)
     try:
-        return int(raw) if is_int else float(raw)
+        return float(raw)
     except ValueError:
-        kind = "integer" if is_int else "number"
-        raise ConfigError(f"{where}: value for '{key}' is not a {kind}: {raw!r}")
+        raise ConfigError(f"{where}: value for '{key}' is not a number: "
+                          f"{raw!r}")
 
 
 def parse_config(path: str | None, sets) -> dict:
     """Resolve defaults, an optional config file, then --set overrides."""
-    cfg = dict(_DEFAULTS)
+    items = []
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
+                lines = [line.strip() for line in fh]
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path!r}: {exc}")
-        for lineno, line in enumerate(lines, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise ConfigError(f"line {lineno}: expected 'key = value'")
-            key, _, value = text.partition("=")
-            key = key.strip()
-            if key not in cfg:
-                raise ConfigError(f"line {lineno}: unknown key '{key}'")
-            cfg[key] = _convert(key, value, f"line {lineno}")
-    for item in sets:
-        if "=" not in item:
-            raise ConfigError(f"--set needs KEY=VALUE, got {item!r}")
-        key, _, value = item.partition("=")
+        items = [(f"line {n}", text) for n, text in enumerate(lines, start=1)
+                 if text and not text.startswith("#")]
+    cfg = dict(_DEFAULTS)
+    for where, text in items + [("--set", item) for item in sets]:
+        key, eq, value = text.partition("=")
         key = key.strip()
+        if not eq:
+            raise ConfigError(f"{where}: expected 'key = value'")
         if key not in cfg:
-            raise ConfigError(f"--set: unknown key '{key}'")
-        cfg[key] = _convert(key, value, "--set")
+            raise ConfigError(f"{where}: unknown key '{key}'")
+        cfg[key] = _convert(key, value, where)
     return cfg
 
 
@@ -149,8 +139,6 @@ def _g9(x) -> str:
 
 
 def _fmt_value(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
     if isinstance(v, float):
         return _g9(v)
     return str(v)

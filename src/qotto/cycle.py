@@ -62,6 +62,9 @@ _TABLE_MARGIN = 0.05
 # largest |Tr rho0 - 1| accepted of the ramp's output state
 _TRACE_TOL = 1e-10
 
+# largest ramp_error the setup accepts before it doubles the step count
+RAMP_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class CycleConfig:
@@ -81,7 +84,8 @@ class CycleConfig:
     `heat_t_dense` and sparse (spacing `tail_dt`) out to `heat_t_max`;
     the dense part resolves the efficiency oscillations, the tail pins
     the saturation value.  Each spacing must divide its span to 1e-9
-    relative, so the grid is exactly the configured one.
+    relative, so the grid is exactly the configured one.  The setup picks
+    the ramp's step count from the ramp's error estimate.
     """
 
     nu_cold: float = 2.0
@@ -98,7 +102,6 @@ class CycleConfig:
     tail_dt: float = 0.01
     heat_t_max: float = 10.0
     t_f: float = 1.0
-    n_steps: int = DEFAULT_N_STEPS
 
     def __post_init__(self):
         _check_config(self)
@@ -159,12 +162,6 @@ def _check_config(cfg: CycleConfig) -> None:
                           f"heating samples, more than {MAX_POINTS}")
     if not 0.0 < cfg.t_f <= cfg.heat_t_max:
         raise ConfigError("t_f must lie in (0, heat_t_max]")
-    if isinstance(cfg.n_steps, (bool, np.bool_)) or not isinstance(
-            cfg.n_steps, (int, np.integer)):
-        raise ConfigError(f"n_steps must be an integer, got {cfg.n_steps!r}")
-    if not 2 <= cfg.n_steps <= MAX_POINTS:
-        raise ConfigError(f"n_steps = {cfg.n_steps} must lie in "
-                          f"[2, {MAX_POINTS}]")
 
 
 def _check_p_plus_hot(p: float) -> None:
@@ -252,10 +249,23 @@ def _band_edges(times: np.ndarray, eta: np.ndarray, k: int,
     return float(t_lo), float(t_hi)
 
 
+def _ramp(sp: SystemParams) -> tuple[np.ndarray, float]:
+    """The ramp unitary and its error estimate at DEFAULT_N_STEPS steps,
+    the step count doubled while the estimate exceeds RAMP_TOL and the
+    doubled count stays within MAX_POINTS."""
+    n = DEFAULT_N_STEPS
+    u, ramp_error = propagate_unitary(sp, n)
+    while ramp_error > RAMP_TOL and 2 * n <= MAX_POINTS:
+        n *= 2
+        u, ramp_error = propagate_unitary(sp, n)
+    return u, ramp_error
+
+
 def _setup(cfg: CycleConfig) -> HotFrame:
     """Every stroke-independent scalar of one cycle, from the ramp in the
     two eigenbases, M = V_hot^dag U V_cold (columns and rows lower level
-    first), and the cold input populations d = (1 - p_c, p_c).
+    first), and the cold input populations d = (1 - p_c, p_c).  The ramp
+    U comes from `_ramp`, which picks its own step count.
 
     The ramp's output state has p0 = sum_j d_j |M_+j|^2 and
     c0 = sum_j d_j M_+j conj(M_-j); h_back in the hot eigenbasis is
@@ -268,7 +278,7 @@ def _setup(cfg: CycleConfig) -> HotFrame:
     sp = cfg.system
     eps_cold, *cold = transition_energy(hamiltonian_cold(sp))
     eps, hot_minus, hot_plus = transition_energy(hamiltonian_hot(sp))
-    u, ramp_error = propagate_unitary(sp, cfg.n_steps)
+    u, ramp_error = _ramp(sp)
     m = np.conj([hot_minus, hot_plus]) @ u @ np.column_stack(cold)
     d = np.array([1.0 - cfg.p_plus_cold, cfg.p_plus_cold])
     trace_dev = abs(float(np.sum(np.abs(m) ** 2 @ d)) - 1.0)

@@ -62,7 +62,7 @@ from qotto import bath as qbath
 from qotto import dynamics
 from qotto.bath import (TWO_PI, BathSpec, RateTrajectory,
                         build_rate_trajectory, spectral_density)
-from qotto.cycle import _TABLE_MARGIN, CycleConfig
+from qotto.cycle import _TABLE_MARGIN, CycleConfig, _ramp
 from qotto.dynamics import DEFAULT_N_STEPS, propagate_unitary
 from qotto.measures import Q_HOT_FLOOR_SCALE, Energetics
 from qotto.model import (SIGMA_X, SIGMA_Y, SIGMA_Z, HotFrame, SystemParams,
@@ -186,7 +186,7 @@ def setup_frame(cfg: CycleConfig) -> HotFrame:
     terms by `expect` and the branch crossing by `branch_crossing`."""
     sp = cfg.system
     h_cold = hamiltonian_cold(sp)
-    u, ramp_error = propagate_unitary(sp, cfg.n_steps)
+    u, ramp_error = _ramp(sp)
     rho_in = state_from_population(h_cold, cfg.p_plus_cold)
     rho_exp = DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))
     return replace(state_frame(rho_exp, hamiltonian_hot(sp),

@@ -17,10 +17,9 @@ import qotto
 from qotto import bath, cli, cycle
 
 FAST = ["--set", "heat_dt=0.0005", "--set", "heat_t_dense=0.6",
-        "--set", "heat_t_max=2.0", "--set", "t_f=0.5",
-        "--set", "n_steps=4000"]
+        "--set", "heat_t_max=2.0", "--set", "t_f=0.5"]
 TINY = ["--set", "heat_t_dense=0.5", "--set", "heat_t_max=0.5",
-        "--set", "t_f=0.5", "--set", "n_steps=4000"]
+        "--set", "t_f=0.5"]
 
 
 def read_csv(path):
@@ -60,7 +59,6 @@ def test_defaults_without_config_file():
     assert cfg["omega_c"] == 30.0
     assert cfg["p_plus_hot"] == 0.99
     assert cfg["t_tilde"] == "auto"
-    assert isinstance(cfg["n_steps"], int)
 
 
 def test_config_file_and_override(tmp_path):
@@ -268,14 +266,12 @@ def test_oversized_grids_are_config_errors(tmp_path, capsys, monkeypatch):
     assert "needs 301 points" in capsys.readouterr().err
 
 
-def test_oversized_ramp_is_a_config_error(tmp_path, capsys, monkeypatch):
-    """A ramp of more than MAX_POINTS steps exits 2 and names its count,
-    before any output or allocation."""
-    monkeypatch.setattr(cycle, "MAX_POINTS", 5000)
-    code = cli.main(["simulate", "--set", "n_steps=5001",
+def test_removed_n_steps_is_unknown(tmp_path, capsys):
+    """The ramp picks its own step count: `n_steps` is not a key."""
+    code = cli.main(["simulate", "--set", "n_steps=600",
                      "--out", str(tmp_path)])
     assert code == cli.EXIT_CONFIG
-    assert "n_steps = 5001 must lie in [2, 5000]" in capsys.readouterr().err
+    assert "unknown key 'n_steps'" in capsys.readouterr().err
     assert list(tmp_path.glob("*.csv")) == []
 
 
@@ -487,11 +483,15 @@ def test_sweep_population_pins_hold_on_the_reference_ramp(tmp_path,
     """The pinned rows are those of the converged ramp: the default sweep
     with its ramp swapped for the 640,000-step midpoint product matches
     every pin too."""
+    calls = []
+
     def reference(p, n_steps):
+        calls.append(n_steps)
         return oracles.midpoint_unitary(p, oracles.REFERENCE_STEPS), 0.0
 
     monkeypatch.setattr(cycle, "propagate_unitary", reference)
     _assert_sweep_population_pinned(tmp_path)
+    assert len(calls) > 0       # the swapped ramp is the one the sweep ran
 
 
 def test_ift_scan(tmp_path):
@@ -578,16 +578,15 @@ _POPULATION = st.floats(1e-6, 1.0 - 1e-6)
                                 "heat_t_dense", "tail_dt", "heat_t_max",
                                 "t_f", "p_hot_min",
                                 "p_hot_max", "p_hot_step")}),
-       n_steps=st.integers(1, 10 ** 9),
        omega_c_list=st.lists(_FINITE, min_size=1, max_size=4),
        t_tilde=st.none() | _FINITE)
 def test_header_round_trip_property(tmp_path_factory, nu_cold, nu_gap, tau,
-                                    g, p_cold, p_hot, others, n_steps,
+                                    g, p_cold, p_hot, others,
                                     omega_c_list, t_tilde):
     """header -> config file -> parse_config gives the same dict."""
     values = {"nu_cold": nu_cold, "nu_hot": nu_cold + nu_gap, "tau": tau,
               "g": g, "p_plus_cold": p_cold, "p_plus_hot": p_hot,
-              **others, "n_steps": n_steps,
+              **others,
               "omega_c_list": ",".join(map(repr, omega_c_list)),
               "t_tilde": "auto" if t_tilde is None else repr(t_tilde)}
     text = {k: v if isinstance(v, str) else repr(v)

@@ -23,14 +23,13 @@ from qotto.cycle import (CycleConfig, SweepRow, build_config, ift_reference,
                          population_onset, run_cycle, sweep_cutoff,
                          sweep_population)
 
-FAST = dict(heat_dt=0.5e-3, heat_t_dense=0.6, heat_t_max=2.0, t_f=0.5,
-            n_steps=4000)
+FAST = dict(heat_dt=0.5e-3, heat_t_dense=0.6, heat_t_max=2.0, t_f=0.5)
 
 # one valid value per CycleConfig field, each off its FAST/default value
 NEW_VALUES = dict(nu_cold=2.5, nu_hot=4.0, tau=0.2, g=0.3, p_plus_cold=0.1,
                   p_plus_hot=0.8, alpha=0.3, omega_c=15.0, mu=0.5,
                   heat_dt=1e-3, heat_t_dense=0.5, tail_dt=0.02,
-                  heat_t_max=1.5, t_f=0.4, n_steps=2000)
+                  heat_t_max=1.5, t_f=0.4)
 
 
 @pytest.fixture(scope="module")
@@ -134,11 +133,6 @@ def test_config_rejects_bad_spectrum(fast_cfg, kwargs, message):
     dict(heat_dt=0.0007),                   # 0.7 us does not divide 0.6 ms
     dict(heat_t_max=0.604),                 # 10 us does not divide 4 us
     dict(nu_cold=4.0),                      # the drive is checked too
-    dict(n_steps=0),
-    dict(n_steps=1),                        # the error estimate halves it
-    dict(n_steps=600.0),                    # a step count is an integer
-    dict(n_steps=600.5),
-    dict(n_steps=True),
 ])
 def test_config_validation(kwargs):
     merged = {**FAST, **kwargs}
@@ -174,16 +168,6 @@ def test_heating_grid_size_is_bounded(monkeypatch):
         CycleConfig(heat_t_dense=1.0, heat_t_max=1.0, heat_dt=1e-3)
 
 
-def test_ramp_step_count_is_bounded(monkeypatch):
-    """A ramp of more than MAX_POINTS steps is refused as an input error
-    before its factors are allocated."""
-    monkeypatch.setattr(cycle, "MAX_POINTS", 5000)
-    assert CycleConfig(n_steps=5000).n_steps == 5000
-    with pytest.raises(ConfigError, match=r"n_steps = 5001 must lie in "
-                                          r"\[2, 5000\]"):
-        CycleConfig(n_steps=5001)
-
-
 def test_default_ramp_error_is_reported():
     """The default ramp's Richardson estimate is below 1e-10 and reaches
     the diagnostics of a run."""
@@ -193,10 +177,59 @@ def test_default_ramp_error_is_reported():
     assert run_cycle(cfg).diagnostics["ramp_error"] == ramp_error
 
 
-def test_n_steps_accepts_a_numpy_integer():
-    """An integral numpy step count builds the same ramp as an int."""
-    assert cycle._setup(CycleConfig(n_steps=np.int64(600))) \
-        == cycle._setup(CycleConfig(n_steps=600))
+def test_step_count_is_not_a_config_field():
+    """The setup picks the ramp's step count; a config takes none."""
+    with pytest.raises(TypeError):
+        CycleConfig(n_steps=600)
+
+
+def _counted_ramp(monkeypatch) -> list:
+    """Step counts of the ramp products the setup asks for."""
+    counts, real = [], cycle.propagate_unitary
+
+    def counted(p, n_steps):
+        counts.append(n_steps)
+        return real(p, n_steps)
+
+    monkeypatch.setattr(cycle, "propagate_unitary", counted)
+    return counts
+
+
+def test_studied_ramp_takes_one_product(monkeypatch):
+    """At the studied drive the first 600-step product meets RAMP_TOL."""
+    counts = _counted_ramp(monkeypatch)
+    assert cycle._setup(CycleConfig()).ramp_error <= cycle.RAMP_TOL
+    assert counts == [dynamics.DEFAULT_N_STEPS]
+
+
+def test_long_ramp_doubles_its_steps_to_converge():
+    """A 20 ms ramp, which 600 steps resolve only to ~1e-6, doubles its
+    step count until the estimate meets RAMP_TOL, and its frame agrees
+    with one built from a 76,800-step product."""
+    cfg = CycleConfig(tau=20.0)
+    su = cycle._setup(cfg)
+    assert su.ramp_error <= cycle.RAMP_TOL
+    u, _ = dynamics.propagate_unitary(cfg.system, 76_800)
+    h_cold = model.hamiltonian_cold(cfg.system)
+    rho_in = state_from_population(h_cold, cfg.p_plus_cold)
+    rho_exp = DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))
+    fine = state_frame(rho_exp, model.hamiltonian_hot(cfg.system),
+                       u @ h_cold @ dag(u))
+    for name in ("p0", "c0", "w1"):
+        assert abs(getattr(su, name) - getattr(fine, name)) <= 1e-9, name
+    assert abs(su.xi - oracles.branch_crossing(cfg.system, u)) <= 1e-9
+
+
+def test_ramp_doubling_stops_at_max_points(monkeypatch):
+    """The step count never doubles past MAX_POINTS; the setup reports
+    the error estimate of the last product it built."""
+    cfg = CycleConfig(tau=20.0)   # its 4,901 heating samples pass first
+    monkeypatch.setattr(cycle, "MAX_POINTS", 1200)
+    counts = _counted_ramp(monkeypatch)
+    su = cycle._setup(cfg)
+    assert counts == [600, 1200]
+    assert su.ramp_error == dynamics.propagate_unitary(cfg.system, 1200)[1]
+    assert su.ramp_error > cycle.RAMP_TOL
 
 
 @settings(max_examples=30, deadline=None)
@@ -350,7 +383,7 @@ def test_energetics_match_stroke_bookkeeping(fast_cfg, fast_result):
     cfg, r = fast_cfg, fast_result
     h_cold = model.hamiltonian_cold(cfg.system)
     h_hot = model.hamiltonian_hot(cfg.system)
-    u, _ = dynamics.propagate_unitary(cfg.system, cfg.n_steps)
+    u, _ = cycle._ramp(cfg.system)
     rho_in = state_from_population(h_cold, cfg.p_plus_cold)
     rho_exp = u @ rho_in.mat @ dag(u)
     eps_hot = model.transition_energy(h_hot)[0]
@@ -403,7 +436,7 @@ def test_cooling_returns_to_cold_thermal_state(fast_cfg):
     cfg = fast_cfg
     h_cold = model.hamiltonian_cold(cfg.system)
     h_hot = model.hamiltonian_hot(cfg.system)
-    u, _ = dynamics.propagate_unitary(cfg.system, cfg.n_steps)
+    u, _ = cycle._ramp(cfg.system)
     rho_comp = DensityMatrix.from_matrix(
         dag(u) @ state_from_population(h_hot, 0.99).mat @ u)
     traj = run_cooling(cfg, rho_comp, t_max=40.0, dt=0.02)
@@ -597,7 +630,7 @@ def test_ift_reference_curve(fast_cfg):
 
 def test_ift_boundary_population_exchanges_no_heat(fast_cfg):
     """Heating toward the expansion state's own population moves no energy."""
-    xi = oracles.adiabaticity(fast_cfg.system, fast_cfg.n_steps)
+    xi = oracles.adiabaticity(fast_cfg.system)
     p_c = fast_cfg.p_plus_cold
     p_star = p_c * (1 - xi) + (1 - p_c) * xi
     row = ift_reference(fast_cfg, [p_star])[0]

@@ -313,7 +313,7 @@ def test_evolve_open_matches_rk45_oracle(omega_c):
                                grid[-1] + cycle._TABLE_MARGIN)
     exact = evolve_open(su, [rt], grid)
     h_hot = model.hamiltonian_hot(cfg.system)
-    u, _ = propagate_unitary(cfg.system, cfg.n_steps)
+    u, _ = cycle._ramp(cfg.system)
     rho_in = state_from_population(model.hamiltonian_cold(cfg.system),
                                    cfg.p_plus_cold)
     rho_exp = DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))

@@ -331,10 +331,10 @@ def test_first_law_across_four_strokes(nu_cold, nu_gap, tau, p_cold, p_hot,
     whole cycle, for any drive, reservoirs and contact durations."""
     cfg = cycle.CycleConfig(nu_cold=nu_cold, nu_hot=nu_cold + nu_gap,
                             tau=tau, p_plus_cold=p_cold, p_plus_hot=p_hot,
-                            omega_c=omega_c, n_steps=2000)
+                            omega_c=omega_c)
     h_cold = model.hamiltonian_cold(cfg.system)
     h_hot = model.hamiltonian_hot(cfg.system)
-    u, _ = dynamics.propagate_unitary(cfg.system, cfg.n_steps)
+    u, _ = cycle._ramp(cfg.system)
     rho_in = state_from_population(h_cold, p_cold)
     rho_exp = DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))
     frame = state_frame(rho_exp, h_hot, u @ h_cold @ dag(u))
