@@ -12,12 +12,15 @@ fields of `cycle.CycleConfig`; only the five sweep keys live here.
 This module only parses: each value rule lives in the library type that
 owns the value, and the config is checked before any command runs.
 Times inside the config are milliseconds, CSV time columns are
-microseconds.  Floats print with 9 significant digits and files carry
-the fully resolved config in `#` header lines, so identical inputs give
-bytewise identical outputs.  A header config value that 9 digits would
-not read back exactly prints as its shortest exact repr, so the
-`# key = value` lines, stripped of `# `, are a config file that rebuilds
-the run.
+microseconds.  Each CSV file writes its rows through one `%` template:
+floats with 9 significant digits, flags as 0 or 1, status as text.
+Files carry the fully resolved config in `#` header lines, so identical
+inputs give bytewise identical outputs.  A header config value that
+9 digits would not read back exactly prints as its shortest exact repr,
+so the `# key = value` lines, stripped of `# `, are a config file that
+rebuilds the run.  The derived header lines read the gaps and both
+reservoirs' betas from the config, which diagonalises each stroke
+Hamiltonian once.
 
 Exit codes: 0 success, 2 configuration error (a `qotto.ConfigError`,
 the config file or `--out`), 3 numerical failure, 4 no engine operation.
@@ -36,7 +39,6 @@ from .bath import BathSpec, build_rate_trajectory, rate_table_size
 from .cycle import (CycleConfig, ift_reference, population_onset, run_cycle,
                     sweep_cutoff, sweep_population)
 from .measures import nonmarkov_report
-from .model import hamiltonian_cold, hamiltonian_hot, transition_energy
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -134,80 +136,69 @@ def _p_hot_points(cfg: dict) -> list[float]:
             for k in range((hi_q - lo_q) // step_q + 1)]
 
 
-def _g9(x) -> str:
-    return format(float(x), ".9g")
-
-
-def _fmt_value(v) -> str:
-    if isinstance(v, float):
-        return _g9(v)
-    return str(v)
-
-
 def _config_value(v) -> str:
     # a header line must read back as the very value that was run
-    text = _fmt_value(v)
-    return repr(v) if isinstance(v, float) and float(text) != v else text
-
-
-def _derived_lines(ccfg: CycleConfig) -> list[str]:
-    sp = ccfg.system
-    out = [
-        ("omega", sp.omega),
-        ("omega_tilde", sp.omega_tilde),
-        ("eps_cold", transition_energy(hamiltonian_cold(sp))[0]),
-        ("eps_hot", transition_energy(hamiltonian_hot(sp))[0]),
-        ("beta_cold", ccfg.cold_bath.beta),
-        ("beta_hot", ccfg.hot_bath.beta),
-    ]
-    return [f"# derived {k} = {_g9(v)}" for k, v in out]
+    if not isinstance(v, float):
+        return str(v)
+    text = "%.9g" % v
+    return text if float(text) == v else repr(v)
 
 
 def _header(command: str, cfg: dict, ccfg: CycleConfig,
             extra=()) -> list[str]:
+    sp = ccfg.system
+    (eps_cold, *_), (eps_hot, *_) = ccfg.spectra
+    derived = [("omega", sp.omega), ("omega_tilde", sp.omega_tilde),
+               ("eps_cold", eps_cold), ("eps_hot", eps_hot),
+               ("beta_cold", ccfg.cold_bath.beta),
+               ("beta_hot", ccfg.hot_bath.beta)]
     lines = [f"# qotto {__version__}", f"# command = {command}",
              "# config times are ms, csv time columns are us"]
     lines.extend(f"# {key} = {_config_value(cfg[key])}" for key in sorted(cfg))
-    lines.extend(_derived_lines(ccfg))
+    lines.extend("# derived %s = %.9g" % item for item in derived)
     lines.extend(f"# {item}" for item in extra)
     return lines
 
 
-def _write_csv(path: str, header: list[str], columns: list[str], rows):
+def _write_csv(path: str, header: list[str], columns: list[str],
+               template: str, rows):
+    """The header lines, the column names, then `template % row` per row."""
+    line = template + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(line + "\n" for line in [*header, ",".join(columns)])
-        fh.writelines(",".join(row) + "\n" for row in rows)
+        fh.writelines(text + "\n" for text in [*header, ",".join(columns)])
+        fh.writelines(line % row for row in rows)
 
 
-def _safe(text: str) -> str:
-    # error strings land in a CSV cell: strip separators and newlines
-    return text.replace(",", ";").replace("\n", " ")
+def _status(row, no_engine: bool = False) -> str:
+    if row.error:
+        # error strings land in a CSV cell: strip separators and newlines
+        return "error:" + row.error.replace(",", ";").replace("\n", " ")
+    return "no-engine" if no_engine else "ok"
 
 
 def cmd_rates(cfg: dict, ccfg: CycleConfig, outdir: str) -> int:
-    eps_hot = transition_energy(hamiltonian_hot(ccfg.system))[0]
-    rates = build_rate_trajectory(ccfg.hot_bath, eps_hot, ccfg.heat_t_max)
-    rows = ([_g9(t * 1e3), _g9(a), _g9(b), _g9(c)]
-            for t, a, b, c in zip(rates.times, rates.gamma,
-                                  rates.gamma_tilde, rates.big_gamma))
+    rates = build_rate_trajectory(ccfg.hot_bath, ccfg.spectra[1][0],
+                                  ccfg.heat_t_max)
     _write_csv(os.path.join(outdir, "rates.csv"),
                _header("rates", cfg, ccfg, ["rates in rad/ms"]),
-               ["t_us", "gamma", "gamma_tilde", "big_gamma"], rows)
+               ["t_us", "gamma", "gamma_tilde", "big_gamma"],
+               "%.9g,%.9g,%.9g,%.9g",
+               zip(rates.times * 1e3, rates.gamma, rates.gamma_tilde,
+                   rates.big_gamma))
     return EXIT_OK
 
 
 def cmd_nonmarkov(cfg: dict, ccfg: CycleConfig, outdir: str) -> int:
     baths = _cutoff_baths(cfg, ccfg)
-    eps_hot = transition_energy(hamiltonian_hot(ccfg.system))[0]
+    eps_hot = ccfg.spectra[1][0]
     for spec in baths:
         rate_table_size(spec, eps_hot, ccfg.heat_t_max)  # before any output
     rates = build_rate_trajectory(ccfg.hot_bath, eps_hot, ccfg.heat_t_max)
     report = nonmarkov_report(rates)
     _write_csv(os.path.join(outdir, "witness.csv"),
                _header("nonmarkov", cfg, ccfg, ["witness f in rad/ms"]),
-               ["t_us", "f"],
-               ([_g9(t * 1e3), _g9(f)]
-                for t, f in zip(report.times, report.f)))
+               ["t_us", "f"], "%.9g,%.9g",
+               zip(report.times * 1e3, report.f))
 
     q_rows = []
     for spec in baths:
@@ -216,23 +207,22 @@ def cmd_nonmarkov(cfg: dict, ccfg: CycleConfig, outdir: str) -> int:
         else:
             rt = build_rate_trajectory(spec, eps_hot, ccfg.heat_t_max)
             q = nonmarkov_report(rt).q_total
-        q_rows.append([_g9(spec.omega_c), _g9(q)])
+        q_rows.append((spec.omega_c, q))
     _write_csv(os.path.join(outdir, "nonmarkov_q.csv"),
                _header("nonmarkov", cfg, ccfg),
-               ["omega_c", "Q"], q_rows)
+               ["omega_c", "Q"], "%.9g,%.9g", q_rows)
     return EXIT_OK
 
 
 def cmd_simulate(cfg: dict, ccfg: CycleConfig, outdir: str) -> int:
     _require_inversion(ccfg)
     res = run_cycle(ccfg)
-    rows = ([_g9(t * 1e3), _g9(e), _g9(res.w1), _g9(w2), _g9(q),
-             "1" if v else "0"]
-            for t, e, w2, q, v in zip(res.times, res.eta, res.w2,
-                                      res.q_hot, res.valid))
     _write_csv(os.path.join(outdir, "efficiency.csv"),
                _header("simulate", cfg, ccfg, ["energies in rad/ms"]),
-               ["t_us", "eta", "w1", "w2", "q_hot", "valid"], rows)
+               ["t_us", "eta", "w1", "w2", "q_hot", "valid"],
+               "%.9g,%.9g,%.9g,%.9g,%.9g,%d",
+               ((t, e, res.w1, w2, q, v) for t, e, w2, q, v in zip(
+                   res.times * 1e3, res.eta, res.w2, res.q_hot, res.valid)))
 
     summary = [
         ("eta_max", res.eta_max),
@@ -244,27 +234,24 @@ def cmd_simulate(cfg: dict, ccfg: CycleConfig, outdir: str) -> int:
         ("o_p", res.o_p),
         ("q_nonmarkov", res.nonmarkov.q_total),
         ("eta_ift", res.eta_ift),
-        ("no_engine", 1 if res.no_engine else 0),
+        ("no_engine", int(res.no_engine)),
     ]
-    for key, value in summary:
-        print(f"{key} = {_fmt_value(value)}")
+    for item in summary:
+        print("%s = %.9g" % item)
     return EXIT_NO_ENGINE if res.no_engine else EXIT_OK
 
 
 def cmd_sweep_cutoff(cfg: dict, ccfg: CycleConfig, outdir: str) -> int:
     _require_inversion(ccfg)
     rows = sweep_cutoff(ccfg, [b.omega_c for b in _cutoff_baths(cfg, ccfg)])
-    csv_rows = []
-    for r in rows:
-        status = ("error:" + _safe(r.error)) if r.error else \
-            ("no-engine" if r.no_engine else "ok")
-        csv_rows.append([_g9(r.omega_c), _g9(r.eta_max),
-                         _g9(r.t_tilde_max * 1e3), _g9(r.o_p),
-                         _g9(r.q_nonmarkov), _g9(r.eta_sat), status])
     _write_csv(os.path.join(outdir, "cutoff_sweep.csv"),
                _header("sweep-cutoff", cfg, ccfg),
                ["omega_c", "eta_max", "t_tilde_max_us", "o_p",
-                "q_nonmarkov", "eta_sat", "status"], csv_rows)
+                "q_nonmarkov", "eta_sat", "status"],
+               "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%s",
+               [(r.omega_c, r.eta_max, r.t_tilde_max * 1e3, r.o_p,
+                 r.q_nonmarkov, r.eta_sat, _status(r, r.no_engine))
+                for r in rows])
     return EXIT_OK if any(not r.error for r in rows) else EXIT_NUMERIC
 
 
@@ -287,30 +274,27 @@ def cmd_sweep_population(cfg: dict, ccfg: CycleConfig, outdir: str) -> int:
     t_tilde, was_auto = _resolve_t_tilde(cfg, ccfg)
     rows = sweep_population(ccfg, points, t_tilde)
     onset = population_onset(rows)
-    extra = [f"t_tilde_ms = {_g9(t_tilde)}",
+    extra = ["t_tilde_ms = %.9g" % t_tilde,
              f"t_tilde_source = {'auto' if was_auto else 'config'}",
-             f"onset_p_plus_hot = {_g9(onset)}"]
-    csv_rows = [[_g9(r.p_plus_hot), _g9(r.eta), "1" if r.valid_engine else "0",
-                 _g9(r.w), _g9(r.q_hot),
-                 ("error:" + _safe(r.error)) if r.error else "ok"]
-                for r in rows]
+             "onset_p_plus_hot = %.9g" % onset]
     _write_csv(os.path.join(outdir, "population_sweep.csv"),
                _header("sweep-population", cfg, ccfg, extra),
                ["p_plus_hot", "eta", "valid", "w", "q_hot", "status"],
-               csv_rows)
+               "%.9g,%.9g,%d,%.9g,%.9g,%s",
+               [(r.p_plus_hot, r.eta, r.valid_engine, r.w, r.q_hot,
+                 _status(r)) for r in rows])
     return EXIT_OK if any(not r.error for r in rows) else EXIT_NUMERIC
 
 
 def cmd_ift(cfg: dict, ccfg: CycleConfig, outdir: str) -> int:
     rows = ift_reference(ccfg, _p_hot_points(cfg))
     onset = population_onset(rows)
-    csv_rows = [[_g9(r.p_plus_hot), _g9(r.eta),
-                 "1" if r.valid_engine else "0", _g9(r.w), _g9(r.q_hot)]
-                for r in rows]
     _write_csv(os.path.join(outdir, "ift_reference.csv"),
-               _header("ift", cfg, ccfg,
-                       [f"onset_p_plus_hot = {_g9(onset)}"]),
-               ["p_plus_hot", "eta", "valid", "w", "q_hot"], csv_rows)
+               _header("ift", cfg, ccfg, ["onset_p_plus_hot = %.9g" % onset]),
+               ["p_plus_hot", "eta", "valid", "w", "q_hot"],
+               "%.9g,%.9g,%d,%.9g,%.9g",
+               [(r.p_plus_hot, r.eta, r.valid_engine, r.w, r.q_hot)
+                for r in rows])
     return EXIT_OK
 
 

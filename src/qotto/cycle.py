@@ -14,14 +14,17 @@ reference scan, as one `model.HotFrame` of scalars: the ramp unitary U
 and the two eigenbases enter only through M = V_hot^dag U V_cold, the
 ramp in the eigenbases of the two stroke Hamiltonians, and the input
 state only through its cold populations.  The setup builds no density
-matrix, and no later stage diagonalises a Hamiltonian.  A population sweep
+matrix; each config diagonalises its two Hamiltonians once, in
+`CycleConfig.spectra`, and nothing else does.  A population sweep
 runs its points as one batch, point by point only if the batch fails;
 rows come in input order, and a point that fails becomes a row carrying
 the error instead of ending the sweep.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -77,8 +80,9 @@ class CycleConfig:
     `omega_c`, `mu`); each one's inverse temperature is derived, never
     stored: `hot_bath` and `cold_bath` are built on demand at the beta
     whose Gibbs state at the hot or cold stroke's gap has excited weight
-    `p_plus_hot` or `p_plus_cold`.  `cold_bath` never enters the
-    first-cycle efficiency; the CLI headers report its beta.
+    `p_plus_hot` or `p_plus_cold`, the gaps read from `spectra`, which is
+    cached per config.  `cold_bath` never enters the first-cycle
+    efficiency; the CLI headers report its beta.
 
     The contact-stroke grid is dense (spacing `heat_dt`) up to
     `heat_t_dense` and sparse (spacing `tail_dt`) out to `heat_t_max`;
@@ -115,15 +119,19 @@ class CycleConfig:
         return BathSpec(alpha=self.alpha, omega_c=self.omega_c,
                         beta=beta_from_population(gap, p_plus), mu=self.mu)
 
+    @cached_property
+    def spectra(self) -> tuple[tuple, tuple]:
+        """`transition_energy` of the cold and of the hot Hamiltonian."""
+        return tuple(transition_energy(h(self.system))
+                     for h in (hamiltonian_cold, hamiltonian_hot))
+
     @property
     def hot_bath(self) -> BathSpec:
-        gap = transition_energy(hamiltonian_hot(self.system))[0]
-        return self._reservoir(gap, self.p_plus_hot)
+        return self._reservoir(self.spectra[1][0], self.p_plus_hot)
 
     @property
     def cold_bath(self) -> BathSpec:
-        gap = transition_energy(hamiltonian_cold(self.system))[0]
-        return self._reservoir(gap, self.p_plus_cold)
+        return self._reservoir(self.spectra[0][0], self.p_plus_cold)
 
     def heating_grid(self) -> np.ndarray:
         n_dense = int(round(self.heat_t_dense / self.heat_dt))
@@ -252,20 +260,25 @@ def _band_edges(times: np.ndarray, eta: np.ndarray, k: int,
 def _ramp(sp: SystemParams) -> tuple[np.ndarray, float]:
     """The ramp unitary and its error estimate at DEFAULT_N_STEPS steps,
     the step count doubled while the estimate exceeds RAMP_TOL and the
-    doubled count stays within MAX_POINTS."""
+    doubled count stays within MAX_POINTS, with a warning if it must stop
+    above RAMP_TOL."""
     n = DEFAULT_N_STEPS
     u, ramp_error = propagate_unitary(sp, n)
     while ramp_error > RAMP_TOL and 2 * n <= MAX_POINTS:
         n *= 2
         u, ramp_error = propagate_unitary(sp, n)
+    if ramp_error > RAMP_TOL:
+        warnings.warn(f"ramp error estimate {ramp_error:.2e} exceeds "
+                      f"tolerance {RAMP_TOL:.1e} at {n} steps",
+                      RuntimeWarning, stacklevel=2)
     return u, ramp_error
 
 
 def _setup(cfg: CycleConfig) -> HotFrame:
     """Every stroke-independent scalar of one cycle, from the ramp in the
     two eigenbases, M = V_hot^dag U V_cold (columns and rows lower level
-    first), and the cold input populations d = (1 - p_c, p_c).  The ramp
-    U comes from `_ramp`, which picks its own step count.
+    first), and the cold input populations d = (1 - p_c, p_c), with the
+    eigenbases from `cfg.spectra` and U from `_ramp`.
 
     The ramp's output state has p0 = sum_j d_j |M_+j|^2 and
     c0 = sum_j d_j M_+j conj(M_-j); h_back in the hot eigenbasis is
@@ -275,10 +288,8 @@ def _setup(cfg: CycleConfig) -> HotFrame:
     semidefinite for every valid p_c, so its smallest eigenvalue is only
     reported, as the t = 0 sample of the contact stroke's `min_eig`.
     """
-    sp = cfg.system
-    eps_cold, *cold = transition_energy(hamiltonian_cold(sp))
-    eps, hot_minus, hot_plus = transition_energy(hamiltonian_hot(sp))
-    u, ramp_error = _ramp(sp)
+    (eps_cold, *cold), (eps, hot_minus, hot_plus) = cfg.spectra
+    u, ramp_error = _ramp(cfg.system)
     m = np.conj([hot_minus, hot_plus]) @ u @ np.column_stack(cold)
     d = np.array([1.0 - cfg.p_plus_cold, cfg.p_plus_cold])
     trace_dev = abs(float(np.sum(np.abs(m) ** 2 @ d)) - 1.0)
@@ -316,8 +327,8 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
 
 def _cycle(cfg: CycleConfig, su: HotFrame) -> CycleResult:
     grid = cfg.heating_grid()
-    rates = build_rate_trajectory(cfg._reservoir(su.eps, cfg.p_plus_hot),
-                                  su.eps, grid[-1] + _TABLE_MARGIN)
+    rates = build_rate_trajectory(cfg.hot_bath, su.eps,
+                                  grid[-1] + _TABLE_MARGIN)
     contact = evolve_open(su, [rates], grid)
     p = contact.p[0]
 
@@ -452,8 +463,7 @@ def sweep_population(cfg: CycleConfig, p_hot_grid,
         raise ConfigError("t_tilde must lie in (0, heat_t_max] ms")
     su = _setup(cfg)
     # one size for every point: the table spacing ignores the population
-    rate_table_size(cfg._reservoir(su.eps, cfg.p_plus_hot), su.eps,
-                    t_tilde + _TABLE_MARGIN)
+    rate_table_size(cfg.hot_bath, su.eps, t_tilde + _TABLE_MARGIN)
 
     def rows(ps: list[float]) -> list[PopulationRow]:
         try:

@@ -11,14 +11,16 @@ directory.  `simulate` prints its summary block; it is compared as the file
 `summary.csv`, one `key,value` row per line.
 
 Per output file it prints how many cells differ at the 9 significant digits
-the CLI writes, the largest relative change among them and up to N of the
-changed cells (default 20), and it lists the `#` header lines that changed
-separately.  It only reports: the exit status is 0 whatever moved, and 1
+the CLI writes, whether the two files are byte for byte the same (`same` or
+`differ`: this sees what cells cannot, such as a changed line ending), the
+largest relative change among the cells and up to N of the changed cells
+(default 20), and it lists the `#` header lines that changed separately.  It only reports: the exit status is 0 whatever moved, and 1
 only when a command cannot be run.
 """
 from __future__ import annotations
 
 import argparse
+import filecmp
 import math
 import os
 import subprocess
@@ -124,12 +126,15 @@ def main(argv=None) -> int:
         except RuntimeError as exc:
             print(exc, file=sys.stderr)
             return 1
-        print(f"{'file':<24}{'cells':>8}{'changed':>9}  largest rel change")
+        print(f"{'file':<24}{'cells':>8}{'changed':>9}{'bytes':>8}  "
+              f"largest rel change")
         report = []
         for name in sorted(set(old) | set(new)):
             drift = compare(_lines(old.get(name)), _lines(new.get(name)))
-            print(f"{name:<24}{drift.cells:>8}{len(drift.changed):>9}  "
-                  f"{drift.max_rel:.3g}")
+            same = (name in old and name in new
+                    and filecmp.cmp(old[name], new[name], shallow=False))
+            print(f"{name:<24}{drift.cells:>8}{len(drift.changed):>9}"
+                  f"{'same' if same else 'differ':>8}  {drift.max_rel:.3g}")
             report.append((name, drift))
     for name, drift in report:
         for r, c, a, b in drift.changed[:args.cells]:

@@ -5,7 +5,7 @@ asserted directly; every invocation shrinks the grids to keep this fast.
 """
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -374,6 +374,90 @@ def test_nonmarkov_builds_configs_independent_of_cutoffs(tmp_path,
     assert built == [30.0]
 
 
+_CUTOFFS_2_TO_30 = ["--set", "omega_c_list=" + ",".join(
+    str(w) for w in range(2, 31))]
+
+
+@pytest.mark.parametrize("argv", [
+    ["nonmarkov"] + _CUTOFFS_2_TO_30 + TINY,
+    ["simulate"] + FAST,
+    ["rates"] + TINY,
+    ["ift"] + FAST,
+    ["sweep-population", "--set", "p_hot_min=0.9", "--set", "p_hot_max=0.99",
+     "--set", "p_hot_step=0.09"] + FAST,
+], ids=lambda argv: argv[0])
+def test_each_command_diagonalises_each_hamiltonian_once(tmp_path,
+                                                         monkeypatch, argv):
+    """The config diagonalises its cold and its hot Hamiltonian once each;
+    the headers, the setup, the reservoirs and the rate tables of a
+    command all read those two results."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(h):
+        calls.append(h)
+        return eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_OK
+    assert len(calls) == 2
+    assert not hasattr(cli, "transition_energy")
+
+
+def test_sweep_cutoff_error_row(tmp_path, monkeypatch):
+    """A cutoff whose run fails keeps its row: NaN numbers and the error
+    text, its commas and newlines made safe for a CSV cell."""
+    run = cycle._cycle
+
+    def failing(cfg, su):
+        if cfg.omega_c == 25.0:
+            raise ValueError("a,b\nc")
+        return run(cfg, su)
+
+    monkeypatch.setattr(cycle, "_cycle", failing)
+    code = cli.main(["sweep-cutoff", "--set", "omega_c_list=25,30",
+                     "--out", str(tmp_path)] + FAST)
+    assert code == cli.EXIT_OK
+    lines = (tmp_path / "cutoff_sweep.csv").read_text().splitlines()
+    assert lines[-2] == "25,nan,nan,nan,nan,nan,error:ValueError: a;b c"
+    assert lines[-1].startswith("30,") and lines[-1].endswith(",ok")
+
+
+def test_sweep_cutoff_no_engine_row(tmp_path):
+    code = cli.main(["sweep-cutoff", "--set", "omega_c_list=30",
+                     "--set", "alpha=0", "--out", str(tmp_path)] + FAST)
+    assert code == cli.EXIT_OK
+    _, _, data = read_csv(tmp_path / "cutoff_sweep.csv")
+    assert len(data) == 1
+    assert data[0][:3] == ["30", "nan", "nan"]
+    assert data[0][6] == "no-engine"
+
+
+def test_sweep_population_error_row(tmp_path, monkeypatch):
+    """A population whose rate table fails keeps its row, with NaN
+    numbers, valid 0 and the error text; the other rows stay ok."""
+    bad = replace(cycle.CycleConfig(), p_plus_hot=0.75).hot_bath
+    build = cycle.build_rate_trajectories
+
+    def failing(baths, *args):
+        if bad in baths:
+            raise ValueError("a,b\nc")
+        return build(baths, *args)
+
+    monkeypatch.setattr(cycle, "build_rate_trajectories", failing)
+    code = cli.main(["sweep-population", "--set", "t_tilde=0.272",
+                     "--set", "p_hot_min=0.55", "--set", "p_hot_max=0.95",
+                     "--set", "p_hot_step=0.1",
+                     "--out", str(tmp_path)] + FAST)
+    assert code == cli.EXIT_OK
+    lines = (tmp_path / "population_sweep.csv").read_text().splitlines()
+    rows = lines[-5:]
+    assert rows[2] == "0.75,nan,0,nan,nan,error:ValueError: a;b c"
+    assert [row.split(",")[0] for row in rows] == [
+        "0.55", "0.65", "0.75", "0.85", "0.95"]
+    assert all(row.endswith(",ok") for row in rows[:2] + rows[3:])
+
+
 # default `simulate` summary, `nonmarkov` Q rows and `sweep-population`
 # (eta, valid) rows as printed; a change that moves one on purpose re-pins
 # it and says why
@@ -620,3 +704,28 @@ def test_cli_drift_compares_cells_and_headers():
     assert (same.cells, same.changed, same.max_rel) == (12, [], 0.0)
     assert cli_drift.compare(old[:4], new[:4]).max_rel == pytest.approx(
         1e-9 / 0.123456789, rel=1e-6)
+
+
+def test_cli_drift_reports_byte_identity(tmp_path, monkeypatch, capsys):
+    """Files whose cells all agree but whose bytes do not, here by their
+    line endings, read 0 changed cells and `differ`; equal files read
+    `same`."""
+    import cli_drift
+
+    trees = {}
+    for side, end in (("old", "\n"), ("new", "\r\n")):
+        (tmp_path / side).mkdir()
+        trees[side] = {}
+        for name, text in (("a.csv", "# h\nx,y\n1,2\n"),
+                           ("b.csv", "# h\nx\n3\n")):
+            path = tmp_path / side / name
+            body = text if name == "b.csv" else text.replace("\n", end)
+            path.write_bytes(body.encode())
+            trees[side][name] = str(path)
+    monkeypatch.setattr(cli_drift, "run_defaults",
+                        lambda src, outdir: trees[src])
+    assert cli_drift.main(["old", "new"]) == 0
+    report = {line.split()[0]: line.split()[1:]
+              for line in capsys.readouterr().out.splitlines()[1:]}
+    assert report == {"a.csv": ["4", "0", "differ", "0"],
+                      "b.csv": ["2", "0", "same", "0"]}

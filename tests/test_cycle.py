@@ -6,6 +6,7 @@ live in the acceptance suite.
 """
 
 import math
+import warnings
 from dataclasses import MISSING, fields, replace
 
 import numpy as np
@@ -222,14 +223,25 @@ def test_long_ramp_doubles_its_steps_to_converge():
 
 def test_ramp_doubling_stops_at_max_points(monkeypatch):
     """The step count never doubles past MAX_POINTS; the setup reports
-    the error estimate of the last product it built."""
+    the error estimate of the last product it built and warns that it
+    exceeds RAMP_TOL."""
     cfg = CycleConfig(tau=20.0)   # its 4,901 heating samples pass first
     monkeypatch.setattr(cycle, "MAX_POINTS", 1200)
     counts = _counted_ramp(monkeypatch)
-    su = cycle._setup(cfg)
+    with pytest.warns(RuntimeWarning, match=r"ramp error estimate \S+ "
+                      r"exceeds tolerance 1\.0e-10 at 1200 steps"):
+        su = cycle._setup(cfg)
     assert counts == [600, 1200]
     assert su.ramp_error == dynamics.propagate_unitary(cfg.system, 1200)[1]
     assert su.ramp_error > cycle.RAMP_TOL
+
+
+def test_converged_ramp_does_not_warn():
+    """The studied ramp meets RAMP_TOL, so it raises no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, ramp_error = cycle._ramp(CycleConfig().system)
+    assert ramp_error <= cycle.RAMP_TOL
 
 
 @settings(max_examples=30, deadline=None)
