@@ -9,29 +9,40 @@ contact stroke are frequency integrals with a sinc kernel,
 with g = J/(2pi), nbar(w) = 1/(exp(beta(w - mu)) + 1) the Fermi occupation
 of the bath mode and e the transition energy of the system Hamiltonian.
 
-  * gamma has a closed form.  g(w)/(w-e) splits into simple poles at
-    w = e and w = +-i*wc; the first integrates to a sine integral, the
-    other two to the exponential integrals E1 and Ei of the real argument
-    wc*t (DLMF 6.2, 6.7).
+  * gamma has a closed form, used before 37/wc.  g(w)/(w-e) splits into
+    simple poles at w = e and w = +-i*wc; the first integrates to a sine
+    integral, the other two to the exponential integrals E1 and Ei of the
+    real argument wc*t (DLMF 6.2, 6.7).
   * nbar and 1 - nbar are Fermi functions; whichever of them vanishes at
     large w does so like exp(-|beta| w).  The sinc integral of
     2 g(w) expit(-|beta|(w - mu)), the confined remainder C(t), therefore
     needs no tail beyond w_max = mu + 40/|beta|.  C is gt for a
     positive-temperature reservoir (beta > 0) and the decay rate
     2*gamma - gt for an inverted one (beta < 0); at beta = 0, gt = gamma.
-  * C is a Filon-Legendre quadrature.  The removable singularity is split
-    off exactly; (h(w)-h(e))/(w-e) is projected onto Legendre polynomials
-    on panels sized by h alone, with one cached Gauss rule per order; and
+  * Up to a switch time t* the remainder C is a Filon-Legendre
+    quadrature.  The removable singularity is split off exactly;
+    (h(w)-h(e))/(w-e) is projected onto Legendre polynomials on panels
+    sized by h alone, with one cached Gauss rule per order; and
     int P_k(x) e^{izx} dx = 2 i^k j_k(z) turns each panel into spherical
     Bessel moments, uniformly valid in t.  The projections are real, so
     even orders weigh the sine of the panel phase and odd orders its
     cosine, all in real arithmetic.  Every order comes from one recurrence
     over all panels (DLMF 10.51), upward for z >= K orders, downward below.
+  * Past t* = 37/min(wc, pi/|beta|), C and gamma come from their endpoint
+    series.  With psi = (h(w)-h(e))/(w-e), W = mu + 40/|beta| and
+    A_a = sum_n (-1)^n psi^(n)(a) (1/(it))^(n+1) (integration by parts,
+    DLMF 2.3(i)),
+        C = h(e)[Si((W-e)t) + Si(e t)] + Im e^{-iet}(e^{iWt} A_W - A_0),
+    and gamma likewise from (g(w)-g(e))/(w-e) at its one endpoint 0.  What
+    the series miss decays like exp(-wc t) and exp(-pi t/|beta|), from the
+    poles of h at i wc and mu + i pi/|beta|, and has fallen to rounding at
+    t*.  The Taylor data come from one FFT per endpoint on a circle inside
+    the nearest pole (Fornberg, ACM TOMS 7, 512 (1981)).
 
 Tables of baths that share alpha and omega_c are built together: one gamma,
-one remainder pass over all their stacked panels, and one finer pass (more
-orders on half-width panels, over twice the range) that checks the stored
-remainders.
+one remainder pass over all their stacked panels up to their switch time,
+and one finer pass (more orders on half-width panels, over twice the range)
+that checks the stored remainders at nine times, series values included.
 """
 from __future__ import annotations
 
@@ -66,13 +77,25 @@ MAX_POINTS = 10**6
 # times per remainder block, which bounds its (panels x times) arrays
 _BLOCK = 2048
 
-# orders above the top one at which the downward Bessel recurrence starts
-_MILLER_LEAD = 24
+# orders above K, the bound on its arguments, at which the downward
+# Bessel recurrence starts: a start 19 orders above the argument reaches
+# 2e-15 against spherical_jn for K <= 28
+_MILLER_LEAD = 20
 
 # past this wc*t the scaled exponential integrals come from their
 # asymptotic series (DLMF 6.12.1-2), whose terms are below 1e-25 there
 _ASYMPTOTIC_X = 500.0
 _ASYMPTOTIC_TERMS = 12
+
+# past t* = _TAIL_REACH/min(omega_c, pi/|beta|) the rates come from
+# _TAIL_TERMS terms of their endpoint series, whose Taylor data come from
+# one _TAIL_FFT-point FFT per endpoint on a circle at _TAIL_RADIUS of the
+# distance to the nearest pole (tests/resolution_scan.py --tail re-derives
+# these constants)
+_TAIL_TERMS = 30
+_TAIL_FFT = 256
+_TAIL_RADIUS = 0.7
+_TAIL_REACH = 37.0
 
 
 @dataclass(frozen=True)
@@ -130,8 +153,9 @@ def _scaled_exp_integrals(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, ei
 
 
-def _gamma(bath: BathSpec, eps: float, t: np.ndarray) -> np.ndarray:
-    """Closed-form dissipation rate gamma(t) for t > 0.
+def _gamma(bath: BathSpec, eps: float, t: np.ndarray,
+           si_eps: np.ndarray) -> np.ndarray:
+    """Closed-form dissipation rate gamma(t) for t > 0, given Si(e t).
 
     With A = e/(e^2+wc^2) and B = 1/(2(i wc - e)) the residues of
     w/((w^2+wc^2)(w-e)), gamma = (a wc^2/2pi) [A (pi/2 + Si(e t))
@@ -147,7 +171,7 @@ def _gamma(bath: BathSpec, eps: float, t: np.ndarray) -> np.ndarray:
     a = eps / (eps * eps + wc * wc)
     b = 1.0 / (2.0 * (1j * wc - eps))
     return (bath.alpha * wc * wc / TWO_PI) * (
-        a * (0.5 * np.pi + sici(eps * t)[0]) + 2.0 * (b * k).real)
+        a * (0.5 * np.pi + si_eps) + 2.0 * (b * k).real)
 
 
 def _panel_edges(bath: BathSpec, eps: float, panel_div: float,
@@ -196,8 +220,9 @@ def _bessel_sum(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
     for sel, branch in ((up, _bessel_up), (~up, _bessel_down)):
         # the selected points, panel by panel, and how many each panel has;
         # one 1-D scatter per parity, as a 2-D one costs several times more
-        out[0][sel], out[1][sel] = branch(
-            z[sel], np.count_nonzero(sel, axis=1), coef.T)
+        if sel.any():
+            out[0][sel], out[1][sel] = branch(
+                z[sel], np.count_nonzero(sel, axis=1), coef.T)
     return out
 
 
@@ -208,7 +233,7 @@ def _bessel_up(x: np.ndarray, counts: np.ndarray,
     inv = 1.0 / x
     j_prev, j, tmp = np.cos(x) * inv, np.sin(x) * inv, np.empty_like(x)
     for k, c in enumerate(coef):
-        acc[k % 2] += np.repeat(c, counts) * j
+        acc[k % 2] += c.repeat(counts) * j
         np.multiply(inv, 2 * k + 1, out=tmp)
         tmp *= j
         tmp -= j_prev
@@ -219,20 +244,20 @@ def _bessel_up(x: np.ndarray, counts: np.ndarray,
 def _bessel_down(x: np.ndarray, counts: np.ndarray,
                  coef: np.ndarray) -> np.ndarray:
     """Miller's algorithm (DLMF 3.6(iii); Gautschi, SIAM Rev. 9, 24
-    (1967)) on y_k = (2k+1)!! x^-k j_k, from _MILLER_LEAD orders above the
-    top: y stays O(1) however small x is, and j_k(0) = delta_k0.  Each
-    parity sums as a Horner polynomial in x^2, the odd one times x, and is
-    normalized by j_0, or by j_1 where |j_0| < |j_1|."""
+    (1967)) on y_k = (2k+1)!! x^-k j_k, from _MILLER_LEAD orders above K,
+    the bound on x: y stays O(1) however small x is, and j_k(0) =
+    delta_k0.  Each parity sums as a Horner polynomial in x^2, the odd one
+    times x, and is normalized by j_0, or by j_1 where |j_0| < |j_1|."""
     order = len(coef)
     # coefficients of x^k y_k: c_k / (2k+1)!!
     coef = coef / np.cumprod(np.arange(1.0, 2 * order, 2.0))[:, None]
     acc = np.zeros((2, x.size))
     x2 = x * x
     y_next, y, tmp = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
-    for k in range(order - 1 + _MILLER_LEAD, -1, -1):
+    for k in range(order + _MILLER_LEAD, -1, -1):
         if k < order:
             acc[k % 2] *= x2
-            acc[k % 2] += np.repeat(coef[k], counts) * y
+            acc[k % 2] += coef[k].repeat(counts) * y
         if k:   # y_{k-1} = y_k - x^2/((2k+1)(2k+3)) y_{k+1}
             np.multiply(x2, -1.0 / ((2 * k + 1) * (2 * k + 3)), out=tmp)
             tmp *= y_next
@@ -258,10 +283,12 @@ def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _remainder(baths, eps: float, t: np.ndarray, order: int,
-               panel_div: float, range_scale: float) -> np.ndarray:
+               panel_div: float, range_scale: float,
+               si_eps: np.ndarray | None = None) -> np.ndarray:
     """Filon-Legendre confined remainder of each bath (beta != 0), shape
-    (B, T), C(t) = int_0^omega_max h(w) sin((w-e)t)/(w-e) dw for t >= 0;
-    each bath sums its own panels in order, as it would alone."""
+    (B, T), C(t) = int_0^omega_max h(w) sin((w-e)t)/(w-e) dw for t >= 0,
+    given Si(e t) or computing it; each bath sums its own panels in order,
+    as it would alone."""
     out = np.empty((len(baths), t.size))
     if not baths:
         return out
@@ -269,7 +296,8 @@ def _remainder(baths, eps: float, t: np.ndarray, order: int,
     # a panel adds 2 half Im(e^{i phi} sum_k i^k c_k j_k), phi = (mid - e)t,
     # and c is real: i^k is (-1)^(k//2) times i for odd k
     parity = (-1.0) ** (np.arange(order) // 2)
-    si_eps = sici(eps * t)[0]
+    if si_eps is None:
+        si_eps = sici(eps * t)[0]
     panels = []
     for b, row in zip(baths, out):
         omega_max = range_scale * (b.mu + _REACH / abs(b.beta))
@@ -305,11 +333,95 @@ def _remainder(baths, eps: float, t: np.ndarray, order: int,
     return out
 
 
+def _switch_time(bath: BathSpec) -> float:
+    """t*, past which the endpoint series of the bath's rates have reached
+    rounding: what they miss decays like exp(-omega_c t) and, at beta != 0,
+    exp(-pi t/|beta|), so the imaginary parts of the poles set it."""
+    rate = bath.omega_c
+    if bath.beta != 0.0:
+        rate = min(rate, np.pi / abs(bath.beta))
+    return _TAIL_REACH / rate
+
+
+def _spectrum(bath: BathSpec, w):
+    """g(w) = J(w)/2pi, continued to complex w."""
+    wc2 = bath.omega_c ** 2
+    return bath.alpha * w * wc2 / ((wc2 + w * w) * TWO_PI)
+
+
+def _endpoint(f, a: float, radius: float) -> tuple:
+    """(radius, b): the Taylor data of f at a for `_endpoint_sum`, the
+    columns of b holding b_n = (-1)^(n//2) f^(n)(a) radius^n at even and
+    at odd n.  The FFT nodes sit half a step off the real axis, where e
+    may lie."""
+    n = np.arange(_TAIL_TERMS)
+    theta = TWO_PI * (np.arange(_TAIL_FFT) + 0.5) / _TAIL_FFT
+    b = np.fft.fft(f(a + radius * np.exp(1j * theta)))[:n.size]
+    # undo the half-step rotation of the nodes
+    b = (b * np.exp(-1j * np.pi * n / _TAIL_FFT)).real / _TAIL_FFT
+    b *= np.cumprod(np.maximum(n, 1.0)) * (-1.0) ** (n // 2)
+    return radius, b.reshape(-1, 2)
+
+
+def _endpoint_sum(data: tuple, t: np.ndarray) -> tuple:
+    """(Re, Im) of A_a = sum_n (-1)^n f^(n)(a) (1/(it))^(n+1): with
+    u = 1/(radius t), r u^2 P_odd(u^2) and -r u P_even(u^2)."""
+    radius, b = data
+    u = 1.0 / (radius * t)
+    x = u * u
+    acc = np.multiply.outer(b[-1], np.ones_like(x))
+    for row in b[-2::-1]:   # Horner, both parities at once
+        acc *= x
+        acc += row[:, None]
+    return radius * x * acc[1], -radius * u * acc[0]
+
+
+def _gamma_series(bath: BathSpec, eps: float, t: np.ndarray, si_eps,
+                  cos_eps, sin_eps) -> np.ndarray:
+    """gamma(t) = g(e)(pi/2 + Si(e t)) - Im e^{-iet} A_0 past 37/omega_c,
+    for phi = (g(w) - g(e))/(w - e), whose poles are +-i omega_c."""
+    g_eps = _spectrum(bath, eps)
+    re, im = _endpoint_sum(_endpoint(
+        lambda w: (_spectrum(bath, w) - g_eps) / (w - eps), 0.0,
+        _TAIL_RADIUS * bath.omega_c), t)
+    return g_eps * (0.5 * np.pi + si_eps) - (cos_eps * im - sin_eps * re)
+
+
+def _remainder_series(bath: BathSpec, eps: float, t: np.ndarray, si_eps,
+                      cos_eps, sin_eps) -> np.ndarray:
+    """C(t) past t*, from its endpoint series at 0 and W = mu + 40/|beta|;
+    each circle avoids i omega_c and the Fermi pole mu + i pi/|beta|."""
+    beta = abs(bath.beta)
+    top = bath.mu + _REACH / beta
+    pole = complex(bath.mu, np.pi / beta)
+    h_eps = float(_envelope(bath, np.asarray(eps)))
+
+    def psi(w):
+        h = 2.0 * _spectrum(bath, w) / (1.0 + np.exp(beta * (w - bath.mu)))
+        return (h - h_eps) / (w - eps)
+
+    re0, im0 = _endpoint_sum(_endpoint(
+        psi, 0.0, _TAIL_RADIUS * min(bath.omega_c, abs(pole))), t)
+    re_top, im_top = _endpoint_sum(_endpoint(
+        psi, top, _TAIL_RADIUS * min(abs(pole - top),
+                                     abs(complex(top, bath.omega_c)))), t)
+    phase = (top - eps) * t
+    return (h_eps * (sici(phase)[0] + si_eps)
+            + np.cos(phase) * im_top + np.sin(phase) * re_top
+            - (cos_eps * im0 - sin_eps * re0))
+
+
 def rate_coefficients(baths, eps: float, t) -> list[tuple]:
     """(gamma, gamma_tilde, big_gamma) of each bath as arrays over the
     times t since switch-on (a scalar counts as one time);
     big_gamma = 2*gamma - gamma_tilde is the decay channel.  The baths
-    share alpha and omega_c, hence gamma."""
+    share alpha and omega_c, hence gamma.
+
+    Each bath's remainder runs the quadrature before its own switch time
+    and the series from it on, whichever baths it is built with; baths
+    whose early times coincide share one quadrature pass.  gamma switches
+    at _TAIL_REACH/omega_c, the switch time of a bath at beta = 0 and no
+    later than any other bath's."""
     if len({(b.alpha, b.omega_c) for b in baths}) != 1:
         raise ValueError("the baths must share alpha and omega_c")
     if eps <= 0.0:
@@ -317,12 +429,40 @@ def rate_coefficients(baths, eps: float, t) -> list[tuple]:
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(ts < 0.0):
         raise ValueError("rates defined for t >= 0 only")
+    si = sici(eps * ts)[0]
+    late = ts >= _TAIL_REACH / baths[0].omega_c
+    early = (ts > 0.0) & ~late
+    # the carrier every series shares, at gamma's late times
+    carrier = (ts[late], si[late], np.cos(eps * ts[late]),
+               np.sin(eps * ts[late]))
     g = np.zeros(ts.shape)
-    g[ts > 0.0] = _gamma(baths[0], eps, ts[ts > 0.0])
-    held = iter(_remainder([b for b in baths if b.beta != 0.0], eps, ts,
-                           *_BASE_RESOLUTION))
+    g[early] = _gamma(baths[0], eps, ts[early], si[early])
+    if late.any():
+        g[late] = _gamma_series(baths[0], eps, *carrier)
+
+    held = [b for b in baths if b.beta != 0.0]
+    cs = np.empty((len(held), ts.size))
+    # the early times of two baths coincide when as many times precede
+    # their switch times: the sets are nested
+    passes: dict[int, list] = {}
+    for i, b in enumerate(held):
+        passes.setdefault(int(np.count_nonzero(ts < _switch_time(b))),
+                          []).append(i)
+    for n_early, rows in passes.items():
+        if n_early:
+            sel = ts < _switch_time(held[rows[0]])
+            cs[np.ix_(rows, sel)] = _remainder(
+                [held[i] for i in rows], eps, ts[sel], *_BASE_RESOLUTION,
+                si_eps=si[sel])
+    at = np.flatnonzero(late)
+    for b, row in zip(held, cs):
+        tail = carrier[0] >= _switch_time(b)
+        if tail.any():
+            row[at[tail]] = _remainder_series(b, eps,
+                                              *(x[tail] for x in carrier))
+    held_iter = iter(cs)
     # the remainder; at beta = 0, nbar = 1/2: both channels run at gamma
-    cs = [next(held) if b.beta != 0.0 else g.copy() for b in baths]
+    cs = [next(held_iter) if b.beta != 0.0 else g.copy() for b in baths]
     return [(g, 2.0 * g - c, c) if b.beta < 0.0 else (g, c, 2.0 * g - c)
             for b, c in zip(baths, cs)]
 

@@ -322,13 +322,14 @@ def _crossing_probability(m: np.ndarray) -> float:
 
 def run_cycle(cfg: CycleConfig) -> CycleResult:
     """Run one engine cycle over every truncation time on the grid."""
-    return _cycle(cfg, _setup(cfg))
+    return _cycle(cfg, _setup(cfg), cfg.hot_bath)
 
 
-def _cycle(cfg: CycleConfig, su: HotFrame) -> CycleResult:
+def _cycle(cfg: CycleConfig, su: HotFrame, hot: BathSpec) -> CycleResult:
+    """One cycle of cfg with the heating stroke in contact with hot; the
+    result's `config` stays cfg, also where hot's cutoff differs."""
     grid = cfg.heating_grid()
-    rates = build_rate_trajectory(cfg.hot_bath, su.eps,
-                                  grid[-1] + _TABLE_MARGIN)
+    rates = build_rate_trajectory(hot, su.eps, grid[-1] + _TABLE_MARGIN)
     contact = evolve_open(su, [rates], grid)
     p = contact.p[0]
 
@@ -412,7 +413,8 @@ class SweepRow:
 def _cutoff_point(cfg: CycleConfig, su: HotFrame,
                   omega_c: float) -> SweepRow:
     try:
-        res = _cycle(replace(cfg, omega_c=omega_c), su)
+        # only the reservoir moves: no config, so no diagonalisation
+        res = _cycle(cfg, su, replace(cfg.hot_bath, omega_c=omega_c))
         return SweepRow(omega_c=omega_c, eta_max=res.eta_max,
                         t_tilde_max=res.t_tilde_max, o_p=res.o_p,
                         q_nonmarkov=res.nonmarkov.q_total,

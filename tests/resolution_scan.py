@@ -2,6 +2,8 @@
 
     PYTHONPATH=src python tests/resolution_scan.py [--orders 14,20,22,24]
                                                    [--divs 1,2,3]
+    PYTHONPATH=src python tests/resolution_scan.py --tail [--terms 24,30]
+                                   [--radii 0.6,0.7] [--reaches 33,37]
 
 For every candidate (Legendre order, panel divisor) at range scale 1, the
 script prints the largest absolute deviation of `bath._remainder` from the
@@ -20,9 +22,18 @@ resolution `PREVIOUS_BASE` and the check resolution
 * The wide grid holds omega_c in {2, 30, 100} x p_plus_hot in {0.3, 0.49,
   0.51, 0.6, 0.99} x mu in {0, 10} at `WIDE_TIMES`.
 
-`test_bath.py` checks the library's base resolution on both grids, so this
-script re-derives the constants that test holds.  Pytest does not collect
-this file.
+With `--tail` the script scans the endpoint series instead: for every
+candidate (terms, radius fraction, reach) it sets `bath._TAIL_TERMS`,
+`bath._TAIL_RADIUS` and `bath._TAIL_REACH`, and prints the largest
+deviation past the switch times of the remainder series from the reference
+on both grids and of the gamma series from the closed-form `bath._gamma`,
+the table times the series take over on the workload grid, and the best of
+three timings of the series there.  The library's constants are always
+scanned as well.
+
+`test_bath.py` checks the library's base resolution and its series on both
+grids, so this script re-derives the constants those tests hold.  Pytest
+does not collect this file.
 """
 from __future__ import annotations
 
@@ -30,6 +41,7 @@ import argparse
 import time
 
 import numpy as np
+from scipy.special import sici
 
 from qotto import bath
 from qotto.cycle import _TABLE_MARGIN, CycleConfig
@@ -104,11 +116,108 @@ def elements(groups, panel_div: float, range_scale: float) -> int:
     return total
 
 
+def carrier(eps: float, t: np.ndarray) -> tuple:
+    """(t, Si(e t), cos(e t), sin(e t)), the arguments of both series."""
+    return t, sici(eps * t)[0], np.cos(eps * t), np.sin(eps * t)
+
+
+def switched_deviation(groups, reference: list) -> float:
+    """Largest |C - C_ref| of the remainders `bath.rate_coefficients`
+    stores, quadrature before each bath's switch time and series from it
+    on, against the `remainders` of the groups at a reference resolution."""
+    worst = 0.0
+    for (baths, eps, t), ref in zip(groups, reference):
+        for b, (_, gt, bg), r in zip(
+                baths, bath.rate_coefficients(baths, eps, t), ref):
+            worst = max(worst, float(np.max(np.abs(
+                (bg if b.beta < 0.0 else gt) - r))))
+    return worst
+
+
+def tail_deviation(groups, reference: list) -> tuple[float, float, int]:
+    """(C deviation, gamma deviation, late times): the endpoint series
+    alone from each switch time on, the remainder's against the reference
+    and gamma's against the closed form, and how many table times of the
+    groups' baths the remainder series takes over."""
+    worst_c = worst_g = 0.0
+    late_times = 0
+    for (baths, eps, t), ref in zip(groups, reference):
+        late = t[t >= bath._TAIL_REACH / baths[0].omega_c]
+        if late.size:
+            args = carrier(eps, late)
+            worst_g = max(worst_g, float(np.max(np.abs(
+                bath._gamma_series(baths[0], eps, *args)
+                - bath._gamma(baths[0], eps, late, args[1])))))
+        for b, r in zip(baths, ref):
+            late = t >= bath._switch_time(b)
+            late_times += int(np.count_nonzero(late))
+            if late.any():
+                worst_c = max(worst_c, float(np.max(np.abs(
+                    bath._remainder_series(b, eps, *carrier(eps, t[late]))
+                    - r[late]))))
+    return worst_c, worst_g, late_times
+
+
+def series_seconds(groups) -> float:
+    """Best of three timings of both series over the groups' late times."""
+    secs = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        for baths, eps, t in groups:
+            late = t[t >= bath._TAIL_REACH / baths[0].omega_c]
+            if late.size:
+                bath._gamma_series(baths[0], eps, *carrier(eps, late))
+            for b in baths:
+                late = t[t >= bath._switch_time(b)]
+                if late.size:
+                    bath._remainder_series(b, eps, *carrier(eps, late))
+        secs.append(time.perf_counter() - t0)
+    return min(secs)
+
+
+def scan_tail(args) -> int:
+    """The --tail report: one line per series candidate."""
+    library = (bath._TAIL_TERMS, bath._TAIL_RADIUS, bath._TAIL_REACH)
+    candidates = {(int(n), float(r), float(a)) for n in args.terms.split(",")
+                  for r in args.radii.split(",")
+                  for a in args.reaches.split(",")} | {library}
+    work, wide = workload_groups(), wide_groups()
+    ref_work, ref_wide = remainders(work, REFERENCE), remainders(wide, REFERENCE)
+    print(f"reference {REFERENCE}; deviations are absolute, rad/ms, from "
+          f"the switch times on")
+    print(f"{'terms':>5} {'radius':>6} {'reach':>5} {'workload C':>10} "
+          f"{'wide C':>9} {'workload g':>10} {'wide g':>9} {'late':>7} "
+          f"{'time s':>7}")
+    try:
+        for cand in sorted(candidates):
+            bath._TAIL_TERMS, bath._TAIL_RADIUS, bath._TAIL_REACH = cand
+            c_work, g_work, late = tail_deviation(work, ref_work)
+            c_wide, g_wide, _ = tail_deviation(wide, ref_wide)
+            print(f"{cand[0]:5d} {cand[1]:6.2g} {cand[2]:5.3g} {c_work:10.2e} "
+                  f"{c_wide:9.2e} {g_work:10.2e} {g_wide:9.2e} {late:7d} "
+                  f"{series_seconds(work):7.3f}"
+                  f"  {'library' if cand == library else ''}")
+    finally:
+        bath._TAIL_TERMS, bath._TAIL_RADIUS, bath._TAIL_REACH = library
+    return 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--orders", default="14,18,20,22,24,26")
     ap.add_argument("--divs", default="1,1.5,2,3")
+    ap.add_argument("--tail", action="store_true",
+                    help="scan the endpoint series instead")
+    ap.add_argument("--terms", default="24,30,36",
+                    help="even series lengths for --tail")
+    ap.add_argument("--radii", default="0.6,0.7,0.8",
+                    help="FFT radii, as fractions of the pole distance")
+    ap.add_argument("--reaches", default="33,37,41",
+                    help="switch times, in units of the pole's inverse "
+                         "imaginary part")
     args = ap.parse_args(argv)
+    if args.tail:
+        return scan_tail(args)
     candidates = {(int(k), float(d), 1.0)
                   for k in args.orders.split(",") for d in args.divs.split(",")}
     candidates |= {bath._BASE_RESOLUTION, bath._FINE_RESOLUTION, PREVIOUS_BASE}

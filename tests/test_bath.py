@@ -15,8 +15,9 @@ from scipy.special import sici, spherical_jn
 import conftest
 from conftest import EPS_COLD, EPS_HOT
 from oracles import complex_remainder, filon_rates, markov_limits, occupation
-from resolution_scan import (PREVIOUS_BASE, REFERENCE, deviation,
-                             remainders, wide_groups, workload_groups)
+from resolution_scan import (PREVIOUS_BASE, REFERENCE, carrier, deviation,
+                             remainders, switched_deviation, tail_deviation,
+                             wide_groups, workload_groups)
 from qotto import ConfigError, bath
 from qotto.bath import (BathSpec, build_rate_trajectory, rate_coefficients,
                         spectral_density, quadrature_error_estimate)
@@ -272,6 +273,99 @@ def test_base_resolution_matches_reference_on_wide_grid():
                      remainders(groups, REFERENCE)) < 5e-14
 
 
+@pytest.mark.parametrize("grid, bound", [(workload_groups, 1e-14),
+                                         (wide_groups, 5e-14)],
+                         ids=["workload", "wide"])
+def test_switched_remainder_matches_reference(grid, bound):
+    """The stored remainder, quadrature before each bath's switch time and
+    endpoint series from it on, against order 28 on panels a sixth as
+    wide: within 1e-14 on the benchmark's tables and 5e-14 on the wide
+    grid, the bounds the base resolution alone meets."""
+    groups = grid()
+    assert switched_deviation(groups, remainders(groups, REFERENCE)) < bound
+
+
+@pytest.mark.parametrize("grid", [workload_groups, wide_groups],
+                         ids=["workload", "wide"])
+def test_series_alone_match_quadrature_and_closed_form(grid):
+    """Past the switch times the endpoint series alone reach rounding:
+    the remainder's within 1e-14 of the order-28 reference and gamma's
+    within 1e-14 of the closed form, on both grids; each grid has times
+    past the switch for both."""
+    groups = grid()
+    c_dev, g_dev, late = tail_deviation(groups, remainders(groups, REFERENCE))
+    assert late > 0
+    assert c_dev < 1e-14 and g_dev < 1e-14
+
+
+@pytest.mark.parametrize("spec", [
+    *(CycleConfig(omega_c=wc, mu=mu, p_plus_hot=p).hot_bath
+      for wc in (5.0, 30.0, 100.0) for p in (0.51, 0.99) for mu in (0.0, 10.0)),
+    CycleConfig().cold_bath],
+    ids=lambda b: f"wc{b.omega_c:g}-beta{b.beta:.3g}-mu{b.mu:g}")
+def test_rates_continuous_across_switch_times(spec):
+    """One ulp before gamma's switch time 37/omega_c and the bath's own,
+    quadrature or closed form; at them, the series: all three rates agree
+    across each switch to 1e-14."""
+    eps = EPS_COLD if spec.beta > 0.0 else EPS_HOT
+    for switch in (bath._TAIL_REACH / spec.omega_c, bath._switch_time(spec)):
+        t = np.array([np.nextafter(switch, 0.0), switch])
+        for rate in rate_coefficients([spec], eps, t)[0]:
+            assert abs(rate[1] - rate[0]) < 1e-14
+
+
+@pytest.mark.filterwarnings(conftest.MARGINAL_COUPLING)
+def test_quadrature_runs_only_before_each_switch_time(monkeypatch):
+    """No base-resolution remainder pass receives a time at or past the
+    switch time of a bath it computes, and the closed-form gamma none at
+    or past 37/omega_c, the earliest switch time: in a batch that mixes
+    switch times and in the single tables of two memory-scan cutoffs, all
+    reaching past their switch times."""
+    remainder, gamma = bath._remainder, bath._gamma
+    base_passes = []
+
+    def checked_remainder(specs, eps, t, order, *rest, **kw):
+        if order == bath._BASE_RESOLUTION[0]:
+            base_passes.append(len(specs))
+            assert all(np.max(t) < bath._switch_time(s) for s in specs)
+        return remainder(specs, eps, t, order, *rest, **kw)
+
+    def checked_gamma(spec, eps, t, *rest):
+        assert np.max(t) < bath._TAIL_REACH / spec.omega_c
+        return gamma(spec, eps, t, *rest)
+
+    monkeypatch.setattr(bath, "_remainder", checked_remainder)
+    monkeypatch.setattr(bath, "_gamma", checked_gamma)
+    mixed = [CycleConfig(p_plus_hot=p).hot_bath for p in (0.3, 0.5, 0.51, 0.99)]
+    assert max(bath._switch_time(s) for s in mixed if s.beta) < 4.0
+    bath.build_rate_trajectories(mixed, EPS_HOT, 4.0)
+    # two distinct early-time sets among the three baths with beta != 0
+    assert sorted(base_passes) == [1, 2]
+    for omega_c in (15.0, 30.0):
+        build_rate_trajectory(CycleConfig(omega_c=omega_c).hot_bath,
+                              EPS_HOT, 10.0)
+    assert len(base_passes) == 4
+
+
+@pytest.mark.parametrize("omega_c", [5.0, 15.0, 30.0])
+def test_quadrature_check_probes_series_values(monkeypatch, omega_c):
+    """A table that reaches past its bath's switch time has a quad_error
+    probe past it, so the check tests series values too."""
+    estimate = bath.quadrature_error_estimate
+    probes = []
+
+    def recorded(specs, eps, ts, held):
+        probes.append(np.asarray(ts))
+        return estimate(specs, eps, ts, held)
+
+    monkeypatch.setattr(bath, "quadrature_error_estimate", recorded)
+    spec = CycleConfig(omega_c=omega_c).hot_bath
+    assert bath._switch_time(spec) < 10.0
+    rt = build_rate_trajectory(spec, EPS_HOT, 10.0)
+    assert np.max(probes[0]) >= bath._switch_time(spec)
+    assert rt.quad_error < bath.QUAD_TOL
+
+
 def test_fine_resolution_is_strictly_finer():
     """The check has more orders, narrower panels and twice the range."""
     order, div, scale = bath._BASE_RESOLUTION
@@ -371,9 +465,9 @@ def test_sweep_runs_two_remainder_passes(monkeypatch):
     calls = Counter()
     remainder = bath._remainder
 
-    def counting(specs, eps, t, order, panel_div, range_scale):
+    def counting(specs, eps, t, order, panel_div, range_scale, **kw):
         calls[order] += 1
-        return remainder(specs, eps, t, order, panel_div, range_scale)
+        return remainder(specs, eps, t, order, panel_div, range_scale, **kw)
 
     monkeypatch.setattr(bath, "_remainder", counting)
     rows = sweep_population(CycleConfig(omega_c=15.0),
@@ -526,9 +620,9 @@ def test_trajectory_evaluates_each_remainder_once(monkeypatch, beta):
     calls = Counter()
     remainder = bath._remainder
 
-    def counting(spec, eps, t, order, panel_div, range_scale):
+    def counting(spec, eps, t, order, panel_div, range_scale, **kw):
         calls[order] += 1
-        return remainder(spec, eps, t, order, panel_div, range_scale)
+        return remainder(spec, eps, t, order, panel_div, range_scale, **kw)
 
     monkeypatch.setattr(bath, "_remainder", counting)
     spec = BathSpec(alpha=0.6, omega_c=30.0, beta=beta)

@@ -383,6 +383,7 @@ _CUTOFFS_2_TO_30 = ["--set", "omega_c_list=" + ",".join(
     ["simulate"] + FAST,
     ["rates"] + TINY,
     ["ift"] + FAST,
+    ["sweep-cutoff"] + FAST,
     ["sweep-population", "--set", "p_hot_min=0.9", "--set", "p_hot_max=0.99",
      "--set", "p_hot_step=0.09"] + FAST,
 ], ids=lambda argv: argv[0])
@@ -390,7 +391,8 @@ def test_each_command_diagonalises_each_hamiltonian_once(tmp_path,
                                                          monkeypatch, argv):
     """The config diagonalises its cold and its hot Hamiltonian once each;
     the headers, the setup, the reservoirs and the rate tables of a
-    command all read those two results."""
+    command all read those two results, and sweep-cutoff's four cutoffs
+    move only the reservoir."""
     calls = []
     eigh = np.linalg.eigh
 
@@ -409,10 +411,10 @@ def test_sweep_cutoff_error_row(tmp_path, monkeypatch):
     text, its commas and newlines made safe for a CSV cell."""
     run = cycle._cycle
 
-    def failing(cfg, su):
-        if cfg.omega_c == 25.0:
+    def failing(cfg, su, hot):
+        if hot.omega_c == 25.0:
             raise ValueError("a,b\nc")
-        return run(cfg, su)
+        return run(cfg, su, hot)
 
     monkeypatch.setattr(cycle, "_cycle", failing)
     code = cli.main(["sweep-cutoff", "--set", "omega_c_list=25,30",

@@ -550,8 +550,8 @@ def test_sweep_population_isolates_failures(fast_cfg, monkeypatch):
     bad_beta = replace(fast_cfg, p_plus_hot=0.75).hot_bath.beta
     remainder = bath._remainder
 
-    def poisoned(specs, eps, t, *resolution):
-        held = remainder(specs, eps, t, *resolution)
+    def poisoned(specs, eps, t, *resolution, **kw):
+        held = remainder(specs, eps, t, *resolution, **kw)
         held[[spec.beta == bad_beta for spec in specs]] = np.nan
         return held
 
