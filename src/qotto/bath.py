@@ -71,7 +71,8 @@ _REACH = 40.0
 # largest accepted base-versus-fine remainder discrepancy, rad/ms
 QUAD_TOL = 1e-8
 
-# most samples a rate table or a heating grid may hold
+# most samples a rate table or a heating grid may hold, and most steps
+# the ramp propagator may take
 MAX_POINTS = 10**6
 
 # times per remainder block, which bounds its (panels x times) arrays
@@ -81,11 +82,6 @@ _BLOCK = 2048
 # Bessel recurrence starts: a start 19 orders above the argument reaches
 # 2e-15 against spherical_jn for K <= 28
 _MILLER_LEAD = 20
-
-# past this wc*t the scaled exponential integrals come from their
-# asymptotic series (DLMF 6.12.1-2), whose terms are below 1e-25 there
-_ASYMPTOTIC_X = 500.0
-_ASYMPTOTIC_TERMS = 12
 
 # past t* = _TAIL_REACH/min(omega_c, pi/|beta|) the rates come from
 # _TAIL_TERMS terms of their endpoint series, whose Taylor data come from
@@ -134,28 +130,10 @@ def spectral_density(bath: BathSpec, w):
     return out if out.ndim else float(out)
 
 
-def _scaled_exp_integrals(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(e^x E1(x), e^-x Ei(x)) for x > 0, finite where e^x overflows."""
-    e1 = np.empty_like(x)
-    ei = np.empty_like(x)
-    near = x <= _ASYMPTOTIC_X
-    xn = x[near]
-    e1[near] = np.exp(xn) * exp1(xn)
-    ei[near] = np.exp(-xn) * expi(xn)
-    # (1/x) sum_n n! (-+1/x)^n, summed from the innermost term out
-    u = 1.0 / x[~near]
-    s1 = s2 = np.ones_like(u)
-    for n in range(_ASYMPTOTIC_TERMS, 0, -1):
-        s1 = 1.0 - n * u * s1
-        s2 = 1.0 + n * u * s2
-    e1[~near] = u * s1
-    ei[~near] = u * s2
-    return e1, ei
-
-
 def _gamma(bath: BathSpec, eps: float, t: np.ndarray,
            si_eps: np.ndarray) -> np.ndarray:
-    """Closed-form dissipation rate gamma(t) for t > 0, given Si(e t).
+    """Closed-form dissipation rate gamma(t) for 0 < t < _TAIL_REACH/wc,
+    given Si(e t).
 
     With A = e/(e^2+wc^2) and B = 1/(2(i wc - e)) the residues of
     w/((w^2+wc^2)(w-e)), gamma = (a wc^2/2pi) [A (pi/2 + Si(e t))
@@ -164,7 +142,8 @@ def _gamma(bath: BathSpec, eps: float, t: np.ndarray,
     """
     wc = bath.omega_c
     x = wc * t
-    e1, ei = _scaled_exp_integrals(x)
+    # e^x E1(x) and e^-x Ei(x), finite because x < _TAIL_REACH
+    e1, ei = np.exp(x) * exp1(x), np.exp(-x) * expi(x)
     phase = np.exp(1j * eps * t)
     k = (np.conj(phase) * (1j * np.pi * np.exp(-x) - ei)
          - phase * e1) / 2j

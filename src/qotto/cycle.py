@@ -13,16 +13,16 @@ The stroke-independent pieces are set up once per run, sweep or
 reference scan, as one `model.HotFrame` of scalars: the ramp unitary U
 and the two eigenbases enter only through M = V_hot^dag U V_cold, the
 ramp in the eigenbases of the two stroke Hamiltonians, and the input
-state only through its cold populations.  The setup builds no density
-matrix; each config diagonalises its two Hamiltonians once, in
-`CycleConfig.spectra`, and nothing else does.  A population sweep
-runs its points as one batch, point by point only if the batch fails;
-rows come in input order, and a point that fails becomes a row carrying
-the error instead of ending the sweep.
+state only through its cold populations.  U comes from
+`dynamics.propagate_unitary`, which picks its own step count.  The
+setup builds no density matrix; each config diagonalises its two
+Hamiltonians once, in `CycleConfig.spectra`, and nothing else does.  A
+population sweep runs its points as one batch, point by point only if
+the batch fails; rows come in input order, and a point that fails
+becomes a row carrying the error instead of ending the sweep.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -31,7 +31,7 @@ import numpy as np
 from . import ConfigError, require_finite
 from .bath import (MAX_POINTS, BathSpec, build_rate_trajectories,
                    build_rate_trajectory, rate_table_size)
-from .dynamics import DEFAULT_N_STEPS, evolve_open, propagate_unitary
+from .dynamics import evolve_open, propagate_unitary
 from .measures import (NonMarkovReport, energetics, nonmarkov_report,
                        overall_performance)
 from .model import (SIGMA_X, HotFrame, SystemParams, beta_from_population,
@@ -65,9 +65,6 @@ _TABLE_MARGIN = 0.05
 # largest |Tr rho0 - 1| accepted of the ramp's output state
 _TRACE_TOL = 1e-10
 
-# largest ramp_error the setup accepts before it doubles the step count
-RAMP_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class CycleConfig:
@@ -88,8 +85,8 @@ class CycleConfig:
     `heat_t_dense` and sparse (spacing `tail_dt`) out to `heat_t_max`;
     the dense part resolves the efficiency oscillations, the tail pins
     the saturation value.  Each spacing must divide its span to 1e-9
-    relative, so the grid is exactly the configured one.  The setup picks
-    the ramp's step count from the ramp's error estimate.
+    relative, so the grid is exactly the configured one.  The ramp
+    picks its own step count from its error estimate.
     """
 
     nu_cold: float = 2.0
@@ -257,28 +254,11 @@ def _band_edges(times: np.ndarray, eta: np.ndarray, k: int,
     return float(t_lo), float(t_hi)
 
 
-def _ramp(sp: SystemParams) -> tuple[np.ndarray, float]:
-    """The ramp unitary and its error estimate at DEFAULT_N_STEPS steps,
-    the step count doubled while the estimate exceeds RAMP_TOL and the
-    doubled count stays within MAX_POINTS, with a warning if it must stop
-    above RAMP_TOL."""
-    n = DEFAULT_N_STEPS
-    u, ramp_error = propagate_unitary(sp, n)
-    while ramp_error > RAMP_TOL and 2 * n <= MAX_POINTS:
-        n *= 2
-        u, ramp_error = propagate_unitary(sp, n)
-    if ramp_error > RAMP_TOL:
-        warnings.warn(f"ramp error estimate {ramp_error:.2e} exceeds "
-                      f"tolerance {RAMP_TOL:.1e} at {n} steps",
-                      RuntimeWarning, stacklevel=2)
-    return u, ramp_error
-
-
 def _setup(cfg: CycleConfig) -> HotFrame:
     """Every stroke-independent scalar of one cycle, from the ramp in the
     two eigenbases, M = V_hot^dag U V_cold (columns and rows lower level
     first), and the cold input populations d = (1 - p_c, p_c), with the
-    eigenbases from `cfg.spectra` and U from `_ramp`.
+    eigenbases from `cfg.spectra` and U from `propagate_unitary`.
 
     The ramp's output state has p0 = sum_j d_j |M_+j|^2 and
     c0 = sum_j d_j M_+j conj(M_-j); h_back in the hot eigenbasis is
@@ -289,7 +269,7 @@ def _setup(cfg: CycleConfig) -> HotFrame:
     reported, as the t = 0 sample of the contact stroke's `min_eig`.
     """
     (eps_cold, *cold), (eps, hot_minus, hot_plus) = cfg.spectra
-    u, ramp_error = _ramp(cfg.system)
+    u, ramp_error = propagate_unitary(cfg.system)
     m = np.conj([hot_minus, hot_plus]) @ u @ np.column_stack(cold)
     d = np.array([1.0 - cfg.p_plus_cold, cfg.p_plus_cold])
     trace_dev = abs(float(np.sum(np.abs(m) ** 2 @ d)) - 1.0)

@@ -3,9 +3,12 @@
 The ramp unitary is a product of closed-form 2x2 exponentials, one per
 two-node Gauss-Legendre Magnus step (fourth order in the step, exactly
 unitary at every step); the product at half the steps gives its Richardson
-error estimate |U_n - U_n/2|/15.  The compression propagator is the exact
-adjoint of the expansion one; the sign-flipped, time-reversed drive makes
-the two products coincide factor by factor.
+error estimate |U_n - U_n/2|/15.  `propagate_unitary` sizes the ramp
+itself: it doubles the step count until the estimate meets RAMP_TOL or
+the count would pass `bath.MAX_POINTS`, building each count's product
+once.  The compression propagator is the exact adjoint of the expansion
+one; the sign-flipped, time-reversed drive makes the two products
+coincide factor by factor.
 
 A contact stroke obeys the time-local master equation
     drho/dt = -i[H, rho] + G(t) D[A] rho + gt(t) D[A^dag] rho ,
@@ -24,15 +27,19 @@ The stroke reads its start (p0, c0), its gap e and k from a
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .bath import RateTrajectory
+from .bath import MAX_POINTS, RateTrajectory
 from .model import HotFrame, SystemParams
 
+# the ramp's first step count, and the largest error estimate it accepts
+# before it doubles the count
 DEFAULT_N_STEPS = 600
+RAMP_TOL = 1e-10
 
 # offset, in steps, of a Magnus step's two Gauss nodes from its middle
 _MAGNUS_NODE = np.sqrt(3.0) / 6.0
@@ -76,19 +83,34 @@ def _ordered_product(factors: np.ndarray) -> np.ndarray:
     return seq[0]
 
 
-def propagate_unitary(p: SystemParams, n_steps: int = DEFAULT_N_STEPS
-                      ) -> tuple[np.ndarray, float]:
+def _product(p: SystemParams, n: int) -> np.ndarray:
+    """The ramp propagator as a product of n equal Magnus steps."""
+    h = np.full(n, p.tau / n)
+    return _ordered_product(_magnus_steps(p, np.arange(n) * h, h))
+
+
+def propagate_unitary(p: SystemParams) -> tuple[np.ndarray, float]:
     """Expansion propagator (the compression one is its adjoint) and the
-    Richardson estimate of its error from the product at half the steps."""
-    if n_steps < 2:
-        raise ValueError(f"n_steps must be >= 2, got {n_steps}")
-    half = n_steps // 2
-    # both products' steps in one batch: n_steps fine ones, then half coarse
-    h = np.repeat([p.tau / n_steps, p.tau / half], [n_steps, half])
-    u = _magnus_steps(
-        p, np.concatenate([np.arange(n_steps), np.arange(half)]) * h, h)
-    fine, coarse = _ordered_product(u[:n_steps]), _ordered_product(u[n_steps:])
-    return fine, float(np.max(np.abs(fine - coarse))) / 15.0
+    Richardson estimate of its error from the product at half the steps.
+
+    The step count starts at DEFAULT_N_STEPS and doubles while the
+    estimate exceeds RAMP_TOL and the doubled count stays within
+    MAX_POINTS; each doubling builds only the new product, the one held
+    becoming the coarse one.  An estimate left above RAMP_TOL at the cap
+    raises a RuntimeWarning."""
+    # an infinite start estimate makes the first pass build the
+    # DEFAULT_N_STEPS product
+    n = DEFAULT_N_STEPS // 2
+    fine, ramp_error = _product(p, n), np.inf
+    while ramp_error > RAMP_TOL and 2 * n <= MAX_POINTS:
+        n *= 2
+        coarse, fine = fine, _product(p, n)
+        ramp_error = float(np.max(np.abs(fine - coarse))) / 15.0
+    if ramp_error > RAMP_TOL:
+        warnings.warn(f"ramp error estimate {ramp_error:.2e} exceeds "
+                      f"tolerance {RAMP_TOL:.1e} at {n} steps",
+                      RuntimeWarning, stacklevel=2)
+    return fine, ramp_error
 
 
 @dataclass(frozen=True)

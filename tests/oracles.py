@@ -28,6 +28,10 @@ library's closed form on (population, coherence) replaced.
 expansion that the library's closed-form gamma and confined remainder
 replaced, and `complex_remainder` sums that remainder's panels in complex
 arithmetic, one spherical_jn call per order and panel.
+`closed_form_gamma` is the library's closed-form gamma with its scaled
+exponential integrals from `scaled_exp_integrals`, which switches to
+their asymptotic series where e^(wc t) overflows, so it is the gamma
+series' reference at any time.
 `product_propagator` is a scalar-loop midpoint product for an
 arbitrary H(t), and `magnus_propagator` the scalar-loop two-node Magnus
 product with the commutator written out, both built from the closed-form
@@ -56,14 +60,14 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
-from scipy.special import expit, sici, spherical_jn
+from scipy.special import exp1, expi, expit, sici, spherical_jn
 
 from qotto import bath as qbath
 from qotto import dynamics
 from qotto.bath import (TWO_PI, BathSpec, RateTrajectory,
                         build_rate_trajectory, spectral_density)
-from qotto.cycle import _TABLE_MARGIN, CycleConfig, _ramp
-from qotto.dynamics import DEFAULT_N_STEPS, propagate_unitary
+from qotto.cycle import _TABLE_MARGIN, CycleConfig
+from qotto.dynamics import propagate_unitary
 from qotto.measures import Q_HOT_FLOOR_SCALE, Energetics
 from qotto.model import (SIGMA_X, SIGMA_Y, SIGMA_Z, HotFrame, SystemParams,
                          hamiltonian_cold, hamiltonian_hot,
@@ -186,7 +190,7 @@ def setup_frame(cfg: CycleConfig) -> HotFrame:
     terms by `expect` and the branch crossing by `branch_crossing`."""
     sp = cfg.system
     h_cold = hamiltonian_cold(sp)
-    u, ramp_error = _ramp(sp)
+    u, ramp_error = propagate_unitary(sp)
     rho_in = state_from_population(h_cold, cfg.p_plus_cold)
     rho_exp = DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))
     return replace(state_frame(rho_exp, hamiltonian_hot(sp),
@@ -330,12 +334,12 @@ def branch_crossing(p: SystemParams, u: np.ndarray) -> float:
     return float(xi_a)
 
 
-def adiabaticity(p: SystemParams, n_steps: int = DEFAULT_N_STEPS) -> float:
+def adiabaticity(p: SystemParams) -> float:
     """Probability of crossing between eigenstate branches during the ramp.
 
     Zero for a perfectly adiabatic ramp.
     """
-    return branch_crossing(p, propagate_unitary(p, n_steps)[0])
+    return branch_crossing(p, propagate_unitary(p)[0])
 
 
 def _midpoint_factors(p: SystemParams, dt: float,
@@ -729,6 +733,49 @@ def filon_rates(bath: BathSpec, eps: float, t) -> tuple:
     engine = _RateQuadrature(bath, eps, 14, 3.0, 1.0)
     g, gt = engine.rates(t)
     return g, gt, 2.0 * g - gt
+
+
+# past this wc*t the scaled exponential integrals come from their
+# asymptotic series (DLMF 6.12.1-2), whose terms are below 1e-25 there
+ASYMPTOTIC_X = 500.0
+_ASYMPTOTIC_TERMS = 12
+
+
+def scaled_exp_integrals(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e^x E1(x), e^-x Ei(x)) for x > 0, finite where e^x overflows."""
+    e1 = np.empty_like(x)
+    ei = np.empty_like(x)
+    near = x <= ASYMPTOTIC_X
+    xn = x[near]
+    e1[near] = np.exp(xn) * exp1(xn)
+    ei[near] = np.exp(-xn) * expi(xn)
+    # (1/x) sum_n n! (-+1/x)^n, summed from the innermost term out
+    u = 1.0 / x[~near]
+    s1 = s2 = np.ones_like(u)
+    for n in range(_ASYMPTOTIC_TERMS, 0, -1):
+        s1 = 1.0 - n * u * s1
+        s2 = 1.0 + n * u * s2
+    e1[~near] = u * s1
+    ei[~near] = u * s2
+    return e1, ei
+
+
+def closed_form_gamma(bath: BathSpec, eps: float,
+                      t: np.ndarray) -> np.ndarray:
+    """The closed-form gamma of `bath._gamma` at any t > 0, its scaled
+    exponential integrals from `scaled_exp_integrals`: the reference of
+    the gamma series, also where wc*t reaches past the library's
+    switch time."""
+    wc = bath.omega_c
+    x = wc * t
+    e1, ei = scaled_exp_integrals(x)
+    phase = np.exp(1j * eps * t)
+    k = (np.conj(phase) * (1j * np.pi * np.exp(-x) - ei)
+         - phase * e1) / 2j
+    a = eps / (eps * eps + wc * wc)
+    b = 1.0 / (2.0 * (1j * wc - eps))
+    return (bath.alpha * wc * wc / TWO_PI) * (
+        a * (0.5 * np.pi + sici(eps * t)[0]) + 2.0 * (b * k).real)
 
 
 def complex_remainder(bath: BathSpec, eps: float, t: np.ndarray, order: int,

@@ -26,7 +26,7 @@ With `--tail` the script scans the endpoint series instead: for every
 candidate (terms, radius fraction, reach) it sets `bath._TAIL_TERMS`,
 `bath._TAIL_RADIUS` and `bath._TAIL_REACH`, and prints the largest
 deviation past the switch times of the remainder series from the reference
-on both grids and of the gamma series from the closed-form `bath._gamma`,
+on both grids and of the gamma series from `oracles.closed_form_gamma`,
 the table times the series take over on the workload grid, and the best of
 three timings of the series there.  The library's constants are always
 scanned as well.
@@ -43,6 +43,7 @@ import time
 import numpy as np
 from scipy.special import sici
 
+import oracles
 from qotto import bath
 from qotto.cycle import _TABLE_MARGIN, CycleConfig
 from qotto.model import hamiltonian_hot, transition_energy
@@ -147,7 +148,7 @@ def tail_deviation(groups, reference: list) -> tuple[float, float, int]:
             args = carrier(eps, late)
             worst_g = max(worst_g, float(np.max(np.abs(
                 bath._gamma_series(baths[0], eps, *args)
-                - bath._gamma(baths[0], eps, late, args[1])))))
+                - oracles.closed_form_gamma(baths[0], eps, late)))))
         for b, r in zip(baths, ref):
             late = t >= bath._switch_time(b)
             late_times += int(np.count_nonzero(late))

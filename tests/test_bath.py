@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from scipy.special import sici, spherical_jn
 
 import conftest
+import oracles
 from conftest import EPS_COLD, EPS_HOT
 from oracles import complex_remainder, filon_rates, markov_limits, occupation
 from resolution_scan import (PREVIOUS_BASE, REFERENCE, carrier, deviation,
@@ -517,8 +518,9 @@ def qawf_gamma(b: BathSpec, eps: float, t: float) -> float:
 
 @pytest.mark.parametrize("omega_c", [5.0, 30.0, 100.0])
 def test_closed_form_gamma_against_qawf(omega_c):
-    """The exponential-integral gamma against direct quadrature; at
-    omega_c = 100, t = 10 ms the asymptotic series is the branch taken."""
+    """gamma against direct quadrature: the exponential-integral closed
+    form before 37/omega_c and its endpoint series from there on, which
+    at omega_c = 100 takes every time but the first."""
     b = BathSpec(alpha=0.6, omega_c=omega_c, beta=conftest.BETA_HOT)
     ts = np.array([0.013, 0.37, 2.1, 10.0])
     g, _, _ = rate_coefficients([b], conftest.EPS_HOT, ts)[0]
@@ -528,10 +530,21 @@ def test_closed_form_gamma_against_qawf(omega_c):
 
 
 def test_scaled_exp_integrals_continuous_at_series_switch():
-    x = bath._ASYMPTOTIC_X * np.array([1.0 - 1e-12, 1.0 + 1e-12])
-    e1, ei = bath._scaled_exp_integrals(x)
+    x = oracles.ASYMPTOTIC_X * np.array([1.0 - 1e-12, 1.0 + 1e-12])
+    e1, ei = oracles.scaled_exp_integrals(x)
     assert e1[0] == pytest.approx(e1[1], rel=1e-14)
     assert ei[0] == pytest.approx(ei[1], rel=1e-14)
+
+
+def test_closed_form_gamma_oracle_is_the_library_form():
+    """Before 37/omega_c, where the library evaluates its closed form,
+    the oracle that also reaches past it returns the same bits."""
+    for omega_c in (2.0, 30.0, 100.0):
+        b = BathSpec(alpha=0.6, omega_c=omega_c, beta=conftest.BETA_HOT)
+        t = np.linspace(0.0, bath._TAIL_REACH / omega_c, 2002)[1:-1]
+        si = sici(conftest.EPS_HOT * t)[0]
+        assert (bath._gamma(b, conftest.EPS_HOT, t, si).tobytes()
+                == oracles.closed_form_gamma(b, conftest.EPS_HOT, t).tobytes())
 
 
 def _rate_cases():

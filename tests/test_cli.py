@@ -571,8 +571,8 @@ def test_sweep_population_pins_hold_on_the_reference_ramp(tmp_path,
     every pin too."""
     calls = []
 
-    def reference(p, n_steps):
-        calls.append(n_steps)
+    def reference(p):
+        calls.append(p)
         return oracles.midpoint_unitary(p, oracles.REFERENCE_STEPS), 0.0
 
     monkeypatch.setattr(cycle, "propagate_unitary", reference)

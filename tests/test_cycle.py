@@ -185,22 +185,33 @@ def test_step_count_is_not_a_config_field():
 
 
 def _counted_ramp(monkeypatch) -> list:
-    """Step counts of the ramp products the setup asks for."""
-    counts, real = [], cycle.propagate_unitary
+    """Step counts of the ramp products the setup builds: the rows of
+    each batch of Magnus steps."""
+    counts, real = [], dynamics._magnus_steps
 
-    def counted(p, n_steps):
-        counts.append(n_steps)
-        return real(p, n_steps)
+    def counted(p, t0, h):
+        counts.append(h.size)
+        return real(p, t0, h)
 
-    monkeypatch.setattr(cycle, "propagate_unitary", counted)
+    monkeypatch.setattr(dynamics, "_magnus_steps", counted)
     return counts
 
 
 def test_studied_ramp_takes_one_product(monkeypatch):
-    """At the studied drive the first 600-step product meets RAMP_TOL."""
+    """At the studied drive the first 600-step product, checked against
+    the 300-step one, meets RAMP_TOL."""
     counts = _counted_ramp(monkeypatch)
-    assert cycle._setup(CycleConfig()).ramp_error <= cycle.RAMP_TOL
-    assert counts == [dynamics.DEFAULT_N_STEPS]
+    assert cycle._setup(CycleConfig()).ramp_error <= dynamics.RAMP_TOL
+    assert counts == [300, dynamics.DEFAULT_N_STEPS]
+
+
+def test_ramp_builds_each_product_once(monkeypatch):
+    """Sizing a 20 ms ramp builds every step count's product once: each
+    doubling builds only the new product and checks it against the one
+    it held."""
+    counts = _counted_ramp(monkeypatch)
+    cycle._setup(CycleConfig(tau=20.0))
+    assert counts == [300, 600, 1200, 2400, 4800, 9600]
 
 
 def test_long_ramp_doubles_its_steps_to_converge():
@@ -209,8 +220,8 @@ def test_long_ramp_doubles_its_steps_to_converge():
     with one built from a 76,800-step product."""
     cfg = CycleConfig(tau=20.0)
     su = cycle._setup(cfg)
-    assert su.ramp_error <= cycle.RAMP_TOL
-    u, _ = dynamics.propagate_unitary(cfg.system, 76_800)
+    assert su.ramp_error <= dynamics.RAMP_TOL
+    u = dynamics._product(cfg.system, 76_800)
     h_cold = model.hamiltonian_cold(cfg.system)
     rho_in = state_from_population(h_cold, cfg.p_plus_cold)
     rho_exp = DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))
@@ -226,22 +237,24 @@ def test_ramp_doubling_stops_at_max_points(monkeypatch):
     the error estimate of the last product it built and warns that it
     exceeds RAMP_TOL."""
     cfg = CycleConfig(tau=20.0)   # its 4,901 heating samples pass first
-    monkeypatch.setattr(cycle, "MAX_POINTS", 1200)
+    monkeypatch.setattr(dynamics, "MAX_POINTS", 1200)
     counts = _counted_ramp(monkeypatch)
     with pytest.warns(RuntimeWarning, match=r"ramp error estimate \S+ "
                       r"exceeds tolerance 1\.0e-10 at 1200 steps"):
         su = cycle._setup(cfg)
-    assert counts == [600, 1200]
-    assert su.ramp_error == dynamics.propagate_unitary(cfg.system, 1200)[1]
-    assert su.ramp_error > cycle.RAMP_TOL
+    assert counts == [300, 600, 1200]
+    assert su.ramp_error == float(np.max(np.abs(
+        dynamics._product(cfg.system, 1200)
+        - dynamics._product(cfg.system, 600)))) / 15.0
+    assert su.ramp_error > dynamics.RAMP_TOL
 
 
 def test_converged_ramp_does_not_warn():
     """The studied ramp meets RAMP_TOL, so it raises no warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, ramp_error = cycle._ramp(CycleConfig().system)
-    assert ramp_error <= cycle.RAMP_TOL
+        _, ramp_error = dynamics.propagate_unitary(CycleConfig().system)
+    assert ramp_error <= dynamics.RAMP_TOL
 
 
 @settings(max_examples=30, deadline=None)
@@ -395,7 +408,7 @@ def test_energetics_match_stroke_bookkeeping(fast_cfg, fast_result):
     cfg, r = fast_cfg, fast_result
     h_cold = model.hamiltonian_cold(cfg.system)
     h_hot = model.hamiltonian_hot(cfg.system)
-    u, _ = cycle._ramp(cfg.system)
+    u, _ = dynamics.propagate_unitary(cfg.system)
     rho_in = state_from_population(h_cold, cfg.p_plus_cold)
     rho_exp = u @ rho_in.mat @ dag(u)
     eps_hot = model.transition_energy(h_hot)[0]
@@ -448,7 +461,7 @@ def test_cooling_returns_to_cold_thermal_state(fast_cfg):
     cfg = fast_cfg
     h_cold = model.hamiltonian_cold(cfg.system)
     h_hot = model.hamiltonian_hot(cfg.system)
-    u, _ = cycle._ramp(cfg.system)
+    u, _ = dynamics.propagate_unitary(cfg.system)
     rho_comp = DensityMatrix.from_matrix(
         dag(u) @ state_from_population(h_hot, 0.99).mat @ u)
     traj = run_cooling(cfg, rho_comp, t_max=40.0, dt=0.02)

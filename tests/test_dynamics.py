@@ -7,6 +7,7 @@ with independent tooling, are the oracles here.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,13 +40,6 @@ def test_time_independent_generator_is_exact():
     for n in (1, 7, 50):
         assert_allclose(product_propagator(lambda t: h, p.tau, n), exact,
                         atol=1e-13)
-
-
-def test_propagator_rejects_bad_step_count(system):
-    # the error estimate needs a product at half the steps
-    for n_steps in (0, 1):
-        with pytest.raises(ValueError):
-            propagate_unitary(system, n_steps)
 
 
 def _random_drives(rng, count):
@@ -95,8 +89,8 @@ def test_step_convergence_is_second_order(system):
 
 
 def test_magnus_step_convergence_is_fourth_order(system):
-    ref, _ = propagate_unitary(system, 4000)
-    errs = [np.max(np.abs(propagate_unitary(system, n)[0] - ref))
+    ref = dynamics._product(system, 4000)
+    errs = [np.max(np.abs(dynamics._product(system, n) - ref))
             for n in (50, 100, 200)]
     # halving the step must cut the error by sixteen
     assert errs[0] / errs[1] == pytest.approx(16.0, abs=2.0)
@@ -112,15 +106,32 @@ def test_default_ramp_matches_midpoint_reference(system):
 
 
 @pytest.mark.parametrize("n_steps", [100, 200, dynamics.DEFAULT_N_STEPS])
-def test_ramp_error_estimate_tracks_true_error(system, n_steps):
+def test_ramp_error_estimate_tracks_true_error(system, n_steps, monkeypatch):
     """The Richardson estimate lies within a factor of 2 of the error
     against a 4,000-step Magnus reference, at the studied drive and at
-    the worst one."""
+    the worst one.  The ramp starts at n_steps and, under a tolerance
+    every estimate meets, keeps its first product."""
+    monkeypatch.setattr(dynamics, "DEFAULT_N_STEPS", n_steps)
+    monkeypatch.setattr(dynamics, "RAMP_TOL", 1.0)
     for p in (system, WORST_DRIVE):
-        ref, _ = propagate_unitary(p, 4000)
-        u, ramp_error = propagate_unitary(p, n_steps)
+        ref = dynamics._product(p, 4000)
+        u, ramp_error = propagate_unitary(p)
+        assert u.tobytes() == dynamics._product(p, n_steps).tobytes()
         true_error = np.max(np.abs(u - ref))
         assert 0.5 * true_error <= ramp_error <= 2.0 * true_error
+
+
+@pytest.mark.parametrize("tau, n", [(0.1, 600), (20.0, 9600)])
+def test_self_sized_ramp_is_the_fixed_product(system, tau, n):
+    """The ramp returns the product at the step count it settles on, and
+    the estimate against the product at half of it, bit for bit: 600
+    steps at the studied 0.1 ms drive, 9,600 at 20 ms."""
+    p = replace(system, tau=tau)
+    u, ramp_error = propagate_unitary(p)
+    fine, coarse = dynamics._product(p, n), dynamics._product(p, n // 2)
+    assert u.tobytes() == fine.tobytes()
+    assert ramp_error == float(np.max(np.abs(fine - coarse))) / 15.0
+    assert ramp_error <= dynamics.RAMP_TOL
 
 
 def test_adiabaticity_baseline(system):
@@ -313,7 +324,7 @@ def test_evolve_open_matches_rk45_oracle(omega_c):
                                grid[-1] + cycle._TABLE_MARGIN)
     exact = evolve_open(su, [rt], grid)
     h_hot = model.hamiltonian_hot(cfg.system)
-    u, _ = cycle._ramp(cfg.system)
+    u, _ = propagate_unitary(cfg.system)
     rho_in = state_from_population(model.hamiltonian_cold(cfg.system),
                                    cfg.p_plus_cold)
     rho_exp = DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))

@@ -125,21 +125,21 @@ def test_nonmarkov_report_rejects_negative_data(rate_table):
         NonMarkovReport(rep.times, bad, rep.q_total, rep.window)
 
 
-def ramp_matrices(system, n_steps=dynamics.DEFAULT_N_STEPS, p_cold=0.261):
+def ramp_matrices(system, p_cold=0.261):
     """The expansion output rho_exp, h_hot and the cold Hamiltonian seen
     through the ramp, h_back = U h_cold U^dag, as matrices."""
     h_cold = model.hamiltonian_cold(system)
-    u, _ = dynamics.propagate_unitary(system, n_steps)
+    u, _ = dynamics.propagate_unitary(system)
     rho_in = state_from_population(h_cold, p_cold).mat
     return (u @ rho_in @ dag(u), model.hamiltonian_hot(system),
             u @ h_cold @ dag(u))
 
 
-def contact_args(system, n_steps=dynamics.DEFAULT_N_STEPS, p_cold=0.261):
+def contact_args(system, p_cold=0.261):
     """The stroke-independent argument of `energetics`, the frame the
     oracle reads off `ramp_matrices`, the expansion output's (p0, c0) in
     the h_hot eigenbasis, and the hot gap."""
-    frame = state_frame(*ramp_matrices(system, n_steps, p_cold))
+    frame = state_frame(*ramp_matrices(system, p_cold))
     return (frame,), frame.p0, frame.c0, frame.eps
 
 
@@ -334,7 +334,7 @@ def test_first_law_across_four_strokes(nu_cold, nu_gap, tau, p_cold, p_hot,
                             omega_c=omega_c)
     h_cold = model.hamiltonian_cold(cfg.system)
     h_hot = model.hamiltonian_hot(cfg.system)
-    u, _ = cycle._ramp(cfg.system)
+    u, _ = dynamics.propagate_unitary(cfg.system)
     rho_in = state_from_population(h_cold, p_cold)
     rho_exp = DensityMatrix.from_matrix(u @ rho_in.mat @ dag(u))
     frame = state_frame(rho_exp, h_hot, u @ h_cold @ dag(u))
