@@ -59,11 +59,14 @@ WORST_DRIVE = model.SystemParams(3.0, 6.0, 0.5, 0.0)
 
 def test_propagator_unitarity(system, rng):
     """Unitary to 1e-10, with a ramp error estimate below 1e-10 at the
-    default step count anywhere in the drive ranges."""
+    default step count anywhere in the drive ranges: the ramp keeps its
+    first product and never doubles."""
     for p in [system, WORST_DRIVE] + _random_drives(rng, 3):
         u, ramp_error = propagate_unitary(p)
         assert_allclose(u @ dag(u), IDENTITY, atol=1e-10)
         assert ramp_error < 1e-10
+        assert u.tobytes() == dynamics._product(
+            p, dynamics.DEFAULT_N_STEPS).tobytes()
 
 
 def test_compression_matches_literal_reversed_ramp(system):
