@@ -39,10 +39,11 @@ of the bath mode and e the transition energy of the system Hamiltonian.
     t*.  The Taylor data come from one FFT per endpoint on a circle inside
     the nearest pole (Fornberg, ACM TOMS 7, 512 (1981)).
 
-Tables of baths that share alpha and omega_c are built together: one gamma,
-one remainder pass over all their stacked panels up to their switch time,
-and one finer pass (more orders on half-width panels, over twice the range)
-that checks the stored remainders at nine times, series values included.
+Tables are built together: the baths that share alpha and omega_c share
+one grid, one gamma and one remainder pass over their stacked panels up to
+their switch time, and one finer pass over the panels of every bath (more
+orders on half-width panels, over twice the range) checks each table's
+stored remainders at nine of its own times, series values included.
 """
 from __future__ import annotations
 
@@ -179,10 +180,21 @@ def _panel_edges(bath: BathSpec, eps: float, panel_div: float,
     return np.asarray(edges)
 
 
+def _envelope_params(bath: BathSpec) -> tuple:
+    """(alpha, omega_c^2, |beta|, mu), the arguments of `_envelope_of`."""
+    return bath.alpha, bath.omega_c ** 2, abs(bath.beta), bath.mu
+
+
+def _envelope_of(alpha, wc2, beta_abs, mu, w):
+    """Remainder envelope h(w) = 2 g(w) expit(-|beta|(w - mu)), its
+    parameters broadcasting against w."""
+    return (2.0 * (alpha * w * wc2 / (wc2 + w * w)) / TWO_PI
+            * expit(-beta_abs * (w - mu)))
+
+
 def _envelope(bath: BathSpec, w: np.ndarray) -> np.ndarray:
-    """Remainder envelope h(w) = 2 g(w) expit(-|beta|(w - mu))."""
-    return (2.0 * spectral_density(bath, w) / TWO_PI
-            * expit(-abs(bath.beta) * (w - bath.mu)))
+    """Remainder envelope h(w) of one bath."""
+    return _envelope_of(*_envelope_params(bath), w)
 
 
 def _bessel_sum(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -266,9 +278,12 @@ def _remainder(baths, eps: float, t: np.ndarray, order: int,
                si_eps: np.ndarray | None = None) -> np.ndarray:
     """Filon-Legendre confined remainder of each bath (beta != 0), shape
     (B, T), C(t) = int_0^omega_max h(w) sin((w-e)t)/(w-e) dw for t >= 0,
-    given Si(e t) or computing it; each bath sums its own panels in order,
-    as it would alone."""
-    out = np.empty((len(baths), t.size))
+    at times shared by all baths, shape (T,), or one row per bath, (B, T);
+    given Si(e t) or computing it.  Each bath sums its own panels in
+    order, as it would alone."""
+    if t.ndim == 2 and len(t) != len(baths):
+        raise ValueError(f"{len(t)} time rows for {len(baths)} baths")
+    out = np.empty((len(baths), t.shape[-1]))
     if not baths:
         return out
     nodes_x, proj = _gauss_rule(order)
@@ -277,30 +292,37 @@ def _remainder(baths, eps: float, t: np.ndarray, order: int,
     parity = (-1.0) ** (np.arange(order) // 2)
     if si_eps is None:
         si_eps = sici(eps * t)[0]
-    panels = []
-    for b, row in zip(baths, out):
-        omega_max = range_scale * (b.mu + _REACH / abs(b.beta))
-        h_eps = float(_envelope(b, np.asarray(eps)))
-        edges = _panel_edges(b, eps, panel_div, omega_max)
-        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-        pts = mid[:, None] + half[:, None] * nodes_x[None, :]   # (P, n)
-        # eps is a panel edge or outside the range, and Gauss nodes are
-        # interior, so no node meets the removable singularity
-        psi = (_envelope(b, pts) - h_eps) / (pts - eps)
-        coef = psi @ proj.T * (2.0 * half[:, None]) * parity    # (P, K)
-        panels.append((coef, mid, half))
-        row[:] = h_eps * (sici((omega_max - eps) * t)[0] + si_eps)
-    coef, mids, halfs = (np.concatenate(x) for x in zip(*panels))
-    bounds = np.cumsum([0] + [m.size for _, m, _ in panels])
+    # (alpha, omega_c^2, |beta|, mu) of each bath
+    params = np.array([_envelope_params(b) for b in baths])
+    omega_max = range_scale * (params[:, 3] + _REACH / params[:, 2])
+    h_eps = _envelope_of(*params.T, eps)
+    edges = [_panel_edges(b, eps, panel_div, w)
+             for b, w in zip(baths, omega_max.tolist())]
+    bounds = np.cumsum([0] + [e.size - 1 for e in edges])
+    owner = np.repeat(np.arange(len(baths)), np.diff(bounds))  # panel's bath
+    mids = np.concatenate([0.5 * (e[1:] + e[:-1]) for e in edges])
+    halfs = np.concatenate([0.5 * np.diff(e) for e in edges])
+    pts = mids[:, None] + halfs[:, None] * nodes_x[None, :]   # (P, n)
+    # eps is a panel edge or outside the range, and Gauss nodes are
+    # interior, so no node meets the removable singularity
+    psi = ((_envelope_of(*params[owner].T[:, :, None], pts)
+            - h_eps[owner, None]) / (pts - eps))
+    # one small product per bath: a stacked one starts BLAS threads
+    coef = np.concatenate([psi[a:b] @ proj.T for a, b in zip(
+        bounds[:-1], bounds[1:])]) * (2.0 * halfs[:, None]) * parity
+    out[:] = h_eps[:, None] * (sici((omega_max[:, None] - eps) * t)[0]
+                               + si_eps)
     # whole baths per group, as many as keep (panels x times) <= 8 _BLOCK
-    cap = 8 * _BLOCK / min(max(t.size, 1), _BLOCK)
+    cap = 8 * _BLOCK / min(max(t.shape[-1], 1), _BLOCK)
     first = 0
     while first < len(baths):
         last = max(first + 1, np.searchsorted(bounds, bounds[first] + cap,
                                               "right") - 1)
         rows = slice(bounds[first], bounds[last])
-        for lo in range(0, t.size, _BLOCK):
-            tb = t[lo:lo + _BLOCK]
+        for lo in range(0, t.shape[-1], _BLOCK):
+            # the shared times, or each panel's bath's own row
+            tb = (t[lo:lo + _BLOCK] if t.ndim == 1
+                  else t[owner[rows], lo:lo + _BLOCK])
             terms = _bessel_sum(coef[rows], halfs[rows, None] * tb)
             phase = (mids[rows] - eps)[:, None] * tb
             terms = np.sin(phase) * terms[0] + np.cos(phase) * terms[1]
@@ -485,27 +507,45 @@ def rate_table_size(bath: BathSpec, eps: float, t_max: float) -> int:
 
 def quadrature_error_estimate(baths, eps: float, ts, held) -> list[float]:
     """Per bath, the max discrepancy of its remainder values `held[b]` at
-    times `ts` against the finer, doubled-range quadrature; 0 at beta = 0,
-    where both rates are the closed-form gamma."""
-    fine = iter(_remainder([b for b in baths if b.beta != 0.0], eps,
-                           np.asarray(ts, float), *_FINE_RESOLUTION))
+    its probe times `ts[b]`, one row per bath, against the finer,
+    doubled-range quadrature, in one pass over every bath's probes; 0 at
+    beta = 0, where both rates are the closed-form gamma."""
+    ts = np.asarray(ts, float)
+    if ts.ndim != 2 or len(ts) != len(baths):
+        raise ValueError(f"probe times of shape {ts.shape} for "
+                         f"{len(baths)} baths: need one row per bath")
+    keep = [i for i, b in enumerate(baths) if b.beta != 0.0]
+    fine = iter(_remainder([baths[i] for i in keep], eps, ts[keep],
+                           *_FINE_RESOLUTION))
     return [float(np.max(np.abs(h - next(fine)))) if b.beta != 0.0 else 0.0
             for b, h in zip(baths, held)]
 
 
 def build_rate_trajectories(baths, eps: float,
                             t_max: float) -> list[RateTrajectory]:
-    """Rate tables on [0, t_max] at the resolution the dynamics needs, all
-    on one grid: the baths must share alpha and omega_c."""
-    times = np.linspace(0.0, t_max, rate_table_size(baths[0], eps, t_max))
-    rates = rate_coefficients(baths, eps, times)
-    # the stored remainders at nine table times spread geometrically
-    k = np.rint(np.geomspace(1, times.size - 1, 9)).astype(int)
-    errors = quadrature_error_estimate(baths, eps, times[k], [
-        (bg if b.beta < 0.0 else gt)[k]
-        for b, (_, gt, bg) in zip(baths, rates)])
+    """Rate tables on [0, t_max] at the resolution the dynamics needs, in
+    input order.  Baths that share alpha and omega_c share one grid and
+    one `rate_coefficients` call; every table size is checked before any
+    table is built, and one check pass tests every table."""
+    groups: dict[tuple, list[int]] = {}
+    for i, b in enumerate(baths):
+        groups.setdefault((b.alpha, b.omega_c), []).append(i)
+    sizes = [rate_table_size(baths[idx[0]], eps, t_max)
+             for idx in groups.values()]
+    built = [None] * len(baths)   # (times, probe indices, rates) per bath
+    for idx, n in zip(groups.values(), sizes):
+        times = np.linspace(0.0, t_max, n)
+        # the stored remainders at nine table times spread geometrically
+        k = np.rint(np.geomspace(1, n - 1, 9)).astype(int)
+        for i, r in zip(idx, rate_coefficients([baths[i] for i in idx],
+                                               eps, times)):
+            built[i] = (times, k, r)
+    errors = quadrature_error_estimate(
+        baths, eps, [times[k] for times, k, _ in built],
+        [(bg if b.beta < 0.0 else gt)[k]
+         for b, (_, k, (_, gt, bg)) in zip(baths, built)])
     tables = []
-    for b, (g, gt, bg), quad_err in zip(baths, rates, errors):
+    for b, (times, _, (g, gt, bg)), quad_err in zip(baths, built, errors):
         weak_ok = bool(np.max(np.abs(bg)) < eps / 5.0)
         for warn, text in (
                 (quad_err > QUAD_TOL,

@@ -35,7 +35,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import ConfigError, __version__
-from .bath import BathSpec, build_rate_trajectory, rate_table_size
+from .bath import BathSpec, build_rate_trajectories, build_rate_trajectory
 from .cycle import (CycleConfig, ift_reference, population_onset, run_cycle,
                     sweep_cutoff, sweep_population)
 from .measures import nonmarkov_report
@@ -189,28 +189,20 @@ def cmd_rates(cfg: dict, ccfg: CycleConfig, outdir: str) -> int:
 
 
 def cmd_nonmarkov(cfg: dict, ccfg: CycleConfig, outdir: str) -> int:
-    baths = _cutoff_baths(cfg, ccfg)
-    eps_hot = ccfg.spectra[1][0]
-    for spec in baths:
-        rate_table_size(spec, eps_hot, ccfg.heat_t_max)  # before any output
-    rates = build_rate_trajectory(ccfg.hot_bath, eps_hot, ccfg.heat_t_max)
-    report = nonmarkov_report(rates)
+    baths, hot = _cutoff_baths(cfg, ccfg), ccfg.hot_bath
+    # the witness is the configured cutoff's: one more table if unlisted
+    specs = baths if hot in baths else [*baths, hot]
+    reports = [nonmarkov_report(rt) for rt in build_rate_trajectories(
+        specs, ccfg.spectra[1][0], ccfg.heat_t_max)]
+    witness = reports[specs.index(hot)]
     _write_csv(os.path.join(outdir, "witness.csv"),
                _header("nonmarkov", cfg, ccfg, ["witness f in rad/ms"]),
                ["t_us", "f"], "%.9g,%.9g",
-               zip(report.times * 1e3, report.f))
-
-    q_rows = []
-    for spec in baths:
-        if spec.omega_c == ccfg.omega_c:  # the witness table is this one's
-            q = report.q_total
-        else:
-            rt = build_rate_trajectory(spec, eps_hot, ccfg.heat_t_max)
-            q = nonmarkov_report(rt).q_total
-        q_rows.append((spec.omega_c, q))
+               zip(witness.times * 1e3, witness.f))
     _write_csv(os.path.join(outdir, "nonmarkov_q.csv"),
                _header("nonmarkov", cfg, ccfg),
-               ["omega_c", "Q"], "%.9g,%.9g", q_rows)
+               ["omega_c", "Q"], "%.9g,%.9g",
+               [(b.omega_c, r.q_total) for b, r in zip(baths, reports)])
     return EXIT_OK
 
 

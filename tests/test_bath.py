@@ -454,10 +454,57 @@ def test_batched_tables_match_single_tables(omega_c):
     assert batch[1].quad_error == 0.0
 
 
-def test_batched_tables_need_one_spectrum(hot_bath):
-    with pytest.raises(ValueError, match="share alpha and omega_c"):
-        bath.build_rate_trajectories(
-            [hot_bath, replace(hot_bath, omega_c=15.0)], EPS_HOT, 0.5)
+@pytest.mark.filterwarnings(conftest.MARGINAL_COUPLING)
+def test_tables_of_two_cutoffs_match_single_tables():
+    """One call over two cutoffs, an inverted, an infinite-temperature and
+    a positive-temperature reservoir and a duplicate among the baths,
+    returns in input order the tables built one bath at a time, byte for
+    byte: each cutoff has its own grid, and one check pass tests all."""
+    specs = [CycleConfig(omega_c=wc, p_plus_hot=p).hot_bath
+             for wc, p in ((30.0, 0.99), (5.0, 0.5), (30.0, 0.3),
+                           (5.0, 0.99), (30.0, 0.99))]
+    assert [np.sign(s.beta) for s in specs] == [-1.0, 0.0, 1.0, -1.0, -1.0]
+    batch = bath.build_rate_trajectories(specs, EPS_HOT, 4.0)
+    assert len(batch) == len(specs)
+    for spec, rt in zip(specs, batch):
+        one = build_rate_trajectory(spec, EPS_HOT, 4.0)
+        assert rt.times.size == bath.rate_table_size(spec, EPS_HOT, 4.0)
+        for name in ("times", "gamma", "gamma_tilde", "big_gamma"):
+            assert getattr(rt, name).tobytes() == getattr(one, name).tobytes()
+        assert rt.quad_error == one.quad_error
+        assert rt.weak_coupling_ok == one.weak_coupling_ok
+    assert batch[1].quad_error == 0.0
+    assert batch[0].times.size != batch[1].times.size
+
+
+@pytest.mark.parametrize("n_times", [9, bath._BLOCK + 7])
+def test_remainder_time_rows_match_single_calls(n_times):
+    """Times given one row per bath give, byte for byte, each bath's call
+    on its own row: nine probes, where baths share a block, and rows past
+    one block, where each bath has blocks of its own."""
+    specs = [CycleConfig(omega_c=wc, p_plus_hot=p, mu=mu).hot_bath
+             for wc, p, mu in ((5.0, 0.99, 0.0), (30.0, 0.3, 0.0),
+                               (15.0, 0.51, 10.0), (5.0, 0.99, 0.0))]
+    t = np.stack([np.geomspace(1e-3, 0.5 * (i + 1), n_times)
+                  for i in range(len(specs))])
+    for res in (bath._BASE_RESOLUTION, bath._FINE_RESOLUTION):
+        rows = bath._remainder(specs, EPS_HOT, t, *res)
+        for spec, times, row in zip(specs, t, rows):
+            one = bath._remainder([spec], EPS_HOT, times, *res)[0]
+            assert row.tobytes() == one.tobytes()
+
+
+def test_time_rows_must_match_the_baths(hot_bath):
+    """2-D times hold one row per bath, counted before the baths at
+    beta = 0 are set aside; probe times are always 2-D."""
+    rows = np.linspace(0.1, 1.0, 18).reshape(2, 9)
+    with pytest.raises(ValueError, match="2 time rows for 1 baths"):
+        bath._remainder([hot_bath], EPS_HOT, rows, *bath._BASE_RESOLUTION)
+    flat = replace(hot_bath, beta=0.0)
+    for ts in (rows[:1], rows[0]):
+        with pytest.raises(ValueError, match="need one row per bath"):
+            quadrature_error_estimate([hot_bath, flat], EPS_HOT, ts,
+                                      [np.zeros(9)] * 2)
 
 
 def test_sweep_runs_two_remainder_passes(monkeypatch):
@@ -601,7 +648,7 @@ def test_no_sliver_panel_at_transition_energy():
 def test_quadrature_error_estimate_small(hot_bath):
     ts = np.geomspace(1e-3, 10.0, 9)
     held = rate_coefficients([hot_bath], conftest.EPS_HOT, ts)[0][2]
-    assert quadrature_error_estimate([hot_bath], conftest.EPS_HOT, ts,
+    assert quadrature_error_estimate([hot_bath], conftest.EPS_HOT, [ts],
                                      [held])[0] < 1e-8
 
 

@@ -155,7 +155,7 @@ def test_bad_cutoff_list_is_rejected_before_any_work(
         tmp_path, capsys, monkeypatch, command, cutoffs):
     """The whole list passes the reservoir's cutoff rule before the
     first table is built."""
-    monkeypatch.setattr(cli, "build_rate_trajectory", _no_work)
+    monkeypatch.setattr(cli, "build_rate_trajectories", _no_work)
     monkeypatch.setattr(cli, "sweep_cutoff", _no_work)
     _assert_config_exit(capsys, [command, "--set", f"omega_c_list={cutoffs}",
                                  "--out", str(tmp_path)] + TINY,
@@ -378,6 +378,47 @@ _CUTOFFS_2_TO_30 = ["--set", "omega_c_list=" + ",".join(
     str(w) for w in range(2, 31))]
 
 
+def test_nonmarkov_checks_every_table_in_one_pass(tmp_path, monkeypatch):
+    """29 cutoffs, the configured one among them: one build call over the
+    29 reservoirs, and one fine-resolution remainder pass checks every
+    table."""
+    builds, orders = [], []
+    build, remainder = cli.build_rate_trajectories, bath._remainder
+
+    def counting_build(specs, *args):
+        builds.append(len(specs))
+        return build(specs, *args)
+
+    def counting_remainder(specs, eps, t, order, *rest, **kw):
+        orders.append(order)
+        return remainder(specs, eps, t, order, *rest, **kw)
+
+    monkeypatch.setattr(cli, "build_rate_trajectories", counting_build)
+    monkeypatch.setattr(bath, "_remainder", counting_remainder)
+    assert cli.main(["nonmarkov", "--out", str(tmp_path)]
+                    + _CUTOFFS_2_TO_30) == cli.EXIT_OK
+    assert builds == [29]
+    assert orders.count(bath._FINE_RESOLUTION[0]) == 1
+
+
+def test_nonmarkov_witness_without_the_configured_cutoff(tmp_path):
+    """When the list lacks the configured cutoff (30), its table is built
+    with the listed ones, and `witness.csv` holds, byte for byte, what a
+    run that lists only 30, whose table is built alone, writes."""
+    files = []
+    for listed in ("2,5", "30"):
+        out = tmp_path / listed
+        assert cli.main(["nonmarkov", "--set", f"omega_c_list={listed}",
+                         "--out", str(out)]) == cli.EXIT_OK
+        files.append((out / "witness.csv").read_bytes().splitlines())
+        _, _, q_data = read_csv(out / "nonmarkov_q.csv")
+        assert [row[0] for row in q_data] == listed.split(",")
+    apart, alone = files
+    assert len(apart) == len(alone) > 1000
+    changed = [a for a, b in zip(apart, alone) if a != b]
+    assert changed == [b"# omega_c_list = 2,5"]
+
+
 @pytest.mark.parametrize("argv", [
     ["nonmarkov"] + _CUTOFFS_2_TO_30 + TINY,
     ["simulate"] + FAST,
@@ -509,15 +550,15 @@ def default_nonmarkov(tmp_path_factory):
     """A default `nonmarkov` run: exit code, output directory and the
     baths of the rate tables it built."""
     out = tmp_path_factory.mktemp("nonmarkov")
-    build = cli.build_rate_trajectory
+    build = cli.build_rate_trajectories
     baths = []
 
-    def counting(bath, *args, **kwargs):
-        baths.append(bath)
-        return build(bath, *args, **kwargs)
+    def counting(specs, *args, **kwargs):
+        baths.extend(specs)
+        return build(specs, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "build_rate_trajectory", counting)
+        mp.setattr(cli, "build_rate_trajectories", counting)
         code = cli.main(["nonmarkov", "--out", str(out)])
     return code, out, baths
 
