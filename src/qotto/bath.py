@@ -121,16 +121,6 @@ class BathSpec:
             raise ConfigError(f"fermionic bath needs mu >= 0, got {self.mu}")
 
 
-def spectral_density(bath: BathSpec, w):
-    """Ohmic spectral density with algebraic cutoff, J(w) = a*w*wc^2/(wc^2+w^2)."""
-    w = np.asarray(w, dtype=float)
-    if np.any(w < 0.0):
-        raise ValueError("spectral density defined for w >= 0 only")
-    wc2 = bath.omega_c ** 2
-    out = bath.alpha * w * wc2 / (wc2 + w * w)
-    return out if out.ndim else float(out)
-
-
 def _gamma(bath: BathSpec, eps: float, t: np.ndarray,
            si_eps: np.ndarray) -> np.ndarray:
     """Closed-form dissipation rate gamma(t) for 0 < t < _TAIL_REACH/wc,

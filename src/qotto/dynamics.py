@@ -21,7 +21,13 @@ c0 exp(-i e t - k Lambda(t)/2) and the excited population obeys
 dp/dt = -k Lambda'(t) p + k gt(t), a cumulative sum under the integrating
 factor exp(k Lambda).  Tables that share gamma evolve together: Lambda is the
 exact antiderivative of one cubic spline of 2 gamma, gt comes from one spline
-of every table's column, and all populations come from one array sum.
+of every table's column, and all populations come from one array sum.  Each
+step's source integral is a 4-point Gauss-Lobatto rule whose end nodes are
+the step ends, shared by neighbouring steps, so a step adds two points; a
+step over which k Lambda moves by more than _STEP_LAM is split equally.  The
+populations agree with the 6-point Gauss-Legendre rule it replaced to
+1.7e-15 at the studied cutoffs, and to 5.2e-12 on the population sweep's
+[0, t] strokes, whose first steps span the onset of gamma.
 The stroke reads its start (p0, c0), its gap e and k from a
 `model.HotFrame`, never a matrix.
 """
@@ -44,11 +50,13 @@ RAMP_TOL = 1e-10
 # offset, in steps, of a Magnus step's two Gauss nodes from its middle
 _MAGNUS_NODE = np.sqrt(3.0) / 6.0
 
-# 6-point Gauss-Legendre rule mapped onto [0, 1]: nodes and weights for the
-# source integral of one population step
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
-_GL_NODES = 0.5 * (_GL_NODES + 1.0)
-_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
+# 4-point Gauss-Lobatto rule on [0, 1] (Abramowitz & Stegun 25.4.32), exact
+# to degree 5: its interior nodes, and the weights of the ends and interior
+_LOBATTO_INNER = 0.5 + np.array([-0.5, 0.5]) / np.sqrt(5.0)
+_LOBATTO_END, _LOBATTO_MID = 1.0 / 12.0, 5.0 / 12.0
+
+# largest move of k Lambda over one step; a longer step is split equally
+_STEP_LAM = 0.05
 
 
 def _magnus_steps(p: SystemParams, t0: np.ndarray,
@@ -182,15 +190,28 @@ def evolve_open(frame: HotFrame, rates: list[RateTrajectory],
         table.times, np.stack([r.gamma_tilde for r in rates]), axis=1)
 
     # step over sample times and spline knots alike, so every step lies
-    # inside one spline piece and its quadrature sees a smooth integrand;
-    # step n adds k int gamma_tilde exp(k Lambda - k Lambda_n+1)
+    # inside one spline piece and its quadrature sees a smooth integrand,
+    # split so that k Lambda moves by at most _STEP_LAM per step; step n
+    # adds k int gamma_tilde exp(k Lambda - k Lambda_n+1) by the Lobatto
+    # rule, whose end terms reuse k Lambda and gamma_tilde at the step ends
+    # (the right end's exponential is 1)
     t = np.union1d(grid, table.times[table.times < grid[-1]])
     k_lam = k * big_lam(t)
+    m = np.maximum(np.ceil(np.abs(np.diff(k_lam)) / _STEP_LAM), 1).astype(int)
+    if np.any(m > 1):
+        # sub-step j of a step cut into m starts j/m of the way along it
+        j = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
+        t = np.append(np.repeat(t[:-1], m) + np.repeat(np.diff(t) / m, m) * j,
+                      t[-1])
+        k_lam = k * big_lam(t)
     dt = np.diff(t)
-    nodes = t[:-1, None] + dt[:, None] * _GL_NODES
-    sources = k * dt * np.sum(
-        _GL_WEIGHTS * gamma_tilde(nodes)
-        * np.exp(k * big_lam(nodes) - k_lam[1:, None]), axis=-1)
+    ends = gamma_tilde(t)
+    inner = t[:-1] + np.multiply.outer(_LOBATTO_INNER, dt)
+    mid = gamma_tilde(inner) * np.exp(k * big_lam(inner) - k_lam[1:])
+    sources = k * dt * (
+        _LOBATTO_END * (ends[:, :-1] * np.exp(k_lam[:-1] - k_lam[1:])
+                        + ends[:, 1:])
+        + _LOBATTO_MID * (mid[:, 0] + mid[:, 1]))
     at = np.searchsorted(t, grid)
     p = _populations(frame.p0, k_lam, sources)[:, at]
     c = frame.c0 * np.exp(-1j * frame.eps * grid - 0.5 * k_lam[at])

@@ -20,7 +20,9 @@ states themselves, as a `StateTrajectory`.  `contact_states` rebuilds the
 states of one of the library's contact strokes from its population row
 and coherence, which is all the library keeps.  `population_loop` steps the
 library's contact-stroke populations one interval at a time in Python
-floats, as the library did before its cumulative sum, and
+floats, as the library did before its cumulative sum, `gauss_contact` is
+`dynamics.evolve_open` with the Gauss-Legendre source sum (6 nodes by
+default) that the library's 4-point Lobatto rule replaced, and
 `cycle_energetics` scores a cycle from its four corner states by trace
 differences, the contact endpoint driven back by hand, which the
 library's closed form on (population, coherence) replaced.
@@ -42,9 +44,9 @@ ramp that the library's Magnus ramp replaced; at `REFERENCE_STEPS` it is
 the converged reference ramp.  `adiabaticity` rebuilds the ramp to
 score its branch crossing, `population_from_beta` inverts the library's
 population-to-temperature map, `markov_limits` is the golden-rule rate
-pair the time-local rates settle to, with the Fermi `occupation` behind
-it, and `run_cooling` is the restoring contact stroke with the cold
-reservoir, which no first-cycle figure uses.  `herm_eig2` is the
+pair the time-local rates settle to, with the ohmic `spectral_density`
+and the Fermi `occupation` behind it, and `run_cooling` is the restoring
+contact stroke with the cold reservoir, which no first-cycle figure uses.  `herm_eig2` is the
 closed-form 2x2 eigensolver that the library's `transition_energy`
 (numpy's `eigh`) is checked against; `expm_aherm` shares its Bloch
 parts.  `jump_operator` builds the explicit jump channel a |-><+| that
@@ -64,8 +66,7 @@ from scipy.special import exp1, expi, expit, sici, spherical_jn
 
 from qotto import bath as qbath
 from qotto import dynamics
-from qotto.bath import (TWO_PI, BathSpec, RateTrajectory,
-                        build_rate_trajectory, spectral_density)
+from qotto.bath import TWO_PI, BathSpec, RateTrajectory, build_rate_trajectory
 from qotto.cycle import _TABLE_MARGIN, CycleConfig
 from qotto.dynamics import propagate_unitary
 from qotto.measures import Q_HOT_FLOOR_SCALE, Energetics
@@ -280,6 +281,16 @@ def jump_operator(h: np.ndarray) -> np.ndarray:
     _, v_minus, v_plus = transition_energy(h)
     amp = np.vdot(v_minus, SIGMA_X @ v_plus)
     return amp * np.outer(v_minus, v_plus.conj())
+
+
+def spectral_density(bath: BathSpec, w):
+    """Ohmic spectral density with algebraic cutoff, J(w) = a*w*wc^2/(wc^2+w^2)."""
+    w = np.asarray(w, dtype=float)
+    if np.any(w < 0.0):
+        raise ValueError("spectral density defined for w >= 0 only")
+    wc2 = bath.omega_c ** 2
+    out = bath.alpha * w * wc2 / (wc2 + w * w)
+    return out if out.ndim else float(out)
 
 
 def occupation(bath: BathSpec, w):
@@ -537,6 +548,35 @@ def population_loop(p0: float, k_lam: np.ndarray,
             pop.append(d * pop[-1] + s)
         rows.append(pop)
     return np.asarray(rows)
+
+
+def gauss_contact(frame: HotFrame, rates: list[RateTrajectory], grid,
+                  nodes: int = 6) -> dynamics.Contact:
+    """`dynamics.evolve_open` with the `nodes`-point Gauss-Legendre source
+    sum that its Lobatto rule replaced (6 points), on the library's steps:
+    sample times and knots, each step cut, one linspace per step, into
+    equal parts over which k Lambda moves by at most `_STEP_LAM`."""
+    table = rates[0]
+    grid = np.asarray(grid, dtype=float)
+    k = frame.k
+    big_lam = CubicSpline(table.times, 2.0 * table.gamma).antiderivative()
+    gamma_tilde = CubicSpline(
+        table.times, np.stack([r.gamma_tilde for r in rates]), axis=1)
+    t = np.union1d(grid, table.times[table.times < grid[-1]])
+    parts = np.ceil(np.abs(np.diff(k * big_lam(t)))
+                    / dynamics._STEP_LAM).astype(int)
+    t = np.concatenate([np.linspace(a, b, max(m, 1) + 1)[:-1]
+                        for a, b, m in zip(t[:-1], t[1:], parts)] + [t[-1:]])
+    k_lam = k * big_lam(t)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    dt = np.diff(t)
+    at = t[:-1, None] + dt[:, None] * (0.5 * (x + 1.0))
+    sources = k * dt * np.sum(0.5 * w * gamma_tilde(at) * np.exp(
+        k * big_lam(at) - k_lam[1:, None]), axis=-1)
+    at = np.searchsorted(t, grid)
+    p = dynamics._populations(frame.p0, k_lam, sources)[:, at]
+    c = frame.c0 * np.exp(-1j * frame.eps * grid - 0.5 * k_lam[at])
+    return dynamics.Contact(grid, p, c, 0.5 - np.hypot(p - 0.5, np.abs(c)))
 
 
 def cycle_energetics(rho_in, rho_exp, rho_heat, rho_comp,

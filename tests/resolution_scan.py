@@ -4,6 +4,7 @@
                                                    [--divs 1,2,3]
     PYTHONPATH=src python tests/resolution_scan.py --tail [--terms 24,30]
                                    [--radii 0.6,0.7] [--reaches 33,37]
+    PYTHONPATH=src python tests/resolution_scan.py --contact
 
 For every candidate (Legendre order, panel divisor) at range scale 1, the
 script prints the largest absolute deviation of `bath._remainder` from the
@@ -31,6 +32,15 @@ the table times the series take over on the workload grid, and the best of
 three timings of the series there.  The library's constants are always
 scanned as well.
 
+With `--contact` the script reports the nodes per step of the contact
+stroke instead: for each contact stroke the seed-0 benchmark runs (a full
+cycle at each studied cutoff and the 50-table population sweep batch) it
+prints the largest population deviation of `dynamics.evolve_open`, whose
+source sum is a 4-point Gauss-Lobatto rule, from `oracles.gauss_contact`
+at 6 nodes (the rule it replaced) and at 10 nodes (the reference), the
+largest move of k Lambda over one of its steps, its step count and the
+best of three timings of it.
+
 `test_bath.py` checks the library's base resolution and its series on both
 grids, so this script re-derives the constants those tests hold.  Pytest
 does not collect this file.
@@ -39,13 +49,14 @@ from __future__ import annotations
 
 import argparse
 import time
+from functools import cache
 
 import numpy as np
 from scipy.special import sici
 
 import oracles
-from qotto import bath
-from qotto.cycle import _TABLE_MARGIN, CycleConfig
+from qotto import bath, dynamics
+from qotto.cycle import _TABLE_MARGIN, CycleConfig, _setup
 from qotto.model import hamiltonian_hot, transition_energy
 
 # the base resolution before (22, 1.0, 1.0): the oracle of the new one
@@ -203,6 +214,69 @@ def scan_tail(args) -> int:
     return 0
 
 
+@cache
+def contact_strokes() -> dict:
+    """(frame, tables, grid) of each contact stroke the seed-0 benchmark
+    runs, by label: a full cycle at each studied cutoff, and the population
+    sweep's batch of 50 tables at omega_c = 15 up to t_tilde = 0.27 ms."""
+    strokes = {}
+    for wc in (5.0, 15.0, 25.0, 30.0):
+        cfg = CycleConfig(omega_c=wc)
+        su, grid = _setup(cfg), cfg.heating_grid()
+        strokes[f"wc={wc:g}"] = (su, [bath.build_rate_trajectory(
+            cfg.hot_bath, su.eps, grid[-1] + _TABLE_MARGIN)], grid)
+    cfg = CycleConfig(omega_c=15.0)
+    su = _setup(cfg)
+    tables = bath.build_rate_trajectories(
+        [cfg._reservoir(su.eps, round(0.5 + 0.01 * k, 2)) for k in range(50)],
+        su.eps, 0.27 + _TABLE_MARGIN)
+    strokes["sweep"] = (su, tables, np.array([0.0, 0.27]))
+    return strokes
+
+
+def contact_steps(frame, tables, grid) -> tuple:
+    """(k Lambda, sources, Contact): the step terms `dynamics.evolve_open`
+    hands its population sum, sub-steps included, and what it returns."""
+    seen = []
+    real = dynamics._populations
+
+    def spy(*args):
+        seen.append(args[1:])
+        return real(*args)
+
+    dynamics._populations = spy
+    try:
+        out = dynamics.evolve_open(frame, tables, grid)
+    finally:
+        dynamics._populations = real
+    [(k_lam, sources)] = seen
+    return k_lam, sources, out
+
+
+def scan_contact() -> int:
+    """The --contact report: one line per benchmark contact stroke."""
+    print("population deviations are absolute; k dLam is the largest move "
+          f"of k Lambda over one step (split above {dynamics._STEP_LAM})")
+    print(f"{'stroke':>7} {'vs 6-pt':>9} {'vs 10-pt':>9} {'6 vs 10':>9} "
+          f"{'k dLam':>8} {'steps':>6} {'time ms':>8}")
+    for label, (su, tables, grid) in contact_strokes().items():
+        lib = dynamics.evolve_open(su, tables, grid).p
+        six = oracles.gauss_contact(su, tables, grid).p
+        ten = oracles.gauss_contact(su, tables, grid, nodes=10).p
+        k_lam = contact_steps(su, tables, grid)[0]
+        secs = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            dynamics.evolve_open(su, tables, grid)
+            secs.append(time.perf_counter() - t0)
+        print(f"{label:>7} {np.max(np.abs(lib - six)):9.2e} "
+              f"{np.max(np.abs(lib - ten)):9.2e} "
+              f"{np.max(np.abs(six - ten)):9.2e} "
+              f"{np.max(np.abs(np.diff(k_lam))):8.4f} {k_lam.size - 1:6d} "
+              f"{1e3 * min(secs):8.2f}")
+    return 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--orders", default="14,18,20,22,24,26")
@@ -216,7 +290,11 @@ def main(argv=None) -> int:
     ap.add_argument("--reaches", default="33,37,41",
                     help="switch times, in units of the pole's inverse "
                          "imaginary part")
+    ap.add_argument("--contact", action="store_true",
+                    help="report the contact stroke's source rule instead")
     args = ap.parse_args(argv)
+    if args.contact:
+        return scan_contact()
     if args.tail:
         return scan_tail(args)
     candidates = {(int(k), float(d), 1.0)

@@ -15,13 +15,14 @@ from scipy.special import sici, spherical_jn
 import conftest
 import oracles
 from conftest import EPS_COLD, EPS_HOT
-from oracles import complex_remainder, filon_rates, markov_limits, occupation
+from oracles import (complex_remainder, filon_rates, markov_limits,
+                     occupation, spectral_density)
 from resolution_scan import (PREVIOUS_BASE, REFERENCE, carrier, deviation,
                              remainders, switched_deviation, tail_deviation,
                              wide_groups, workload_groups)
 from qotto import ConfigError, bath
 from qotto.bath import (BathSpec, build_rate_trajectory, rate_coefficients,
-                        spectral_density, quadrature_error_estimate)
+                        quadrature_error_estimate)
 from qotto.cycle import CycleConfig, sweep_population
 
 

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
@@ -22,6 +22,7 @@ import oracles
 from oracles import (IDENTITY, DensityMatrix, adiabaticity, apply_generator,
                      contact_states, dag, density_from_bloch, expm_aherm,
                      product_propagator, state_frame, state_from_population)
+from resolution_scan import contact_steps, contact_strokes
 from qotto import bath, cycle, dynamics, model
 from qotto.bath import BathSpec, RateTrajectory, build_rate_trajectory
 from qotto.dynamics import evolve_open, propagate_unitary
@@ -401,10 +402,15 @@ def test_closed_form_stroke_is_a_state_path(system, bg, gt, direction,
 
 @settings(max_examples=25, deadline=None)
 @given(omega_c=st.floats(2.0, 40.0), p_target=st.floats(0.02, 0.98),
-       alpha=st.floats(0.1, 1.0), p_start=st.floats(0.0, 1.0))
+       alpha=st.floats(0.1, 1.0), p_start=st.floats(0.0, 1.0),
+       k_dlam=st.floats(0.05, 2.0))
+# without the step bound this case ends at nbar + 1.3e-9
+@example(omega_c=2.0, p_target=0.5, alpha=1.0, p_start=0.0, k_dlam=0.4)
 def test_constant_rates_relax_to_bath_occupation(system, omega_c, p_target,
-                                                 alpha, p_start):
-    """Golden-rule rates held fixed drive the population to nbar(eps)."""
+                                                 alpha, p_start, k_dlam):
+    """Golden-rule rates held fixed drive the population to nbar(eps), on a
+    table whose every step moves k Lambda by k_dlam: split into steps of at
+    most _STEP_LAM, the stroke also matches the 6-point oracle on them."""
     h = model.hamiltonian_hot(system)
     a = oracles.jump_operator(h)
     eps, vm, vp = model.transition_energy(h)
@@ -412,33 +418,57 @@ def test_constant_rates_relax_to_bath_occupation(system, omega_c, p_target,
                          beta=model.beta_from_population(eps, p_target))
     g_inf, gt_inf = oracles.markov_limits(spec, conftest.EPS_HOT)
     k = abs(np.vdot(vm, a @ vp)) ** 2
-    # forty relaxation times 1/(k Lambda'), Lambda' = 2 gamma
-    times = np.linspace(0.0, 40.0 / (2.0 * k * g_inf), 101)
+    # at least forty relaxation times 1/(k Lambda'), Lambda' = 2 gamma
+    n = math.ceil(40.0 / k_dlam)
+    times = np.linspace(0.0, n * k_dlam / (2.0 * k * g_inf), n + 1)
     ones = np.ones(times.size)
     rt = RateTrajectory(times, g_inf * ones, gt_inf * ones,
                         (2 * g_inf - gt_inf) * ones, 0.0, True)
-    traj = evolve_open(state_frame(state_from_population(h, p_start), h),
-                       [rt], times)
+    frame = state_frame(state_from_population(h, p_start), h)
+    k_lam, _, traj = contact_steps(frame, [rt], times)
     nbar = oracles.occupation(spec, conftest.EPS_HOT)
     assert traj.p[0, -1] == pytest.approx(nbar, abs=1e-12)
+    assert np.max(np.diff(k_lam)) <= dynamics._STEP_LAM * (1.0 + 1e-9)
+    assert np.max(np.abs(
+        traj.p - oracles.gauss_contact(frame, [rt], times).p)) <= 1e-13
 
 
 def _step_terms(h, rates, grid):
     """The k Lambda and source rows that `evolve_open` hands its
     population sum, with the Contact it returns."""
-    seen = []
-    real = dynamics._populations
+    return contact_steps(state_frame(state_from_population(h, 0.3), h),
+                         rates, grid)
 
-    def spy(*args):
-        seen.append(args)
-        return real(*args)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "_populations", spy)
-        out = evolve_open(state_frame(state_from_population(h, 0.3), h),
-                          rates, grid)
-    [(_, k_lam, sources)] = seen
-    return k_lam, sources, out
+STROKES = ("wc=5", "wc=15", "wc=25", "wc=30", "sweep")
+
+
+@pytest.mark.parametrize("label", STROKES)
+def test_lobatto_sources_match_gauss_legendre_oracle(label):
+    """The 4-point Lobatto source sum against the 6-point Gauss-Legendre
+    one it replaced, on the benchmark's contact strokes; the coherence
+    reads k Lambda only at the samples, so it keeps its bits.  The sweep
+    batch steps over the table's own intervals from t = 0, and its first
+    two, where the splines of gamma and gamma_tilde bend hardest, differ
+    by 5.2e-12 (the 10-node rule agrees with the 6-point one to 2e-16)."""
+    su, tables, grid = contact_strokes()[label]
+    lib = evolve_open(su, tables, grid)
+    ref = oracles.gauss_contact(su, tables, grid)
+    assert np.array_equal(lib.times, ref.times)
+    assert np.array_equal(lib.c, ref.c)
+    assert np.max(np.abs(lib.p - ref.p)) <= (
+        1e-11 if label == "sweep" else 4e-15)
+
+
+@pytest.mark.parametrize("label", STROKES)
+def test_benchmark_strokes_split_no_step(label):
+    """k Lambda moves by at most 0.0150 over a step of the benchmark's
+    contact strokes, inside _STEP_LAM: their steps are the samples and
+    knots alone."""
+    su, tables, grid = contact_strokes()[label]
+    knots = tables[0].times
+    k_lam = contact_steps(su, tables, grid)[0]
+    assert k_lam.size == np.union1d(grid, knots[knots < grid[-1]]).size
 
 
 @pytest.mark.parametrize("omega_c", [5.0, 15.0, 25.0, 30.0])
@@ -506,8 +536,16 @@ def test_population_sum_does_not_overflow(system, hot_bath):
     assert np.all(np.isfinite(p))
     assert p[-1] == pytest.approx(
         oracles.occupation(hot_bath, conftest.EPS_HOT), abs=1e-12)
+    # k Lambda moves by 0.8 over a table step, so the stroke splits every
+    # one; the samples are the rows that hold the spline's k Lambda at the
+    # sample times
+    at_samples = k * CubicSpline(times, 2.0 * rt.gamma).antiderivative()(
+        times)
+    rows = np.searchsorted(k_lam, at_samples)
+    assert k_lam.size > times.size
+    assert np.array_equal(k_lam[rows], at_samples)
     assert np.max(np.abs(p - oracles.population_loop(
-        0.3, k_lam, sources)[0])) <= 1e-13
+        0.3, k_lam, sources)[0, rows])) <= 1e-13
 
 
 def test_rebuilt_states_give_back_the_stroke(system, hot_bath):
