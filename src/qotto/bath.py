@@ -44,6 +44,11 @@ one grid, one gamma and one remainder pass over their stacked panels up to
 their switch time, and one finer pass over the panels of every bath (more
 orders on half-width panels, over twice the range) checks each table's
 stored remainders at nine of its own times, series values included.
+
+`contact_rates` evaluates a contact stroke's rates between the knots of
+tables that share their times and gamma: Lambda = int 2 gamma, the exact
+antiderivative of one cubic spline of 2 gamma, and every table's
+gamma_tilde from one spline over their stacked columns.
 """
 from __future__ import annotations
 
@@ -53,6 +58,7 @@ from functools import cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
+from scipy.interpolate import CubicSpline
 from scipy.special import expi, exp1, expit, sici
 
 from . import ConfigError, require_finite
@@ -170,21 +176,16 @@ def _panel_edges(bath: BathSpec, eps: float, panel_div: float,
     return np.asarray(edges)
 
 
-def _envelope_params(bath: BathSpec) -> tuple:
-    """(alpha, omega_c^2, |beta|, mu), the arguments of `_envelope_of`."""
-    return bath.alpha, bath.omega_c ** 2, abs(bath.beta), bath.mu
+def _spectrum(alpha, wc2, w):
+    """g(w) = J(w)/2pi at coupling alpha and omega_c^2 = wc2, for real or
+    complex w, its parameters broadcasting against w."""
+    return alpha * w * wc2 / (wc2 + w * w) / TWO_PI
 
 
-def _envelope_of(alpha, wc2, beta_abs, mu, w):
-    """Remainder envelope h(w) = 2 g(w) expit(-|beta|(w - mu)), its
-    parameters broadcasting against w."""
-    return (2.0 * (alpha * w * wc2 / (wc2 + w * w)) / TWO_PI
-            * expit(-beta_abs * (w - mu)))
-
-
-def _envelope(bath: BathSpec, w: np.ndarray) -> np.ndarray:
-    """Remainder envelope h(w) of one bath."""
-    return _envelope_of(*_envelope_params(bath), w)
+def _envelope(alpha, wc2, beta_abs, mu, w):
+    """Remainder envelope h(w) = 2 g(w) expit(-|beta|(w - mu)) for real w,
+    its parameters broadcasting against w."""
+    return 2.0 * _spectrum(alpha, wc2, w) * expit(-beta_abs * (w - mu))
 
 
 def _bessel_sum(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -282,10 +283,10 @@ def _remainder(baths, eps: float, t: np.ndarray, order: int,
     parity = (-1.0) ** (np.arange(order) // 2)
     if si_eps is None:
         si_eps = sici(eps * t)[0]
-    # (alpha, omega_c^2, |beta|, mu) of each bath
-    params = np.array([_envelope_params(b) for b in baths])
+    params = np.array([(b.alpha, b.omega_c ** 2, abs(b.beta), b.mu)
+                       for b in baths])
     omega_max = range_scale * (params[:, 3] + _REACH / params[:, 2])
-    h_eps = _envelope_of(*params.T, eps)
+    h_eps = _envelope(*params.T, eps)
     edges = [_panel_edges(b, eps, panel_div, w)
              for b, w in zip(baths, omega_max.tolist())]
     bounds = np.cumsum([0] + [e.size - 1 for e in edges])
@@ -295,7 +296,7 @@ def _remainder(baths, eps: float, t: np.ndarray, order: int,
     pts = mids[:, None] + halfs[:, None] * nodes_x[None, :]   # (P, n)
     # eps is a panel edge or outside the range, and Gauss nodes are
     # interior, so no node meets the removable singularity
-    psi = ((_envelope_of(*params[owner].T[:, :, None], pts)
+    psi = ((_envelope(*params[owner].T[:, :, None], pts)
             - h_eps[owner, None]) / (pts - eps))
     # one small product per bath: a stacked one starts BLAS threads
     coef = np.concatenate([psi[a:b] @ proj.T for a, b in zip(
@@ -334,12 +335,6 @@ def _switch_time(bath: BathSpec) -> float:
     return _TAIL_REACH / rate
 
 
-def _spectrum(bath: BathSpec, w):
-    """g(w) = J(w)/2pi, continued to complex w."""
-    wc2 = bath.omega_c ** 2
-    return bath.alpha * w * wc2 / ((wc2 + w * w) * TWO_PI)
-
-
 def _endpoint(f, a: float, radius: float) -> tuple:
     """(radius, b): the Taylor data of f at a for `_endpoint_sum`, the
     columns of b holding b_n = (-1)^(n//2) f^(n)(a) radius^n at even and
@@ -371,9 +366,10 @@ def _gamma_series(bath: BathSpec, eps: float, t: np.ndarray, si_eps,
                   cos_eps, sin_eps) -> np.ndarray:
     """gamma(t) = g(e)(pi/2 + Si(e t)) - Im e^{-iet} A_0 past 37/omega_c,
     for phi = (g(w) - g(e))/(w - e), whose poles are +-i omega_c."""
-    g_eps = _spectrum(bath, eps)
+    wc2 = bath.omega_c ** 2
+    g_eps = _spectrum(bath.alpha, wc2, eps)
     re, im = _endpoint_sum(_endpoint(
-        lambda w: (_spectrum(bath, w) - g_eps) / (w - eps), 0.0,
+        lambda w: (_spectrum(bath.alpha, wc2, w) - g_eps) / (w - eps), 0.0,
         _TAIL_RADIUS * bath.omega_c), t)
     return g_eps * (0.5 * np.pi + si_eps) - (cos_eps * im - sin_eps * re)
 
@@ -385,10 +381,12 @@ def _remainder_series(bath: BathSpec, eps: float, t: np.ndarray, si_eps,
     beta = abs(bath.beta)
     top = bath.mu + _REACH / beta
     pole = complex(bath.mu, np.pi / beta)
-    h_eps = float(_envelope(bath, np.asarray(eps)))
+    wc2 = bath.omega_c ** 2
+    h_eps = float(_envelope(bath.alpha, wc2, beta, bath.mu, eps))
 
-    def psi(w):
-        h = 2.0 * _spectrum(bath, w) / (1.0 + np.exp(beta * (w - bath.mu)))
+    def psi(w):   # expit takes no complex argument
+        h = (2.0 * _spectrum(bath.alpha, wc2, w)
+             / (1.0 + np.exp(beta * (w - bath.mu))))
         return (h - h_eps) / (w - eps)
 
     re0, im0 = _endpoint_sum(_endpoint(
@@ -478,6 +476,19 @@ class RateTrajectory:
             raise ValueError("rate grid must start at 0 and increase strictly")
 
 
+def contact_rates(tables: list[RateTrajectory]) -> tuple:
+    """(Lambda, gamma_tilde): evaluators of Lambda(t) = int_0^t 2 gamma and
+    of every table's gamma_tilde, shape (tables, *t.shape), for tables that
+    share their times and gamma."""
+    table = tables[0]
+    if not all(np.array_equal(r.times, table.times) and np.array_equal(
+            r.gamma, table.gamma) for r in tables):
+        raise ValueError("rate tables must share their times and gamma")
+    return (CubicSpline(table.times, 2.0 * table.gamma).antiderivative(),
+            CubicSpline(table.times,
+                        np.stack([r.gamma_tilde for r in tables]), axis=1))
+
+
 def rate_table_size(bath: BathSpec, eps: float, t_max: float) -> int:
     """Points of the rate table on [0, t_max], spaced below
     min(0.2/eps, 0.05/omega_c) ms so that cubic interpolation resolves the
@@ -551,9 +562,3 @@ def build_rate_trajectories(baths, eps: float,
                 warnings.warn(text, RuntimeWarning, stacklevel=2)
         tables.append(RateTrajectory(times, g, gt, bg, quad_err, weak_ok))
     return tables
-
-
-def build_rate_trajectory(bath: BathSpec, eps: float,
-                          t_max: float) -> RateTrajectory:
-    """The rate table of one bath; see build_rate_trajectories."""
-    return build_rate_trajectories([bath], eps, t_max)[0]

@@ -35,7 +35,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import ConfigError, __version__
-from .bath import BathSpec, build_rate_trajectories, build_rate_trajectory
+from .bath import BathSpec, build_rate_trajectories
 from .cycle import (CycleConfig, ift_reference, population_onset, run_cycle,
                     sweep_cutoff, sweep_population)
 from .measures import nonmarkov_report
@@ -177,8 +177,8 @@ def _status(row, no_engine: bool = False) -> str:
 
 
 def cmd_rates(cfg: dict, ccfg: CycleConfig, outdir: str) -> int:
-    rates = build_rate_trajectory(ccfg.hot_bath, ccfg.spectra[1][0],
-                                  ccfg.heat_t_max)
+    [rates] = build_rate_trajectories([ccfg.hot_bath], ccfg.spectra[1][0],
+                                      ccfg.heat_t_max)
     _write_csv(os.path.join(outdir, "rates.csv"),
                _header("rates", cfg, ccfg, ["rates in rad/ms"]),
                ["t_us", "gamma", "gamma_tilde", "big_gamma"],

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import ConfigError, require_finite
 from .bath import (MAX_POINTS, BathSpec, build_rate_trajectories,
-                   build_rate_trajectory, rate_table_size)
+                   rate_table_size)
 from .dynamics import evolve_open, propagate_unitary
 from .measures import (NonMarkovReport, energetics, nonmarkov_report,
                        overall_performance)
@@ -309,7 +309,7 @@ def _cycle(cfg: CycleConfig, su: HotFrame, hot: BathSpec) -> CycleResult:
     """One cycle of cfg with the heating stroke in contact with hot; the
     result's `config` stays cfg, also where hot's cutoff differs."""
     grid = cfg.heating_grid()
-    rates = build_rate_trajectory(hot, su.eps, grid[-1] + _TABLE_MARGIN)
+    [rates] = build_rate_trajectories([hot], su.eps, grid[-1] + _TABLE_MARGIN)
     contact = evolve_open(su, [rates], grid)
     p = contact.p[0]
 

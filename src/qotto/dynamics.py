@@ -19,12 +19,12 @@ Theory of Open Quantum Systems, OUP 2002): with k = |a|^2 and Lambda =
 int (G + gt) = 2 int gamma (G = 2 gamma - gt), the coherence is
 c0 exp(-i e t - k Lambda(t)/2) and the excited population obeys
 dp/dt = -k Lambda'(t) p + k gt(t), a cumulative sum under the integrating
-factor exp(k Lambda).  Tables that share gamma evolve together: Lambda is the
-exact antiderivative of one cubic spline of 2 gamma, gt comes from one spline
-of every table's column, and all populations come from one array sum.  Each
-step's source integral is a 4-point Gauss-Lobatto rule whose end nodes are
-the step ends, shared by neighbouring steps, so a step adds two points; a
-step over which k Lambda moves by more than _STEP_LAM is split equally.  The
+factor exp(k Lambda).  Tables that share gamma evolve together: Lambda and
+every table's gt come from `bath.contact_rates`, cubic splines on the table
+knots, and all populations come from one array sum.  Each step's source
+integral is a 4-point Gauss-Lobatto rule whose end nodes are the step ends,
+shared by neighbouring steps, so a step adds two points; a step over which
+k Lambda moves by more than _STEP_LAM is split equally.  The
 populations agree with the 6-point Gauss-Legendre rule it replaced to
 1.7e-15 at the studied cutoffs, and to 5.2e-12 on the population sweep's
 [0, t] strokes, whose first steps span the onset of gamma.
@@ -37,9 +37,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .bath import MAX_POINTS, RateTrajectory
+from .bath import MAX_POINTS, RateTrajectory, contact_rates
 from .model import HotFrame, SystemParams
 
 # the ramp's first step count, and the largest error estimate it accepts
@@ -173,10 +172,8 @@ def evolve_open(frame: HotFrame, rates: list[RateTrajectory],
     (bath switch-on) and stay inside the domain of the rate tables.  A
     population or coherence that is not finite raises RuntimeError.
     """
+    big_lam, gamma_tilde = contact_rates(rates)
     table = rates[0]
-    if not all(np.array_equal(r.times, table.times) and np.array_equal(
-            r.gamma, table.gamma) for r in rates):
-        raise ValueError("rate tables must share their times and gamma")
     grid = np.asarray(grid, dtype=float)
     if grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must start at 0 and increase strictly")
@@ -185,9 +182,6 @@ def evolve_open(frame: HotFrame, rates: list[RateTrajectory],
             f"grid end {grid[-1]} exceeds rate table end {table.times[-1]}")
 
     k = frame.k
-    big_lam = CubicSpline(table.times, 2.0 * table.gamma).antiderivative()
-    gamma_tilde = CubicSpline(
-        table.times, np.stack([r.gamma_tilde for r in rates]), axis=1)
 
     # step over sample times and spline knots alike, so every step lies
     # inside one spline piece and its quadrature sees a smooth integrand,

@@ -26,9 +26,9 @@ EPS_HOT = 2.0 * math.pi * math.sqrt(NU_HOT**2 + 0.25)
 BETA_COLD = math.log((1.0 - P_COLD) / P_COLD) / EPS_COLD
 BETA_HOT = math.log((1.0 - P_HOT) / P_HOT) / EPS_HOT
 
-# build_rate_trajectory flags the baseline cold bath as marginal for the
-# weak-coupling treatment; that is a property of the operating point, not
-# a test failure.
+# A rate table of the baseline cold bath carries a warning that the
+# weak-coupling treatment is marginal; that is a property of the operating
+# point, not a test failure.
 MARGINAL_COUPLING = "ignore:dissipation strength is not small"
 
 
@@ -57,7 +57,8 @@ def rate_table():
         if key not in cache:
             spec = bath.BathSpec(alpha=ALPHA, omega_c=omega_c,
                                  beta=BETA_HOT, mu=0.0)
-            cache[key] = bath.build_rate_trajectory(spec, EPS_HOT, t_max)
+            [cache[key]] = bath.build_rate_trajectories([spec], EPS_HOT,
+                                                        t_max)
         return cache[key]
 
     return build

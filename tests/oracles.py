@@ -45,7 +45,8 @@ the converged reference ramp.  `adiabaticity` rebuilds the ramp to
 score its branch crossing, `population_from_beta` inverts the library's
 population-to-temperature map, `markov_limits` is the golden-rule rate
 pair the time-local rates settle to, with the ohmic `spectral_density`
-and the Fermi `occupation` behind it, and `run_cooling` is the restoring
+and the Fermi `occupation` behind it, `envelope` is the library's
+remainder envelope of one bath, and `run_cooling` is the restoring
 contact stroke with the cold reservoir, which no first-cycle figure uses.  `herm_eig2` is the
 closed-form 2x2 eigensolver that the library's `transition_energy`
 (numpy's `eigh`) is checked against; `expm_aherm` shares its Bloch
@@ -66,7 +67,8 @@ from scipy.special import exp1, expi, expit, sici, spherical_jn
 
 from qotto import bath as qbath
 from qotto import dynamics
-from qotto.bath import TWO_PI, BathSpec, RateTrajectory, build_rate_trajectory
+from qotto.bath import (TWO_PI, BathSpec, RateTrajectory,
+                        build_rate_trajectories)
 from qotto.cycle import _TABLE_MARGIN, CycleConfig
 from qotto.dynamics import propagate_unitary
 from qotto.measures import Q_HOT_FLOOR_SCALE, Energetics
@@ -291,6 +293,13 @@ def spectral_density(bath: BathSpec, w):
     wc2 = bath.omega_c ** 2
     out = bath.alpha * w * wc2 / (wc2 + w * w)
     return out if out.ndim else float(out)
+
+
+def envelope(bath: BathSpec, w):
+    """The library's remainder envelope h(w) = 2 g(w) expit(-|beta|(w - mu))
+    of one bath, from `bath._envelope`."""
+    return qbath._envelope(bath.alpha, bath.omega_c ** 2, abs(bath.beta),
+                           bath.mu, w)
 
 
 def occupation(bath: BathSpec, w):
@@ -559,9 +568,7 @@ def gauss_contact(frame: HotFrame, rates: list[RateTrajectory], grid,
     table = rates[0]
     grid = np.asarray(grid, dtype=float)
     k = frame.k
-    big_lam = CubicSpline(table.times, 2.0 * table.gamma).antiderivative()
-    gamma_tilde = CubicSpline(
-        table.times, np.stack([r.gamma_tilde for r in rates]), axis=1)
+    big_lam, gamma_tilde = qbath.contact_rates(rates)
     t = np.union1d(grid, table.times[table.times < grid[-1]])
     parts = np.ceil(np.abs(np.diff(k * big_lam(t)))
                     / dynamics._STEP_LAM).astype(int)
@@ -825,7 +832,7 @@ def complex_remainder(bath: BathSpec, eps: float, t: np.ndarray, order: int,
     2 half Im(e^{i phi} sum_k i^k c_k j_k(half t)), phi = (mid - e) t,
     with every order from scipy's spherical_jn."""
     omega_max = range_scale * (bath.mu + qbath._REACH / abs(bath.beta))
-    h_eps = float(qbath._envelope(bath, np.asarray(eps)))
+    h_eps = float(envelope(bath, eps))
     edges = qbath._panel_edges(bath, eps, panel_div, omega_max)
     nodes_x, weights = np.polynomial.legendre.leggauss(order)
     legvals = np.stack([np.polynomial.legendre.Legendre.basis(k)(nodes_x)
@@ -835,7 +842,7 @@ def complex_remainder(bath: BathSpec, eps: float, t: np.ndarray, order: int,
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         pts = mid + half * nodes_x
-        coef = proj @ ((qbath._envelope(bath, pts) - h_eps) / (pts - eps))
+        coef = proj @ ((envelope(bath, pts) - h_eps) / (pts - eps))
         s = sum(coef[k] * 1j ** k * spherical_jn(k, half * t)
                 for k in range(order))
         out = out + 2.0 * half * (np.exp(1j * (mid - eps) * t) * s).imag
@@ -853,10 +860,10 @@ def run_cooling(cfg: CycleConfig, rho_comp, t_max: float = 40.0,
     eps_cold = transition_energy(h_cold)[0]
     rho0 = rho_comp if isinstance(rho_comp, DensityMatrix) \
         else DensityMatrix.from_matrix(np.asarray(rho_comp, dtype=complex))
-    rates = build_rate_trajectory(cfg.cold_bath, eps_cold,
-                                  t_max + _TABLE_MARGIN)
+    rates = build_rate_trajectories([cfg.cold_bath], eps_cold,
+                                    t_max + _TABLE_MARGIN)
     grid = np.linspace(0.0, t_max, int(round(t_max / dt)) + 1)
-    contact = dynamics.evolve_open(state_frame(rho0, h_cold), [rates], grid)
+    contact = dynamics.evolve_open(state_frame(rho0, h_cold), rates, grid)
     states = contact_states(rho0, h_cold, contact.p[0], contact.c)
     return StateTrajectory(
         grid, states, np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0),

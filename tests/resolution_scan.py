@@ -223,8 +223,8 @@ def contact_strokes() -> dict:
     for wc in (5.0, 15.0, 25.0, 30.0):
         cfg = CycleConfig(omega_c=wc)
         su, grid = _setup(cfg), cfg.heating_grid()
-        strokes[f"wc={wc:g}"] = (su, [bath.build_rate_trajectory(
-            cfg.hot_bath, su.eps, grid[-1] + _TABLE_MARGIN)], grid)
+        strokes[f"wc={wc:g}"] = (su, bath.build_rate_trajectories(
+            [cfg.hot_bath], su.eps, grid[-1] + _TABLE_MARGIN), grid)
     cfg = CycleConfig(omega_c=15.0)
     su = _setup(cfg)
     tables = bath.build_rate_trajectories(

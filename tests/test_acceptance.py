@@ -50,7 +50,7 @@ def ft_rows(full_results):
 def _q_total(omega_c: float) -> float:
     spec = bath.BathSpec(alpha=0.6, omega_c=omega_c,
                          beta=conftest.BETA_HOT, mu=0.0)
-    rt = bath.build_rate_trajectory(spec, conftest.EPS_HOT, 10.0)
+    rt = bath.build_rate_trajectories([spec], conftest.EPS_HOT, 10.0)[0]
     return measures.nonmarkov_report(rt).q_total
 
 
@@ -192,7 +192,7 @@ def test_criterion_9_oracle_suite(full_results, system, hot_bath, rng):
                                  - ref)) < 1e-10
 
     spec5 = bath.BathSpec(alpha=0.6, omega_c=5.0, beta=conftest.BETA_HOT)
-    rt5 = bath.build_rate_trajectory(spec5, conftest.EPS_HOT, 10.0)
+    rt5 = bath.build_rate_trajectories([spec5], conftest.EPS_HOT, 10.0)[0]
     f5 = measures.witness_f(rt5)
     for _ in range(4):
         a_t, b_t = np.sort(rng.uniform(0.0, 10.0, size=2))

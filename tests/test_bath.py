@@ -1,16 +1,18 @@
 """Bath rate machinery against direct quadrature and closed-form limits."""
 
+import ast
 import math
 import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
-from scipy.special import sici, spherical_jn
+from scipy.special import expit, sici, spherical_jn
 
 import conftest
 import oracles
@@ -21,7 +23,7 @@ from resolution_scan import (PREVIOUS_BASE, REFERENCE, carrier, deviation,
                              remainders, switched_deviation, tail_deviation,
                              wide_groups, workload_groups)
 from qotto import ConfigError, bath
-from qotto.bath import (BathSpec, build_rate_trajectory, rate_coefficients,
+from qotto.bath import (BathSpec, build_rate_trajectories, rate_coefficients,
                         quadrature_error_estimate)
 from qotto.cycle import CycleConfig, sweep_population
 
@@ -166,14 +168,14 @@ def test_panel_quadrature_against_qawo(omega_c):
     b = BathSpec(alpha=0.6, omega_c=omega_c, beta=conftest.BETA_HOT)
     order, div, scale = bath._BASE_RESOLUTION
     omega_max = scale * (b.mu + bath._REACH / abs(b.beta))
-    h_eps = float(bath._envelope(b, np.asarray(eps)))
+    h_eps = float(oracles.envelope(b, eps))
     d_eps = confined_slope(b, eps)
 
     def psi(w):
         d = w - eps
         if abs(d) < 1e-7:
             return d_eps
-        return float((bath._envelope(b, np.asarray([w])) - h_eps)[0] / d)
+        return float((oracles.envelope(b, w) - h_eps) / d)
 
     for t in (0.013, 0.37, 2.1):
         s_part = quad(psi, 0.0, omega_max, weight="sin", wvar=t,
@@ -231,7 +233,7 @@ def test_remainder_runs_one_recurrence_per_pass(monkeypatch):
             w_max = scale * (spec.mu + bath._REACH / abs(spec.beta))
             panels.add(bath._panel_edges(spec, EPS_HOT, div, w_max).size - 1)
         calls.clear()
-        rt = build_rate_trajectory(spec, EPS_HOT, 0.5)
+        rt = build_rate_trajectories([spec], EPS_HOT, 0.5)[0]
         assert calls == {bath._BASE_RESOLUTION[0]: 1,
                          bath._FINE_RESOLUTION[0]: 1}
         assert rt.times.size <= bath._BLOCK
@@ -344,8 +346,8 @@ def test_quadrature_runs_only_before_each_switch_time(monkeypatch):
     # two distinct early-time sets among the three baths with beta != 0
     assert sorted(base_passes) == [1, 2]
     for omega_c in (15.0, 30.0):
-        build_rate_trajectory(CycleConfig(omega_c=omega_c).hot_bath,
-                              EPS_HOT, 10.0)
+        build_rate_trajectories([CycleConfig(omega_c=omega_c).hot_bath],
+                                EPS_HOT, 10.0)
     assert len(base_passes) == 4
 
 
@@ -363,7 +365,7 @@ def test_quadrature_check_probes_series_values(monkeypatch, omega_c):
     monkeypatch.setattr(bath, "quadrature_error_estimate", recorded)
     spec = CycleConfig(omega_c=omega_c).hot_bath
     assert bath._switch_time(spec) < 10.0
-    rt = build_rate_trajectory(spec, EPS_HOT, 10.0)
+    rt = build_rate_trajectories([spec], EPS_HOT, 10.0)[0]
     assert np.max(probes[0]) >= bath._switch_time(spec)
     assert rt.quad_error < bath.QUAD_TOL
 
@@ -445,7 +447,7 @@ def test_batched_tables_match_single_tables(omega_c):
     batch = bath.build_rate_trajectories(specs, EPS_HOT, 4.0)
     assert len(batch) == len(specs)
     for spec, rt in zip(specs, batch):
-        one = build_rate_trajectory(spec, EPS_HOT, 4.0)
+        one = build_rate_trajectories([spec], EPS_HOT, 4.0)[0]
         assert_array_equal(rt.times, one.times)
         for name in ("gamma", "gamma_tilde", "big_gamma"):
             assert_allclose(getattr(rt, name), getattr(one, name),
@@ -468,7 +470,7 @@ def test_tables_of_two_cutoffs_match_single_tables():
     batch = bath.build_rate_trajectories(specs, EPS_HOT, 4.0)
     assert len(batch) == len(specs)
     for spec, rt in zip(specs, batch):
-        one = build_rate_trajectory(spec, EPS_HOT, 4.0)
+        one = build_rate_trajectories([spec], EPS_HOT, 4.0)[0]
         assert rt.times.size == bath.rate_table_size(spec, EPS_HOT, 4.0)
         for name in ("times", "gamma", "gamma_tilde", "big_gamma"):
             assert getattr(rt, name).tobytes() == getattr(one, name).tobytes()
@@ -584,6 +586,56 @@ def test_scaled_exp_integrals_continuous_at_series_switch():
     assert ei[0] == pytest.approx(ei[1], rel=1e-14)
 
 
+def test_spectrum_is_the_spectral_density():
+    """2 pi g(w), the one g(w) that the envelope and both endpoint series
+    evaluate, is the ohmic J(w) on real w."""
+    w = np.linspace(0.0, 400.0, 10001)
+    for omega_c in (2.0, 5.0, 30.0, 100.0):
+        b = BathSpec(alpha=0.6, omega_c=omega_c, beta=conftest.BETA_HOT)
+        assert_allclose(
+            bath.TWO_PI * bath._spectrum(b.alpha, b.omega_c ** 2, w),
+            spectral_density(b, w), rtol=1e-15, atol=0.0)
+
+
+def test_envelope_keeps_the_filon_bits():
+    """The envelope 2 g(w) expit(-|beta|(w - mu)) returns the bits of
+    2 (a w wc^2/(wc^2 + w^2)) / 2pi expit(-|beta|(w - mu)), the operation
+    order the Filon tables were built with (doubling is exact), on 10,001
+    points of each bath's [0, omega_max], bath by bath and broadcast over
+    stacked parameters as the remainder quadrature calls it."""
+    specs = [BathSpec(alpha=a, omega_c=wc, beta=beta, mu=mu)
+             for a, wc, beta, mu in ((0.6, 5.0, conftest.BETA_HOT, 0.0),
+                                     (0.6, 30.0, conftest.BETA_COLD, 0.0),
+                                     (0.3, 15.0, -0.02, 10.0),
+                                     (1.1, 100.0, 0.4, 3.0))]
+    params = np.array([(b.alpha, b.omega_c ** 2, abs(b.beta), b.mu)
+                       for b in specs])
+    w = np.stack([np.linspace(0.0, mu + bath._REACH / beta_abs, 10001)
+                  for _, _, beta_abs, mu in params])
+    alpha, wc2, beta_abs, mu = params.T[:, :, None]
+    expected = (2.0 * (alpha * w * wc2 / (wc2 + w * w)) / bath.TWO_PI
+                * expit(-beta_abs * (w - mu)))
+    assert (bath._envelope(alpha, wc2, beta_abs, mu, w).tobytes()
+            == expected.tobytes())
+    for (a, c2, ba, m), row, want in zip(params.tolist(), w, expected):
+        assert bath._envelope(a, c2, ba, m, row).tobytes() == want.tobytes()
+
+
+def test_only_bath_imports_scipy():
+    """`bath` owns every rate formula and evaluator, so it is the one
+    library module that imports scipy."""
+    importers = set()
+    for path in Path(bath.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.Import)
+                     else [node.module or ""]
+                     if isinstance(node, ast.ImportFrom) else [])
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                importers.add(path.stem)
+    assert importers == {"bath"}
+
+
 def test_closed_form_gamma_oracle_is_the_library_form():
     """Before 37/omega_c, where the library evaluates its closed form,
     the oracle that also reaches past it returns the same bits."""
@@ -624,7 +676,7 @@ def test_flat_occupation_has_equal_channels():
     g, gt, bg = rate_coefficients([flat], conftest.EPS_HOT, ts)[0]
     assert_array_equal(gt, g)
     assert_array_equal(bg, g)
-    rt = build_rate_trajectory(flat, conftest.EPS_HOT, ts[-1])
+    rt = build_rate_trajectories([flat], conftest.EPS_HOT, ts[-1])[0]
     assert rt.quad_error == 0.0
 
 
@@ -669,7 +721,7 @@ def test_trajectory_warns_when_tolerance_unreachable(hot_bath, monkeypatch):
     base has 22, estimate ~1e-4) is caught by the check."""
     monkeypatch.setattr(bath, "_BASE_RESOLUTION", (4, 1.0, 1.0))
     with pytest.warns(RuntimeWarning, match="convergence estimate"):
-        build_rate_trajectory(hot_bath, conftest.EPS_HOT, 0.5)
+        build_rate_trajectories([hot_bath], conftest.EPS_HOT, 0.5)
 
 
 @pytest.mark.filterwarnings(conftest.MARGINAL_COUPLING)
@@ -687,7 +739,7 @@ def test_trajectory_evaluates_each_remainder_once(monkeypatch, beta):
 
     monkeypatch.setattr(bath, "_remainder", counting)
     spec = BathSpec(alpha=0.6, omega_c=30.0, beta=beta)
-    build_rate_trajectory(spec, conftest.EPS_HOT, 0.5)
+    build_rate_trajectories([spec], conftest.EPS_HOT, 0.5)
     assert calls == {bath._BASE_RESOLUTION[0]: 1,
                      bath._FINE_RESOLUTION[0]: 1}
 
@@ -708,7 +760,7 @@ def test_trajectory_check_reads_stored_values(monkeypatch, beta):
     monkeypatch.setattr(bath, "rate_coefficients", shifted)
     spec = BathSpec(alpha=0.6, omega_c=30.0, beta=beta)
     with pytest.warns(RuntimeWarning, match="convergence estimate"):
-        rt = build_rate_trajectory(spec, conftest.EPS_HOT, 0.5)
+        rt = build_rate_trajectories([spec], conftest.EPS_HOT, 0.5)[0]
     assert rt.quad_error == pytest.approx(1e-6, rel=1e-3)
 
 
@@ -716,21 +768,21 @@ def test_trajectory_size_is_bounded(hot_bath, monkeypatch):
     """A table longer than MAX_POINTS is refused before it is allocated:
     0.1 ms at spacing 0.05/30 ms needs 61 points."""
     monkeypatch.setattr(bath, "MAX_POINTS", 61)
-    rt = build_rate_trajectory(hot_bath, conftest.EPS_HOT, 0.1)
+    rt = build_rate_trajectories([hot_bath], conftest.EPS_HOT, 0.1)[0]
     assert rt.times.size == 61
     assert bath.rate_table_size(hot_bath, conftest.EPS_HOT, 0.1) == 61
     monkeypatch.setattr(bath, "MAX_POINTS", 60)
     with pytest.raises(ConfigError, match="needs 61 points, more than 60"):
-        build_rate_trajectory(hot_bath, conftest.EPS_HOT, 0.1)
+        build_rate_trajectories([hot_bath], conftest.EPS_HOT, 0.1)
     with pytest.raises(ConfigError, match="needs inf points"):
-        build_rate_trajectory(replace(hot_bath, omega_c=1e308),
-                              conftest.EPS_HOT, 0.1)
+        build_rate_trajectories([replace(hot_bath, omega_c=1e308)],
+                                conftest.EPS_HOT, 0.1)
 
 
 def test_trajectory_flags_marginal_coupling():
     cold = BathSpec(alpha=0.6, omega_c=30.0, beta=conftest.BETA_COLD)
     with pytest.warns(RuntimeWarning, match="weak-coupling"):
-        rt = build_rate_trajectory(cold, conftest.EPS_COLD, 0.5)
+        rt = build_rate_trajectories([cold], conftest.EPS_COLD, 0.5)[0]
     assert not rt.weak_coupling_ok
 
 
@@ -743,4 +795,4 @@ def test_trajectory_weak_coupling_at_baseline(rate_table):
 
 def test_trajectory_rejects_bad_horizon(hot_bath):
     with pytest.raises(ValueError):
-        build_rate_trajectory(hot_bath, conftest.EPS_HOT, 0.0)
+        build_rate_trajectories([hot_bath], conftest.EPS_HOT, 0.0)

@@ -198,7 +198,7 @@ def test_out_naming_a_file_is_config_error(tmp_path, capsys, monkeypatch):
     """--out is created before the command runs, not after."""
     target = tmp_path / "taken"
     target.write_text("not a directory\n")
-    monkeypatch.setattr(cli, "build_rate_trajectory", _no_work)
+    monkeypatch.setattr(cli, "build_rate_trajectories", _no_work)
     _assert_config_exit(capsys, ["rates", "--out", str(target)] + TINY,
                         str(target))
 

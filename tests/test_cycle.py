@@ -413,8 +413,8 @@ def test_energetics_match_stroke_bookkeeping(fast_cfg, fast_result):
     rho_exp = u @ rho_in.mat @ dag(u)
     eps_hot = model.transition_energy(h_hot)[0]
     grid = cfg.heating_grid()
-    rt = bath.build_rate_trajectory(cfg.hot_bath, eps_hot,
-                                    grid[-1] + cycle._TABLE_MARGIN)
+    rt = bath.build_rate_trajectories([cfg.hot_bath], eps_hot,
+                                      grid[-1] + cycle._TABLE_MARGIN)[0]
     rho0 = DensityMatrix.from_matrix(rho_exp)
     traj = dynamics.evolve_open(state_frame(rho0, h_hot), [rt], grid)
     states = contact_states(rho0, h_hot, traj.p[0], traj.c)

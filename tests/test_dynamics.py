@@ -24,7 +24,7 @@ from oracles import (IDENTITY, DensityMatrix, adiabaticity, apply_generator,
                      product_propagator, state_frame, state_from_population)
 from resolution_scan import contact_steps, contact_strokes
 from qotto import bath, cycle, dynamics, model
-from qotto.bath import BathSpec, RateTrajectory, build_rate_trajectory
+from qotto.bath import BathSpec, RateTrajectory, build_rate_trajectories
 from qotto.dynamics import evolve_open, propagate_unitary
 
 
@@ -207,7 +207,7 @@ def test_generator_decouples_in_eigenbasis(system):
 
 def test_evolve_open_grid_contract(system, hot_bath):
     h = model.hamiltonian_hot(system)
-    rt = build_rate_trajectory(hot_bath, conftest.EPS_HOT, 0.5)
+    rt = build_rate_trajectories([hot_bath], conftest.EPS_HOT, 0.5)[0]
     frame = state_frame(state_from_population(h, 0.3), h)
     with pytest.raises(ValueError):
         evolve_open(frame, [rt], np.array([0.1, 0.2]))
@@ -215,11 +215,28 @@ def test_evolve_open_grid_contract(system, hot_bath):
         evolve_open(frame, [rt], np.array([0.0, 0.3, 0.6]))  # past table
 
 
+def test_evolve_open_rejects_tables_that_differ(system, hot_bath):
+    """Tables evolve together only on shared times under a shared gamma:
+    another gamma_tilde is accepted, other times or another gamma are
+    refused."""
+    h = model.hamiltonian_hot(system)
+    rt = build_rate_trajectories([hot_bath], conftest.EPS_HOT, 0.5)[0]
+    frame = state_frame(state_from_population(h, 0.3), h)
+    grid = np.linspace(0.0, 0.4, 5)
+    both = evolve_open(frame, [rt, replace(rt, gamma_tilde=2.0 * rt.gamma)],
+                       grid)
+    assert both.p.shape == (2, grid.size)
+    for other in (replace(rt, times=1.01 * rt.times),
+                  replace(rt, gamma=rt.gamma + 1e-9)):
+        with pytest.raises(ValueError, match="share their times and gamma"):
+            evolve_open(frame, [rt, other], grid)
+
+
 def test_evolve_open_closed_system_limit(system):
     """Zero coupling must reproduce the unitary conjugation orbit."""
     h = model.hamiltonian_hot(system)
     off = BathSpec(alpha=0.0, omega_c=30.0, beta=0.1)
-    rt = build_rate_trajectory(off, conftest.EPS_HOT, 2.0)
+    rt = build_rate_trajectories([off], conftest.EPS_HOT, 2.0)[0]
     v = np.array([1.0, 0.5 + 0.5j])
     v /= np.linalg.norm(v)
     rho0 = DensityMatrix.from_matrix(np.outer(v, v.conj()))
@@ -259,7 +276,7 @@ def test_evolve_open_against_decoupled_closed_form(system, hot_bath):
     a = oracles.jump_operator(h)
     _, vm, vp = model.transition_energy(h)
     k2 = float(np.trace(dag(a) @ a).real)
-    rt = build_rate_trajectory(hot_bath, conftest.EPS_HOT, 1.05)
+    rt = build_rate_trajectories([hot_bath], conftest.EPS_HOT, 1.05)[0]
     grid = np.linspace(0.0, 1.0, 2001)
 
     mix = 0.25 * np.eye(2) + 0.5 * state_from_population(h, 0.3).mat
@@ -324,8 +341,8 @@ def test_evolve_open_matches_rk45_oracle(omega_c):
     cfg = cycle.build_config(omega_c=omega_c)
     su = cycle._setup(cfg)
     grid = cfg.heating_grid()
-    rt = build_rate_trajectory(cfg.hot_bath, su.eps,
-                               grid[-1] + cycle._TABLE_MARGIN)
+    rt = build_rate_trajectories([cfg.hot_bath], su.eps,
+                                 grid[-1] + cycle._TABLE_MARGIN)[0]
     exact = evolve_open(su, [rt], grid)
     h_hot = model.hamiltonian_hot(cfg.system)
     u, _ = propagate_unitary(cfg.system)
@@ -348,8 +365,8 @@ def test_cooling_stroke_matches_rk45_oracle(system):
         dag(u) @ state_from_population(model.hamiltonian_hot(system),
                                        0.99).mat @ u)
     exact = oracles.run_cooling(cfg, rho_comp, t_max=10.0, dt=0.01)
-    rt = build_rate_trajectory(cfg.cold_bath, conftest.EPS_COLD,
-                               10.0 + cycle._TABLE_MARGIN)
+    rt = build_rate_trajectories([cfg.cold_bath], conftest.EPS_COLD,
+                                 10.0 + cycle._TABLE_MARGIN)[0]
     ref = oracles.evolve_open(rho_comp, h_cold, rt,
                               oracles.jump_operator(h_cold), exact.times,
                               **ORACLE_TOL)
@@ -553,7 +570,7 @@ def test_rebuilt_states_give_back_the_stroke(system, hot_bath):
     sample 0 is the initial state bit for bit, and the rebuilt states give
     back (p, c)."""
     h = model.hamiltonian_hot(system)
-    rt = build_rate_trajectory(hot_bath, conftest.EPS_HOT, 1.05)
+    rt = build_rate_trajectories([hot_bath], conftest.EPS_HOT, 1.05)[0]
     v = np.array([1.0, 1.0j]) / math.sqrt(2)
     rho0 = DensityMatrix.from_matrix(
         0.6 * state_from_population(h, 0.3).mat

@@ -295,13 +295,14 @@ def test_first_law_telescopes_through_cooling(system, cold_bath):
     frame = state_frame(rho_exp, h_hot, u @ h_cold @ dag(u))
 
     hot = bath.BathSpec(alpha=0.6, omega_c=30.0, beta=conftest.BETA_HOT)
-    rt = bath.build_rate_trajectory(hot, conftest.EPS_HOT, 0.3)
+    rt = bath.build_rate_trajectories([hot], conftest.EPS_HOT, 0.3)[0]
     heat = dynamics.evolve_open(frame, [rt], np.linspace(0.0, 0.272, 273))
     rho_heat = oracles.contact_states(rho_exp, h_hot, heat.p[0], heat.c)[-1]
     rho_comp = dag(u) @ rho_heat @ u
 
     with pytest.warns(RuntimeWarning, match="weak-coupling"):
-        rt_cold = bath.build_rate_trajectory(cold_bath, conftest.EPS_COLD, 5.0)
+        [rt_cold] = bath.build_rate_trajectories([cold_bath],
+                                                 conftest.EPS_COLD, 5.0)
     rho_cool = DensityMatrix.from_matrix(rho_comp)
     cool = dynamics.evolve_open(state_frame(rho_cool, h_cold), [rt_cold],
                                 np.linspace(0.0, 5.0, 501))
@@ -340,7 +341,7 @@ def test_first_law_across_four_strokes(nu_cold, nu_gap, tau, p_cold, p_hot,
     frame = state_frame(rho_exp, h_hot, u @ h_cold @ dag(u))
 
     eps_hot = model.transition_energy(h_hot)[0]
-    rt = bath.build_rate_trajectory(cfg.hot_bath, eps_hot, t_heat)
+    rt = bath.build_rate_trajectories([cfg.hot_bath], eps_hot, t_heat)[0]
     heat = dynamics.evolve_open(frame, [rt], np.array([0.0, t_heat]))
     rho_heat = oracles.contact_states(rho_exp, h_hot, heat.p[0], heat.c)[-1]
     rho_comp = dag(u) @ rho_heat @ u
