@@ -28,16 +28,16 @@ of the bath mode and e the transition energy of the system Hamiltonian.
     even orders weigh the sine of the panel phase and odd orders its
     cosine, all in real arithmetic.  Every order comes from one recurrence
     over all panels (DLMF 10.51), upward for z >= K orders, downward below.
-  * Past t* = 37/min(wc, pi/|beta|), C and gamma come from their endpoint
-    series.  With psi = (h(w)-h(e))/(w-e), W = mu + 40/|beta| and
+  * Past t* = 37/min(wc, pi/|beta|), C and gamma come from one endpoint
+    series routine.  With psi = (h(w)-h(e))/(w-e), W = mu + 40/|beta| and
     A_a = sum_n (-1)^n psi^(n)(a) (1/(it))^(n+1) (integration by parts,
     DLMF 2.3(i)),
         C = h(e)[Si((W-e)t) + Si(e t)] + Im e^{-iet}(e^{iWt} A_W - A_0),
-    and gamma likewise from (g(w)-g(e))/(w-e) at its one endpoint 0.  What
-    the series miss decays like exp(-wc t) and exp(-pi t/|beta|), from the
-    poles of h at i wc and mu + i pi/|beta|, and has fallen to rounding at
-    t*.  The Taylor data come from one FFT per endpoint on a circle inside
-    the nearest pole (Fornberg, ACM TOMS 7, 512 (1981)).
+    and gamma is the same sum for g at W = inf, Si(inf) = pi/2 with no
+    endpoint there.  One list of poles, i wc and mu + i pi/|beta|, sets t*,
+    where what the series miss has decayed to rounding, and each circle on
+    which one FFT per endpoint takes the Taylor data, inside the nearest
+    pole (Fornberg, ACM TOMS 7, 512 (1981)).
 
 Tables are built together: the baths that share alpha and omega_c share
 one grid, one gamma and one remainder pass over their stacked panels up to
@@ -53,8 +53,8 @@ gamma_tilde from one spline over their stacked columns.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import dataclass, replace
+from functools import cache, partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
@@ -90,7 +90,7 @@ _BLOCK = 2048
 # 2e-15 against spherical_jn for K <= 28
 _MILLER_LEAD = 20
 
-# past t* = _TAIL_REACH/min(omega_c, pi/|beta|) the rates come from
+# past t* = _TAIL_REACH/(least Im of the bath's poles) the rates come from
 # _TAIL_TERMS terms of their endpoint series, whose Taylor data come from
 # one _TAIL_FFT-point FFT per endpoint on a circle at _TAIL_RADIUS of the
 # distance to the nearest pole (tests/resolution_scan.py --tail re-derives
@@ -186,6 +186,12 @@ def _envelope(alpha, wc2, beta_abs, mu, w):
     """Remainder envelope h(w) = 2 g(w) expit(-|beta|(w - mu)) for real w,
     its parameters broadcasting against w."""
     return 2.0 * _spectrum(alpha, wc2, w) * expit(-beta_abs * (w - mu))
+
+
+def _fermi_envelope(alpha, wc2, beta_abs, mu, w):
+    """h(w) of `_envelope` for complex w, which expit does not take."""
+    return (2.0 * _spectrum(alpha, wc2, w)
+            / (1.0 + np.exp(beta_abs * (w - mu))))
 
 
 def _bessel_sum(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -325,21 +331,28 @@ def _remainder(baths, eps: float, t: np.ndarray, order: int,
     return out
 
 
+def _poles(bath: BathSpec) -> list[complex]:
+    """The poles nearest the real axis of the bath's integrands: i omega_c
+    of g and, at beta != 0, mu + i pi/|beta| of the Fermi factor in h."""
+    poles = [complex(0.0, bath.omega_c)]
+    if bath.beta != 0.0:
+        poles.append(complex(bath.mu, np.pi / abs(bath.beta)))
+    return poles
+
+
 def _switch_time(bath: BathSpec) -> float:
     """t*, past which the endpoint series of the bath's rates have reached
-    rounding: what they miss decays like exp(-omega_c t) and, at beta != 0,
-    exp(-pi t/|beta|), so the imaginary parts of the poles set it."""
-    rate = bath.omega_c
-    if bath.beta != 0.0:
-        rate = min(rate, np.pi / abs(bath.beta))
-    return _TAIL_REACH / rate
+    rounding: what they miss decays like exp(-Im(p) t) for each pole p."""
+    return _TAIL_REACH / min(p.imag for p in _poles(bath))
 
 
-def _endpoint(f, a: float, radius: float) -> tuple:
+def _endpoint(f, a: float, poles) -> tuple:
     """(radius, b): the Taylor data of f at a for `_endpoint_sum`, the
     columns of b holding b_n = (-1)^(n//2) f^(n)(a) radius^n at even and
-    at odd n.  The FFT nodes sit half a step off the real axis, where e
-    may lie."""
+    at odd n, on a circle at _TAIL_RADIUS of the distance to the nearest
+    pole.  The FFT nodes sit half a step off the real axis, where e may
+    lie."""
+    radius = _TAIL_RADIUS * min(abs(p - a) for p in poles)
     n = np.arange(_TAIL_TERMS)
     theta = TWO_PI * (np.arange(_TAIL_FFT) + 0.5) / _TAIL_FFT
     b = np.fft.fft(f(a + radius * np.exp(1j * theta)))[:n.size]
@@ -362,42 +375,24 @@ def _endpoint_sum(data: tuple, t: np.ndarray) -> tuple:
     return radius * x * acc[1], -radius * u * acc[0]
 
 
-def _gamma_series(bath: BathSpec, eps: float, t: np.ndarray, si_eps,
-                  cos_eps, sin_eps) -> np.ndarray:
-    """gamma(t) = g(e)(pi/2 + Si(e t)) - Im e^{-iet} A_0 past 37/omega_c,
-    for phi = (g(w) - g(e))/(w - e), whose poles are +-i omega_c."""
-    wc2 = bath.omega_c ** 2
-    g_eps = _spectrum(bath.alpha, wc2, eps)
-    re, im = _endpoint_sum(_endpoint(
-        lambda w: (_spectrum(bath.alpha, wc2, w) - g_eps) / (w - eps), 0.0,
-        _TAIL_RADIUS * bath.omega_c), t)
-    return g_eps * (0.5 * np.pi + si_eps) - (cos_eps * im - sin_eps * re)
+def _series(f, f_eps: float, eps: float, top: float, poles, t: np.ndarray,
+            si_eps, cos_eps, sin_eps) -> np.ndarray:
+    """int_0^top f(w) sin((w-e)t)/(w-e) dw past the switch time of poles,
+    from the endpoint series of psi = (f(w) - f(e))/(w - e), f taking
+    complex w: f(e)[Si((top-e)t) + Si(e t)] + Im e^{-iet}(e^{i top t}
+    A_top - A_0), where top = inf has Si = pi/2 and no top endpoint."""
+    def psi(w):
+        return (f(w) - f_eps) / (w - eps)
 
-
-def _remainder_series(bath: BathSpec, eps: float, t: np.ndarray, si_eps,
-                      cos_eps, sin_eps) -> np.ndarray:
-    """C(t) past t*, from its endpoint series at 0 and W = mu + 40/|beta|;
-    each circle avoids i omega_c and the Fermi pole mu + i pi/|beta|."""
-    beta = abs(bath.beta)
-    top = bath.mu + _REACH / beta
-    pole = complex(bath.mu, np.pi / beta)
-    wc2 = bath.omega_c ** 2
-    h_eps = float(_envelope(bath.alpha, wc2, beta, bath.mu, eps))
-
-    def psi(w):   # expit takes no complex argument
-        h = (2.0 * _spectrum(bath.alpha, wc2, w)
-             / (1.0 + np.exp(beta * (w - bath.mu))))
-        return (h - h_eps) / (w - eps)
-
-    re0, im0 = _endpoint_sum(_endpoint(
-        psi, 0.0, _TAIL_RADIUS * min(bath.omega_c, abs(pole))), t)
-    re_top, im_top = _endpoint_sum(_endpoint(
-        psi, top, _TAIL_RADIUS * min(abs(pole - top),
-                                     abs(complex(top, bath.omega_c)))), t)
-    phase = (top - eps) * t
-    return (h_eps * (sici(phase)[0] + si_eps)
-            + np.cos(phase) * im_top + np.sin(phase) * re_top
-            - (cos_eps * im0 - sin_eps * re0))
+    re0, im0 = _endpoint_sum(_endpoint(psi, 0.0, poles), t)
+    if np.isinf(top):
+        out = f_eps * (0.5 * np.pi + si_eps)
+    else:
+        re_top, im_top = _endpoint_sum(_endpoint(psi, top, poles), t)
+        phase = (top - eps) * t
+        out = (f_eps * (sici(phase)[0] + si_eps)
+               + np.cos(phase) * im_top + np.sin(phase) * re_top)
+    return out - (cos_eps * im0 - sin_eps * re0)
 
 
 def rate_coefficients(baths, eps: float, t) -> list[tuple]:
@@ -408,9 +403,8 @@ def rate_coefficients(baths, eps: float, t) -> list[tuple]:
 
     Each bath's remainder runs the quadrature before its own switch time
     and the series from it on, whichever baths it is built with; baths
-    whose early times coincide share one quadrature pass.  gamma switches
-    at _TAIL_REACH/omega_c, the switch time of a bath at beta = 0 and no
-    later than any other bath's."""
+    whose early times coincide share one quadrature pass.  gamma, the
+    remainder of a bath at beta = 0, switches no later than any other."""
     if len({(b.alpha, b.omega_c) for b in baths}) != 1:
         raise ValueError("the baths must share alpha and omega_c")
     if eps <= 0.0:
@@ -419,15 +413,19 @@ def rate_coefficients(baths, eps: float, t) -> list[tuple]:
     if np.any(ts < 0.0):
         raise ValueError("rates defined for t >= 0 only")
     si = sici(eps * ts)[0]
-    late = ts >= _TAIL_REACH / baths[0].omega_c
+    flat = replace(baths[0], beta=0.0)
+    late = ts >= _switch_time(flat)
     early = (ts > 0.0) & ~late
     # the carrier every series shares, at gamma's late times
     carrier = (ts[late], si[late], np.cos(eps * ts[late]),
                np.sin(eps * ts[late]))
+    alpha, wc2 = flat.alpha, flat.omega_c ** 2
     g = np.zeros(ts.shape)
-    g[early] = _gamma(baths[0], eps, ts[early], si[early])
+    g[early] = _gamma(flat, eps, ts[early], si[early])
     if late.any():
-        g[late] = _gamma_series(baths[0], eps, *carrier)
+        g[late] = _series(partial(_spectrum, alpha, wc2),
+                          _spectrum(alpha, wc2, eps), eps, np.inf,
+                          _poles(flat), *carrier)
 
     held = [b for b in baths if b.beta != 0.0]
     cs = np.empty((len(held), ts.size))
@@ -447,8 +445,11 @@ def rate_coefficients(baths, eps: float, t) -> list[tuple]:
     for b, row in zip(held, cs):
         tail = carrier[0] >= _switch_time(b)
         if tail.any():
-            row[at[tail]] = _remainder_series(b, eps,
-                                              *(x[tail] for x in carrier))
+            beta = abs(b.beta)
+            row[at[tail]] = _series(
+                partial(_fermi_envelope, alpha, wc2, beta, b.mu),
+                float(_envelope(alpha, wc2, beta, b.mu, eps)), eps,
+                b.mu + _REACH / beta, _poles(b), *(x[tail] for x in carrier))
     held_iter = iter(cs)
     # the remainder; at beta = 0, nbar = 1/2: both channels run at gamma
     cs = [next(held_iter) if b.beta != 0.0 else g.copy() for b in baths]

@@ -214,8 +214,6 @@ def _refine_peak(times: np.ndarray, eta: np.ndarray, k: int) -> tuple[float, flo
     """Quadratic vertex through the three samples bracketing index k."""
     t0, t1, t2 = times[k - 1:k + 2]
     y0, y1, y2 = eta[k - 1:k + 2]
-    if not (np.isfinite(y0) and np.isfinite(y2)):
-        return float(times[k]), float(eta[k])
     den = (y0 * (t1 - t2) + y1 * (t2 - t0) + y2 * (t0 - t1))
     if den <= 0.0:
         # flat or concave-up triple: keep the grid sample
@@ -345,10 +343,9 @@ def _cycle(cfg: CycleConfig, su: HotFrame, hot: BathSpec) -> CycleResult:
             window = _band_edges(grid, eta, k_max, eta_max - PEAK_BAND)
 
     dev_ok = np.isfinite(eta) & (np.abs(eta - eta_sat) < EQ_TOL)
+    # eta(0) is NaN, as q_hot(0) = 0, so some sample always deviates
     bad = np.nonzero(~dev_ok)[0]
-    if bad.size == 0:
-        t_eq = float(grid[0])
-    elif bad[-1] + 1 < grid.size:
+    if bad[-1] + 1 < grid.size:
         t_eq = float(grid[bad[-1] + 1])
     else:
         t_eq = float("nan")

@@ -33,7 +33,9 @@ arithmetic, one spherical_jn call per order and panel.
 `closed_form_gamma` is the library's closed-form gamma with its scaled
 exponential integrals from `scaled_exp_integrals`, which switches to
 their asymptotic series where e^(wc t) overflows, so it is the gamma
-series' reference at any time.
+series' reference at any time.  `gamma_series` and `remainder_series` are
+the two endpoint series the library's one `bath._series` replaced, each
+circle sized by its own pole expressions, for the late rates' bits.
 `product_propagator` is a scalar-loop midpoint product for an
 arbitrary H(t), and `magnus_propagator` the scalar-loop two-node Magnus
 product with the commutator written out, both built from the closed-form
@@ -823,6 +825,60 @@ def closed_form_gamma(bath: BathSpec, eps: float,
     b = 1.0 / (2.0 * (1j * wc - eps))
     return (bath.alpha * wc * wc / TWO_PI) * (
         a * (0.5 * np.pi + sici(eps * t)[0]) + 2.0 * (b * k).real)
+
+
+def _endpoint_data(f, a: float, radius: float) -> tuple:
+    """`bath._endpoint` as it was before the bath's poles sized its
+    circle: the Taylor data of f at a on a circle of the given radius."""
+    n = np.arange(qbath._TAIL_TERMS)
+    fft = qbath._TAIL_FFT
+    theta = TWO_PI * (np.arange(fft) + 0.5) / fft
+    b = np.fft.fft(f(a + radius * np.exp(1j * theta)))[:n.size]
+    b = (b * np.exp(-1j * np.pi * n / fft)).real / fft
+    b *= np.cumprod(np.maximum(n, 1.0)) * (-1.0) ** (n // 2)
+    return radius, b.reshape(-1, 2)
+
+
+def gamma_series(bath: BathSpec, eps: float, t: np.ndarray, si_eps,
+                 cos_eps, sin_eps) -> np.ndarray:
+    """The library's gamma series before `bath._series` served both
+    rates: g(e)(pi/2 + Si(e t)) - Im e^{-iet} A_0 from
+    (g(w) - g(e))/(w - e) at 0, on a circle at _TAIL_RADIUS omega_c."""
+    wc2 = bath.omega_c ** 2
+    g_eps = qbath._spectrum(bath.alpha, wc2, eps)
+    re, im = qbath._endpoint_sum(_endpoint_data(
+        lambda w: (qbath._spectrum(bath.alpha, wc2, w) - g_eps) / (w - eps),
+        0.0, qbath._TAIL_RADIUS * bath.omega_c), t)
+    return g_eps * (0.5 * np.pi + si_eps) - (cos_eps * im - sin_eps * re)
+
+
+def remainder_series(bath: BathSpec, eps: float, t: np.ndarray, si_eps,
+                     cos_eps, sin_eps) -> np.ndarray:
+    """The library's remainder series before `bath._series` served both
+    rates: C(t) from its endpoint series at 0 and W = mu + 40/|beta|,
+    each circle at _TAIL_RADIUS of the distance to the nearer of
+    i omega_c and the Fermi pole mu + i pi/|beta|."""
+    beta = abs(bath.beta)
+    top = bath.mu + qbath._REACH / beta
+    pole = complex(bath.mu, np.pi / beta)
+    wc2 = bath.omega_c ** 2
+    h_eps = float(qbath._envelope(bath.alpha, wc2, beta, bath.mu, eps))
+
+    def psi(w):   # expit takes no complex argument
+        h = (2.0 * qbath._spectrum(bath.alpha, wc2, w)
+             / (1.0 + np.exp(beta * (w - bath.mu))))
+        return (h - h_eps) / (w - eps)
+
+    radius = qbath._TAIL_RADIUS
+    re0, im0 = qbath._endpoint_sum(_endpoint_data(
+        psi, 0.0, radius * min(bath.omega_c, abs(pole))), t)
+    re_top, im_top = qbath._endpoint_sum(_endpoint_data(
+        psi, top, radius * min(abs(pole - top),
+                               abs(complex(top, bath.omega_c)))), t)
+    phase = (top - eps) * t
+    return (h_eps * (sici(phase)[0] + si_eps)
+            + np.cos(phase) * im_top + np.sin(phase) * re_top
+            - (cos_eps * im0 - sin_eps * re0))
 
 
 def complex_remainder(bath: BathSpec, eps: float, t: np.ndarray, order: int,

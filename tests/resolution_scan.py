@@ -29,8 +29,9 @@ candidate (terms, radius fraction, reach) it sets `bath._TAIL_TERMS`,
 deviation past the switch times of the remainder series from the reference
 on both grids and of the gamma series from `oracles.closed_form_gamma`,
 the table times the series take over on the workload grid, and the best of
-three timings of the series there.  The library's constants are always
-scanned as well.
+three timings of the series there.  Both series are read through
+`bath.rate_coefficients` at late times only, where it runs nothing else.
+The library's constants are always scanned as well.
 
 With `--contact` the script reports the nodes per step of the contact
 stroke instead: for each contact stroke the seed-0 benchmark runs (a full
@@ -49,10 +50,10 @@ from __future__ import annotations
 
 import argparse
 import time
+from dataclasses import replace
 from functools import cache
 
 import numpy as np
-from scipy.special import sici
 
 import oracles
 from qotto import bath, dynamics
@@ -128,11 +129,6 @@ def elements(groups, panel_div: float, range_scale: float) -> int:
     return total
 
 
-def carrier(eps: float, t: np.ndarray) -> tuple:
-    """(t, Si(e t), cos(e t), sin(e t)), the arguments of both series."""
-    return t, sici(eps * t)[0], np.cos(eps * t), np.sin(eps * t)
-
-
 def switched_deviation(groups, reference: list) -> float:
     """Largest |C - C_ref| of the remainders `bath.rate_coefficients`
     stores, quadrature before each bath's switch time and series from it
@@ -147,42 +143,42 @@ def switched_deviation(groups, reference: list) -> float:
 
 
 def tail_deviation(groups, reference: list) -> tuple[float, float, int]:
-    """(C deviation, gamma deviation, late times): the endpoint series
-    alone from each switch time on, the remainder's against the reference
-    and gamma's against the closed form, and how many table times of the
-    groups' baths the remainder series takes over."""
+    """(C deviation, gamma deviation, late times): the rates
+    `bath.rate_coefficients` returns from each switch time on, where it
+    runs only the endpoint series, the remainder's against the reference
+    and gamma's, from a bath at beta = 0, against the closed form, and how
+    many table times of the groups' baths the remainder series takes
+    over."""
     worst_c = worst_g = 0.0
     late_times = 0
     for (baths, eps, t), ref in zip(groups, reference):
-        late = t[t >= bath._TAIL_REACH / baths[0].omega_c]
-        if late.size:
-            args = carrier(eps, late)
+        flat = replace(baths[0], beta=0.0)
+        late = t >= bath._switch_time(flat)
+        if late.any():
+            [(g, _, _)] = bath.rate_coefficients([flat], eps, t[late])
             worst_g = max(worst_g, float(np.max(np.abs(
-                bath._gamma_series(baths[0], eps, *args)
-                - oracles.closed_form_gamma(baths[0], eps, late)))))
+                g - oracles.closed_form_gamma(flat, eps, t[late])))))
         for b, r in zip(baths, ref):
             late = t >= bath._switch_time(b)
             late_times += int(np.count_nonzero(late))
             if late.any():
+                [(_, gt, bg)] = bath.rate_coefficients([b], eps, t[late])
                 worst_c = max(worst_c, float(np.max(np.abs(
-                    bath._remainder_series(b, eps, *carrier(eps, t[late]))
-                    - r[late]))))
+                    (bg if b.beta < 0.0 else gt) - r[late]))))
     return worst_c, worst_g, late_times
 
 
 def series_seconds(groups) -> float:
-    """Best of three timings of both series over the groups' late times."""
+    """Best of three timings of `bath.rate_coefficients` over each bath's
+    late times, where it runs only the series, gamma's among them."""
     secs = []
     for _ in range(3):
         t0 = time.perf_counter()
         for baths, eps, t in groups:
-            late = t[t >= bath._TAIL_REACH / baths[0].omega_c]
-            if late.size:
-                bath._gamma_series(baths[0], eps, *carrier(eps, late))
             for b in baths:
-                late = t[t >= bath._switch_time(b)]
-                if late.size:
-                    bath._remainder_series(b, eps, *carrier(eps, late))
+                late = t >= bath._switch_time(b)
+                if late.any():
+                    bath.rate_coefficients([b], eps, t[late])
         secs.append(time.perf_counter() - t0)
     return min(secs)
 

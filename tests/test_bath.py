@@ -19,7 +19,7 @@ import oracles
 from conftest import EPS_COLD, EPS_HOT
 from oracles import (complex_remainder, filon_rates, markov_limits,
                      occupation, spectral_density)
-from resolution_scan import (PREVIOUS_BASE, REFERENCE, carrier, deviation,
+from resolution_scan import (PREVIOUS_BASE, REFERENCE, deviation,
                              remainders, switched_deviation, tail_deviation,
                              wide_groups, workload_groups)
 from qotto import ConfigError, bath
@@ -300,6 +300,40 @@ def test_series_alone_match_quadrature_and_closed_form(grid):
     c_dev, g_dev, late = tail_deviation(groups, remainders(groups, REFERENCE))
     assert late > 0
     assert c_dev < 1e-14 and g_dev < 1e-14
+
+
+@pytest.mark.parametrize("batches", [
+    [[CycleConfig(omega_c=float(wc)).hot_bath] for wc in range(2, 31)],
+    [[CycleConfig(omega_c=100.0).hot_bath]],
+    [[CycleConfig(p_plus_hot=p).hot_bath for p in (0.3, 0.5, 0.51, 0.99)]]],
+    ids=["memory-scan", "wc100", "beta-signs"])
+def test_late_rates_keep_the_bits_of_the_two_series(batches):
+    """From each switch time on, `rate_coefficients` returns the bits of
+    the separate gamma and remainder series that `bath._series` replaced,
+    on 10 ms tables: the memory scan's 29 cutoffs, omega_c = 100, and one
+    batch at beta > 0, beta = 0 and beta < 0."""
+    late_g = late_c = 0
+    for specs in batches:
+        t = np.linspace(0.0, 10.0, bath.rate_table_size(specs[0], EPS_HOT,
+                                                       10.0))
+        rates = rate_coefficients(specs, EPS_HOT, t)
+        # the series' arguments as the library slices them
+        late = t >= bath._TAIL_REACH / specs[0].omega_c
+        args = (t[late], sici(EPS_HOT * t)[0][late],
+                np.cos(EPS_HOT * t[late]), np.sin(EPS_HOT * t[late]))
+        late_g += int(np.count_nonzero(late))
+        assert (rates[0][0][late].tobytes()
+                == oracles.gamma_series(specs[0], EPS_HOT, *args).tobytes())
+        for b, (_, gt, bg) in zip(specs, rates):
+            tail = args[0] >= bath._switch_time(b)
+            if b.beta == 0.0 or not tail.any():
+                continue
+            late_c += int(np.count_nonzero(tail))
+            want = oracles.remainder_series(b, EPS_HOT,
+                                            *(x[tail] for x in args))
+            got = (bg if b.beta < 0.0 else gt)[late][tail]
+            assert got.tobytes() == want.tobytes()
+    assert late_g > 0 and late_c > 0
 
 
 @pytest.mark.parametrize("spec", [
